@@ -29,7 +29,7 @@ def run(w0=1.0):
                          np.exp(1j * w0 * tf))
     grid = FrequencyGrid.from_config(cfg)
     engines = {
-        "reduced(C0)": reduced_spectrum(half, FunctionClass.C0, "S", grid, cfg),
+        "reduced(C0)": reduced_spectrum(half, FunctionClass.C0, grid, cfg),
         "weak-laplace": weak_laplace_spectrum(half, grid, cfg),
         "laplace": laplace_spectrum(half, grid, cfg),
         "carleman": carleman_spectrum(full, grid, cfg),

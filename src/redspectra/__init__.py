@@ -7,9 +7,9 @@ from .config import Config, DEFAULT
 from .signals import (Domain, ExtendedSignal, Mean, SampledSignal, convolve,
                       difference, extend_by_zero, indefinite_integral,
                       modulate, mollify, reflect, translate)
-from .kernels import (BoxKernel, ExpKernel, TestKernel, annihilator_kernel,
-                      approximate_identity, bandpass_kernel, box_kernel,
-                      bump_kernel, d_bump, exp_kernel, wiener_divide)
+from .kernels import (TestKernel, annihilator_kernel, approximate_identity,
+                      bandpass_kernel, box_kernel, bump_kernel, d_bump,
+                      exp_kernel, wiener_divide)
 from .classes import (BohrCoefficient, ClassReport, FunctionClass, Tri,
                       ap_decompose, bohr_coefficient, detect, ergodic_mean,
                       is_c0, is_slowly_oscillating, tail_sup, uc_modulus)

@@ -26,7 +26,7 @@ from scipy.optimize import minimize_scalar
 
 from .config import Config, DEFAULT
 from .errors import HorizonError
-from .signals import Domain, Mean, SampledSignal, mollify, modulate
+from .signals import Domain, Mean, SampledSignal, _cumulative, mollify, modulate
 
 TAIL_FRACTIONS = (0.45, 0.65, 0.85)
 
@@ -192,8 +192,7 @@ def is_bounded(F: SampledSignal, cfg: Config = DEFAULT,
 def _window_means(F: SampledSignal, T: float):
     """A_T(t) = (1/T) int_t^{t+T} F, for every admissible grid t."""
     k = F.lattice_steps(F.dt * round(T / F.dt), "T")
-    steps = 0.5 * F.dt * (F.values[1:] + F.values[:-1])
-    cum = np.vstack([np.zeros((1, F.dim), complex), np.cumsum(steps, axis=0)])
+    cum = _cumulative(F)
     return (cum[k:] - cum[:-k]) / (k * F.dt)
 
 

@@ -87,9 +87,9 @@ def _slug(s: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    from .spectra import (FrequencyGrid, beurling_spectrum, carleman_spectrum,
-                          laplace_spectrum, reduced_spectrum,
-                          weak_laplace_spectrum)
+    from .spectra import (FrequencyGrid, ReducedScanner, beurling_spectrum,
+                          carleman_spectrum, laplace_spectrum,
+                          reduced_spectrum, weak_laplace_spectrum)
     cfg = _load_config(args)
     try:
         sig = read_signal_csv(args.signal)
@@ -106,11 +106,14 @@ def cmd_analyze(args) -> int:
                 return EXIT_INPUT_ERROR
             cls = _CLASSES[args.cls]
             candidates = None
+            # one scanner: the class pass reuses the C0 pass's ladder
+            sc = ReducedScanner(sig, grid.values(), cfg)
             if cls in (FunctionClass.AP, FunctionClass.AAP):
-                base = reduced_spectrum(sig, FunctionClass.C0, "S", grid, cfg)
-                candidates = base.singular_clusters()
-            est = reduced_spectrum(sig, cls, "S", grid, cfg,
-                                   candidates=candidates)
+                candidates = reduced_spectrum(
+                    sig, FunctionClass.C0, grid, cfg,
+                    scanner=sc).singular_clusters()
+            est = reduced_spectrum(sig, cls, grid, cfg, candidates=candidates,
+                                   scanner=sc)
         elif kind == "beurling":
             est = beurling_spectrum(sig, grid, cfg)
         elif kind == "carleman":

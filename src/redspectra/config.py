@@ -94,11 +94,6 @@ class Config:
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)
 
-    def grid_values(self):
-        import numpy as np
-        n = int(round((self.grid_max - self.grid_min) / self.grid_step)) + 1
-        return np.linspace(self.grid_min, self.grid_max, n)
-
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
         names = {f.name for f in dataclasses.fields(cls)}

@@ -145,7 +145,7 @@ def build_corpus(cfg: Config = DEFAULT) -> dict:
          exp_tag("reduced C0 spectrum empty for compact-support kernels",
                  "literature")),
         extra_kernels=ann + (d_bump(0.0, 1.0),),
-        meta={"bounded": False}))
+        meta={"bounded": False, "exp_rate": 1.0}))
 
     sinc_h = np.where(t == 0, 1.0, np.sin(np.where(t == 0, 1, t)) / np.where(t == 0, 1, t))
     sinc_f = np.where(tf == 0, 1.0, np.sin(np.where(tf == 0, 1, tf)) / np.where(tf == 0, 1, tf))

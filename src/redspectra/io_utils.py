@@ -49,7 +49,7 @@ def read_signal_csv(path, domain: Domain | None = None,
     if header[0] != "t" or (len(header) - 1) % 2 != 0 or len(header) < 3:
         raise ParseError("header must be t,re0,im0[,re1,im1,...]", line=1)
     d = (len(header) - 1) // 2
-    rows = []
+    rows, row_lines = [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -61,9 +61,14 @@ def read_signal_csv(path, domain: Domain | None = None,
             rows.append([float(x) for x in parts])
         except ValueError as exc:
             raise ParseError(str(exc), line=ln) from exc
+        row_lines.append(ln)
     if len(rows) < 2:
         raise ParseError("need at least 2 samples", line=len(lines))
     arr = np.asarray(rows)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite value (nan or inf)",
+                         line=row_lines[int(np.argmin(finite))])
     t = arr[:, 0]
     dt = t[1] - t[0]
     if dt <= 0:

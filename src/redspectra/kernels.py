@@ -6,8 +6,12 @@ Fourier convention, shared by every module:
 
     g^(w) = integral exp(-i w t) g(t) dt.
 
-Kernels are immutable; sample and tail-mass tables are cached per grid.
-The central constructions:
+Every kernel is a ``TestKernel``: time and transform functions, the
+retained support, the mass of |k| and a tail-mass function given at
+construction (closed form for the box and exponential kernels, a sample
+table otherwise).  ``TestKernel.scaled`` is the one scaling path and
+``reflected`` the one reflection.  Kernels are immutable; sample tables
+are cached per grid.  The central constructions:
 
 * ``bump_kernel`` builds psi = (phi^)^2 for the scaled bump
   phi(x) = a exp(1/(x^2-1)) on [-1, 1], with a chosen so psi^(0) = 1.
@@ -25,7 +29,8 @@ The central constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf
@@ -36,13 +41,11 @@ from .errors import DivisionError_, DomainError, GridError
 _SQRT2 = np.sqrt(2.0)
 
 
-def _leggauss(n=3000):
-    global _GL
-    try:
-        return _GL
-    except NameError:
-        _GL = np.polynomial.legendre.leggauss(n)
-        return _GL
+@functools.lru_cache(maxsize=1)
+def _leggauss():
+    """The 400-node Gauss-Legendre rule on [-1, 1], shared by every kernel
+    so that no kernel's samples depend on which was built first."""
+    return np.polynomial.legendre.leggauss(400)
 
 
 def _bump_raw(x):
@@ -64,11 +67,13 @@ class TestKernel:
     """A sampled test kernel together with its transform.
 
     ``time_fn`` / ``ft_fn`` evaluate the kernel and its transform at
-    arbitrary points; ``freq_grid`` and ``ft_samples`` hold the stored
-    transform table used by exports and consistency checks.  ``s_lo`` /
-    ``s_hi`` bound the retained time support (cut where the samples fall
-    below the support-cut threshold); the discarded ``cut_mass`` is
-    propagated into convolution error bounds through ``tail_mass``.
+    arbitrary points.  ``s_lo`` / ``s_hi`` bound the retained time support
+    (cut where the samples fall below the support-cut threshold); the
+    discarded ``cut_mass`` is propagated into convolution error bounds
+    through ``tail_mass``, the function x -> mass of |k| at distance >= x
+    from the origin (cut included), given in closed form or as a table
+    closure (``_table_tail``).  ``freq_grid`` is the transform grid that
+    ``derivative`` integrates over (band-limited kernels only).
     """
 
     kernel_id: str
@@ -78,14 +83,12 @@ class TestKernel:
     s_lo: float
     s_hi: float
     ft_support: tuple
-    freq_grid: np.ndarray
-    ft_samples: np.ndarray
     mass: float                  # integral of |k|
-    ft0: complex                 # k^(0)
+    tail_mass: object
     cut_mass: float = 0.0
-    growth_exponent: int = 0
-    _tail_table: tuple = None    # (x grid, mass of |k| beyond x)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    freq_grid: np.ndarray | None = None
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     # -- sampling -------------------------------------------------------
     def time_samples(self, dt: float, quad_step: float | None = None):
@@ -109,33 +112,23 @@ class TestKernel:
     def ft(self, omega):
         return self.ft_fn(np.asarray(omega, float))
 
-    def tail_mass(self, x: float) -> float:
-        """Mass of |k| at distance >= x from the origin (plus the cut)."""
-        xs, ms = self._tail_table
-        if x <= xs[0]:
-            return float(ms[0])
-        if x >= xs[-1]:
-            return float(self.cut_mass)
-        return float(np.interp(x, xs, ms))
-
     def scaled(self, c: complex, tag: str = "scaled") -> "TestKernel":
-        tf, ff = self.time_fn, self.ft_fn
-        xs, ms = self._tail_table
-        return TestKernel(
-            f"{tag}({self.kernel_id})", self.family,
-            lambda t, c=c, tf=tf: c * np.asarray(tf(t), complex),
-            lambda w, c=c, ff=ff: c * np.asarray(ff(w), complex),
-            self.s_lo, self.s_hi, self.ft_support, self.freq_grid,
-            c * self.ft_samples, abs(c) * self.mass, c * self.ft0,
-            abs(c) * self.cut_mass,
-            _tail_table=(xs, abs(c) * ms))
+        """c * k, the one way kernels are rescaled."""
+        a = abs(c)
+        tf, ff, tail = self.time_fn, self.ft_fn, self.tail_mass
+        return replace(
+            self, kernel_id=f"{tag}({self.kernel_id})",
+            time_fn=lambda t: c * np.asarray(tf(t), complex),
+            ft_fn=lambda w: c * np.asarray(ff(w), complex),
+            mass=a * self.mass, cut_mass=a * self.cut_mass,
+            tail_mass=lambda x: a * tail(x))
 
     def derivative(self) -> "TestKernel":
         """Spectral derivative: transform i*w*k^(w), time samples by inverse
         quadrature over the stored frequency grid (band-limited kernels)."""
         w = self.freq_grid
         dw = w[1] - w[0]
-        ftd = 1j * w * self.ft_samples
+        ftd = 1j * w * self.ft(w)
         wts = np.full(len(w), dw)
         wts[0] = wts[-1] = dw / 2
 
@@ -150,23 +143,30 @@ class TestKernel:
         samples = time_fn(np.linspace(self.s_lo, self.s_hi, 2049))
         mass = float(np.trapezoid(np.abs(samples),
                                   dx=(self.s_hi - self.s_lo) / 2048))
-        return _with_tail_table(TestKernel(
+        L = max(abs(self.s_lo), abs(self.s_hi))
+        return TestKernel(
             f"ddt({self.kernel_id})", self.family, time_fn, ft_fn,
-            self.s_lo, self.s_hi, self.ft_support, w, ftd, mass, 0.0,
-            self.cut_mass))
+            self.s_lo, self.s_hi, self.ft_support, mass,
+            _table_tail(time_fn, L, self.cut_mass), self.cut_mass, w)
 
 
-def _with_tail_table(k: TestKernel) -> TestKernel:
-    """Attach the |k| tail-mass table computed from a fine sample grid."""
-    L = max(abs(k.s_lo), abs(k.s_hi))
-    n = 4001
-    xs = np.linspace(0.0, L, n)
-    vals = np.abs(np.asarray(k.time_fn(xs), complex)) + \
-        np.abs(np.asarray(k.time_fn(-xs), complex))
-    dx = xs[1] - xs[0] if n > 1 else 1.0
-    rev = np.concatenate([[0.0], np.cumsum(0.5 * dx * (vals[:-1] + vals[1:])[::-1])])[::-1]
-    object.__setattr__(k, "_tail_table", (xs, rev + k.cut_mass))
-    return k
+def _table_tail(time_fn, L: float, cut_mass: float):
+    """Tail-mass function of |k| from a fine sample table on [0, L]."""
+    xs = np.linspace(0.0, L, 4001)
+    vals = np.abs(np.asarray(time_fn(xs), complex)) + \
+        np.abs(np.asarray(time_fn(-xs), complex))
+    dx = xs[1] - xs[0]
+    ms = np.concatenate([[0.0], np.cumsum(0.5 * dx * (vals[:-1] + vals[1:])[::-1])])[::-1] \
+        + cut_mass
+
+    def tail_mass(x: float) -> float:
+        if x <= xs[0]:
+            return float(ms[0])
+        if x >= xs[-1]:
+            return float(cut_mass)
+        return float(np.interp(x, xs, ms))
+
+    return tail_mass
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def _phi_hat_factory(a):
 
 
 def _psi_hat_factory(a):
-    xs, ws = _leggauss(400)
+    xs, ws = _leggauss()
 
     def psi_hat(w):
         w = np.atleast_1d(np.asarray(w, float))
@@ -239,14 +239,12 @@ def bump_kernel(cfg: Config = DEFAULT) -> TestKernel:
     above = np.where(vals >= cfg.support_cut * peak)[0]
     L = float(tt[above[-1]]) + 0.5
     cut_mass = 2.0 * float(np.trapezoid(vals[tt >= L], dx=0.25))
-    grid = np.linspace(-2.5, 2.5, 501)
-    fts = psi_hat(grid).astype(complex)
     mass = 2.0 * float(np.trapezoid(vals[tt <= L], dx=0.25))
 
-    k = TestKernel("bump", "S", time_fn, lambda w: psi_hat(w).astype(complex),
-                   -L, L, (-2.0, 2.0), grid, fts, mass, complex(psi_hat(0.0)[0]),
-                   cut_mass)
-    _BUMP_CACHE[key] = _with_tail_table(k)
+    _BUMP_CACHE[key] = TestKernel(
+        "bump", "S", time_fn, lambda w: psi_hat(w).astype(complex), -L, L,
+        (-2.0, 2.0), mass, _table_tail(time_fn, L, cut_mass), cut_mass,
+        np.linspace(-2.5, 2.5, 501))
     return _BUMP_CACHE[key]
 
 
@@ -258,25 +256,18 @@ def approximate_identity(n: int, cfg: Config = DEFAULT) -> TestKernel:
     base = bump_kernel(cfg)
     if n == 1:
         return base
-    bt, bf = base.time_fn, base.ft_fn
-    xs, ms = base._tail_table
-    k = TestKernel(
-        f"bump_n{n}", "S",
-        lambda t, n=n, bt=bt: n * np.asarray(bt(n * np.asarray(t, float)), complex),
-        lambda w, n=n, bf=bf: np.asarray(bf(np.asarray(w, float) / n), complex),
-        base.s_lo / n, base.s_hi / n,
-        (-2.0 * n, 2.0 * n), base.freq_grid * n, base.ft_samples,
-        base.mass, base.ft0, base.cut_mass,
-        _tail_table=(xs / n, ms))
-    return k
+    bt, bf, tail = base.time_fn, base.ft_fn, base.tail_mass
+    return replace(
+        base, kernel_id=f"bump_n{n}",
+        time_fn=lambda t: n * np.asarray(bt(n * np.asarray(t, float)), complex),
+        ft_fn=lambda w: np.asarray(bf(np.asarray(w, float) / n), complex),
+        s_lo=base.s_lo / n, s_hi=base.s_hi / n, ft_support=(-2.0 * n, 2.0 * n),
+        tail_mass=lambda x: tail(n * x), freq_grid=base.freq_grid * n)
 
 
 # ---------------------------------------------------------------------------
 # band-pass plateau kernels
 # ---------------------------------------------------------------------------
-
-_ENVELOPE_CACHE: dict = {}
-
 
 def _plateau(u, b, sigma):
     """box[-b, b] smoothed by N(0, sigma): 1 on the core, Gaussian edges."""
@@ -319,13 +310,12 @@ def bandpass_kernel(omega0: float, delta: float, cfg: Config = DEFAULT) -> TestK
     dw = delta / cfg.freq_grid_divisor
     half = int(np.ceil(2.5 * delta / dw))
     grid = omega0 + dw * np.arange(-half, half + 1)
-    cut_tail = np.exp(-0.5 * (sigma * L) ** 2) * 2.0 / (np.pi * L * sigma * L)
-    k = TestKernel(f"bandpass(w0={omega0:g},delta={delta:g})", "S",
-                   time_fn, ft_fn, -L, L,
-                   (omega0 - 2 * delta, omega0 + 2 * delta),
-                   grid, ft_fn(grid), _env_abs_mass(env, L),
-                   complex(ft_fn(np.array([omega0]))[0]), float(cut_tail))
-    return _with_tail_table(k)
+    cut_tail = float(np.exp(-0.5 * (sigma * L) ** 2) * 2.0 / (np.pi * L * sigma * L))
+    return TestKernel(f"bandpass(w0={omega0:g},delta={delta:g})", "S",
+                      time_fn, ft_fn, -L, L,
+                      (omega0 - 2 * delta, omega0 + 2 * delta),
+                      _env_abs_mass(env, L), _table_tail(time_fn, L, cut_tail),
+                      cut_tail, grid)
 
 
 def _env_abs_mass(env, L):
@@ -344,7 +334,7 @@ def d_bump(center: float = 0.0, halfwidth: float = 1.0,
     This is the D-family workhorse: exact compact support in time, so
     convolutions against rapidly growing signals stay honest.
     """
-    xs, ws = _leggauss(400)
+    xs, ws = _leggauss()
     raw_mass = float((_bump_raw(xs) * ws).sum())
     c = 1.0 / (raw_mass * halfwidth)
 
@@ -357,12 +347,11 @@ def d_bump(center: float = 0.0, halfwidth: float = 1.0,
         ph = np.exp(-1j * np.outer(w, center + halfwidth * xs))
         return (ph * (c * _bump_raw(xs) * halfwidth * ws)).sum(axis=1)
 
-    grid = np.linspace(-8.0, 8.0, 801)
-    k = TestKernel(f"dbump(c={center:g},hw={halfwidth:g})", "D",
-                   time_fn, ft_fn, center - halfwidth, center + halfwidth,
-                   (-np.inf, np.inf), grid, ft_fn(grid), 1.0,
-                   complex(ft_fn(np.array([0.0]))[0]), 0.0)
-    return _with_tail_table(k)
+    s_lo, s_hi = center - halfwidth, center + halfwidth
+    return TestKernel(f"dbump(c={center:g},hw={halfwidth:g})", "D",
+                      time_fn, ft_fn, s_lo, s_hi, (-np.inf, np.inf), 1.0,
+                      _table_tail(time_fn, max(abs(s_lo), abs(s_hi)), 0.0),
+                      0.0, np.linspace(-8.0, 8.0, 801))
 
 
 def annihilator_kernel(a: float, cfg: Config = DEFAULT) -> TestKernel:
@@ -376,7 +365,7 @@ def annihilator_kernel(a: float, cfg: Config = DEFAULT) -> TestKernel:
     """
     if a <= 0:
         raise ValueError("a must be > 0")
-    xs, ws = _leggauss(400)
+    xs, ws = _leggauss()
 
     def phi(t):
         # bump supported on (0, a)
@@ -400,170 +389,84 @@ def annihilator_kernel(a: float, cfg: Config = DEFAULT) -> TestKernel:
         return (ph_pos * (pv * w_nodes)).sum(axis=1) - \
             (ph_neg * (np.exp(-2.0 * s_nodes) * pv * w_nodes)).sum(axis=1)
 
-    grid = np.linspace(-8.0, 8.0, 801)
     mass = float((pv * w_nodes).sum() +
                  (np.exp(-2.0 * s_nodes) * pv * w_nodes).sum())
-    k = TestKernel(f"annihilator(a={a:g})", "D", time_fn, ft_fn, -a, a,
-                   (-np.inf, np.inf), grid, ft_fn(grid), mass,
-                   complex(ft_fn(np.array([0.0]))[0]), 0.0)
-    return _with_tail_table(k)
+    return TestKernel(f"annihilator(a={a:g})", "D", time_fn, ft_fn, -a, a,
+                      (-np.inf, np.inf), mass, _table_tail(time_fn, a, 0.0),
+                      0.0, np.linspace(-8.0, 8.0, 801))
 
 
 # ---------------------------------------------------------------------------
 # box and exponential kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoxKernel:
-    """s_h = (1/h) * indicator of (-h, 0); unit mass, transform
-    s_h^(w) = (exp(i w h) - 1)/(i w h)."""
+def box_kernel(h: float) -> TestKernel:
+    """s_h = (1/h) * indicator of [-h, 0]; unit mass, transform
+    s_h^(w) = (exp(i w h) - 1)/(i w h).
 
-    h: float
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    The jump at -h must fall on a sample, so the box is sampled only on
+    lattices whose step divides h (GridError otherwise).
+    """
+    if h <= 0:
+        raise ValueError("h must be > 0")
 
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be > 0")
+    def time_fn(t):
+        t = np.asarray(t, float)
+        step = t[1] - t[0] if t.size > 1 else h
+        if abs(h / step - round(h / step)) > 1e-9 * max(1.0, h / step):
+            raise GridError("box width h must be a lattice multiple")
+        inside = (t >= -h - 1e-9 * abs(step)) & (t <= 0.0)
+        return np.where(inside, 1.0 / h, 0.0).astype(complex)
 
-    family = "L1"
-    mass = 1.0
-    ft0 = 1.0 + 0j
-    cut_mass = 0.0
-    growth_exponent = 0
+    def ft_fn(w):
+        wh = np.atleast_1d(w) * h
+        safe = np.where(wh == 0, 1.0, wh)
+        return np.where(wh == 0.0, 1.0 + 0j, (np.exp(1j * safe) - 1.0) / (1j * safe))
 
-    @property
-    def kernel_id(self):
-        return f"box(h={self.h:g})"
-
-    @property
-    def s_lo(self):
-        return -self.h
-
-    s_hi = 0.0
-    ft_support = (-np.inf, np.inf)
-
-    def time_samples(self, dt, quad_step=None):
-        step = dt if quad_step is None else quad_step
-        key = round(step, 12)
-        if key not in self._cache:
-            m = round(self.h / step)
-            if abs(self.h - m * step) > 1e-9 * step or m < 1:
-                raise GridError("box width h must be a lattice multiple")
-            self._cache[key] = (-self.h, np.full(m + 1, 1.0 / self.h, complex))
-        return self._cache[key]
-
-    def ft(self, omega):
-        w = np.atleast_1d(np.asarray(omega, float))
-        wh = w * self.h
-        out = np.where(wh == 0.0, 1.0 + 0j,
-                       (np.exp(1j * np.where(wh == 0, 1.0, wh)) - 1.0) /
-                       (1j * np.where(wh == 0, 1.0, wh)))
-        return out
-
-    def tail_mass(self, x):
-        return max(0.0, (self.h - x) / self.h) if x > 0 else 1.0
+    return TestKernel(f"box(h={h:g})", "L1", time_fn, ft_fn, -h, 0.0,
+                      (-np.inf, np.inf), 1.0,
+                      lambda x: max(0.0, (h - x) / h) if x > 0 else 1.0)
 
 
-@dataclass(frozen=True)
-class ExpKernel:
+def exp_kernel(lam: complex) -> TestKernel:
     """f_lambda: exp(-lambda t) on t >= 0 if Re lambda > 0, and the
-    reflected-negated kernel -exp(-lambda t) on t < 0 if Re lambda < 0.
+    reflected-negated kernel -exp(-lambda t) on t <= 0 if Re lambda < 0.
     In both cases f_lambda^(w) = 1/(lambda + i w).  Only Re lambda != 0
     gives an integrable kernel."""
+    lam = complex(lam)
+    if lam.real == 0:
+        raise DomainError("exp kernel needs Re lambda != 0 (f_lambda is "
+                          "not integrable on the imaginary axis)")
+    a = abs(lam.real)
+    L = np.log(1e14) / a            # support cut where |f| drops to 1e-14
 
-    lam: complex
-    support_cut: float = 1e-14
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.lam.real == 0:
-            raise DomainError("exp kernel needs Re lambda != 0 (f_lambda is "
-                              "not integrable on the imaginary axis)")
-
-    family = "L1"
-    cut_mass = 0.0
-    growth_exponent = 0
-    ft_support = (-np.inf, np.inf)
-
-    @property
-    def kernel_id(self):
-        return f"exp(lam={self.lam:g})"
-
-    @property
-    def mass(self):
-        return 1.0 / abs(self.lam.real)
-
-    @property
-    def ft0(self):
-        return 1.0 / self.lam
-
-    @property
-    def _L(self):
-        return np.log(1.0 / self.support_cut) / abs(self.lam.real)
-
-    @property
-    def s_lo(self):
-        return 0.0 if self.lam.real > 0 else -self._L
-
-    @property
-    def s_hi(self):
-        return self._L if self.lam.real > 0 else 0.0
-
-    def side(self):
-        return "right" if self.lam.real > 0 else "left"
-
-    def time_samples(self, dt, quad_step=None):
-        step = dt if quad_step is None else quad_step
-        key = round(step, 12)
-        if key not in self._cache:
-            n = int(np.ceil(self._L / step))
-            if self.lam.real > 0:
-                s = step * np.arange(0, n + 1)
-                self._cache[key] = (0.0, np.exp(-self.lam * s))
-            else:
-                s = step * np.arange(-n, 1)
-                self._cache[key] = (-n * step, -np.exp(-self.lam * s))
-        return self._cache[key]
-
-    def time_fn(self, t):
+    def time_fn(t):
         t = np.asarray(t, float)
-        if self.lam.real > 0:
-            return np.where(t >= 0, np.exp(-self.lam * t), 0.0)
-        return np.where(t < 0, -np.exp(-self.lam * t), 0.0)
+        if lam.real > 0:
+            return np.where(t >= 0, np.exp(-lam * t), 0.0)
+        return np.where(t <= 0, -np.exp(-lam * t), 0.0)
 
-    def ft(self, omega):
-        w = np.atleast_1d(np.asarray(omega, float))
-        return 1.0 / (self.lam + 1j * w)
-
-    def tail_mass(self, x):
-        a = abs(self.lam.real)
-        return float(np.exp(-a * max(x, 0.0)) / a)
+    return TestKernel(f"exp(lam={lam:g})", "L1", time_fn,
+                      lambda w: 1.0 / (lam + 1j * np.atleast_1d(w)),
+                      0.0 if lam.real > 0 else -L, L if lam.real > 0 else 0.0,
+                      (-np.inf, np.inf), 1.0 / a,
+                      lambda x: float(np.exp(-a * max(x, 0.0)) / a))
 
 
-def reflected(k: ExpKernel) -> ExpKernel:
-    """f_lambda-check = f_{-lambda} up to sign: reflect(f_lam)(t) = f_lam(-t).
+def reflected(k: TestKernel) -> TestKernel:
+    """k-check(t) = k(-t), with transform k^(-w) and the same tail mass.
 
-    Used by the Carleman-transform-as-convolution identity; implemented by
-    flipping the half line, i.e. reflect(f_lam) = -f_{-lam}.
+    For the exponential kernels reflect(f_lam) = -f_{-lam}, which the
+    Carleman-transform-as-convolution identity uses.
     """
-    flipped = ExpKernel(-k.lam, k.support_cut)
-
-    class _Neg(ExpKernel):
-        def time_samples(self, dt, quad_step=None):
-            s0, v = ExpKernel.time_samples(self, dt, quad_step)
-            return s0, -v
-
-        def time_fn(self, t):
-            return -ExpKernel.time_fn(self, t)
-
-        def ft(self, omega):
-            return -ExpKernel.ft(self, omega)
-
-        @property
-        def ft0(self):
-            return -1.0 / self.lam
-
-    return _Neg(flipped.lam, flipped.support_cut)
+    tf, ff = k.time_fn, k.ft_fn
+    lo, hi = k.ft_support
+    return replace(
+        k, kernel_id=f"reflect({k.kernel_id})",
+        time_fn=lambda t: tf(-np.asarray(t, float)),
+        ft_fn=lambda w: ff(-np.asarray(w, float)),
+        s_lo=-k.s_hi, s_hi=-k.s_lo, ft_support=(-hi, -lo),
+        freq_grid=None if k.freq_grid is None else -k.freq_grid[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +539,7 @@ def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
     g = TestKernel(f"wiener({f.kernel_id},K=[{lo:g},{hi:g}])", "S",
                    time_fn, ft_fn, -L, L,
                    (mid - b - 7 * sigma, mid + b + 7 * sigma),
-                   grid, ghat, mass, complex(ft_fn(np.array([0.0]))[0]), cut)
-    g = _with_tail_table(g)
+                   mass, _table_tail(time_fn, L, cut), cut, grid)
 
     ksel = (grid >= lo) & (grid <= hi)
     err = np.abs(ghat[ksel] * fhat[ksel] - 1.0).max()
@@ -645,46 +547,6 @@ def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
         raise DivisionError_(f"division postcondition failed: "
                              f"sup_K |g^ f^ - 1| = {err:.3g} > 1e-8")
     return g
-
-
-class _ScaledKernel:
-    """Duck-typed wrapper multiplying any kernel by a complex constant."""
-
-    def __init__(self, base, c, tag="unit"):
-        self._base = base
-        self._c = complex(c)
-        self.kernel_id = f"{tag}({base.kernel_id})"
-        self.family = base.family
-        self.ft_support = base.ft_support
-        self.cut_mass = abs(c) * base.cut_mass
-        self.mass = abs(c) * base.mass
-        self.ft0 = c * base.ft0
-        self.growth_exponent = getattr(base, "growth_exponent", 0)
-        self.s_lo, self.s_hi = base.s_lo, base.s_hi
-
-    def time_samples(self, dt, quad_step=None):
-        s0, v = self._base.time_samples(dt, quad_step)
-        return s0, self._c * v
-
-    def ft(self, omega):
-        return self._c * np.asarray(self._base.ft(omega), complex)
-
-    def tail_mass(self, x):
-        return abs(self._c) * self._base.tail_mass(x)
-
-
-def scaled_kernel(kern, c: complex, tag: str = "unit"):
-    if hasattr(kern, "scaled"):
-        return kern.scaled(c, tag)
-    return _ScaledKernel(kern, c, tag)
-
-
-def box_kernel(h: float) -> BoxKernel:
-    return BoxKernel(h)
-
-
-def exp_kernel(lam: complex) -> ExpKernel:
-    return ExpKernel(complex(lam))
 
 
 def fourier_consistency_error(kernel, dt: float = 0.01,

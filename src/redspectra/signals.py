@@ -9,6 +9,10 @@ uses the declared zero extension (half-line signals vanish for t < 0) or
 accounts for the omission through an explicit truncation bound; nothing is
 periodized or silently zero-filled beyond the stated budget.
 
+Every convolution is planned by ``plan_convolution`` (window admission,
+padding, strided views and the truncation bound); ``convolve`` and the
+band-pass ladder of ``spectra.ReducedScanner`` only multiply its views.
+
 All types are immutable and all operations are pure functions, so signals
 may be shared freely across threads.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -346,27 +351,6 @@ def mollify(F: SampledSignal, h: float) -> SampledSignal:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _sliding_dot(padded: np.ndarray, kernel_rev: np.ndarray,
-                 first: int, row_step: int, col_step: int, count: int) -> np.ndarray:
-    """out[k, :] = sum_i padded[first + k*row_step + i*col_step, :] * kernel_rev[i]."""
-    n, d = padded.shape
-    m = len(kernel_rev)
-    if first < 0 or first + (count - 1) * row_step + (m - 1) * col_step >= n:
-        raise TruncationError("convolution window leaves the padded record")
-    out = np.empty((count, d), complex)
-    for c in range(d):
-        base = np.ascontiguousarray(padded[:, c])
-        view = np.lib.stride_tricks.as_strided(
-            base[first:], shape=(count, m),
-            strides=(row_step * base.strides[0], col_step * base.strides[0]))
-        out[:, c] = view @ kernel_rev
-    return out
-
-
-def _env_weight(env_c: float, k: int, edge: float, width: float) -> float:
-    return env_c * (1.0 + (abs(edge) + width) ** 2) ** k
-
-
 def _tail_crossing(tail_mass, thr: float, width: float) -> float:
     """Smallest x with tail_mass(x) <= thr (tail_mass is non-increasing)."""
     if tail_mass(0.0) <= thr:
@@ -384,22 +368,37 @@ def _tail_crossing(tail_mass, thr: float, width: float) -> float:
     return hi
 
 
-def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
-             out_range: tuple | None = None, budget: float = 1e-12,
-             quad_step: float | None = None) -> ExtendedSignal:
-    """Trapezoid quadrature of (H * k)(t) = integral H(t - s) k(s) ds.
+class ConvPlan(NamedTuple):
+    """Output grid and operands of one trapezoid convolution.
+
+    Row k of ``views[c]`` holds the samples of channel c under the kernel
+    taps for the output at ``t0 + k*step``, so that output is
+    ``views[c][k] @ weights_rev``.  ``s_rev`` holds the tap times (in the
+    same reversed order) and ``trunc`` the worst admitted omission.
+    """
+
+    t0: float
+    step: float
+    views: list
+    s_rev: np.ndarray
+    weights_rev: np.ndarray
+    trunc: float
+
+
+def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
+                     out_range: tuple | None = None, budget: float = 1e-12,
+                     quad_step: float | None = None) -> ConvPlan:
+    """Window admission, padding and strided views for ``convolve``.
 
     Output points are restricted to where the quadrature window either
     stays inside the sampled range of H or runs only over regions that are
     known (the zero left tail of a half-line origin) or negligible (kernel
     mass beyond the record, weighted by the declared growth envelope,
-    below ``budget`` relative to sup||H||).  The worst admitted omission
-    is recorded on the result as ``trunc_bound``; a window that would
-    exceed the budget is not emitted at all.
-
-    ``out_step`` decimates the output grid; ``quad_step`` coarsens the
-    s-quadrature lattice, which is only safe for kernels whose own decay
-    suppresses the aliased high-frequency content of H.
+    below ``budget`` relative to sup||H||).  A window that would exceed
+    the budget is not planned at all.  Multiplying the views by a
+    modulated copy of ``weights_rev`` convolves with the modulated kernel
+    on the same grid, which is how the band-pass ladder reuses one plan
+    for every frequency.
     """
     dt = H.dt
     qstep = dt if quad_step is None else quad_step
@@ -409,16 +408,16 @@ def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
     if m < 2:
         raise GridError("kernel sampling too coarse for its support")
     i_s0 = H.lattice_steps(s0, "kernel start")
-    smin, smax = s0, s0 + (m - 1) * qstep
+    s = s0 + qstep * np.arange(m)
     w = np.full(m, qstep)
     w[0] = w[-1] = qstep / 2
-    kr = (samples * w)[::-1]
 
     row = col if out_step is None else H.lattice_steps(out_step, "output step")
 
-    width = max(abs(smin), abs(smax))
-    env = max(_env_weight(H.envelope_constant(), H.growth_exponent,
-                          max(abs(H.t0), abs(H.t_end)), width), 1e-300)
+    width = max(abs(s[0]), abs(s[-1]))
+    edge = max(abs(H.t0), abs(H.t_end))
+    env = max(H.envelope_constant() * (1.0 + (edge + width) ** 2)
+              ** H.growth_exponent, 1e-300)
     allowance = budget * max(H.sup_norm(), 1e-300)
 
     # an output at t omits kernel mass at |s| >= t_end - t (right edge) or
@@ -443,14 +442,38 @@ def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
     padded = np.vstack([np.zeros((pad_l, H.dim), complex), H.values,
                         np.zeros((pad_r, H.dim), complex)])
     first = i_lo - i_smax + pad_l
+    if first < 0 or first + (count - 1) * row + (m - 1) * col >= len(padded):
+        raise TruncationError("convolution window leaves the padded record")
+    views = []
+    for c in range(H.dim):
+        base = np.ascontiguousarray(padded[:, c])
+        views.append(np.lib.stride_tricks.as_strided(
+            base[first:], shape=(count, m),
+            strides=(row * base.strides[0], col * base.strides[0])))
 
-    out = _sliding_dot(padded, kr, first, row, col, count)
+    omit = kernel.tail_mass(max(0.0, H.t_end - (H.t0 + i_hi * dt)))
+    if H.origin_domain is not Domain.HALF_LINE:
+        omit += kernel.tail_mass(max(0.0, i_lo * dt))
+    return ConvPlan(H.t0 + i_lo * dt, row * dt, views, s[::-1],
+                    (samples * w)[::-1], float(min(omit * env, allowance)))
 
-    omit_r = kernel.tail_mass(max(0.0, H.t_end - (H.t0 + i_hi * dt)))
-    omit = omit_r if H.origin_domain is Domain.HALF_LINE else \
-        omit_r + kernel.tail_mass(max(0.0, i_lo * dt))
-    trunc = float(min(omit * env, allowance))
-    k_out = max(H.growth_exponent, getattr(kernel, "growth_exponent", 0))
-    return ExtendedSignal(Domain.FULL_LINE, H.t0 + i_lo * dt, row * dt, out,
-                          k_out, trusted=True, origin_domain=H.origin_domain,
-                          trunc_bound=trunc + H.trunc_bound * kernel.mass)
+
+def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
+             out_range: tuple | None = None, budget: float = 1e-12,
+             quad_step: float | None = None) -> ExtendedSignal:
+    """Trapezoid quadrature of (H * k)(t) = integral H(t - s) k(s) ds.
+
+    The output grid and its truncation bound come from
+    ``plan_convolution``; the worst admitted omission is recorded on the
+    result as ``trunc_bound``.
+
+    ``out_step`` decimates the output grid; ``quad_step`` coarsens the
+    s-quadrature lattice, which is only safe for kernels whose own decay
+    suppresses the aliased high-frequency content of H.
+    """
+    plan = plan_convolution(H, kernel, out_step, out_range, budget, quad_step)
+    out = np.stack([view @ plan.weights_rev for view in plan.views], axis=1)
+    return ExtendedSignal(Domain.FULL_LINE, plan.t0, plan.step, out,
+                          H.growth_exponent, trusted=True,
+                          origin_domain=H.origin_domain,
+                          trunc_bound=plan.trunc + H.trunc_bound * kernel.mass)

@@ -33,7 +33,8 @@ from .classes import ClassReport, FunctionClass, Tri, detect, _plain
 from .config import Config, DEFAULT
 from .errors import HorizonError, RedSpectraError, TruncationError
 from .kernels import bandpass_kernel
-from .signals import Domain, ExtendedSignal, SampledSignal, extend_by_zero
+from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
+                      extend_by_zero, plan_convolution)
 from .transforms import HalfPlaneGrid, TransformScanner, half_plane_scan
 
 
@@ -168,63 +169,29 @@ class ReducedScanner:
         self.extra = tuple(extra_kernels)
         self.budget = cfg.trunc_budget if budget is None else budget
         self.scale_ref = F.sup_norm()
-        self.ext = extend_by_zero(
-            F, None if F.domain is Domain.HALF_LINE else None)
+        self.ext = extend_by_zero(F)
         self._band_cache: dict = {}
 
     # -- batched band-pass convolutions ---------------------------------
     def _band_geometry(self, delta: float):
-        """Strided view and kernel envelope for one bandwidth."""
+        """Convolution plan of the centred band-pass kernel for one
+        bandwidth; every frequency reuses it through modulated weights."""
         key = ("geom", round(delta, 12))
         if key in self._band_cache:
             return self._band_cache[key]
         cfg, H = self.cfg, self.ext
-        dt = H.dt
-        qstep = _quad_step_for(delta, cfg, dt)
-        base = bandpass_kernel(0.0, delta, cfg)
-        s0, env = base.time_samples(dt, quad_step=qstep)
-        m = len(env)
-        s = s0 + qstep * np.arange(m)
-        w = np.full(m, qstep)
-        w[0] = w[-1] = qstep / 2
-        envw_rev = (env * w)[::-1]
-        s_rev = s[::-1]
-
-        from .signals import _env_weight, _tail_crossing
-        width = max(abs(s0), abs(s[-1]))
-        env_wt = max(_env_weight(H.envelope_constant(), H.growth_exponent,
-                                 max(abs(H.t0), abs(H.t_end)), width), 1e-300)
-        allowance = self.budget * max(H.sup_norm(), 1e-300)
-        x_star = _tail_crossing(base.tail_mass, allowance / env_wt, width)
-        t_hi = H.t_end - x_star
-        if H.origin_domain is Domain.HALF_LINE:
-            t_lo = max(H.t0, -2.0 * cfg.conv_out_step)
-        else:
-            t_lo = H.t0 + x_star
-        row = max(1, round(cfg.conv_out_step / dt))
-        i_lo = int(np.ceil((t_lo - H.t0) / dt - 1e-9))
-        i_hi = int(np.floor((t_hi - H.t0) / dt + 1e-9))
-        count = (i_hi - i_lo) // row + 1
-        if count < max(3, int(cfg.min_window / cfg.conv_out_step)):
+        # half-line data: outputs from just left of 0 (the restriction to J
+        # drops the rest); full-line data: wherever the budget admits
+        lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
+            else -np.inf
+        plan = plan_convolution(
+            H, bandpass_kernel(0.0, delta, cfg),
+            max(1, round(cfg.conv_out_step / H.dt)) * H.dt, (lo, np.inf),
+            self.budget, _quad_step_for(delta, cfg, H.dt))
+        if len(plan.views[0]) < max(3, int(cfg.min_window / cfg.conv_out_step)):
             raise TruncationError(f"band {delta}: usable window too short")
-        i_hi = i_lo + (count - 1) * row
-        col = round(qstep / dt)
-        i_smax = round(s[-1] / dt)
-        pad_l = max(0, i_smax - i_lo)
-        pad_r = max(0, i_hi - round(s0 / dt) - (H.n - 1))
-        padded = np.vstack([np.zeros((pad_l, H.dim), complex), H.values,
-                            np.zeros((pad_r, H.dim), complex)])
-        first = i_lo - i_smax + pad_l
-        views = []
-        for c in range(H.dim):
-            colv = np.ascontiguousarray(padded[:, c])
-            views.append(np.lib.stride_tricks.as_strided(
-                colv[first:], shape=(count, m),
-                strides=(row * colv.strides[0], col * colv.strides[0])))
-        trunc = float(min(base.tail_mass(x_star) * env_wt, allowance))
-        res = (H.t0 + i_lo * dt, row * dt, views, s_rev, envw_rev, trunc)
-        self._band_cache[key] = res
-        return res
+        self._band_cache[key] = plan
+        return plan
 
     def _band_column(self, delta: float, j: int) -> tuple:
         """Convolution output of F * bandpass(omega_j, delta).
@@ -235,22 +202,16 @@ class ReducedScanner:
         """
         batch = abs(delta - self.cfg.delta_seq[0]) < 1e-12
         ckey = ("col", round(delta, 12), None if batch else j)
-        if ckey in self._band_cache:
-            t0, step, out, trunc = self._band_cache[ckey]
-            return t0, step, (out[:, j, :] if batch else out), trunc
-        t0, step, views, s_rev, envw_rev, trunc = self._band_geometry(delta)
-        count, m = views[0].shape
-        if batch:
-            K = envw_rev[:, None] * np.exp(1j * np.outer(s_rev, self.omegas))
-            out = np.empty((count, len(self.omegas), self.F.dim), complex)
-            for c, view in enumerate(views):
-                out[:, :, c] = view @ K
+        if ckey not in self._band_cache:
+            t0, step, views, s_rev, weights_rev, trunc = self._band_geometry(delta)
+            if batch:
+                K = weights_rev[:, None] * np.exp(1j * np.outer(s_rev, self.omegas))
+            else:
+                K = weights_rev * np.exp(1j * s_rev * self.omegas[j])
+            out = np.stack([view @ K for view in views], axis=-1)
             self._band_cache[ckey] = (t0, step, out, trunc)
-            return t0, step, out[:, j, :], trunc
-        kvec = envw_rev * np.exp(1j * s_rev * self.omegas[j])
-        out = np.stack([view @ kvec for view in views], axis=1)
-        self._band_cache[ckey] = (t0, step, out, trunc)
-        return t0, step, out, trunc
+        t0, step, out, trunc = self._band_cache[ckey]
+        return t0, step, (out[:, j, :] if batch else out), trunc
 
     def band_output(self, delta: float, j: int) -> tuple:
         """(restricted SampledSignal, trunc_bound) of F * bandpass(omega_j)."""
@@ -261,19 +222,17 @@ class ReducedScanner:
         return sig.restrict_to_origin(), trunc
 
     # -- the regularity test --------------------------------------------
-    def test_regular(self, omega: float, cls: FunctionClass,
-                     family: str = "S", delta_seq=None,
+    def test_regular(self, omega: float, cls: FunctionClass, delta_seq=None,
                      candidates=None) -> RegularityCertificate:
         """Classify one frequency for one class.
 
         Registered kernels (rescaled to unit transform at omega) are tried
         first, then the band-pass ladder.  Regular on the first Yes;
         Singular only when the whole ladder produced No-with-witness;
-        otherwise Undecided with the reasons recorded.  ``family='D'``
-        signals that only compactly supported kernels are meaningful for
-        the data; over-growing records enforce this on their own through
-        the envelope-weighted truncation budget, which refuses the
-        band-pass rungs.
+        otherwise Undecided with the reasons recorded.  Over-growing
+        records, for which only compactly supported kernels are
+        meaningful, refuse the band-pass rungs on their own through the
+        envelope-weighted truncation budget.
         """
         cfg = self.cfg
         if self.F.sup_norm() <= cfg.tol_zero_abs:
@@ -288,14 +247,12 @@ class ReducedScanner:
         undecided_reasons = []
 
         # registered kernels first (rescaled to unit transform at omega)
-        from .kernels import scaled_kernel
         for kern in self.extra:
             fw = complex(np.asarray(kern.ft(np.array([omega])))[0])
             if abs(fw) < 1e-3:
                 continue
-            scaled = scaled_kernel(kern, 1.0 / fw, tag="unit")
+            scaled = kern.scaled(1.0 / fw, tag="unit")
             try:
-                from .signals import convolve
                 conv = convolve(self.ext, scaled, out_step=None,
                                 budget=self.budget)
                 restricted = conv.restrict_to_origin()
@@ -364,14 +321,14 @@ def _witness_metric(rep: ClassReport) -> float:
 
 
 def test_regular(F: SampledSignal, omega: float, cls: FunctionClass,
-                 family: str = "S", delta_seq=None, cfg: Config = DEFAULT,
+                 delta_seq=None, cfg: Config = DEFAULT,
                  extra_kernels=(), candidates=None) -> RegularityCertificate:
     """One-point regularity test (builds a throwaway scanner)."""
     sc = ReducedScanner(F, np.array([omega]), cfg, extra_kernels)
-    return sc.test_regular(omega, cls, family, delta_seq, candidates)
+    return sc.test_regular(omega, cls, delta_seq, candidates)
 
 
-def reduced_spectrum(F: SampledSignal, cls: FunctionClass, family: str = "S",
+def reduced_spectrum(F: SampledSignal, cls: FunctionClass,
                      grid: FrequencyGrid | None = None, cfg: Config = DEFAULT,
                      extra_kernels=(), candidates=None,
                      scanner: ReducedScanner | None = None) -> SpectrumEstimate:
@@ -384,19 +341,19 @@ def reduced_spectrum(F: SampledSignal, cls: FunctionClass, family: str = "S",
     certs = []
     for w in omegas:
         try:
-            certs.append(sc.test_regular(w, cls, family, None, candidates))
+            certs.append(sc.test_regular(w, cls, None, candidates))
         except RedSpectraError as exc:
             certs.append(RegularityCertificate(
                 w, RegStatus.UNDECIDED, None, 0.0, {"reasons": [str(exc)]}))
-    kind = f"reduced({cls.value},{family})"
-    return SpectrumEstimate(kind, grid, tuple(certs),
-                            {"class": cls.value, "family": family})
+    # the ladder's band-pass kernels are all of the S family
+    return SpectrumEstimate(f"reduced({cls.value},S)", grid, tuple(certs),
+                            {"class": cls.value, "family": "S"})
 
 
 def beurling_spectrum(F: SampledSignal, grid=None, cfg: Config = DEFAULT,
                       extra_kernels=()) -> SpectrumEstimate:
     """Classical Beurling spectrum: reduced spectrum against the zero class."""
-    est = reduced_spectrum(F, FunctionClass.ZERO, "S", grid, cfg, extra_kernels)
+    est = reduced_spectrum(F, FunctionClass.ZERO, grid, cfg, extra_kernels)
     return SpectrumEstimate("beurling", est.grid, est.certificates, est.meta)
 
 
@@ -412,8 +369,8 @@ def extension_comparison(H: SampledSignal, cls: FunctionClass,
     classifications agree up to UNDECIDED points.
     """
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
-    direct = reduced_spectrum(H, cls, "S", grid, cfg)
-    restricted = reduced_spectrum(H.restrict(0.0, H.t_end), cls, "S", grid, cfg)
+    direct = reduced_spectrum(H, cls, grid, cfg)
+    restricted = reduced_spectrum(H.restrict(0.0, H.t_end), cls, grid, cfg)
     disagree = []
     for w, cd, cr in zip(grid.values(), direct.certificates,
                          restricted.certificates):

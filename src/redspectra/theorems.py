@@ -24,7 +24,7 @@ from .classes import (FunctionClass, Tri, _plain, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
 from .config import Config, DEFAULT
 from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
-from .errors import RedSpectraError
+from .errors import ConfigError, RedSpectraError
 from .kernels import bump_kernel, d_bump
 from .signals import (Domain, SampledSignal, convolve, extend_by_zero,
                       indefinite_integral, modulate, mollify, translate)
@@ -80,13 +80,13 @@ class SignalAnalysis:
 
     def c0_reduced(self) -> SpectrumEstimate:
         return self._get("c0", lambda: reduced_spectrum(
-            self.entry.half, FunctionClass.C0, "S", self.grid, self.cfg,
+            self.entry.half, FunctionClass.C0, self.grid, self.cfg,
             extra_kernels=self.entry.extra_kernels, scanner=self.scanner()))
 
     def aap_reduced(self) -> SpectrumEstimate:
         cands = self.c0_reduced().singular_clusters()
         return self._get("aap", lambda: reduced_spectrum(
-            self.entry.half, FunctionClass.AAP, "S", self.grid, self.cfg,
+            self.entry.half, FunctionClass.AAP, self.grid, self.cfg,
             extra_kernels=self.entry.extra_kernels, candidates=cands,
             scanner=self.scanner()))
 
@@ -159,8 +159,7 @@ def _small_grid(cfg: Config) -> FrequencyGrid:
 
 
 def _statuses(F, cfg, grid, extra=()):
-    est = reduced_spectrum(F, FunctionClass.C0, "S", grid, cfg,
-                           extra_kernels=extra)
+    est = reduced_spectrum(F, FunctionClass.C0, grid, cfg, extra_kernels=extra)
     return est.statuses()
 
 
@@ -175,8 +174,8 @@ def check_modulation_shift(entry: CorpusSignal, lam: float,
         raise ValueError("lam must be grid-aligned")
     big = FrequencyGrid(grid.omega_min - abs(lam), grid.omega_max + abs(lam),
                         grid.step)
-    base = reduced_spectrum(F, FunctionClass.C0, "S", big, cfg)
-    mod = reduced_spectrum(modulate(F, lam), FunctionClass.C0, "S", grid, cfg)
+    base = reduced_spectrum(F, FunctionClass.C0, big, cfg)
+    mod = reduced_spectrum(modulate(F, lam), FunctionClass.C0, grid, cfg)
     mism = []
     for w, c in zip(grid.values(), mod.certificates):
         ref = base.status_at(w - lam)
@@ -207,8 +206,8 @@ def check_convolution_shrinking(entry: CorpusSignal, h: float,
     of F (box transform has no zeros on the analysis band for these h)."""
     F = entry.half if entry.half is not None else entry.full
     grid = _small_grid(cfg)
-    base = reduced_spectrum(F, FunctionClass.C0, "S", grid, cfg)
-    conv = reduced_spectrum(mollify(F, h), FunctionClass.C0, "S", grid, cfg)
+    base = reduced_spectrum(F, FunctionClass.C0, grid, cfg)
+    conv = reduced_spectrum(mollify(F, h), FunctionClass.C0, grid, cfg)
     bad = []
     for w, cb, cc in zip(grid.values(), base.certificates, conv.certificates):
         if cc.status is RegStatus.SINGULAR and cb.status is RegStatus.REGULAR:
@@ -227,8 +226,8 @@ def check_mollifier_union(entry: CorpusSignal, cfg: Config = DEFAULT,
     undecided for F."""
     F = entry.half if entry.half is not None else entry.full
     grid = _small_grid(cfg)
-    base = reduced_spectrum(F, FunctionClass.C0, "S", grid, cfg)
-    mols = {h: reduced_spectrum(mollify(F, h), FunctionClass.C0, "S", grid, cfg)
+    base = reduced_spectrum(F, FunctionClass.C0, grid, cfg)
+    mols = {h: reduced_spectrum(mollify(F, h), FunctionClass.C0, grid, cfg)
             for h in h_seq}
     bad = []
     for idx, (w, cb) in enumerate(zip(grid.values(), base.certificates)):
@@ -292,12 +291,9 @@ def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
 # ---------------------------------------------------------------------------
 
 def _smoothing_kernel(entry: CorpusSignal, cfg: Config):
-    if entry.name == "expgrow":
-        for k in entry.extra_kernels:
-            if k.kernel_id.startswith("dbump"):
-                return k
-        return d_bump(0.0, 1.0)
-    return bump_kernel(cfg)
+    """The bump psi; exponentially growing signals need a compactly
+    supported bump instead (psi's tails would outgrow the budget)."""
+    return d_bump(0.0, 1.0) if "exp_rate" in entry.meta else bump_kernel(cfg)
 
 
 def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
@@ -316,18 +312,19 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
     restricted = conv.restrict_to_origin() if entry.half is not None else conv
     scale_ref = F.sup_norm()
 
-    if entry.name == "expgrow":
+    rate = entry.meta.get("exp_rate")
+    if rate is not None:
         # sharpness of the uniform-continuity hypothesis: the smoothed
-        # signal grows like c exp(t) with c = integral exp(-s) psi(s) ds
+        # signal grows like c exp(r t) with c = integral exp(-r s) psi(s) ds
         tt = conv.times
         sel = (tt >= -2.0) & (tt <= 7.0)
-        ratio = conv.values[sel, 0] / np.exp(tt[sel])
+        ratio = conv.values[sel, 0] / np.exp(rate * tt[sel])
         c_obs = complex(ratio.mean())
         s0, sam = psi.time_samples(F.dt)
         s = s0 + F.dt * np.arange(len(sam))
         w = np.full(len(sam), F.dt)
         w[0] = w[-1] = F.dt / 2
-        c_ref = complex(((np.exp(-s) * w) @ sam))
+        c_ref = complex(((np.exp(-rate * s) * w) @ sam))
         uc_rep = is_uc(restricted, cfg, scale_ref, conv.trunc_bound)
         return CheckResult(
             "tauberian", entry.name, CheckStatus.VACUOUS,
@@ -628,7 +625,7 @@ def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
             # the band-pass transition blur of the reduced engine is wider
             # than the half-plane one: singular flags reach 0.4 + grid/2
             blur_reduced = 0.5
-            est = reduced_spectrum(u_c, class_A, "S", grid, cfg)
+            est = reduced_spectrum(u_c, class_A, grid, cfg)
             extra = [float(w) for w in est.singular_set()
                      if not neutral or
                      min(abs(w - b) for b in neutral) > blur_reduced]
@@ -645,9 +642,18 @@ def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
 # roster
 # ---------------------------------------------------------------------------
 
+#: check ids of ``run_all``, the values ``only`` accepts
+CHECK_IDS = ("inclusion-chain", "spectral-algebra", "mollifier-union",
+             "ergodic-theorem", "tauberian", "regular-ft",
+             "transform-identities", "evolution")
+
+
 def run_all(cfg: Config = DEFAULT, only: str | None = None,
             corpus: dict | None = None) -> list:
     """Run every check; any engine exception becomes a FAIL with context."""
+    if only is not None and only not in CHECK_IDS:
+        raise ConfigError(f"unknown check id {only!r}; choose from: "
+                          f"{', '.join(CHECK_IDS)}")
     corpus = build_corpus(cfg) if corpus is None else corpus
     analyses = {}
 

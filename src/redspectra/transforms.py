@@ -111,9 +111,6 @@ class HalfPlaneGrid:
     tail_bounds: tuple
     scale: float               # median |values|, the tolerance reference
 
-    def n_levels(self) -> int:
-        return len(self.a_seq)
-
 
 class TransformScanner:
     """Batch evaluator for one signal: shares the modulation matrix
@@ -160,10 +157,10 @@ class TransformScanner:
         return tuple(out), tuple(bounds)
 
 
-def half_plane_scan(F: SampledSignal, omegas=None, cfg: Config = DEFAULT,
+def half_plane_scan(F: SampledSignal, omegas, cfg: Config = DEFAULT,
                     scanner: TransformScanner | None = None) -> HalfPlaneGrid:
     """Evaluate the transform on the admissible a_k x omega grid."""
-    omegas = cfg.grid_values() if omegas is None else np.asarray(omegas, float)
+    omegas = np.asarray(omegas, float)
     sc = scanner or TransformScanner(F, omegas, cfg)
     a_adm, bounds = sc.admissible_a()
     if len(a_adm) < 3:

@@ -81,7 +81,7 @@ def test_criterion_02_expgrow(corpus):
 
     sc = ReducedScanner(F, np.array([0.0, 1.0, 2.0]), CFG,
                         extra_kernels=entry.extra_kernels)
-    statuses = [sc.test_regular(w, FunctionClass.C0, "D").status
+    statuses = [sc.test_regular(w, FunctionClass.C0).status
                 for w in (0.0, 1.0, 2.0)]
     ok_reg = all(s is RegStatus.REGULAR for s in statuses)
 

@@ -71,6 +71,20 @@ def test_analyze_rejects_corrupt_csv(tmp_path):
     assert rc == 2
 
 
+def test_analyze_rejects_non_finite_samples(tmp_path, capsys):
+    # a blank line before the bad row: the error still names its file line
+    rows = "".join(f"{0.01 * i:.2f},1,0\n" for i in range(5))
+    bad = tmp_path / "nan.csv"
+    bad.write_text("t,re0,im0\n" + rows + "\n0.05,nan,0\n0.06,1,0\n")
+    with pytest.raises(ParseError) as exc:
+        read_signal_csv(bad)
+    assert exc.value.line == 8
+    rc = main(["analyze", str(bad), "--kind", "laplace"])
+    assert rc == 2 and "line 8" in capsys.readouterr().err
+    bad.write_text("t,re0,im0\n" + rows + "0.05,1,-inf\n")
+    assert main(["analyze", str(bad), "--kind", "laplace"]) == 2
+
+
 def test_synth_unknown_name(tmp_path):
     assert main(["synth", "not_a_signal", "--out", str(tmp_path)]) == 2
 
@@ -88,6 +102,15 @@ def test_verify_only_subset_and_determinism(tmp_path):
     payload = json.loads(b1)
     assert all(r["check"] == "transform-identities" for r in payload)
     assert all(r["status"] == "pass" for r in payload)
+
+
+def test_verify_rejects_unknown_check_id(tmp_path, capsys):
+    rc = main(["verify", "--builtin", "--only", "bogus",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "inclusion-chain" in err and "evolution" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_canonical_json_formatting():

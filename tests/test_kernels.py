@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import redspectra
 from redspectra.config import Config
-from redspectra.errors import DivisionError_, DomainError
+from redspectra.errors import DivisionError_, DomainError, GridError
 from redspectra.kernels import (annihilator_kernel, approximate_identity,
                                 bandpass_kernel, box_kernel, bump_kernel,
                                 d_bump, exp_kernel, fourier_consistency_error,
@@ -41,6 +46,25 @@ def test_bump_nonnegative_and_band_limited():
 
 def test_bump_fourier_consistency():
     assert fourier_consistency_error(bump_kernel(), 0.01) < 1e-8 * (1 + bump_kernel().mass)
+
+
+def _bump_digest(build_first: str) -> str:
+    code = ("import hashlib\n"
+            "from redspectra.kernels import annihilator_kernel, bump_kernel\n"
+            f"{build_first}\n"
+            "s0, v = bump_kernel().time_samples(0.01)\n"
+            "print(hashlib.sha256(v.tobytes()).hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(redspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def test_bump_samples_independent_of_build_order():
+    # the quadrature rule is shared: building a D-kernel first must not
+    # change the bump's samples
+    assert _bump_digest("annihilator_kernel(1.0)") == _bump_digest("pass")
 
 
 def test_approximate_identity_mass_and_dilation():
@@ -110,6 +134,13 @@ def test_box_kernel_closed_form():
     w = np.array([0.7, -1.3, 4.0])
     expect = (np.exp(1j * w * 0.5) - 1) / (1j * w * 0.5)
     assert np.abs(b.ft(w) - expect).max() < 1e-15
+
+
+def test_box_kernel_width_must_be_on_the_lattice():
+    s0, vals = box_kernel(0.5).time_samples(0.01)
+    assert len(vals) == 51 and np.all(vals == 2.0)
+    with pytest.raises(GridError):
+        box_kernel(0.505).time_samples(0.01)
 
 
 def test_exp_kernel_closed_form_and_axis_exclusion():

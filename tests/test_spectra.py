@@ -50,22 +50,22 @@ def test_expgrow_regular_via_registered_annihilators():
     F = SampledSignal(Domain.FULL_LINE, -5.0, dt, np.exp(te), 8)
     ann = tuple(annihilator_kernel(a) for a in (2.0, 1.0, 0.5))
     for w in (0.0, 1.0, 2.0):
-        cert = regular_point_test(F, w, FunctionClass.C0, family="D",
-                                  cfg=CFG, extra_kernels=ann)
+        cert = regular_point_test(F, w, FunctionClass.C0, cfg=CFG,
+                                  extra_kernels=ann)
         assert cert.status is RegStatus.REGULAR
         assert cert.evidence.get("registered")
 
 
 def test_lp_signal_has_empty_c0_spectrum():
     F = make_half(lambda t: np.exp(1j * t) / (1.0 + t))
-    est = reduced_spectrum(F, FunctionClass.C0, "S", GRID, CFG)
+    est = reduced_spectrum(F, FunctionClass.C0, GRID, CFG)
     assert len(est.singular_set()) == 0
     assert len(est.undecided_set()) == 0
 
 
 def test_zero_signal_trivially_regular():
     F = make_half(lambda t: np.zeros_like(t), t_end=60.0)
-    est = reduced_spectrum(F, FunctionClass.C0, "S", SMALL, CFG)
+    est = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
     assert all(c.status is RegStatus.REGULAR for c in est.certificates)
 
 
@@ -105,9 +105,9 @@ def test_weak_laplace_pole_window():
 
 def test_modulation_shift_relation():
     F = make_full(lambda t: np.exp(1j * 0.5 * t), t_end=120.0)
-    base = reduced_spectrum(F, FunctionClass.C0, "S",
+    base = reduced_spectrum(F, FunctionClass.C0,
                             FrequencyGrid(-3.0, 3.0, 0.25), CFG)
-    mod = reduced_spectrum(modulate(F, 1.0), FunctionClass.C0, "S", SMALL, CFG)
+    mod = reduced_spectrum(modulate(F, 1.0), FunctionClass.C0, SMALL, CFG)
     for w, c in zip(SMALL.values(), mod.certificates):
         assert base.status_at(w - 1.0) is c.status
 
@@ -146,7 +146,7 @@ def test_box_augmented_search_only_adds_regularity():
     # the box cannot certify regularity there but can elsewhere
     sc = ReducedScanner(F, SMALL.values(), CFG,
                         extra_kernels=(box_kernel(6.28),))
-    plain = reduced_spectrum(F, FunctionClass.C0, "S", SMALL, CFG)
+    plain = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
     for w, c0 in zip(SMALL.values(), plain.certificates):
         aug = sc.test_regular(w, FunctionClass.C0)
         if c0.status is RegStatus.REGULAR:

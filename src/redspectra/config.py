@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -79,6 +80,8 @@ class Config:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
+            _check_type(f.name, f.type, getattr(self, f.name))
+        for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if f.name.startswith("tol_") or f.name in ("eps_div", "trunc_budget",
                                                        "trunc_budget_strict"):
@@ -86,7 +89,8 @@ class Config:
                     raise ConfigError(f"{f.name} must be > 0, got {v!r}")
         if self.grid_step <= 0 or self.grid_max <= self.grid_min:
             raise ConfigError("bad frequency grid")
-        if any(a <= 0 for a in self.a_seq) or list(self.a_seq) != sorted(self.a_seq, reverse=True):
+        if any(a <= 0 for a in self.a_seq) or \
+                any(a <= b for a, b in zip(self.a_seq, self.a_seq[1:])):
             raise ConfigError("a_seq must be positive and strictly decreasing")
         if any(d <= 0 for d in self.delta_seq):
             raise ConfigError("delta_seq must be positive")
@@ -102,20 +106,44 @@ class Config:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
         for key in ("a_seq", "delta_seq", "wl_eps_seq"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         return cls(**data)
 
     @classmethod
     def from_json(cls, path) -> "Config":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a flat JSON object")
         return cls.from_dict(data)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _check_type(name: str, annotation: str, v):
+    """Raise ConfigError unless v fits the field's annotated type: an int
+    for ``int``, a finite int or float for ``float``, a nonempty tuple of
+    those for ``tuple``."""
+    if annotation == "int":
+        ok = isinstance(v, int) and not isinstance(v, bool)
+        want = "an integer"
+    elif annotation == "float":
+        ok = _is_number(v)
+        want = "a finite number"
+    elif annotation == "tuple":
+        ok = isinstance(v, tuple) and len(v) > 0 and all(map(_is_number, v))
+        want = "a nonempty list of finite numbers"
+    else:  # pragma: no cover - every field is annotated with one of these
+        raise TypeError(f"{name}: unsupported annotation {annotation!r}")
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {v!r}")
 
 
 DEFAULT = Config()

@@ -80,21 +80,45 @@ def read_signal_csv(path, domain: Domain | None = None,
                          f"{rel.max():.2e} > {_UNIFORM_RTOL})", line=bad)
     vals = arr[:, 1::2] + 1j * arr[:, 2::2]
 
-    meta = {}
-    side = sidecar_path(path)
-    if os.path.exists(side):
-        with open(side) as fh:
-            meta = json.load(fh)
+    meta = _read_sidecar(sidecar_path(path))
     if domain is None:
-        name = meta.get("domain")
-        if name is not None:
-            domain = Domain(name)
-        else:
+        domain = meta.get("domain")
+        if domain is None:
             domain = Domain.HALF_LINE if abs(t[0]) <= _UNIFORM_RTOL * dt \
                 else Domain.FULL_LINE
     if growth_exponent is None:
-        growth_exponent = int(meta.get("growth_exponent", 0))
+        growth_exponent = meta.get("growth_exponent", 0)
     return SampledSignal(domain, float(t[0]), float(dt), vals, growth_exponent)
+
+
+def _read_sidecar(side) -> dict:
+    """The JSON sidecar's fields, with ``domain`` as a Domain and
+    ``growth_exponent`` as an int; {} when there is no sidecar."""
+    if not os.path.exists(side):
+        return {}
+    try:
+        with open(side) as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"sidecar {side}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"sidecar {side}: expected a JSON object")
+    meta = dict(meta)
+    if meta.get("domain") is not None:
+        try:
+            meta["domain"] = Domain(meta["domain"])
+        except ValueError:
+            raise ParseError(
+                f"sidecar {side}: domain must be one of "
+                f"{[d.value for d in Domain]}, got {meta['domain']!r}") from None
+    if "growth_exponent" in meta:
+        k = meta["growth_exponent"]
+        if isinstance(k, bool) or not isinstance(k, (int, float)) \
+                or not float(k).is_integer():
+            raise ParseError(f"sidecar {side}: growth_exponent must be an "
+                             f"integer, got {k!r}")
+        meta["growth_exponent"] = int(k)
+    return meta
 
 
 def sidecar_path(csv_path) -> str:

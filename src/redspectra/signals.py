@@ -10,8 +10,12 @@ accounts for the omission through an explicit truncation bound; nothing is
 periodized or silently zero-filled beyond the stated budget.
 
 Every convolution is planned by ``plan_convolution`` (window admission,
-padding, strided views and the truncation bound); ``convolve`` and the
-band-pass ladder of ``spectra.ReducedScanner`` only multiply its views.
+padding, strided views trimmed to the taps that meet data, and the
+truncation bound) and multiplied by ``plan_product``, which copies row
+blocks of the overlapping views into contiguous memory for BLAS.
+``convolve`` multiplies by the kernel's weights; the band-pass ladder of
+``spectra.ReducedScanner`` multiplies one plan by the modulated weights
+of many frequencies at once.
 
 All types are immutable and all operations are pure functions, so signals
 may be shared freely across threads.
@@ -374,7 +378,9 @@ class ConvPlan(NamedTuple):
     Row k of ``views[c]`` holds the samples of channel c under the kernel
     taps for the output at ``t0 + k*step``, so that output is
     ``views[c][k] @ weights_rev``.  ``s_rev`` holds the tap times (in the
-    same reversed order) and ``trunc`` the worst admitted omission.
+    same reversed order) and ``trunc`` the worst admitted omission.  Only
+    taps that meet a nonzero sample for some output are kept; the rest
+    would multiply zeros.
     """
 
     t0: float
@@ -395,10 +401,11 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
     known (the zero left tail of a half-line origin) or negligible (kernel
     mass beyond the record, weighted by the declared growth envelope,
     below ``budget`` relative to sup||H||).  A window that would exceed
-    the budget is not planned at all.  Multiplying the views by a
-    modulated copy of ``weights_rev`` convolves with the modulated kernel
-    on the same grid, which is how the band-pass ladder reuses one plan
-    for every frequency.
+    the budget is not planned at all.  The taps are then trimmed to those
+    that meet a nonzero row of H for some output.  Multiplying the views
+    by a modulated copy of ``weights_rev`` convolves with the modulated
+    kernel on the same grid, which is how the band-pass ladder reuses one
+    plan for every frequency.
     """
     dt = H.dt
     qstep = dt if quad_step is None else quad_step
@@ -436,26 +443,101 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
         raise TruncationError("no output points satisfy the truncation budget")
     i_hi = i_lo + (count - 1) * row
 
-    i_smax = i_s0 + (m - 1) * col
-    pad_l = max(0, i_smax - i_lo)
-    pad_r = max(0, i_hi - i_s0 - (H.n - 1))
-    padded = np.vstack([np.zeros((pad_l, H.dim), complex), H.values,
+    # reversed tap c of output k reads row base + k*row + c*col of H (rows
+    # outside the record are zero padding); keep the taps c_lo..c_hi whose
+    # rows meet the nonzero rows nz[0]..nz[-1] for some output
+    base = i_lo - i_s0 - (m - 1) * col
+    span = (count - 1) * row
+    nz = np.flatnonzero(np.any(H.values != 0, axis=1))
+    if len(nz):
+        c_lo = max(0, -((base + span - int(nz[0])) // col))
+        c_hi = min(m - 1, (int(nz[-1]) - base) // col)
+    else:
+        c_lo, c_hi = 0, -1
+    taps = max(0, c_hi - c_lo + 1)
+    r_lo = base + c_lo * col
+    r_hi = r_lo + span + max(0, taps - 1) * col
+    pad_l, pad_r = max(0, -r_lo), max(0, r_hi - (H.n - 1))
+    padded = np.vstack([np.zeros((pad_l, H.dim), complex),
+                        H.values[max(0, r_lo):min(H.n, r_hi + 1)],
                         np.zeros((pad_r, H.dim), complex)])
-    first = i_lo - i_smax + pad_l
-    if first < 0 or first + (count - 1) * row + (m - 1) * col >= len(padded):
-        raise TruncationError("convolution window leaves the padded record")
     views = []
     for c in range(H.dim):
-        base = np.ascontiguousarray(padded[:, c])
+        base_c = np.ascontiguousarray(padded[:, c])
         views.append(np.lib.stride_tricks.as_strided(
-            base[first:], shape=(count, m),
-            strides=(row * base.strides[0], col * base.strides[0])))
+            base_c, shape=(count, taps),
+            strides=(row * base_c.strides[0], col * base_c.strides[0]),
+            writeable=False))
 
     omit = kernel.tail_mass(max(0.0, H.t_end - (H.t0 + i_hi * dt)))
     if H.origin_domain is not Domain.HALF_LINE:
         omit += kernel.tail_mass(max(0.0, i_lo * dt))
-    return ConvPlan(H.t0 + i_lo * dt, row * dt, views, s[::-1],
-                    (samples * w)[::-1], float(min(omit * env, allowance)))
+    keep = slice(m - 1 - c_hi, m - c_lo)
+    return ConvPlan(H.t0 + i_lo * dt, row * dt, views, s[keep][::-1],
+                    (samples * w)[keep][::-1], float(min(omit * env, allowance)))
+
+
+#: byte bound on each operand block of ``plan_product``: the row block
+#: copied out of a view and the block of K it multiplies
+BLOCK_BYTES = 16 * 2 ** 20
+#: columns of K per BLAS call in ``plan_product``
+COLUMN_BLOCK = 16
+
+
+def plan_product(plan: ConvPlan, K: np.ndarray) -> np.ndarray:
+    """``views[c] @ K`` for every channel c, as a (count, columns,
+    channels) array.
+
+    K holds one column of tap weights (in ``weights_rev`` order) per
+    output column.  The rows of a strided view overlap, so BLAS cannot
+    take the view itself: the product runs over contiguous copies of row
+    blocks, each multiplied by blocks of K of ``COLUMN_BLOCK`` columns
+    (counted from column 0), with both operand blocks bounded by
+    ``BLOCK_BYTES``.  The blocking depends only on the plan, so a
+    column's value depends only on the columns of its own block, not on
+    how many blocks share the call.  K is used as given: a contiguous K
+    (the ladder's modulated weights) goes to BLAS, while a strided one
+    (``convolve``'s reversed ``weights_rev`` column) is summed by numpy
+    in tap order, exactly as direct trapezoid summation.
+    """
+    count, taps = plan.views[0].shape
+    K = np.asarray(K, complex)
+    if K.ndim != 2 or K.shape[0] != taps:
+        raise ValueError(f"K must have {taps} rows, got shape {K.shape}")
+    n = K.shape[1]
+    out = np.zeros((len(plan.views), count, n), complex)
+    item = out.itemsize
+    tap_block = max(1, BLOCK_BYTES // (item * COLUMN_BLOCK))
+    for a in range(0, taps, tap_block):
+        Ka = K[a:a + tap_block]
+        rows = max(1, BLOCK_BYTES // (item * len(Ka)))
+        for c, view in enumerate(plan.views):
+            for r in range(0, count, rows):
+                block = view[r:r + rows, a:a + tap_block].copy()
+                for j in range(0, n, COLUMN_BLOCK):
+                    out[c, r:r + rows, j:j + COLUMN_BLOCK] += \
+                        block @ Ka[:, j:j + COLUMN_BLOCK]
+    return out.transpose(1, 2, 0)
+
+
+def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
+    """Convolutions with the planned kernel modulated to each frequency,
+    k(s) exp(i omega s), as a (count, len(omegas), channels) array.
+
+    The modulated weights are built about ``BLOCK_BYTES`` at a time, in
+    whole blocks of ``COLUMN_BLOCK`` columns, and each batch goes through
+    ``plan_product``.
+    """
+    omegas = np.asarray(omegas, float)
+    column = np.dtype(complex).itemsize * max(1, len(plan.s_rev))
+    group = COLUMN_BLOCK * max(1, BLOCK_BYTES // (COLUMN_BLOCK * column))
+    parts = []
+    for g in range(0, len(omegas), group):
+        K = np.outer(plan.s_rev, 1j * omegas[g:g + group])
+        np.exp(K, out=K)
+        K *= plan.weights_rev[:, None]
+        parts.append(plan_product(plan, K))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
@@ -472,7 +554,7 @@ def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
     suppresses the aliased high-frequency content of H.
     """
     plan = plan_convolution(H, kernel, out_step, out_range, budget, quad_step)
-    out = np.stack([view @ plan.weights_rev for view in plan.views], axis=1)
+    out = plan_product(plan, plan.weights_rev[:, None])[:, 0, :]
     return ExtendedSignal(Domain.FULL_LINE, plan.t0, plan.step, out,
                           H.growth_exponent, trusted=True,
                           origin_domain=H.origin_domain,

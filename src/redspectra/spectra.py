@@ -33,8 +33,9 @@ from .classes import ClassReport, FunctionClass, Tri, detect, _plain
 from .config import Config, DEFAULT
 from .errors import HorizonError, RedSpectraError, TruncationError
 from .kernels import bandpass_kernel
-from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
-                      extend_by_zero, plan_convolution)
+from .signals import (COLUMN_BLOCK, Domain, ExtendedSignal, SampledSignal,
+                      convolve, extend_by_zero, modulated_product,
+                      plan_convolution)
 from .transforms import HalfPlaneGrid, TransformScanner, half_plane_scan
 
 
@@ -157,9 +158,14 @@ def _quad_step_for(delta: float, cfg: Config, dt: float) -> float:
 
 
 class ReducedScanner:
-    """Regular-point tester for one signal: caches the band-pass ladder
-    convolutions for the whole frequency grid (one matrix product per
-    bandwidth), so scanning several classes reuses the same outputs."""
+    """Regular-point tester for one signal.
+
+    ``scan`` classifies a set of grid frequencies rung by rung: each
+    band-pass bandwidth is one matrix product over the frequencies that
+    have no Yes yet.  Band outputs are cached per (bandwidth, frequency),
+    so scanning several classes, or single points with ``test_regular``,
+    reuses them.
+    """
 
     def __init__(self, F: SampledSignal, omegas, cfg: Config = DEFAULT,
                  extra_kernels=(), budget: float | None = None):
@@ -193,62 +199,105 @@ class ReducedScanner:
         self._band_cache[key] = plan
         return plan
 
-    def _band_column(self, delta: float, j: int) -> tuple:
-        """Convolution output of F * bandpass(omega_j, delta).
+    def _band_columns(self, delta: float, idx) -> list:
+        """Outputs of F * bandpass(omega_j, delta), one (count, d) array
+        per grid index j in ``idx``.
 
-        The first ladder bandwidth is evaluated for every grid frequency
-        in one matrix product; deeper rungs are computed per frequency on
-        demand (most grid points never reach them).
+        Uncached outputs come from one product of the bandwidth's plan
+        with modulated weights, computed for whole aligned blocks of
+        ``COLUMN_BLOCK`` grid indices: every output is then formed by the
+        same arithmetic whichever frequencies were asked for, so verdicts
+        do not depend on the order of calls.
         """
-        batch = abs(delta - self.cfg.delta_seq[0]) < 1e-12
-        ckey = ("col", round(delta, 12), None if batch else j)
-        if ckey not in self._band_cache:
-            t0, step, views, s_rev, weights_rev, trunc = self._band_geometry(delta)
-            if batch:
-                K = weights_rev[:, None] * np.exp(1j * np.outer(s_rev, self.omegas))
-            else:
-                K = weights_rev * np.exp(1j * s_rev * self.omegas[j])
-            out = np.stack([view @ K for view in views], axis=-1)
-            self._band_cache[ckey] = (t0, step, out, trunc)
-        t0, step, out, trunc = self._band_cache[ckey]
-        return t0, step, (out[:, j, :] if batch else out), trunc
+        plan = self._band_geometry(delta)
+        d, n, C = round(delta, 12), len(self.omegas), COLUMN_BLOCK
+        blocks = sorted({j // C for j in idx
+                         if ("col", d, j) not in self._band_cache})
+        todo = [j for b in blocks for j in range(b * C, min(n, (b + 1) * C))]
+        if todo:
+            out = modulated_product(plan, self.omegas[todo])
+            for k, j in enumerate(todo):
+                self._band_cache[("col", d, j)] = out[:, k, :]
+        return [self._band_cache[("col", d, j)] for j in idx]
+
+    def _restricted(self, plan, vals) -> SampledSignal:
+        sig = ExtendedSignal(Domain.FULL_LINE, plan.t0, plan.step, vals,
+                             self.F.growth_exponent, trusted=True,
+                             origin_domain=self.F.domain,
+                             trunc_bound=plan.trunc)
+        return sig.restrict_to_origin()
 
     def band_output(self, delta: float, j: int) -> tuple:
         """(restricted SampledSignal, trunc_bound) of F * bandpass(omega_j)."""
-        t0, step, vals, trunc = self._band_column(delta, j)
-        sig = ExtendedSignal(Domain.FULL_LINE, t0, step, vals,
-                             self.F.growth_exponent, trusted=True,
-                             origin_domain=self.F.domain, trunc_bound=trunc)
-        return sig.restrict_to_origin(), trunc
+        vals = self._band_columns(delta, [j])[0]
+        plan = self._band_geometry(delta)
+        return self._restricted(plan, vals), plan.trunc
 
     # -- the regularity test --------------------------------------------
-    def test_regular(self, omega: float, cls: FunctionClass, delta_seq=None,
-                     candidates=None) -> RegularityCertificate:
-        """Classify one frequency for one class.
+    def index_of(self, omega: float) -> int:
+        j = int(np.argmin(np.abs(self.omegas - omega)))
+        if abs(self.omegas[j] - omega) > 1e-9:
+            raise ValueError("omega must lie on the scanner grid")
+        return j
+
+    def scan(self, cls: FunctionClass, idx, delta_seq=None,
+             candidates=None) -> list:
+        """Classify the grid frequencies ``omegas[j]``, j in ``idx``, for
+        one class; one certificate per index, in order.
 
         Registered kernels (rescaled to unit transform at omega) are tried
-        first, then the band-pass ladder.  Regular on the first Yes;
+        first, point by point, then the band-pass ladder, one rung at a
+        time over the points still open.  Regular on the first Yes;
         Singular only when the whole ladder produced No-with-witness;
         otherwise Undecided with the reasons recorded.  Over-growing
         records, for which only compactly supported kernels are
         meaningful, refuse the band-pass rungs on their own through the
-        envelope-weighted truncation budget.
+        envelope-weighted truncation budget.  Any other package error at
+        one point makes that point Undecided with the error as its only
+        reason.
         """
         cfg = self.cfg
+        idx = list(idx)
         if self.F.sup_norm() <= cfg.tol_zero_abs:
-            return RegularityCertificate(omega, RegStatus.REGULAR, "trivial",
-                                         1.0, {"reason": "zero signal"})
-        j = int(np.argmin(np.abs(self.omegas - omega)))
-        if abs(self.omegas[j] - omega) > 1e-9:
-            raise ValueError("omega must lie on the scanner grid")
+            return [RegularityCertificate(self.omegas[j], RegStatus.REGULAR,
+                                          "trivial", 1.0,
+                                          {"reason": "zero signal"})
+                    for j in idx]
         delta_seq = cfg.delta_seq if delta_seq is None else delta_seq
+        pts = {j: _PointScan(self.omegas[j]) for j in idx}
 
-        witnesses = []
-        undecided_reasons = []
+        for p in pts.values():
+            try:
+                self._registered(p, cls, candidates)
+            except RedSpectraError as exc:
+                p.fail(exc)
 
-        # registered kernels first (rescaled to unit transform at omega)
+        for delta in delta_seq:
+            open_ = [j for j, p in pts.items() if p.cert is None]
+            if not open_:
+                break
+            try:
+                plan = self._band_geometry(delta)
+                cols = self._band_columns(delta, open_)
+            except (TruncationError, HorizonError) as exc:
+                for j in open_:
+                    pts[j].refuse(f"delta={delta}: {exc}")
+                continue
+            except RedSpectraError as exc:
+                for j in open_:
+                    pts[j].fail(exc)
+                continue
+            for j, vals in zip(open_, cols):
+                try:
+                    self._rung(pts[j], cls, delta, plan, vals, candidates)
+                except RedSpectraError as exc:
+                    pts[j].fail(exc)
+
+        return [pts[j].certificate(len(delta_seq)) for j in idx]
+
+    def _registered(self, p, cls, candidates):
         for kern in self.extra:
-            fw = complex(np.asarray(kern.ft(np.array([omega])))[0])
+            fw = complex(np.asarray(kern.ft(np.array([p.omega])))[0])
             if abs(fw) < 1e-3:
                 continue
             scaled = kern.scaled(1.0 / fw, tag="unit")
@@ -257,58 +306,84 @@ class ReducedScanner:
                                 budget=self.budget)
                 restricted = conv.restrict_to_origin()
             except (TruncationError, HorizonError) as exc:
-                undecided_reasons.append(f"{kern.kernel_id}: {exc}")
+                p.reasons.append(f"{kern.kernel_id}: {exc}")
                 continue
-            rep = detect(cls, restricted, cfg, self.scale_ref,
+            rep = detect(cls, restricted, self.cfg, self.scale_ref,
                          conv.trunc_bound, candidates)
             if rep.member is Tri.YES:
-                return RegularityCertificate(
-                    omega, RegStatus.REGULAR, scaled.kernel_id, 1.0,
+                p.cert = RegularityCertificate(
+                    p.omega, RegStatus.REGULAR, scaled.kernel_id, 1.0,
                     {"class_report": rep.to_dict(), "registered": True})
+                return
             if rep.member is Tri.NO:
-                witnesses.append((scaled.kernel_id, rep))
+                p.witnesses.append((scaled.kernel_id, rep))
             else:
-                undecided_reasons.append(f"{kern.kernel_id}: undecided")
+                p.reasons.append(f"{kern.kernel_id}: undecided")
 
-        ladder_complete = True
-        for delta in delta_seq:
-            try:
-                restricted, trunc = self.band_output(delta, j)
-            except (TruncationError, HorizonError) as exc:
-                undecided_reasons.append(f"delta={delta}: {exc}")
-                ladder_complete = False
-                continue
-            try:
-                rep = detect(cls, restricted, cfg, self.scale_ref, trunc,
-                             candidates)
-            except HorizonError as exc:
-                undecided_reasons.append(f"delta={delta}: {exc}")
-                ladder_complete = False
-                continue
-            kid = f"bandpass(w0={omega:g},delta={delta:g})"
-            if rep.member is Tri.YES:
-                return RegularityCertificate(
-                    omega, RegStatus.REGULAR, kid, 1.0,
-                    {"class_report": rep.to_dict(),
-                     "metric": rep.evidence.get("tail_sups", [0.0])[-1]
-                     if "tail_sups" in rep.evidence else 0.0})
-            if rep.member is Tri.NO:
-                witnesses.append((kid, rep))
-            else:
-                ladder_complete = False
-                undecided_reasons.append(f"delta={delta}: detector undecided")
+    def _rung(self, p, cls, delta, plan, vals, candidates):
+        try:
+            restricted = self._restricted(plan, vals)
+            rep = detect(cls, restricted, self.cfg, self.scale_ref,
+                         plan.trunc, candidates)
+        except HorizonError as exc:
+            p.refuse(f"delta={delta}: {exc}")
+            return
+        kid = f"bandpass(w0={p.omega:g},delta={delta:g})"
+        if rep.member is Tri.YES:
+            p.cert = RegularityCertificate(
+                p.omega, RegStatus.REGULAR, kid, 1.0,
+                {"class_report": rep.to_dict(),
+                 "metric": rep.evidence.get("tail_sups", [0.0])[-1]
+                 if "tail_sups" in rep.evidence else 0.0})
+        elif rep.member is Tri.NO:
+            p.witnesses.append((kid, rep))
+        else:
+            p.refuse(f"delta={delta}: detector undecided")
 
-        if ladder_complete and len(witnesses) >= len(delta_seq):
-            worst = witnesses[-1][1]
+    def test_regular(self, omega: float, cls: FunctionClass, delta_seq=None,
+                     candidates=None) -> RegularityCertificate:
+        """Classify one grid frequency for one class: ``scan`` of its
+        index."""
+        return self.scan(cls, [self.index_of(omega)], delta_seq,
+                         candidates)[0]
+
+
+class _PointScan:
+    """Evidence gathered for one frequency while ``scan`` runs: the
+    certificate once decided, the No-witnesses, the undecided reasons and
+    whether every ladder rung gave a verdict."""
+
+    def __init__(self, omega):
+        self.omega = omega
+        self.cert = None
+        self.witnesses = []
+        self.reasons = []
+        self.ladder_complete = True
+
+    def refuse(self, reason: str):
+        self.reasons.append(reason)
+        self.ladder_complete = False
+
+    def fail(self, exc: RedSpectraError):
+        """A package error ends this point's test."""
+        self.cert = RegularityCertificate(self.omega, RegStatus.UNDECIDED,
+                                          None, 0.0, {"reasons": [str(exc)]})
+
+    def certificate(self, rungs: int) -> RegularityCertificate:
+        if self.cert is not None:
+            return self.cert
+        if self.ladder_complete and len(self.witnesses) >= rungs:
+            worst = self.witnesses[-1][1]
             ev = {"witnesses": [{"kernel": k, "report": r.to_dict()}
-                                for k, r in witnesses],
+                                for k, r in self.witnesses],
                   "metric": _witness_metric(worst)}
-            return RegularityCertificate(omega, RegStatus.SINGULAR, None,
+            return RegularityCertificate(self.omega, RegStatus.SINGULAR, None,
                                          0.0, ev)
-        ev = {"reasons": undecided_reasons,
+        ev = {"reasons": self.reasons,
               "witnesses": [{"kernel": k, "report": r.to_dict()}
-                            for k, r in witnesses]}
-        return RegularityCertificate(omega, RegStatus.UNDECIDED, None, 0.0, ev)
+                            for k, r in self.witnesses]}
+        return RegularityCertificate(self.omega, RegStatus.UNDECIDED, None,
+                                     0.0, ev)
 
 
 def _witness_metric(rep: ClassReport) -> float:
@@ -338,13 +413,7 @@ def reduced_spectrum(F: SampledSignal, cls: FunctionClass,
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
     omegas = grid.values()
     sc = scanner or ReducedScanner(F, omegas, cfg, extra_kernels)
-    certs = []
-    for w in omegas:
-        try:
-            certs.append(sc.test_regular(w, cls, None, candidates))
-        except RedSpectraError as exc:
-            certs.append(RegularityCertificate(
-                w, RegStatus.UNDECIDED, None, 0.0, {"reasons": [str(exc)]}))
+    certs = sc.scan(cls, [sc.index_of(w) for w in omegas], None, candidates)
     # the ladder's band-pass kernels are all of the S family
     return SpectrumEstimate(f"reduced({cls.value},S)", grid, tuple(certs),
                             {"class": cls.value, "family": "S"})

@@ -31,7 +31,8 @@ from .signals import (Domain, SampledSignal, convolve, extend_by_zero,
 from .spectra import (FrequencyGrid, RegStatus, ReducedScanner, SpectrumEstimate,
                       carleman_spectrum, laplace_spectrum, reduced_spectrum,
                       weak_laplace_spectrum)
-from .transforms import (mollify_identity_residual, shift_identity_residual)
+from .transforms import (TransformScanner, half_plane_scan,
+                         mollify_identity_residual, shift_identity_residual)
 
 
 class CheckStatus(enum.Enum):
@@ -90,13 +91,27 @@ class SignalAnalysis:
             extra_kernels=self.entry.extra_kernels, candidates=cands,
             scanner=self.scanner()))
 
+    def _transforms(self) -> tuple:
+        """(half-plane grid, Laplace estimate) of the half-line record,
+        both from one TransformScanner.  Only the grid is kept for the
+        weak-Laplace test: the scanner's modulation matrix is tens of MB
+        per record."""
+        def run():
+            F, omegas = self.entry.half, self.grid.values()
+            if F.sup_norm() <= self.cfg.tol_zero_abs:     # trivial estimates
+                return None, laplace_spectrum(F, self.grid, self.cfg)
+            sc = TransformScanner(F, omegas, self.cfg)
+            hp = half_plane_scan(F, omegas, self.cfg, scanner=sc)
+            return hp, laplace_spectrum(F, self.grid, self.cfg, hp=hp,
+                                        scanner=sc)
+        return self._get("transforms", run)
+
     def laplace(self) -> SpectrumEstimate:
-        return self._get("laplace", lambda: laplace_spectrum(
-            self.entry.half, self.grid, self.cfg))
+        return self._transforms()[1]
 
     def weak_laplace(self) -> SpectrumEstimate:
         return self._get("wl", lambda: weak_laplace_spectrum(
-            self.entry.half, self.grid, self.cfg))
+            self.entry.half, self.grid, self.cfg, hp=self._transforms()[0]))
 
     def carleman(self) -> SpectrumEstimate:
         def run():

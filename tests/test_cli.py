@@ -85,6 +85,39 @@ def test_analyze_rejects_non_finite_samples(tmp_path, capsys):
     assert main(["analyze", str(bad), "--kind", "laplace"]) == 2
 
 
+@pytest.fixture(scope="module")
+def tone_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tone")
+    assert main(["synth", "exp_iw1", "--tmax", "60", "--out", str(out)]) == 0
+    return out / "exp_iw1.csv"
+
+
+@pytest.mark.parametrize("cfg_text", ['{"grid_step": "x"}',
+                                      '{"a_seq": [0.4, 0.4, 0.1]}'])
+def test_analyze_rejects_bad_config(tmp_path, tone_csv, capsys, cfg_text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(cfg_text)
+    rc = main(["analyze", str(tone_csv), "--kind", "laplace",
+               "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ("grid_step" in err or "a_seq" in err)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("sidecar", ['{"domain": "halfline"}',
+                                     '{"domain": "half_line", "growth_',
+                                     '{"growth_exponent": "two"}'])
+def test_analyze_rejects_bad_sidecar(tmp_path, tone_csv, capsys, sidecar):
+    csv = tmp_path / "sig.csv"
+    csv.write_text(tone_csv.read_text())
+    (tmp_path / "sig.json").write_text(sidecar)
+    rc = main(["analyze", str(csv), "--kind", "laplace",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "sig.json" in capsys.readouterr().err
+
+
 def test_synth_unknown_name(tmp_path):
     assert main(["synth", "not_a_signal", "--out", str(tmp_path)]) == 2
 

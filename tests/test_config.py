@@ -30,3 +30,30 @@ def test_from_json_round_trip(tmp_path):
     p2.write_text('{"zzz": 1}')
     with pytest.raises(ConfigError):
         Config.from_json(p2)
+
+
+def test_a_seq_rejects_equal_neighbours():
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        Config(a_seq=(0.4, 0.4, 0.1))
+    with pytest.raises(ConfigError):
+        Config.from_dict({"a_seq": [0.4, 0.4, 0.1]})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid_step", "x"), ("grid_min", None), ("tol_c0", True),
+    ("grid_max", float("inf")), ("corpus_seed", 1.5), ("circle_nodes", "64"),
+    ("a_seq", 0.4), ("a_seq", []), ("delta_seq", ["1.0"]),
+    ("wl_eps_seq", {"a": 1})])
+def test_ill_typed_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        Config.from_dict({key: value})
+
+
+def test_ints_accepted_for_float_fields():
+    cfg = Config.from_dict({"grid_step": 1, "a_seq": [1, 0.5, 0.25]})
+    assert cfg.grid_step == 1 and cfg.a_seq == (1, 0.5, 0.25)
+
+
+def test_missing_config_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError):
+        Config.from_json(tmp_path / "absent.json")

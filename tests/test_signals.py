@@ -6,10 +6,12 @@ from scipy.integrate import quad
 
 from redspectra.errors import (DomainError, GridError, GrowthError,
                                TruncationError)
-from redspectra.kernels import bandpass_kernel, box_kernel, bump_kernel
+from redspectra.kernels import bandpass_kernel, box_kernel, bump_kernel, reflected
+from redspectra import signals
 from redspectra.signals import (Domain, SampledSignal, convolve, difference,
                                 extend_by_zero, indefinite_integral, modulate,
-                                mollify, reflect, translate)
+                                modulated_product, mollify, plan_convolution,
+                                reflect, translate)
 
 from conftest import make_full, make_half
 
@@ -169,6 +171,63 @@ def test_convolution_linearity(seed):
     lhs = convolve(mk(al * a + be * b), k).values
     rhs = al * convolve(mk(a), k).values + be * convolve(mk(b), k).values
     assert np.abs(lhs - rhs).max() < 1e-10 * (1 + np.abs(rhs).max())
+
+
+def _naive_trapezoid(H, kernel, quad_step, t_out, omegas):
+    """sum_i H(t - s_i) k(s_i) w_i exp(i omega s_i) over every kernel tap,
+    with H zero off its record."""
+    s0, samples = kernel.time_samples(H.dt, quad_step=quad_step)
+    s = s0 + quad_step * np.arange(len(samples))
+    w = np.full(len(s), quad_step)
+    w[0] = w[-1] = quad_step / 2
+    taps = (samples * w)[:, None] * np.exp(1j * np.outer(s, omegas))
+    out = np.zeros((len(t_out), len(omegas), H.dim), complex)
+    for k, t in enumerate(t_out):
+        idx = np.rint((t - s - H.t0) / H.dt).astype(int)
+        on = (idx >= 0) & (idx < H.n)
+        out[k] = np.einsum("iw,id->wd", taps[on], H.values[idx[on]])
+    return out
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 16])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("domain", ["half", "full"])
+@pytest.mark.parametrize("kernel", ["bandpass", "box-left", "box-right"])
+def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
+                                                dim, block_bytes):
+    # the ladder's product: trimmed plan times modulated weights, with
+    # small blocks as well (several weight batches and tap, row and
+    # column blocks).  The data
+    # vanish for |t| > 30, so taps are trimmed at both ends, and the wide
+    # boxes on [-60, 0] and [0, 60] weigh their edge taps fully: a trim
+    # one tap off shows.
+    if block_bytes:
+        monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
+
+    def fn(t):
+        vals = np.stack([np.exp(1j * t), np.cos(0.5 * t) / (1 + 0.01 * t * t)],
+                        axis=1)[:, :dim]
+        return vals * (np.abs(t) <= 30.0)[:, None]
+    F = (make_half if domain == "half" else make_full)(fn, t_end=100.0)
+    H = extend_by_zero(F)
+    kern = {"bandpass": bandpass_kernel(0.0, 1.0),
+            "box-left": box_kernel(60.0),
+            "box-right": reflected(box_kernel(60.0))}[kernel]
+    q = 0.04
+    plan = plan_convolution(H, kern, 0.2, (-0.4, np.inf), 1e-3, q)
+    omegas = np.linspace(-2.0, 2.0, 21)
+    got = modulated_product(plan, omegas)
+    t_out = plan.t0 + plan.step * np.arange(len(got))
+    ref = _naive_trapezoid(H, kern, q, t_out, omegas)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # convolve is the same product with the unmodulated weights
+    conv = convolve(H, kern, 0.2, (-0.4, np.inf), 1e-3, q)
+    j0 = int(np.argmin(np.abs(omegas)))
+    assert conv.t0 == plan.t0 and conv.n == len(got)
+    assert np.abs(conv.values - ref[:, j0]).max() <= 1e-12 * np.abs(ref).max()
+    # the trim is tight: the first and last kept taps meet data
+    for c in (0, -1):
+        assert any(np.any(v[:, c] != 0) for v in plan.views)
 
 
 def test_growth_validation():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from redspectra import spectra
 from redspectra.classes import FunctionClass
 from redspectra.config import Config
+from redspectra.errors import RedSpectraError
+from redspectra.io_utils import canonical_json
 from redspectra.kernels import annihilator_kernel, box_kernel
 from redspectra.signals import Domain, SampledSignal, modulate
 from redspectra.spectra import (FrequencyGrid, RegStatus, ReducedScanner,
@@ -54,6 +57,44 @@ def test_expgrow_regular_via_registered_annihilators():
                                   extra_kernels=ann)
         assert cert.status is RegStatus.REGULAR
         assert cert.evidence.get("registered")
+
+
+@pytest.mark.parametrize("name", ["exp_iw1", "ap_sum"])
+def test_scan_equals_per_point_test_regular(corpus, name):
+    # the rung-major scan over a grid of three column blocks gives the
+    # certificates of one-point tests on a fresh scanner
+    F = corpus[name].half
+    grid = FrequencyGrid(-1.0, 3.0, 0.125)
+    c0 = reduced_spectrum(F, FunctionClass.C0, grid, CFG)
+    for cls, cands in ((FunctionClass.C0, None),
+                       (FunctionClass.AAP, c0.singular_clusters())):
+        est = reduced_spectrum(F, cls, grid, CFG, candidates=cands)
+        sc = ReducedScanner(F, grid.values(), CFG)
+        loop = [sc.test_regular(w, cls, None, cands) for w in grid.values()]
+        assert [canonical_json(c.to_dict()) for c in est.certificates] == \
+            [canonical_json(c.to_dict()) for c in loop]
+
+
+def test_detector_error_makes_only_its_point_undecided(monkeypatch):
+    F = make_half(lambda t: np.exp(1j * t))
+    plain = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    detect, calls = spectra.detect, []
+
+    def flaky(*args, **kwargs):
+        # rung 0 runs the detector on the grid points in order
+        calls.append(None)
+        if len(calls) == 4:
+            raise RedSpectraError("detector failed")
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "detect", flaky)
+    est = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    for j, (a, b) in enumerate(zip(plain.certificates, est.certificates)):
+        if j == 3:
+            assert b.status is RegStatus.UNDECIDED
+            assert b.evidence == {"reasons": ["detector failed"]}
+        else:
+            assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
 
 
 def test_lp_signal_has_empty_c0_spectrum():

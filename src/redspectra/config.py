@@ -34,10 +34,8 @@ class Config:
     support_cut: float = 1e-14       # relative sample cut for kernel tails
     freq_grid_divisor: float = 50.0  # bandpass ft grid spacing = delta / this
     eps_div: float = 1e-6            # minimum |f^| allowed in Wiener division
-    tol_ft_coeff: float = 1e-8       # Fourier consistency: coeff*(1+mass)
 
     # quadrature / convolution error model
-    tol_conv_coeff: float = 30.0     # tol_conv = coeff * dt^2 * kernel mass
     trunc_budget: float = 1e-3       # unseen kernel-mass budget (class work)
     trunc_budget_strict: float = 1e-8
     conv_out_step: float = 0.2       # decimated output spacing for band work
@@ -49,7 +47,6 @@ class Config:
     tol_uc: float = 0.02
     tol_zero: float = 1e-6
     tol_zero_abs: float = 1e-8
-    tol_decay: float = 1e-3
     decay_factor: float = 0.9        # required tail-sup shrink for a Yes
     min_window: float = 30.0         # shortest usable analysis window
     erg_window_frac: float = 0.5     # sup-window length / usable record

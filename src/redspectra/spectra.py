@@ -507,19 +507,20 @@ def carleman_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
 
 def _cauchy_circle_errors(sc: TransformScanner, a: float, cfg: Config):
     """Reconstruction error of L F at a/2 + i omega from the circle of
-    radius rf*a centred at a + i omega, per grid omega."""
+    radius rf*a centred at a + i omega, per grid omega.
+
+    The reconstruction is linear in the samples, so the error
+    sum_l w_l L F(zeta_l + i omega) - L F(a/2 + i omega) is one scanner
+    product with the damping sum_l w_l exp(-zeta_l u) - exp(-a u / 2)."""
     n = cfg.circle_nodes
     r = cfg.circle_radius_factor * a
     theta = 2 * np.pi * np.arange(n) / n
     zeta = a + r * np.exp(1j * theta)      # shared Re-offsets across omega
     target = 0.5 * a
     weights = (r * np.exp(1j * theta)) / (zeta - target) / n
-    recon = None
-    for l in range(n):
-        vals = sc.right_values(zeta[l])
-        recon = weights[l] * vals if recon is None else recon + weights[l] * vals
-    direct = sc.right_values(target)
-    return np.linalg.norm(recon - direct, axis=1)
+    damping = (weights @ np.exp(-np.outer(zeta, sc.u))
+               - np.exp(-target * sc.u))
+    return np.linalg.norm(sc.product(damping), axis=1)
 
 
 def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,

@@ -32,7 +32,8 @@ from .spectra import (FrequencyGrid, RegStatus, ReducedScanner, SpectrumEstimate
                       carleman_spectrum, laplace_spectrum, reduced_spectrum,
                       weak_laplace_spectrum)
 from .transforms import (TransformScanner, half_plane_scan,
-                         mollify_identity_residual, shift_identity_residual)
+                         mollify_identity_residual, shift_identity_residual,
+                         trapezoid_transform)
 
 
 class CheckStatus(enum.Enum):
@@ -336,10 +337,8 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
         ratio = conv.values[sel, 0] / np.exp(rate * tt[sel])
         c_obs = complex(ratio.mean())
         s0, sam = psi.time_samples(F.dt)
-        s = s0 + F.dt * np.arange(len(sam))
-        w = np.full(len(sam), F.dt)
-        w[0] = w[-1] = F.dt / 2
-        c_ref = complex(((np.exp(-rate * s) * w) @ sam))
+        c_ref = complex(trapezoid_transform(
+            rate, s0 + F.dt * np.arange(len(sam)), sam, F.dt))
         uc_rep = is_uc(restricted, cfg, scale_ref, conv.trunc_bound)
         return CheckResult(
             "tauberian", entry.name, CheckStatus.VACUOUS,

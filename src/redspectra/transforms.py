@@ -42,6 +42,13 @@ def _trap_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
+def trapezoid_transform(lam, u: np.ndarray, values: np.ndarray,
+                        dt: float) -> np.ndarray:
+    """Composite trapezoid of exp(-lam u) values over the lattice u of
+    spacing dt: the one finite-record transform sum."""
+    return (np.exp(-lam * u) * _trap_weights(len(u), dt)) @ values
+
+
 def _check_tail(F: SampledSignal, a: float, cfg: Config):
     if a == 0.0:
         raise DomainError("transform undefined for Re lambda = 0")
@@ -64,9 +71,7 @@ def laplace_transform(F: SampledSignal, lam: complex,
     if lam.real <= 0:
         raise DomainError("Laplace transform needs Re lambda > 0")
     _check_tail(F, lam.real, cfg)
-    t = F.times
-    w = _trap_weights(F.n, F.dt)
-    return (np.exp(-lam * t) * w) @ F.values
+    return trapezoid_transform(lam, F.times, F.values, F.dt)
 
 
 def carleman_transform(F: SampledSignal, lam: complex,
@@ -85,13 +90,9 @@ def carleman_transform(F: SampledSignal, lam: complex,
     i0 = F.index_of(0.0)
     if lam.real > 0:
         vals = F.values[i0:]
-        t = F.dt * np.arange(vals.shape[0])
-        w = _trap_weights(len(t), F.dt)
-        return (np.exp(-lam * t) * w) @ vals
-    vals = F.values[:i0 + 1][::-1]          # F(-u), u >= 0
-    u = F.dt * np.arange(vals.shape[0])
-    w = _trap_weights(len(u), F.dt)
-    return -((np.exp(lam * u) * w) @ vals)
+        return trapezoid_transform(lam, F.dt * np.arange(len(vals)), vals, F.dt)
+    vals = F.values[i0::-1]                 # F(-u), u >= 0
+    return -trapezoid_transform(-lam, F.dt * np.arange(len(vals)), vals, F.dt)
 
 
 @dataclass(frozen=True)
@@ -107,14 +108,16 @@ class HalfPlaneGrid:
     omegas: np.ndarray
     right: np.ndarray
     left: np.ndarray | None
-    side: str                  # 'right' | 'both'
     tail_bounds: tuple
     scale: float               # median |values|, the tolerance reference
 
 
 class TransformScanner:
-    """Batch evaluator for one signal: shares the modulation matrix
-    exp(-i omega t) across all abscissae and circle nodes."""
+    """Batch evaluator for one signal: one modulation matrix
+    E = exp(-i omega u) on the lattice u = k dt, 0 <= k < max(n_right,
+    n_left), shared by every abscissa and both half-lines.  F(u) uses a
+    prefix of E; F(-u) uses the conjugate of a prefix, because
+    exp(+i omega u) = conj(exp(-i omega u))."""
 
     def __init__(self, F: SampledSignal, omegas, cfg: Config = DEFAULT):
         self.F = F
@@ -122,29 +125,35 @@ class TransformScanner:
         self.omegas = np.asarray(omegas, float)
         i0 = F.index_of(0.0) if F.domain is Domain.FULL_LINE else 0
         self._pos_vals = F.values[i0:]
-        self._pos_t = F.dt * np.arange(self._pos_vals.shape[0])
-        self._pos_w = _trap_weights(len(self._pos_t), F.dt)
-        self._E_pos = np.exp(-1j * np.outer(self.omegas, self._pos_t))
-        if F.domain is Domain.FULL_LINE:
-            neg = F.values[:i0 + 1][::-1]
-            self._neg_vals = neg
-            self._neg_t = F.dt * np.arange(neg.shape[0])
-            self._neg_w = _trap_weights(len(self._neg_t), F.dt)
-            self._E_neg = np.exp(1j * np.outer(self.omegas, self._neg_t))
-        else:
-            self._neg_vals = None
+        self._neg_vals = (F.values[i0::-1]          # F(-u), u >= 0
+                          if F.domain is Domain.FULL_LINE else None)
+        self.u = F.dt * np.arange(max(F.n - i0, i0 + 1))
+        phase = np.outer(self.omegas, self.u)
+        # _E_neg names the same matrix: perfbench/tracing.py reads both
+        self._E_pos = self._E_neg = E = np.empty(phase.shape, complex)
+        np.cos(phase, out=E.real)
+        np.negative(np.sin(phase, out=E.imag), out=E.imag)
+
+    def product(self, damping: np.ndarray, left: bool = False) -> np.ndarray:
+        """Trapezoid of exp(-i omega_j u) damping(u) F(u) over u >= 0 for
+        every grid omega (n_omega, d); with ``left``, of exp(+i omega_j u)
+        damping(u) F(-u).  ``damping`` is sampled on ``u``."""
+        vals = self._neg_vals if left else self._pos_vals
+        n = len(vals)
+        y = (damping[:n] * _trap_weights(n, self.F.dt))[:, None] * vals
+        if left:                            # conj(E) @ y = conj(E @ conj(y))
+            return np.conj(self._E_pos[:, :n] @ np.conj(y))
+        return self._E_pos[:, :n] @ y
 
     def right_values(self, zeta: complex) -> np.ndarray:
         """L^+ F(zeta + i omega_j) for every grid omega (n_omega, d)."""
-        y = (np.exp(-zeta * self._pos_t) * self._pos_w)[:, None] * self._pos_vals
-        return self._E_pos @ y
+        return self.product(np.exp(-zeta * self.u))
 
     def left_values(self, zeta: complex) -> np.ndarray:
         """L^- F(-zeta + i omega_j) = -int exp(-(zeta - i w) u) F(-u) du."""
         if self._neg_vals is None:
             raise DomainError("no left half-plane for a half-line signal")
-        y = (np.exp(-zeta * self._neg_t) * self._neg_w)[:, None] * self._neg_vals
-        return -(self._E_neg @ y)
+        return -self.product(np.exp(-zeta * self.u), left=True)
 
     def admissible_a(self) -> tuple:
         out, bounds = [], []
@@ -167,16 +176,13 @@ def half_plane_scan(F: SampledSignal, omegas, cfg: Config = DEFAULT,
         raise TailError("fewer than 3 admissible abscissae: record too short "
                         "or growth too strong for a boundary scan")
     right = np.stack([sc.right_values(a) for a in a_adm])
+    mags = np.linalg.norm(right, axis=2)
     left = None
-    side = "right"
     if F.domain is Domain.FULL_LINE:
         left = np.stack([sc.left_values(a) for a in a_adm])
-        side = "both"
-    mags = np.linalg.norm(right, axis=2)
-    if left is not None:
         mags = np.concatenate([mags, np.linalg.norm(left, axis=2)])
     scale = float(np.median(mags))
-    return HalfPlaneGrid(a_adm, omegas, right, left, side, bounds, scale)
+    return HalfPlaneGrid(a_adm, omegas, right, left, bounds, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +201,9 @@ def shift_identity_residual(F: SampledSignal, s: float, lam: complex) -> float:
     Fs = translate(F, s)
     lam = complex(lam)
     t = F.times
-    ker = np.exp(-lam * t) * _trap_weights(F.n, F.dt)
-    LF = ker @ F.values
-    wh = _trap_weights(k + 1, F.dt)
-    Lhead = (np.exp(-lam * t[:k + 1]) * wh) @ F.values[:k + 1]
-    LFs = (np.exp(-lam * Fs.times) * _trap_weights(Fs.n, F.dt)) @ Fs.values
+    LF = trapezoid_transform(lam, t, F.values, F.dt)
+    Lhead = trapezoid_transform(lam, t[:k + 1], F.values[:k + 1], F.dt)
+    LFs = trapezoid_transform(lam, Fs.times, Fs.values, F.dt)
     rhs = np.exp(lam * s) * (LF - Lhead)
     return float(np.linalg.norm(LFs - rhs))
 
@@ -214,12 +218,8 @@ def mollify_identity_residual(F: SampledSignal, h: float, lam: complex) -> float
     k = F.lattice_steps(h, "h")
     M = mollify(F, h)
     t = F.times
-    w = _trap_weights(F.n, F.dt)
-    ker = np.exp(-lam * t) * w
-    LF = ker @ F.values
-    tm = M.times
-    wm = _trap_weights(M.n, F.dt)
-    LM = (np.exp(-lam * tm) * wm) @ M.values
+    LF = trapezoid_transform(lam, t, F.values, F.dt)
+    LM = trapezoid_transform(lam, M.times, M.values, F.dt)
 
     # cumulative integral I(v) = int_0^v exp(-lam t) F dt on the grid
     integrand = np.exp(-lam * t)[:, None] * F.values
@@ -258,13 +258,11 @@ def carleman_as_convolution_residual(phi: SampledSignal, lam: complex,
         idx = conv.index_of(tp)
         if lam.real > 0:
             tail = phi.restrict(tp, phi.t_end)
-            u = tail.times - tp
-            w = _trap_weights(tail.n, tail.dt)
-            ref = (np.exp(-lam * u) * w) @ tail.values
+            ref = trapezoid_transform(lam, tail.times - tp, tail.values,
+                                      tail.dt)
         else:
-            head = phi.restrict(phi.t0, tp)
-            u = head.times - tp           # in [t0 - tp, 0]
-            w = _trap_weights(head.n, head.dt)
-            ref = -((np.exp(-lam * u) * w) @ head.values)
+            head = phi.restrict(phi.t0, tp)   # u = t - tp in [t0 - tp, 0]
+            ref = -trapezoid_transform(lam, head.times - tp, head.values,
+                                       head.dt)
         worst = max(worst, float(np.linalg.norm(conv.values[idx] - ref)))
     return worst

@@ -5,8 +5,10 @@ from redspectra.errors import ConfigError
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError):
-        Config.from_dict({"tol_c0": 0.01, "not_a_knob": 1})
+    # the last three were Config fields that nothing read
+    for key in ("not_a_knob", "tol_ft_coeff", "tol_conv_coeff", "tol_decay"):
+        with pytest.raises(ConfigError):
+            Config.from_dict({"tol_c0": 0.01, key: 1})
 
 
 def test_tolerances_must_be_positive():

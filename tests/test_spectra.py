@@ -13,6 +13,7 @@ from redspectra.spectra import (FrequencyGrid, RegStatus, ReducedScanner,
                                 laplace_spectrum, reduced_spectrum,
                                 weak_laplace_spectrum)
 from redspectra.spectra import test_regular as regular_point_test
+from redspectra.transforms import TransformScanner, half_plane_scan
 
 from conftest import make_full, make_half
 
@@ -113,6 +114,28 @@ def test_zero_signal_trivially_regular():
 # ---------------------------------------------------------------------------
 # transform spectra on closed-form signals
 # ---------------------------------------------------------------------------
+
+def _circle_errors_node_by_node(sc, a, cfg):
+    """The Cauchy-circle reconstruction as 64 + 1 separate evaluations."""
+    n = cfg.circle_nodes
+    r = cfg.circle_radius_factor * a
+    theta = 2 * np.pi * np.arange(n) / n
+    zeta = a + r * np.exp(1j * theta)
+    weights = (r * np.exp(1j * theta)) / (zeta - 0.5 * a) / n
+    recon = sum(w * sc.right_values(z) for w, z in zip(weights, zeta))
+    return np.linalg.norm(recon - sc.right_values(0.5 * a), axis=1)
+
+
+@pytest.mark.parametrize("name", ["exp_iw1", "chirp"])
+def test_circle_errors_match_node_by_node_reconstruction(corpus, name):
+    F, omegas = corpus[name].half, GRID.values()
+    sc = TransformScanner(F, omegas, CFG)
+    hp = half_plane_scan(F, omegas, CFG, scanner=sc)
+    for a in hp.a_seq[-2:]:
+        got = spectra._cauchy_circle_errors(sc, a, CFG)
+        ref = _circle_errors_node_by_node(sc, a, CFG)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * hp.scale
+
 
 def test_laplace_spectrum_pole_and_entire():
     pole = laplace_spectrum(make_half(lambda t: np.exp(1j * t)), GRID, CFG)

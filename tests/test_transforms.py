@@ -3,6 +3,7 @@ import pytest
 
 from redspectra.config import Config
 from redspectra.errors import DomainError, TailError
+from redspectra.signals import Domain, SampledSignal
 from redspectra.transforms import (carleman_as_convolution_residual,
                                    carleman_transform, half_plane_scan,
                                    laplace_transform,
@@ -54,15 +55,40 @@ def test_growth_aware_tail_bound_monotone():
     assert tail_bound(G, 0.1) > tail_bound(F, 0.1)
 
 
+def _trapezoid_geometric(z, N, dt):
+    """dt * (sum_{k<=N} z^k - (1 + z^N)/2): the trapezoid sum of z^k."""
+    zN = z ** N
+    return dt * ((1.0 - zN * z) / (1.0 - z) - 0.5 * (1.0 + zN))
+
+
+def _max_rel_gap(vals, ref):
+    return np.max(np.abs(vals - ref)) / np.max(np.abs(ref))
+
+
 def test_half_plane_scan_shapes_and_scale():
+    omegas = np.linspace(-5, 5, 101)
+    dt = 0.01
     F = make_half(lambda t: np.exp(1j * t))
-    hp = half_plane_scan(F, np.linspace(-5, 5, 101), CFG)
+    hp = half_plane_scan(F, omegas, CFG)
     assert hp.right.shape == (len(hp.a_seq), 101, 1)
-    assert hp.left is None and hp.side == "right"
+    assert hp.left is None
     assert 0.3 < hp.scale < 0.5
-    G = make_full(lambda t: np.exp(1j * t))
-    hp2 = half_plane_scan(G, np.linspace(-5, 5, 101), CFG)
-    assert hp2.left is not None and hp2.side == "both"
+    # right values of exp(i t): z = exp(-(a + i(w - 1)) dt) per sample
+    for a, vals in zip(hp.a_seq, hp.right[:, :, 0]):
+        ref = _trapezoid_geometric(np.exp(-(a + 1j * (omegas - 1.0)) * dt),
+                                   F.n - 1, dt)
+        assert _max_rel_gap(vals, ref) < 1e-10
+    # exp(i t) on the exact lattice t = k dt, |k| <= 20000 (np.arange from
+    # -200 drifts by 2e-10 at t = 0, which the closed form would see)
+    G = SampledSignal(Domain.FULL_LINE, -200.0, dt,
+                      np.exp(1j * dt * np.arange(-20000, 20001)), 0)
+    hp2 = half_plane_scan(G, omegas, CFG)
+    assert hp2.left is not None
+    # left values -int exp(-(a - i w) u) exp(-i u) du over [0, 200]
+    for a, vals in zip(hp2.a_seq, hp2.left[:, :, 0]):
+        ref = -_trapezoid_geometric(np.exp(-(a - 1j * (omegas - 1.0)) * dt),
+                                    20000, dt)
+        assert _max_rel_gap(vals, ref) < 1e-10
 
 
 def test_tail_inadmissible_abscissae_are_dropped():

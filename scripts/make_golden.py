@@ -5,10 +5,12 @@ Usage:
     PYTHONPATH=src python scripts/make_golden.py [--out tests/golden/verdicts.json]
 
 Each case is one ``redspectra analyze`` call on a record written by
-``redspectra synth`` at the default configuration; the file stores the
-case roster with its status vector (one letter per grid point: r
-regular, s singular, u undecided).  Regenerate it only when a change is
-meant to move verdicts, and say so where the change is recorded.
+``redspectra synth`` at the default configuration (a ``_full`` record is
+the full-line file that ``synth`` writes next to the half-line one); the
+file stores the case roster with its status vector (one letter per grid
+point: r regular, s singular, u undecided).  Regenerate it only when a
+change is meant to move verdicts, and say so where the change is
+recorded.
 """
 
 import argparse
@@ -23,7 +25,16 @@ RECORDS = ("exp_iw1", "chirp", "sinc", "aap_mix")
 KINDS = (("reduced", "c0"), ("laplace", None), ("weak-laplace", None),
          ("carleman", None))            # carleman on the zero extension
 CASES = [(r, k, c) for r in RECORDS for k, c in KINDS] + \
-    [("aap_mix", "reduced", "aap")]
+    [("aap_mix", "reduced", "aap")] + \
+    [(r, k, None) for r in ("decay_exp", "so_composite", "tchirp")
+     for k in ("laplace", "weak-laplace")] + \
+    [(f"{r}_full", "carleman", None)
+     for r in ("exp_iw1", "chirp", "sinc", "ap_sum", "tchirp")]
+
+
+def corpus_name(record: str) -> str:
+    """Corpus signal whose ``synth`` writes ``record.csv``."""
+    return record.removesuffix("_full")
 
 
 def analyze_statuses(data_dir, record, kind, cls, out_dir) -> str:
@@ -47,7 +58,7 @@ def main():
     args = ap.parse_args()
     cases = []
     with tempfile.TemporaryDirectory() as work:
-        for name in RECORDS:
+        for name in dict.fromkeys(corpus_name(r) for r, _, _ in CASES):
             if cli_main(["synth", name, "--out", work]) != 0:
                 raise RuntimeError(f"synth {name} failed")
         for record, kind, cls in CASES:

@@ -23,7 +23,9 @@ with open(GOLDEN) as _fh:
 @pytest.fixture(scope="module")
 def records(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    for name in dict.fromkeys(c["record"] for c in CASES):
+    # a "_full" record is the full-line file synth writes beside the half
+    for name in dict.fromkeys(c["record"].removesuffix("_full")
+                              for c in CASES):
         assert main(["synth", name, "--out", str(out)]) == 0
     return out
 

@@ -18,7 +18,7 @@ import sys
 
 from .classes import FunctionClass
 from .config import Config, DEFAULT
-from .corpus import build_corpus
+from .corpus import BUILDERS, build_corpus, build_signal
 from .errors import ConfigError, ParseError, RedSpectraError
 from .io_utils import (canonical_json, read_signal_csv, sidecar_path,
                        write_kernel, write_plot_csv, write_signal_csv)
@@ -49,12 +49,11 @@ def _load_config(args) -> Config:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    corpus = build_corpus(cfg)
-    if args.name not in corpus:
+    if args.name not in BUILDERS:
         print(f"unknown corpus signal {args.name!r}; choose from: "
-              f"{', '.join(sorted(corpus))}", file=sys.stderr)
+              f"{', '.join(sorted(BUILDERS))}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    entry = corpus[args.name]
+    entry = build_signal(args.name, cfg)
     os.makedirs(args.out, exist_ok=True)
     written = []
     for tag, sig in (("", entry.half), ("_full", entry.full)):

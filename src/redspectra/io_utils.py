@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -48,25 +49,13 @@ def read_signal_csv(path, domain: Domain | None = None,
     header = [h.strip() for h in lines[0].split(",")]
     if header[0] != "t" or (len(header) - 1) % 2 != 0 or len(header) < 3:
         raise ParseError("header must be t,re0,im0[,re1,im1,...]", line=1)
-    d = (len(header) - 1) // 2
-    rows, row_lines = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"expected {len(header)} columns, got {len(parts)}",
-                             line=ln)
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=ln) from exc
-        row_lines.append(ln)
-    if len(rows) < 2:
+    arr = _parse_rows(lines, len(header))
+    if len(arr) < 2:
         raise ParseError("need at least 2 samples", line=len(lines))
-    arr = np.asarray(rows)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
+        row_lines = [ln for ln, line in enumerate(lines[1:], start=2)
+                     if line.strip()]
         raise ParseError("non-finite value (nan or inf)",
                          line=row_lines[int(np.argmin(finite))])
     t = arr[:, 0]
@@ -89,6 +78,38 @@ def read_signal_csv(path, domain: Domain | None = None,
     if growth_exponent is None:
         growth_exponent = meta.get("growth_exponent", 0)
     return SampledSignal(domain, float(t[0]), float(dt), vals, growth_exponent)
+
+
+def _parse_rows(lines, n_cols: int) -> np.ndarray:
+    """Sample rows below the header as an (n, n_cols) float array, blank
+    lines skipped.
+
+    One ``np.loadtxt`` parses the usual file; its values equal
+    ``float()``'s bitwise.  When it rejects the rows, the per-line scan
+    runs instead: it names the offending file line, and it also takes
+    what ``float()`` takes beyond ``loadtxt`` (whitespace-only lines,
+    digit underscores)."""
+    try:
+        with warnings.catch_warnings():     # "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        if arr.shape[1] == n_cols:
+            return arr
+    except ValueError:
+        pass
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise ParseError(f"expected {n_cols} columns, got {len(parts)}",
+                             line=ln)
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=ln) from exc
+    return np.asarray(rows, float).reshape(len(rows), n_cols)
 
 
 def _read_sidecar(side) -> dict:

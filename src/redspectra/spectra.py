@@ -36,7 +36,8 @@ from .kernels import bandpass_kernel
 from .signals import (COLUMN_BLOCK, Domain, ExtendedSignal, SampledSignal,
                       convolve, extend_by_zero, modulated_product,
                       plan_convolution)
-from .transforms import HalfPlaneGrid, TransformScanner, half_plane_scan
+from .transforms import (HalfPlaneGrid, TransformScanner, half_plane_scan,
+                         lattice_exp_sum)
 
 
 class RegStatus(enum.Enum):
@@ -518,7 +519,7 @@ def _cauchy_circle_errors(sc: TransformScanner, a: float, cfg: Config):
     zeta = a + r * np.exp(1j * theta)      # shared Re-offsets across omega
     target = 0.5 * a
     weights = (r * np.exp(1j * theta)) / (zeta - target) / n
-    damping = (weights @ np.exp(-np.outer(zeta, sc.u))
+    damping = (lattice_exp_sum(weights, zeta, len(sc.u), sc.F.dt)
                - np.exp(-target * sc.u))
     return np.linalg.norm(sc.product(damping), axis=1)
 

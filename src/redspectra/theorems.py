@@ -95,8 +95,7 @@ class SignalAnalysis:
     def _transforms(self) -> tuple:
         """(half-plane grid, Laplace estimate) of the half-line record,
         both from one TransformScanner.  Only the grid is kept for the
-        weak-Laplace test: the scanner's modulation matrix is tens of MB
-        per record."""
+        weak-Laplace test."""
         def run():
             F, omegas = self.entry.half, self.grid.values()
             if F.sup_norm() <= self.cfg.tol_zero_abs:     # trivial estimates

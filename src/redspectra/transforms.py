@@ -15,6 +15,7 @@ returned silently wrong.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +113,34 @@ class HalfPlaneGrid:
     scale: float               # median |values|, the tolerance reference
 
 
+def lattice_exp_tables(z, n: int, dt: float) -> tuple:
+    """Factored exp(-z_l k dt) on the lattice 0 <= k < n.
+
+    With m = ceil(sqrt(n)) and k = b m + c, exp(-z k dt) = outer[l, b] *
+    inner[l, c], where outer[l, b] = exp(-z_l b m dt) (n_z x n_b,
+    n_b = ceil(n / m)) and inner[l, c] = exp(-z_l c dt) (n_z x m).  Each
+    entry is one direct exponential, so both tables are accurate to a
+    few ulp and the full n_z x n matrix is never formed."""
+    m = math.isqrt(n - 1) + 1              # ceil(sqrt(n)), n >= 1
+    n_b = -(-n // m)
+    outer = np.exp(-np.outer(z, dt * (m * np.arange(n_b))))
+    inner = np.exp(-np.outer(z, dt * np.arange(m)))
+    return outer, inner
+
+
+def lattice_exp_sum(weights, z, n: int, dt: float) -> np.ndarray:
+    """sum_l weights_l exp(-z_l k dt) for 0 <= k < n, as one product of
+    the factored tables: (n_b x n_z) @ (n_z x m), read row-major."""
+    outer, inner = lattice_exp_tables(z, n, dt)
+    return ((weights[:, None] * outer).T @ inner).reshape(-1)[:n]
+
+
 class TransformScanner:
-    """Batch evaluator for one signal: one modulation matrix
-    E = exp(-i omega u) on the lattice u = k dt, 0 <= k < max(n_right,
-    n_left), shared by every abscissa and both half-lines.  F(u) uses a
-    prefix of E; F(-u) uses the conjugate of a prefix, because
-    exp(+i omega u) = conj(exp(-i omega u))."""
+    """Batch evaluator for one signal: exp(-i omega u) on the lattice
+    u = k dt, 0 <= k < max(n_right, n_left), kept as the factored tables
+    of ``lattice_exp_tables`` and shared by every abscissa and both
+    half-lines.  F(u) uses a prefix of the lattice; F(-u) uses the
+    conjugate, because exp(+i omega u) = conj(exp(-i omega u))."""
 
     def __init__(self, F: SampledSignal, omegas, cfg: Config = DEFAULT):
         self.F = F
@@ -128,22 +151,34 @@ class TransformScanner:
         self._neg_vals = (F.values[i0::-1]          # F(-u), u >= 0
                           if F.domain is Domain.FULL_LINE else None)
         self.u = F.dt * np.arange(max(F.n - i0, i0 + 1))
-        phase = np.outer(self.omegas, self.u)
-        # _E_neg names the same matrix: perfbench/tracing.py reads both
-        self._E_pos = self._E_neg = E = np.empty(phase.shape, complex)
-        np.cos(phase, out=E.real)
-        np.negative(np.sin(phase, out=E.imag), out=E.imag)
+        self._E_outer, inner = lattice_exp_tables(1j * self.omegas,
+                                                  len(self.u), F.dt)
+        # _E_neg names the same table: perfbench/tracing.py reads both
+        self._E_pos = self._E_neg = inner
 
     def product(self, damping: np.ndarray, left: bool = False) -> np.ndarray:
         """Trapezoid of exp(-i omega_j u) damping(u) F(u) over u >= 0 for
         every grid omega (n_omega, d); with ``left``, of exp(+i omega_j u)
-        damping(u) F(-u).  ``damping`` is sampled on ``u``."""
+        damping(u) F(-u).  ``damping`` is sampled on ``u``.
+
+        The lattice sum is sum_b outer[j, b] sum_c inner[j, c] y[b m + c]:
+        one product with the inner table over the zero-padded samples
+        laid out as (m, n_b d), then a row-wise contraction with the
+        outer table."""
         vals = self._neg_vals if left else self._pos_vals
-        n = len(vals)
+        n, d = vals.shape
         y = (damping[:n] * _trap_weights(n, self.F.dt))[:, None] * vals
         if left:                            # conj(E) @ y = conj(E @ conj(y))
-            return np.conj(self._E_pos[:, :n] @ np.conj(y))
-        return self._E_pos[:, :n] @ y
+            y = np.conj(y)
+        inner = self._E_pos
+        m = inner.shape[1]
+        n_b = -(-n // m)
+        Y = np.zeros((n_b * m, d), complex)
+        Y[:n] = y
+        Y = Y.reshape(n_b, m, d).transpose(1, 0, 2).reshape(m, n_b * d)
+        P = (inner @ Y).reshape(len(self.omegas), n_b, d)
+        out = np.einsum("jb,jbd->jd", self._E_outer[:, :n_b], P)
+        return np.conj(out) if left else out
 
     def right_values(self, zeta: complex) -> np.ndarray:
         """L^+ F(zeta + i omega_j) for every grid omega (n_omega, d)."""

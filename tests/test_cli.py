@@ -38,6 +38,74 @@ def test_reader_rejects_malformed_rows(tmp_path):
     assert exc.value.line == 3
 
 
+def test_reader_rejects_an_extra_column_on_every_row(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("t,re0,im0\n0,1,0,0\n0.01,1,0,0\n0.02,1,0,0\n")
+    with pytest.raises(ParseError) as exc:
+        read_signal_csv(path)
+    assert exc.value.line == 2
+
+
+def _per_line_scan(text):
+    """The row-by-row reader: float() per field, whitespace-only lines
+    skipped; returns the rows or the file line of the first error."""
+    rows, row_lines = [], []
+    lines = text.splitlines()
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            return ln
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError:
+            return ln
+        row_lines.append(ln)
+    finite = np.isfinite(rows).all(axis=1)
+    return row_lines[int(np.argmin(finite))] if not finite.all() else \
+        np.asarray(rows)
+
+
+@pytest.mark.parametrize("row", [
+    "0.02,1_0,0", "0.02, 1 ,0", "0.02,0x1,0", "0.02,1e,0",
+    "0.02,infinity,0", "0.02,nan,0", "   ", "", "0.02,1,0,"])
+def test_reader_odd_tokens_match_per_line_scan(tmp_path, row):
+    """The vectorised reader gives the per-line scan's values, or its
+    error at the same file line."""
+    rows = [f"{0.01 * i:.2f},{(-1) ** i * 1.25},0.5" for i in range(6)]
+    # an odd sample replaces the t = 0.02 row; a blank line goes before it
+    rows[2:2 + row.startswith("0.02")] = [row]
+    text = "t,re0,im0\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "odd.csv"
+    path.write_text(text)
+    ref = _per_line_scan(text)
+    if isinstance(ref, int):
+        with pytest.raises(ParseError) as exc:
+            read_signal_csv(path)
+        assert exc.value.line == ref
+    else:
+        sig = read_signal_csv(path)
+        assert np.array_equal(sig.times, ref[:, 0])
+        assert sig.values.tobytes() == (ref[:, 1] + 1j * ref[:, 2])[:, None] \
+            .tobytes()
+
+
+def test_reader_values_are_float_bitwise(tmp_path):
+    rng = np.random.default_rng(5)
+    t = np.arange(0.0, 20.0 + 0.005, 0.01)
+    sig = SampledSignal(Domain.HALF_LINE, 0.0, 0.01,
+                        np.exp(1j * t)[:, None] * rng.standard_normal((1, 2)),
+                        trusted=True)
+    path = tmp_path / "sig.csv"
+    write_signal_csv(path, sig)
+    back = read_signal_csv(path)
+    ref = np.array([[float(x) for x in line.split(",")]
+                    for line in path.read_text().splitlines()[1:]])
+    assert back.values.tobytes() == \
+        (ref[:, 1::2] + 1j * ref[:, 2::2]).tobytes()
+
+
 def test_synth_and_analyze(tmp_path):
     out = str(tmp_path)
     assert main(["synth", "exp_iw1", "--out", out]) == 0

@@ -4,9 +4,10 @@ import pytest
 from redspectra.config import Config
 from redspectra.errors import DomainError, TailError
 from redspectra.signals import Domain, SampledSignal
-from redspectra.transforms import (carleman_as_convolution_residual,
+from redspectra.transforms import (TransformScanner,
+                                   carleman_as_convolution_residual,
                                    carleman_transform, half_plane_scan,
-                                   laplace_transform,
+                                   laplace_transform, lattice_exp_sum,
                                    mollify_identity_residual,
                                    shift_identity_residual, tail_bound)
 
@@ -89,6 +90,54 @@ def test_half_plane_scan_shapes_and_scale():
         ref = -_trapezoid_geometric(np.exp(-(a - 1j * (omegas - 1.0)) * dt),
                                     20000, dt)
         assert _max_rel_gap(vals, ref) < 1e-10
+
+
+def _dense_product(omegas, u, damping, vals, dt, left):
+    """The trapezoid sum with the dense modulation matrix exp(-+i w u)."""
+    n = len(vals)
+    w = np.full(n, dt)
+    w[0] = w[-1] = dt / 2
+    E = np.exp((1j if left else -1j) * np.outer(omegas, u[:n]))
+    return E @ ((damping[:n] * w)[:, None] * vals)
+
+
+# (samples on u >= 0, samples on u <= 0, channels): m = ceil(sqrt(n)) for
+# the longer side n; 1000 and 1057 are not multiples of m and lie below
+# m^2, 1024 = 32^2, and the shorter side uses fewer outer blocks
+@pytest.mark.parametrize("n_right,n_left,d", [
+    (1000, 1000, 1), (1057, 700, 2), (1024, 1024, 2), (300, 1000, 1),
+    (2, 2, 1), (2, 1, 2)])
+def test_factored_product_matches_dense(n_right, n_left, d):
+    dt = 0.01
+    rng = np.random.default_rng(n_right + 7 * n_left + d)
+    vals = (rng.standard_normal((n_left + n_right - 1, d))
+            + 1j * rng.standard_normal((n_left + n_right - 1, d)))
+    F = SampledSignal(Domain.FULL_LINE, -(n_left - 1) * dt, dt, vals, 0,
+                      trusted=True)
+    omegas = np.linspace(-5, 5, 101)
+    sc = TransformScanner(F, omegas, CFG)
+    assert len(sc.u) == max(n_right, n_left)
+    damping = np.exp(-(0.05 + 0.3j) * sc.u)
+    sides = ((False, vals[n_left - 1:]), (True, vals[n_left - 1::-1]))
+    for left, side in sides:
+        ref = _dense_product(omegas, sc.u, damping, side, dt, left)
+        got = sc.product(damping, left=left)
+        assert got.shape == (101, d)
+        assert _max_rel_gap(got, ref) < 1e-13
+
+
+def test_circle_damping_matches_dense():
+    dt, n = 0.01, 20001
+    u = dt * np.arange(n)
+    theta = 2 * np.pi * np.arange(CFG.circle_nodes) / CFG.circle_nodes
+    for a in (0.4, 0.05):
+        r = CFG.circle_radius_factor * a
+        zeta = a + r * np.exp(1j * theta)
+        weights = r * np.exp(1j * theta) / (zeta - 0.5 * a) / len(theta)
+        ref = weights @ np.exp(-np.outer(zeta, u))
+        got = lattice_exp_sum(weights, zeta, n, dt)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) < 1e-15
 
 
 def test_tail_inadmissible_abscissae_are_dropped():

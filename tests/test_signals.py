@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -159,14 +159,18 @@ def test_decay_at_minus_infinity():
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
+@example(seed=18536)
 def test_convolution_linearity(seed):
+    # The noise records are taken as given (trusted): the growth validator
+    # compares tail quantiles of one draw and rejects a few bounded ones
+    # (seed 18536).  Linearity of the convolution does not depend on it.
     rng = np.random.default_rng(seed)
     t = np.arange(0.0, 40.0 + DT / 2, DT)
     a = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
     b = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     mk = lambda v: extend_by_zero(
-        SampledSignal(Domain.HALF_LINE, 0.0, DT, v), -5.0)
+        SampledSignal(Domain.HALF_LINE, 0.0, DT, v, trusted=True), -5.0)
     k = box_kernel(0.5)
     lhs = convolve(mk(al * a + be * b), k).values
     rhs = al * convolve(mk(a), k).values + be * convolve(mk(b), k).values

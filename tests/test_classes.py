@@ -196,17 +196,13 @@ def test_uc_and_ergodic_implies_bounded_on_corpus():
        st.floats(min_value=-2.0, max_value=2.0))
 @example(w=1.03125, a=-1.0)
 def test_mollify_linearity_random(w, a):
-    # The records are taken as given (trusted): for w near 1 the beat of
-    # a*exp(iwt) + cos(t) is longer than the 60 s window, so its envelope
-    # rises towards the end and the growth validator rejects the bounded
-    # sum.  Linearity of the sliding average does not depend on that check.
+    # w = 1.03125, a = -1: the beat is longer than the record, so its
+    # envelope rises towards t = 60; the growth validator must accept it
     t = np.arange(0.0, 60.0 + 0.005, 0.01)
-
-    def half(vals):
-        return SampledSignal(Domain.HALF_LINE, 0.0, 0.01, vals, trusted=True)
-
-    lhs = mollify(half(a * np.exp(1j * w * t) + np.cos(t)), 0.5).values
-    G1 = half(a * np.exp(1j * w * t))
-    G2 = half(np.cos(t))
+    F = SampledSignal(Domain.HALF_LINE, 0.0, 0.01,
+                      a * np.exp(1j * w * t) + np.cos(t))
+    lhs = mollify(F, 0.5).values
+    G1 = SampledSignal(Domain.HALF_LINE, 0.0, 0.01, a * np.exp(1j * w * t))
+    G2 = SampledSignal(Domain.HALF_LINE, 0.0, 0.01, np.cos(t))
     rhs = mollify(G1, 0.5).values + mollify(G2, 0.5).values
     assert np.abs(lhs - rhs).max() < 1e-12 * (1 + abs(a))

@@ -132,6 +132,17 @@ def test_analyze_requires_class_for_reduced(tmp_path, capsys):
     assert rc == 2
 
 
+
+def test_analyze_accepts_a_bounded_record_with_a_rising_tail(tmp_path):
+    # a beat longer than the record: bounded, though its envelope rises
+    # over the last seconds; it used to exit 2 with a GrowthError
+    t = np.arange(0.0, 60.0 + 0.005, 0.01)
+    csv = tmp_path / "beat.csv"
+    write_signal_csv(csv, SampledSignal(Domain.HALF_LINE, 0.0, 0.01,
+                                        -np.exp(1.03125j * t) + np.cos(t)))
+    assert main(["analyze", str(csv), "--kind", "laplace", "--grid=-2:2:1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+
 def test_analyze_rejects_corrupt_csv(tmp_path):
     bad = tmp_path / "x.csv"
     bad.write_text("t,re0,im0\n0,1,0\nnope\n")

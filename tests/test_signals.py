@@ -161,16 +161,15 @@ def test_decay_at_minus_infinity():
 @given(st.integers(min_value=0, max_value=10 ** 6))
 @example(seed=18536)
 def test_convolution_linearity(seed):
-    # The noise records are taken as given (trusted): the growth validator
-    # compares tail quantiles of one draw and rejects a few bounded ones
-    # (seed 18536).  Linearity of the convolution does not depend on it.
+    # seed 18536: a noise draw whose tail quantile is 11% above the inner
+    # one; the growth validator must accept it
     rng = np.random.default_rng(seed)
     t = np.arange(0.0, 40.0 + DT / 2, DT)
     a = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
     b = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     mk = lambda v: extend_by_zero(
-        SampledSignal(Domain.HALF_LINE, 0.0, DT, v, trusted=True), -5.0)
+        SampledSignal(Domain.HALF_LINE, 0.0, DT, v), -5.0)
     k = box_kernel(0.5)
     lhs = convolve(mk(al * a + be * b), k).values
     rhs = al * convolve(mk(a), k).values + be * convolve(mk(b), k).values
@@ -244,6 +243,37 @@ def test_growth_validation():
     e = SampledSignal(Domain.FULL_LINE, -5.0, DT, np.exp(te), 8)
     assert e.envelope_constant() > 0
 
+
+
+def _beat_record():
+    # the beat of exp(1.03125 i t) against cos t is longer than the record:
+    # its envelope rises from 1.0 towards 1.75 at t = 60
+    t = np.arange(0.0, 60.0 + DT / 2, DT)
+    return t, -np.exp(1.03125j * t) + np.cos(t)
+
+
+def test_growth_validation_accepts_a_bounded_tail_rise():
+    t, beat = _beat_record()
+    rng = np.random.default_rng(18536)
+    tn = np.arange(0.0, 40.0 + DT / 2, DT)
+    noise = rng.standard_normal(len(tn)) + 1j * rng.standard_normal(len(tn))
+    for times, vals in ((t, beat), (tn, noise)):
+        norms = np.abs(vals)
+        outer = times >= np.quantile(times, 1.0 - signals._GROWTH_TAIL_FRAC)
+        # the tail test alone flags both records ...
+        assert np.quantile(norms[outer], 0.95) > \
+            signals._GROWTH_SLACK * np.quantile(norms[~outer], 0.95)
+        # ... but neither fits a growth order: both are accepted as k = 0
+        assert SampledSignal(Domain.HALF_LINE, 0.0, DT, vals).growth_exponent == 0
+
+
+@pytest.mark.parametrize("p,k", [(0.5, 0), (3, 1)])
+def test_growth_validation_rejects_power_laws(p, k):
+    t = np.arange(0.0, 200.0 + DT / 2, DT)
+    with pytest.raises(GrowthError):
+        SampledSignal(Domain.HALF_LINE, 0.0, DT, t ** p * np.exp(1j * t), k)
+    assert SampledSignal(Domain.HALF_LINE, 0.0, DT, t ** p * np.exp(1j * t),
+                         k + 2).growth_exponent == k + 2
 
 def test_half_line_must_start_at_zero():
     with pytest.raises(DomainError):

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Write the golden tri-state verdict file read by tests/test_golden.py.
+"""Write the golden files read by tests/test_golden.py.
 
 Usage:
     PYTHONPATH=src python scripts/make_golden.py [--out tests/golden/verdicts.json]
+                                                 [--checks tests/golden/checks.json]
 
 Each case is one ``redspectra analyze`` call on a record written by
 ``redspectra synth`` at the default configuration (a ``_full`` record is
@@ -20,6 +21,8 @@ import sys
 import tempfile
 
 from redspectra.cli import main as cli_main
+from redspectra.config import Config
+from redspectra.theorems import run_all
 
 RECORDS = ("exp_iw1", "chirp", "sinc", "aap_mix")
 KINDS = (("reduced", "c0"), ("laplace", None), ("weak-laplace", None),
@@ -29,7 +32,9 @@ CASES = [(r, k, c) for r in RECORDS for k, c in KINDS] + \
     [(r, k, None) for r in ("decay_exp", "so_composite", "tchirp")
      for k in ("laplace", "weak-laplace")] + \
     [(f"{r}_full", "carleman", None)
-     for r in ("exp_iw1", "chirp", "sinc", "ap_sum", "tchirp")]
+     for r in ("exp_iw1", "chirp", "sinc", "ap_sum", "tchirp")] + \
+    [(f"{r}_full", "beurling", None) for r in ("exp_iw1", "ap_sum")] + \
+    [(r, "reduced", "ap") for r in ("exp_iw1", "ap_sum")]
 
 
 def corpus_name(record: str) -> str:
@@ -55,6 +60,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=os.path.join("tests", "golden",
                                                   "verdicts.json"))
+    ap.add_argument("--checks", default=os.path.join("tests", "golden",
+                                                     "checks.json"))
     args = ap.parse_args()
     cases = []
     with tempfile.TemporaryDirectory() as work:
@@ -71,6 +78,12 @@ def main():
                    "cases": cases}, fh, indent=1)
         fh.write("\n")
     print(f"wrote {len(cases)} cases to {args.out}")
+    checks = [{"check": r.check_id, "subject": r.subject,
+               "status": r.status.value} for r in run_all(Config())]
+    with open(args.checks, "w") as fh:
+        json.dump(checks, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(checks)} checks to {args.checks}")
     return 0
 
 

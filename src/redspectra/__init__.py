@@ -16,7 +16,7 @@ from .classes import (BohrCoefficient, ClassReport, FunctionClass, Tri,
 from .transforms import (HalfPlaneGrid, carleman_transform, half_plane_scan,
                          laplace_transform)
 from .spectra import (FrequencyGrid, RegStatus, RegularityCertificate,
-                      SpectrumEstimate, beurling_spectrum, carleman_spectrum,
+                      SignalAnalysis, SpectrumEstimate, carleman_spectrum,
                       laplace_spectrum, reduced_spectrum, test_regular,
                       weak_laplace_spectrum)
 from .theorems import (CheckResult, CheckStatus, EvolutionProblem,

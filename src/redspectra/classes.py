@@ -297,8 +297,7 @@ def _refine_frequency(F: SampledSignal, center: float, halfwidth: float,
 
 
 def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
-                 scale_ref: float | None = None, trunc_bound: float = 0.0,
-                 refine: bool = True):
+                 scale_ref: float | None = None, trunc_bound: float = 0.0):
     """Split F into a trigonometric polynomial over the candidate
     frequencies plus a remainder; report AAP membership.
 
@@ -314,7 +313,7 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     sep = 0.5 * np.pi / max(F.t_end - F.t0, 1.0)
     freqs: list = []
     for center, hw in windows:
-        nu = _refine_frequency(F, center, hw, cfg) if refine else center
+        nu = _refine_frequency(F, center, hw, cfg)
         if all(abs(nu - f) > sep for f in freqs):
             freqs.append(nu)
 
@@ -332,7 +331,7 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     ap_vals, freqs, sol = solve(freqs)
     # peel residual tones: one candidate window can hide several close
     # frequencies, which a single refinement pass cannot separate
-    for _ in range(3 if refine else 0):
+    for _ in range(3):
         resid = SampledSignal(F.domain, F.t0, F.dt, F.values - ap_vals,
                               F.growth_exponent, trusted=True)
         best, best_norm = None, 3.0 * cfg.tol_bohr * scale

@@ -22,7 +22,6 @@ from .corpus import BUILDERS, build_corpus, build_signal
 from .errors import ConfigError, ParseError, RedSpectraError
 from .io_utils import (canonical_json, read_signal_csv, sidecar_path,
                        write_kernel, write_plot_csv, write_signal_csv)
-from .signals import Domain
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR = 0, 1, 2
 
@@ -86,47 +85,25 @@ def _slug(s: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    from .spectra import (FrequencyGrid, ReducedScanner, beurling_spectrum,
-                          carleman_spectrum, laplace_spectrum,
-                          reduced_spectrum, weak_laplace_spectrum)
+    from .spectra import SignalAnalysis
     cfg = _load_config(args)
     try:
         sig = read_signal_csv(args.signal)
     except (ParseError, OSError, RedSpectraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    grid = FrequencyGrid.from_config(cfg)
     kind = args.kind
+    if kind == "reduced" and not args.cls:
+        print("error: --class is required for --kind reduced", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    an = SignalAnalysis(sig, cfg)
     try:
         if kind == "reduced":
-            if not args.cls:
-                print("error: --class is required for --kind reduced",
-                      file=sys.stderr)
-                return EXIT_INPUT_ERROR
-            cls = _CLASSES[args.cls]
-            candidates = None
-            # one scanner: the class pass reuses the C0 pass's ladder
-            sc = ReducedScanner(sig, grid.values(), cfg)
-            if cls in (FunctionClass.AP, FunctionClass.AAP):
-                candidates = reduced_spectrum(
-                    sig, FunctionClass.C0, grid, cfg,
-                    scanner=sc).singular_clusters()
-            est = reduced_spectrum(sig, cls, grid, cfg, candidates=candidates,
-                                   scanner=sc)
-        elif kind == "beurling":
-            est = beurling_spectrum(sig, grid, cfg)
-        elif kind == "carleman":
-            F = sig
-            if sig.domain is Domain.HALF_LINE:
-                from .signals import extend_by_zero
-                F = extend_by_zero(sig)
-            est = carleman_spectrum(F, grid, cfg)
-        elif kind == "laplace":
-            est = laplace_spectrum(sig, grid, cfg)
-        elif kind == "weak-laplace":
-            est = weak_laplace_spectrum(sig, grid, cfg)
-        else:  # pragma: no cover - argparse restricts choices
-            return EXIT_INPUT_ERROR
+            est = an.reduced(_CLASSES[args.cls])
+        else:
+            est = {"beurling": an.beurling, "carleman": an.carleman,
+                   "laplace": an.laplace,
+                   "weak-laplace": an.weak_laplace}[kind]()
     except RedSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -39,12 +39,6 @@ class CorpusSignal:
     ft_closed_form: object = None  # F^ callable when known integrable
     meta: dict = field(default_factory=dict)
 
-    def record(self, domain: Domain) -> SampledSignal:
-        sig = self.half if domain is Domain.HALF_LINE else self.full
-        if sig is None:
-            raise ValueError(f"{self.name} has no {domain.value} record")
-        return sig
-
 
 def _half(vals, dt, k=0):
     return SampledSignal(Domain.HALF_LINE, 0.0, dt, vals, k)

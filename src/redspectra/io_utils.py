@@ -23,25 +23,35 @@ from .errors import ParseError
 from .signals import Domain, SampledSignal
 
 _UNIFORM_RTOL = 1e-9
+_CSV_BLOCK = 1024          # rows formatted per write
+
+
+def _write_csv(path, t, values):
+    """Header ``t,re0,im0[,...]`` and one row per time of an (n, d)
+    complex array, every number at 12 significant digits: each block of
+    rows comes from one ``%``-format string."""
+    values = np.asarray(values).reshape(len(t), -1)
+    n, d = values.shape
+    row = ",".join(["%.12g"] * (1 + 2 * d)) + "\n"
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(f"re{c},im{c}" for c in range(d)) + "\n")
+        for i in range(0, n, _CSV_BLOCK):
+            v = values[i:i + _CSV_BLOCK]
+            cols = np.empty((len(v), 1 + 2 * d))
+            cols[:, 0] = t[i:i + _CSV_BLOCK]
+            cols[:, 1::2] = v.real
+            cols[:, 2::2] = v.imag
+            fh.write((row * len(v)) % tuple(cols.ravel().tolist()))
 
 
 def write_signal_csv(path, sig: SampledSignal):
-    d = sig.dim
-    header = "t," + ",".join(f"re{c},im{c}" for c in range(d))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        t = sig.times
-        for i in range(sig.n):
-            row = [f"{t[i]:.12g}"]
-            for c in range(d):
-                v = sig.values[i, c]
-                row.append(f"{v.real:.12g}")
-                row.append(f"{v.imag:.12g}")
-            fh.write(",".join(row) + "\n")
+    _write_csv(path, sig.times, sig.values)
 
 
-def read_signal_csv(path, domain: Domain | None = None,
-                    growth_exponent: int | None = None) -> SampledSignal:
+def read_signal_csv(path) -> SampledSignal:
+    """The record in a signal CSV.  Domain and growth exponent come from
+    the JSON sidecar; without one, a record starting at t = 0 is taken
+    as half-line, and the growth exponent is 0."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -70,14 +80,12 @@ def read_signal_csv(path, domain: Domain | None = None,
     vals = arr[:, 1::2] + 1j * arr[:, 2::2]
 
     meta = _read_sidecar(sidecar_path(path))
+    domain = meta.get("domain")
     if domain is None:
-        domain = meta.get("domain")
-        if domain is None:
-            domain = Domain.HALF_LINE if abs(t[0]) <= _UNIFORM_RTOL * dt \
-                else Domain.FULL_LINE
-    if growth_exponent is None:
-        growth_exponent = meta.get("growth_exponent", 0)
-    return SampledSignal(domain, float(t[0]), float(dt), vals, growth_exponent)
+        domain = Domain.HALF_LINE if abs(t[0]) <= _UNIFORM_RTOL * dt \
+            else Domain.FULL_LINE
+    return SampledSignal(domain, float(t[0]), float(dt), vals,
+                         meta.get("growth_exponent", 0))
 
 
 def _parse_rows(lines, n_cols: int) -> np.ndarray:
@@ -151,11 +159,7 @@ def write_kernel(path, kernel, dt: float = 0.01):
     """Kernel time samples in the signal CSV format plus a JSON sidecar
     with {family, ft_support, cut_mass}."""
     s0, vals = kernel.time_samples(dt)
-    t = s0 + dt * np.arange(len(vals))
-    with open(path, "w") as fh:
-        fh.write("t,re0,im0\n")
-        for ti, vi in zip(t, vals):
-            fh.write(f"{ti:.12g},{vi.real:.12g},{vi.imag:.12g}\n")
+    _write_csv(path, s0 + dt * np.arange(len(vals)), vals)
     lo, hi = kernel.ft_support
     side = {"kernel": kernel.kernel_id, "family": kernel.family,
             "ft_support": [None if not math.isfinite(lo) else lo,

@@ -37,6 +37,7 @@ from scipy.special import erf
 
 from .config import Config, DEFAULT
 from .errors import DivisionError_, DomainError, GridError
+from .signals import trapezoid_weights
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -129,8 +130,7 @@ class TestKernel:
         w = self.freq_grid
         dw = w[1] - w[0]
         ftd = 1j * w * self.ft(w)
-        wts = np.full(len(w), dw)
-        wts[0] = wts[-1] = dw / 2
+        wts = trapezoid_weights(len(w), dw)
 
         def time_fn(t, w=w, ftd=ftd, wts=wts):
             t = np.atleast_1d(np.asarray(t, float))
@@ -327,8 +327,7 @@ def _env_abs_mass(env, L):
 # compactly supported (time-domain) bumps and the annihilator family
 # ---------------------------------------------------------------------------
 
-def d_bump(center: float = 0.0, halfwidth: float = 1.0,
-           cfg: Config = DEFAULT) -> TestKernel:
+def d_bump(center: float = 0.0, halfwidth: float = 1.0) -> TestKernel:
     """Compactly supported smooth bump on [center-hw, center+hw], unit mass.
 
     This is the D-family workhorse: exact compact support in time, so
@@ -354,7 +353,7 @@ def d_bump(center: float = 0.0, halfwidth: float = 1.0,
                       0.0, np.linspace(-8.0, 8.0, 801))
 
 
-def annihilator_kernel(a: float, cfg: Config = DEFAULT) -> TestKernel:
+def annihilator_kernel(a: float) -> TestKernel:
     """The two-sided kernel that annihilates exp(t) under convolution:
 
         f(t) = phi(t) on [0, a],   f(t) = -exp(2t) phi(-t) on [-a, 0),
@@ -506,8 +505,7 @@ def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
     chi = _plateau(grid - mid, b, sigma)
     ghat = np.where(chi > 1e-15, chi / fhat, 0.0)
 
-    wts = np.full(len(grid), dw)
-    wts[0] = wts[-1] = dw / 2
+    wts = trapezoid_weights(len(grid), dw)
     gw = ghat * wts
 
     def time_fn(t):
@@ -555,8 +553,7 @@ def fourier_consistency_error(kernel, dt: float = 0.01,
     stored transform: max |FT_quad(samples) - k^| over a probe grid."""
     s0, vals = kernel.time_samples(dt)
     s = s0 + dt * np.arange(len(vals))
-    w = np.full(len(vals), dt)
-    w[0] = w[-1] = dt / 2
+    w = trapezoid_weights(len(vals), dt)
     lo, hi = kernel.ft_support
     if not np.isfinite(lo):
         lo, hi = -4.0, 4.0

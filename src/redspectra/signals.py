@@ -325,6 +325,13 @@ def difference(F: SampledSignal, s: float) -> SampledSignal:
                          F.growth_exponent, trusted=True)
 
 
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Composite-trapezoid weights of n samples at spacing h."""
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2
+    return w
+
+
 def _cumulative(F: SampledSignal) -> np.ndarray:
     steps = 0.5 * F.dt * (F.values[1:] + F.values[:-1])
     return np.vstack([np.zeros((1, F.dim), complex), np.cumsum(steps, axis=0)])
@@ -427,8 +434,7 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
         raise GridError("kernel sampling too coarse for its support")
     i_s0 = H.lattice_steps(s0, "kernel start")
     s = s0 + qstep * np.arange(m)
-    w = np.full(m, qstep)
-    w[0] = w[-1] = qstep / 2
+    w = trapezoid_weights(m, qstep)
 
     row = col if out_step is None else H.lattice_steps(out_step, "output step")
 

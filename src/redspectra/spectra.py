@@ -169,12 +169,11 @@ class ReducedScanner:
     """
 
     def __init__(self, F: SampledSignal, omegas, cfg: Config = DEFAULT,
-                 extra_kernels=(), budget: float | None = None):
+                 extra_kernels=()):
         self.F = F
         self.cfg = cfg
         self.omegas = np.asarray(omegas, float)
         self.extra = tuple(extra_kernels)
-        self.budget = cfg.trunc_budget if budget is None else budget
         self.scale_ref = F.sup_norm()
         self.ext = extend_by_zero(F)
         self._band_cache: dict = {}
@@ -194,7 +193,7 @@ class ReducedScanner:
         plan = plan_convolution(
             H, bandpass_kernel(0.0, delta, cfg),
             max(1, round(cfg.conv_out_step / H.dt)) * H.dt, (lo, np.inf),
-            self.budget, _quad_step_for(delta, cfg, H.dt))
+            cfg.trunc_budget, _quad_step_for(delta, cfg, H.dt))
         if len(plan.views[0]) < max(3, int(cfg.min_window / cfg.conv_out_step)):
             raise TruncationError(f"band {delta}: usable window too short")
         self._band_cache[key] = plan
@@ -241,8 +240,7 @@ class ReducedScanner:
             raise ValueError("omega must lie on the scanner grid")
         return j
 
-    def scan(self, cls: FunctionClass, idx, delta_seq=None,
-             candidates=None) -> list:
+    def scan(self, cls: FunctionClass, idx, candidates=None) -> list:
         """Classify the grid frequencies ``omegas[j]``, j in ``idx``, for
         one class; one certificate per index, in order.
 
@@ -264,7 +262,6 @@ class ReducedScanner:
                                           "trivial", 1.0,
                                           {"reason": "zero signal"})
                     for j in idx]
-        delta_seq = cfg.delta_seq if delta_seq is None else delta_seq
         pts = {j: _PointScan(self.omegas[j]) for j in idx}
 
         for p in pts.values():
@@ -273,7 +270,7 @@ class ReducedScanner:
             except RedSpectraError as exc:
                 p.fail(exc)
 
-        for delta in delta_seq:
+        for delta in cfg.delta_seq:
             open_ = [j for j, p in pts.items() if p.cert is None]
             if not open_:
                 break
@@ -294,7 +291,7 @@ class ReducedScanner:
                 except RedSpectraError as exc:
                     pts[j].fail(exc)
 
-        return [pts[j].certificate(len(delta_seq)) for j in idx]
+        return [pts[j].certificate(len(cfg.delta_seq)) for j in idx]
 
     def _registered(self, p, cls, candidates):
         for kern in self.extra:
@@ -304,7 +301,7 @@ class ReducedScanner:
             scaled = kern.scaled(1.0 / fw, tag="unit")
             try:
                 conv = convolve(self.ext, scaled, out_step=None,
-                                budget=self.budget)
+                                budget=self.cfg.trunc_budget)
                 restricted = conv.restrict_to_origin()
             except (TruncationError, HorizonError) as exc:
                 p.reasons.append(f"{kern.kernel_id}: {exc}")
@@ -341,12 +338,11 @@ class ReducedScanner:
         else:
             p.refuse(f"delta={delta}: detector undecided")
 
-    def test_regular(self, omega: float, cls: FunctionClass, delta_seq=None,
+    def test_regular(self, omega: float, cls: FunctionClass,
                      candidates=None) -> RegularityCertificate:
         """Classify one grid frequency for one class: ``scan`` of its
         index."""
-        return self.scan(cls, [self.index_of(omega)], delta_seq,
-                         candidates)[0]
+        return self.scan(cls, [self.index_of(omega)], candidates)[0]
 
 
 class _PointScan:
@@ -397,11 +393,11 @@ def _witness_metric(rep: ClassReport) -> float:
 
 
 def test_regular(F: SampledSignal, omega: float, cls: FunctionClass,
-                 delta_seq=None, cfg: Config = DEFAULT,
-                 extra_kernels=(), candidates=None) -> RegularityCertificate:
+                 cfg: Config = DEFAULT, extra_kernels=(),
+                 candidates=None) -> RegularityCertificate:
     """One-point regularity test (builds a throwaway scanner)."""
     sc = ReducedScanner(F, np.array([omega]), cfg, extra_kernels)
-    return sc.test_regular(omega, cls, delta_seq, candidates)
+    return sc.test_regular(omega, cls, candidates)
 
 
 def reduced_spectrum(F: SampledSignal, cls: FunctionClass,
@@ -414,17 +410,10 @@ def reduced_spectrum(F: SampledSignal, cls: FunctionClass,
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
     omegas = grid.values()
     sc = scanner or ReducedScanner(F, omegas, cfg, extra_kernels)
-    certs = sc.scan(cls, [sc.index_of(w) for w in omegas], None, candidates)
+    certs = sc.scan(cls, [sc.index_of(w) for w in omegas], candidates)
     # the ladder's band-pass kernels are all of the S family
     return SpectrumEstimate(f"reduced({cls.value},S)", grid, tuple(certs),
                             {"class": cls.value, "family": "S"})
-
-
-def beurling_spectrum(F: SampledSignal, grid=None, cfg: Config = DEFAULT,
-                      extra_kernels=()) -> SpectrumEstimate:
-    """Classical Beurling spectrum: reduced spectrum against the zero class."""
-    est = reduced_spectrum(F, FunctionClass.ZERO, grid, cfg, extra_kernels)
-    return SpectrumEstimate("beurling", est.grid, est.certificates, est.meta)
 
 
 def extension_comparison(H: SampledSignal, cls: FunctionClass,
@@ -461,15 +450,14 @@ def _growing(seq: np.ndarray, ratio: float) -> bool:
 
 
 def carleman_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
-                      cfg: Config = DEFAULT,
-                      hp: HalfPlaneGrid | None = None) -> SpectrumEstimate:
+                      cfg: Config = DEFAULT) -> SpectrumEstimate:
     """Boundary-jump / blowup classification of the Carleman transform."""
     if F.domain is not Domain.FULL_LINE:
         raise RedSpectraError("Carleman spectrum needs a full-line record")
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
     if F.sup_norm() <= cfg.tol_zero_abs:
         return _trivial_estimate("carleman", grid)
-    hp = half_plane_scan(F, grid.values(), cfg) if hp is None else hp
+    hp = half_plane_scan(F, grid.values(), cfg)
     scale = max(hp.scale, 1e-300)
     tol_match = cfg.tol_match_coeff * scale
     allowance = 2.0 * hp.tail_bounds[-1]
@@ -527,25 +515,24 @@ def _cauchy_circle_errors(sc: TransformScanner, a: float, cfg: Config):
 def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
                      cfg: Config = DEFAULT,
                      hp: HalfPlaneGrid | None = None,
-                     scanner: TransformScanner | None = None,
                      singular_only: bool = False) -> SpectrumEstimate:
     """Blowup / Cauchy / analytic-continuation classification of the
-    Laplace transform boundary behaviour for a half-line signal."""
+    Laplace transform boundary behaviour for a half-line signal.  The
+    Cauchy-circle test reuses the scanner that filled ``hp``."""
     if F.domain is not Domain.HALF_LINE:
         raise RedSpectraError("Laplace spectrum needs a half-line signal")
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
     if F.sup_norm() <= cfg.tol_zero_abs:
         return _trivial_estimate("laplace", grid)
     omegas = grid.values()
-    sc = scanner or TransformScanner(F, omegas, cfg)
-    hp = half_plane_scan(F, omegas, cfg, scanner=sc) if hp is None else hp
+    hp = half_plane_scan(F, omegas, cfg) if hp is None else hp
     scale = max(hp.scale, 1e-300)
     mag = np.linalg.norm(hp.right, axis=2)
     diffs = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)
     tol_analytic = cfg.tol_analytic_coeff * scale
 
     if not singular_only:
-        circle_err = [np.asarray(_cauchy_circle_errors(sc, a, cfg))
+        circle_err = [np.asarray(_cauchy_circle_errors(hp.scanner, a, cfg))
                       for a in hp.a_seq[-2:]]
     certs = []
     for j, w in enumerate(omegas):
@@ -583,8 +570,7 @@ def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
 
 def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
                           cfg: Config = DEFAULT,
-                          hp: HalfPlaneGrid | None = None,
-                          eps_seq=None) -> SpectrumEstimate:
+                          hp: HalfPlaneGrid | None = None) -> SpectrumEstimate:
     """Windowed-L^1 Cauchy test for an integrable boundary density.
 
     Regular when a -> L F(a + i .) restricted to (w - eps, w + eps) is
@@ -600,7 +586,7 @@ def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
         return _trivial_estimate("weak-laplace", grid)
     omegas = grid.values()
     hp = half_plane_scan(F, omegas, cfg) if hp is None else hp
-    eps_seq = cfg.wl_eps_seq if eps_seq is None else eps_seq
+    eps_seq = cfg.wl_eps_seq
     mag = np.linalg.norm(hp.right, axis=2)                    # (n_a, n_w)
     dmag = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)  # (n_a-1, n_w)
     dw = grid.step
@@ -673,3 +659,86 @@ def _buffer_singular(certs: list, omegas: np.ndarray, cfg: Config) -> tuple:
         else:
             out.append(c)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the spectra of one record
+# ---------------------------------------------------------------------------
+
+class SignalAnalysis:
+    """The spectra of one record on the configured grid, each computed
+    once and sharing the work they have in common.
+
+    * The reduced passes share one ``ReducedScanner``; AP and AAP take the
+      singular clusters of the C0 pass as candidate frequencies.
+    * Laplace and weak Laplace read one half-plane scan of a nonzero
+      half-line record; any other record goes to the engines as it is,
+      which refuse it or return the trivial estimate.
+    * Carleman reads the full-line record ``full`` when there is one,
+      otherwise the zero extension of a half-line ``F``.
+    """
+
+    def __init__(self, F: SampledSignal, cfg: Config = DEFAULT,
+                 extra_kernels=(), full: SampledSignal | None = None):
+        self.F = F
+        self.cfg = cfg
+        self.extra = tuple(extra_kernels)
+        self.full = full
+        self.grid = FrequencyGrid.from_config(cfg)
+        self._cache: dict = {}
+
+    def _get(self, key, fn):
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
+
+    def reduced(self, cls: FunctionClass) -> SpectrumEstimate:
+        candidates = None
+        if cls in (FunctionClass.AP, FunctionClass.AAP):
+            candidates = self.reduced(FunctionClass.C0).singular_clusters()
+        scanner = self._get("scanner", lambda: ReducedScanner(
+            self.F, self.grid.values(), self.cfg, self.extra))
+        return self._get(cls, lambda: reduced_spectrum(
+            self.F, cls, self.grid, self.cfg, candidates=candidates,
+            scanner=scanner))
+
+    def beurling(self) -> SpectrumEstimate:
+        """Classical Beurling spectrum: the reduced spectrum against the
+        zero class."""
+        est = self.reduced(FunctionClass.ZERO)
+        return SpectrumEstimate("beurling", est.grid, est.certificates, est.meta)
+
+    def _half_plane(self) -> HalfPlaneGrid | None:
+        def run():
+            F = self.F
+            if F.domain is not Domain.HALF_LINE or \
+                    F.sup_norm() <= self.cfg.tol_zero_abs:
+                return None
+            return half_plane_scan(F, self.grid.values(), self.cfg)
+        return self._get("half-plane", run)
+
+    def laplace(self) -> SpectrumEstimate:
+        return self._transform("laplace", laplace_spectrum)
+
+    def weak_laplace(self) -> SpectrumEstimate:
+        return self._transform("weak-laplace", weak_laplace_spectrum)
+
+    def _transform(self, key, engine) -> SpectrumEstimate:
+        """The estimate of ``engine`` from the shared half-plane scan.  The
+        scan holds its evaluator's tables, so it is dropped once both
+        estimates exist: a verify run keeps its analyses to the end."""
+        if key not in self._cache:
+            self._cache[key] = engine(self.F, self.grid, self.cfg,
+                                      hp=self._half_plane())
+            if "laplace" in self._cache and "weak-laplace" in self._cache:
+                del self._cache["half-plane"]
+        return self._cache[key]
+
+    def carleman(self) -> SpectrumEstimate:
+        def run():
+            H = self.full
+            if H is None:
+                H = extend_by_zero(self.F) \
+                    if self.F.domain is Domain.HALF_LINE else self.F
+            return carleman_spectrum(H, self.grid, self.cfg)
+        return self._get("carleman", run)

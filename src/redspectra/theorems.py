@@ -27,12 +27,11 @@ from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
 from .errors import ConfigError, RedSpectraError
 from .kernels import bump_kernel, d_bump
 from .signals import (Domain, SampledSignal, convolve, extend_by_zero,
-                      indefinite_integral, modulate, mollify, translate)
-from .spectra import (FrequencyGrid, RegStatus, ReducedScanner, SpectrumEstimate,
-                      carleman_spectrum, laplace_spectrum, reduced_spectrum,
-                      weak_laplace_spectrum)
-from .transforms import (TransformScanner, half_plane_scan,
-                         mollify_identity_residual, shift_identity_residual,
+                      indefinite_integral, modulate, mollify, translate,
+                      trapezoid_weights)
+from .spectra import (FrequencyGrid, RegStatus, SignalAnalysis,
+                      laplace_spectrum, reduced_spectrum)
+from .transforms import (mollify_identity_residual, shift_identity_residual,
                          trapezoid_transform)
 
 
@@ -54,72 +53,10 @@ class CheckResult:
                 "status": self.status.value, "details": _plain(self.details)}
 
 
-# ---------------------------------------------------------------------------
-# cached per-signal engine runs
-# ---------------------------------------------------------------------------
-
-class SignalAnalysis:
-    """Lazy cache of the five spectrum estimates for one corpus entry."""
-
-    def __init__(self, entry: CorpusSignal, cfg: Config = DEFAULT):
-        self.entry = entry
-        self.cfg = cfg
-        self.grid = FrequencyGrid.from_config(cfg)
-        self._cache: dict = {}
-        self._scanner = None
-
-    def scanner(self) -> ReducedScanner:
-        if self._scanner is None:
-            self._scanner = ReducedScanner(self.entry.half, self.grid.values(),
-                                           self.cfg,
-                                           extra_kernels=self.entry.extra_kernels)
-        return self._scanner
-
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    def c0_reduced(self) -> SpectrumEstimate:
-        return self._get("c0", lambda: reduced_spectrum(
-            self.entry.half, FunctionClass.C0, self.grid, self.cfg,
-            extra_kernels=self.entry.extra_kernels, scanner=self.scanner()))
-
-    def aap_reduced(self) -> SpectrumEstimate:
-        cands = self.c0_reduced().singular_clusters()
-        return self._get("aap", lambda: reduced_spectrum(
-            self.entry.half, FunctionClass.AAP, self.grid, self.cfg,
-            extra_kernels=self.entry.extra_kernels, candidates=cands,
-            scanner=self.scanner()))
-
-    def _transforms(self) -> tuple:
-        """(half-plane grid, Laplace estimate) of the half-line record,
-        both from one TransformScanner.  Only the grid is kept for the
-        weak-Laplace test."""
-        def run():
-            F, omegas = self.entry.half, self.grid.values()
-            if F.sup_norm() <= self.cfg.tol_zero_abs:     # trivial estimates
-                return None, laplace_spectrum(F, self.grid, self.cfg)
-            sc = TransformScanner(F, omegas, self.cfg)
-            hp = half_plane_scan(F, omegas, self.cfg, scanner=sc)
-            return hp, laplace_spectrum(F, self.grid, self.cfg, hp=hp,
-                                        scanner=sc)
-        return self._get("transforms", run)
-
-    def laplace(self) -> SpectrumEstimate:
-        return self._transforms()[1]
-
-    def weak_laplace(self) -> SpectrumEstimate:
-        return self._get("wl", lambda: weak_laplace_spectrum(
-            self.entry.half, self.grid, self.cfg, hp=self._transforms()[0]))
-
-    def carleman(self) -> SpectrumEstimate:
-        def run():
-            F = self.entry.full
-            if F is None:
-                F = extend_by_zero(self.entry.half)
-            return carleman_spectrum(F, self.grid, self.cfg)
-        return self._get("carleman", run)
+def analysis_of(entry: CorpusSignal, cfg: Config = DEFAULT) -> SignalAnalysis:
+    """The spectra of a corpus entry's half-line record, Carleman on its
+    full-line record when it has one."""
+    return SignalAnalysis(entry.half, cfg, entry.extra_kernels, entry.full)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +87,10 @@ def check_inclusion_chain(entry: CorpusSignal, cfg: Config = DEFAULT,
     if entry.half is None:
         return CheckResult("inclusion-chain", entry.name, CheckStatus.VACUOUS,
                            {"reason": "no half-line record"})
-    an = analysis or SignalAnalysis(entry, cfg)
+    an = analysis or analysis_of(entry, cfg)
     try:
-        chain = [an.aap_reduced(), an.c0_reduced(), an.weak_laplace(),
-                 an.laplace(), an.carleman()]
+        chain = [an.reduced(FunctionClass.AAP), an.reduced(FunctionClass.C0),
+                 an.weak_laplace(), an.laplace(), an.carleman()]
     except RedSpectraError as exc:
         return CheckResult("inclusion-chain", entry.name, CheckStatus.VACUOUS,
                            {"reason": str(exc)})
@@ -169,13 +106,14 @@ def check_inclusion_chain(entry: CorpusSignal, cfg: Config = DEFAULT,
 # spectral algebra
 # ---------------------------------------------------------------------------
 
-def _small_grid(cfg: Config) -> FrequencyGrid:
-    return FrequencyGrid(-2.5, 2.5, 0.25)
+_SMALL_GRID = FrequencyGrid(-2.5, 2.5, 0.25)
+
+#: mollifier widths h of M_h F in the mollifier checks
+_H_SEQ = (0.5, 1.0, 2.0)
 
 
-def _statuses(F, cfg, grid, extra=()):
-    est = reduced_spectrum(F, FunctionClass.C0, grid, cfg, extra_kernels=extra)
-    return est.statuses()
+def _statuses(F, cfg, grid):
+    return reduced_spectrum(F, FunctionClass.C0, grid, cfg).statuses()
 
 
 def check_modulation_shift(entry: CorpusSignal, lam: float,
@@ -183,7 +121,7 @@ def check_modulation_shift(entry: CorpusSignal, lam: float,
     """status(omega, gamma_lam F) must equal status(omega - lam, F) for
     grid-aligned lam: the test kernel modulates along."""
     F = entry.half if entry.half is not None else entry.full
-    grid = _small_grid(cfg)
+    grid = _SMALL_GRID
     k = round(lam / grid.step)
     if abs(lam - k * grid.step) > 1e-12:
         raise ValueError("lam must be grid-aligned")
@@ -205,7 +143,7 @@ def check_modulation_shift(entry: CorpusSignal, lam: float,
 def check_translation_invariance(entry: CorpusSignal, s: float,
                                  cfg: Config = DEFAULT) -> CheckResult:
     F = entry.half if entry.half is not None else entry.full
-    grid = _small_grid(cfg)
+    grid = _SMALL_GRID
     a = _statuses(F, cfg, grid)
     b = _statuses(translate(F, s), cfg, grid)
     mism = [{"omega": float(w), "base": x.value, "translated": y.value}
@@ -220,7 +158,7 @@ def check_convolution_shrinking(entry: CorpusSignal, h: float,
     """Singular set of M_h F must sit inside the singular-or-undecided set
     of F (box transform has no zeros on the analysis band for these h)."""
     F = entry.half if entry.half is not None else entry.full
-    grid = _small_grid(cfg)
+    grid = _SMALL_GRID
     base = reduced_spectrum(F, FunctionClass.C0, grid, cfg)
     conv = reduced_spectrum(mollify(F, h), FunctionClass.C0, grid, cfg)
     bad = []
@@ -234,23 +172,23 @@ def check_convolution_shrinking(entry: CorpusSignal, h: float,
                             "conv_singular": conv.singular_set().tolist()})
 
 
-def check_mollifier_union(entry: CorpusSignal, cfg: Config = DEFAULT,
-                          h_seq=(0.5, 1.0, 2.0)) -> CheckResult:
+def check_mollifier_union(entry: CorpusSignal,
+                          cfg: Config = DEFAULT) -> CheckResult:
     """Each singular point of F must stay singular-or-undecided for some
     M_h F, and each singular point of an M_h F must be singular-or-
     undecided for F."""
     F = entry.half if entry.half is not None else entry.full
-    grid = _small_grid(cfg)
+    grid = _SMALL_GRID
     base = reduced_spectrum(F, FunctionClass.C0, grid, cfg)
     mols = {h: reduced_spectrum(mollify(F, h), FunctionClass.C0, grid, cfg)
-            for h in h_seq}
+            for h in _H_SEQ}
     bad = []
     for idx, (w, cb) in enumerate(zip(grid.values(), base.certificates)):
         if cb.status is RegStatus.SINGULAR:
             if all(mols[h].certificates[idx].status is RegStatus.REGULAR
-                   for h in h_seq):
+                   for h in _H_SEQ):
                 bad.append({"omega": float(w), "direction": "F->M_h"})
-        for h in h_seq:
+        for h in _H_SEQ:
             cm = mols[h].certificates[idx]
             if cm.status is RegStatus.SINGULAR and cb.status is RegStatus.REGULAR:
                 bad.append({"omega": float(w), "direction": f"M_{h}->F"})
@@ -280,8 +218,8 @@ def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
                 "ergodic-theorem", entry.name, CheckStatus.VACUOUS,
                 {"reason": "neither boundedness nor slow oscillation "
                            "established", "bounded": bd.to_dict()})
-    an = analysis or SignalAnalysis(entry, cfg)
-    est = an.c0_reduced()
+    an = analysis or analysis_of(entry, cfg)
+    est = an.reduced(FunctionClass.C0)
     regular = [w for w, c in zip(est.grid.values(), est.certificates)
                if c.status is RegStatus.REGULAR]
     step = max(1, len(regular) // max_points)
@@ -348,8 +286,8 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
              "coefficient_error": abs(c_obs - c_ref),
              "ratio_spread": float(np.abs(ratio - c_obs).max())})
 
-    an = analysis or SignalAnalysis(entry, cfg)
-    est = an.c0_reduced()
+    an = analysis or analysis_of(entry, cfg)
+    est = an.reduced(FunctionClass.C0)
     clusters = est.singular_clusters()
     details = {"singular_clusters": [list(c) for c in clusters]}
 
@@ -358,14 +296,14 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
         # sample it at a few h (the horizon limits what "all h" can mean)
         details["mollified_bounded_probe"] = {
             f"h={h:g}": is_bounded(mollify(F, h), cfg).member.value
-            for h in (0.5, 1.0, 2.0)}
+            for h in _H_SEQ}
         uc_rep = is_uc(restricted, cfg, scale_ref, conv.trunc_bound)
         if uc_rep.member is not Tri.YES:
             details["reason"] = "smoothed signal not verifiably uniformly continuous"
             details["uc"] = uc_rep.to_dict()
             return CheckResult("tauberian", entry.name, CheckStatus.VACUOUS,
                                details)
-        rep = is_c0(_as_plain(conv), cfg, scale_ref, conv.trunc_bound)
+        rep = is_c0(conv, cfg, scale_ref, conv.trunc_bound)
         details["full_line_c0"] = rep.to_dict()
         st = CheckStatus.PASS if rep.member is Tri.YES else CheckStatus.FAIL
         return CheckResult("tauberian", entry.name, st, details)
@@ -390,11 +328,6 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
     return CheckResult("tauberian", entry.name, st, details)
 
 
-def _as_plain(conv) -> SampledSignal:
-    return SampledSignal(Domain.FULL_LINE, conv.t0, conv.dt, conv.values,
-                         conv.growth_exponent, trusted=True)
-
-
 def check_regular_ft(entry: CorpusSignal, cfg: Config = DEFAULT) -> CheckResult:
     """Signals with an integrable closed-form transform: the smoothed
     signal must vanish on the whole line, and must match the inverse-
@@ -406,13 +339,12 @@ def check_regular_ft(entry: CorpusSignal, cfg: Config = DEFAULT) -> CheckResult:
     psi = bump_kernel(cfg)
     conv = convolve(extend_by_zero(F), psi, out_step=cfg.conv_out_step,
                     budget=cfg.trunc_budget_strict)
-    rep = is_c0(_as_plain(conv), cfg, F.sup_norm(), conv.trunc_bound)
+    rep = is_c0(conv, cfg, F.sup_norm(), conv.trunc_bound)
     # cross-validate against (1/2pi) int F^(eta) psi^(eta) exp(i t eta) deta
     eta = np.linspace(-2.2, 2.2, 2201)
     fhat = np.asarray(entry.ft_closed_form(eta), complex)
     phat = np.asarray(psi.ft(eta), complex)
-    wts = np.full(len(eta), eta[1] - eta[0])
-    wts[0] = wts[-1] = 0.5 * (eta[1] - eta[0])
+    wts = trapezoid_weights(len(eta), eta[1] - eta[0])
     probes = conv.times[:: max(1, conv.n // 40)]
     ref = (np.exp(1j * np.outer(probes, eta)) @ (fhat * phat * wts)) / (2 * np.pi)
     direct = np.array([conv.values[conv.index_of(tp), 0] for tp in probes])
@@ -588,7 +520,6 @@ def jordan_vacuous_problem() -> EvolutionProblem:
 
 
 def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
-                             blur: float = 0.35,
                              class_A: FunctionClass | None = None) -> CheckResult:
     """Singular points of the solution's Laplace spectrum must lie near the
     neutral eigenvalues of A or the singular points of the forcing.
@@ -615,7 +546,8 @@ def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
                         u.growth_exponent, trusted=True)
     grid = FrequencyGrid.from_config(cfg)
     su = laplace_spectrum(u_c, grid, cfg, singular_only=True).singular_set()
-    allowed = [l.imag for l in np.linalg.eigvals(p.A) if abs(l.real) < 1e-9]
+    neutral = [l.imag for l in np.linalg.eigvals(p.A) if abs(l.real) < 1e-9]
+    allowed = list(neutral)
     if p.phi_modes or p.phi is not None:
         phi = SampledSignal(Domain.HALF_LINE, 0.0, u_c.dt,
                             _phi_values(p, u_c.times), 0, trusted=True) \
@@ -624,13 +556,15 @@ def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
             sphi = laplace_spectrum(phi, grid, cfg,
                                     singular_only=True).singular_set()
             allowed.extend(float(w) for w in sphi)
+    # the half-plane transition blur: how far a singular flag may sit
+    # from an allowed frequency
+    blur = 0.35
     bad = [float(w) for w in su
            if not allowed or min(abs(w - a) for a in allowed) > blur]
     details.update({"u_singular": [float(w) for w in su],
                     "allowed": [float(a) for a in allowed],
                     "violations": bad, "blur": blur})
     if class_A is not None:
-        neutral = [l.imag for l in np.linalg.eigvals(p.A) if abs(l.real) < 1e-9]
         phi_quiet = not p.phi_modes and p.phi is None
         if not phi_quiet:
             details["class_inclusion"] = "skipped: forcing spectrum not empty"
@@ -672,7 +606,7 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
 
     def an(name):
         if name not in analyses:
-            analyses[name] = SignalAnalysis(corpus[name], cfg)
+            analyses[name] = analysis_of(corpus[name], cfg)
         return analyses[name]
 
     jobs = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .errors import DomainError, TailError
-from .signals import Domain, SampledSignal
+from .signals import Domain, SampledSignal, trapezoid_weights
 
 #: |Re lambda| * T above which the truncation tail is negligible outright
 _SAFE_EXPONENT = 30.0
@@ -37,17 +37,11 @@ def tail_bound(F: SampledSignal, a: float) -> float:
     return float(c * (1.0 + T * T) ** k * np.exp(-a * T) / a * (1.0 + k))
 
 
-def _trap_weights(n: int, dt: float) -> np.ndarray:
-    w = np.full(n, dt)
-    w[0] = w[-1] = dt / 2
-    return w
-
-
 def trapezoid_transform(lam, u: np.ndarray, values: np.ndarray,
                         dt: float) -> np.ndarray:
     """Composite trapezoid of exp(-lam u) values over the lattice u of
     spacing dt: the one finite-record transform sum."""
-    return (np.exp(-lam * u) * _trap_weights(len(u), dt)) @ values
+    return (np.exp(-lam * u) * trapezoid_weights(len(u), dt)) @ values
 
 
 def _check_tail(F: SampledSignal, a: float, cfg: Config):
@@ -103,6 +97,8 @@ class HalfPlaneGrid:
     ``right``/``left`` have shape (n_a, n_omega, d); ``left`` is None for
     half-line signals.  ``tail_bounds`` records the truncation bound per
     abscissa; abscissae whose bound exceeded the cap are simply absent.
+    ``scanner`` is the evaluator that filled the grid, kept for further
+    values of the same record (the Laplace engine's circle test).
     """
 
     a_seq: tuple
@@ -111,6 +107,7 @@ class HalfPlaneGrid:
     left: np.ndarray | None
     tail_bounds: tuple
     scale: float               # median |values|, the tolerance reference
+    scanner: TransformScanner
 
 
 def lattice_exp_tables(z, n: int, dt: float) -> tuple:
@@ -167,7 +164,7 @@ class TransformScanner:
         outer table."""
         vals = self._neg_vals if left else self._pos_vals
         n, d = vals.shape
-        y = (damping[:n] * _trap_weights(n, self.F.dt))[:, None] * vals
+        y = (damping[:n] * trapezoid_weights(n, self.F.dt))[:, None] * vals
         if left:                            # conj(E) @ y = conj(E @ conj(y))
             y = np.conj(y)
         inner = self._E_pos
@@ -201,11 +198,11 @@ class TransformScanner:
         return tuple(out), tuple(bounds)
 
 
-def half_plane_scan(F: SampledSignal, omegas, cfg: Config = DEFAULT,
-                    scanner: TransformScanner | None = None) -> HalfPlaneGrid:
+def half_plane_scan(F: SampledSignal, omegas,
+                    cfg: Config = DEFAULT) -> HalfPlaneGrid:
     """Evaluate the transform on the admissible a_k x omega grid."""
     omegas = np.asarray(omegas, float)
-    sc = scanner or TransformScanner(F, omegas, cfg)
+    sc = TransformScanner(F, omegas, cfg)
     a_adm, bounds = sc.admissible_a()
     if len(a_adm) < 3:
         raise TailError("fewer than 3 admissible abscissae: record too short "
@@ -217,7 +214,7 @@ def half_plane_scan(F: SampledSignal, omegas, cfg: Config = DEFAULT,
         left = np.stack([sc.left_values(a) for a in a_adm])
         mags = np.concatenate([mags, np.linalg.norm(left, axis=2)])
     scale = float(np.median(mags))
-    return HalfPlaneGrid(a_adm, omegas, right, left, bounds, scale)
+    return HalfPlaneGrid(a_adm, omegas, right, left, bounds, scale, sc)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,7 @@ def mollify_identity_residual(F: SampledSignal, h: float, lam: complex) -> float
     steps = 0.5 * F.dt * (integrand[1:] + integrand[:-1])
     I = np.vstack([np.zeros((1, F.dim), complex), np.cumsum(steps, axis=0)])
     v = t[:k + 1]
-    wv = _trap_weights(k + 1, F.dt)
+    wv = trapezoid_weights(k + 1, F.dt)
     ev = np.exp(lam * v) * wv
     corr_head = (ev[:, None] * I[:k + 1]).sum(axis=0) / h
     # right-edge boundary term: int_{T-h+v}^{T} enters because M_h F's

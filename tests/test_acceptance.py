@@ -16,7 +16,7 @@ from redspectra.kernels import (annihilator_kernel, approximate_identity,
 from redspectra.signals import (Domain, SampledSignal, convolve,
                                 extend_by_zero, mollify)
 from redspectra.spectra import FrequencyGrid, RegStatus, ReducedScanner
-from redspectra.theorems import (CheckStatus, SignalAnalysis,
+from redspectra.theorems import (CheckStatus, analysis_of,
                                  check_convolution_shrinking,
                                  check_inclusion_chain,
                                  check_modulation_shift,
@@ -36,7 +36,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def pole_analysis(corpus):
-    return SignalAnalysis(corpus["exp_iw1"], CFG)
+    return analysis_of(corpus["exp_iw1"], CFG)
 
 
 def report(criterion, ok, detail=""):
@@ -50,7 +50,7 @@ def report(criterion, ok, detail=""):
 # -------------------------------------------------------------------------
 
 def test_criterion_01_chirp_triple(corpus):
-    an = SignalAnalysis(corpus["chirp"], CFG)
+    an = analysis_of(corpus["chirp"], CFG)
     car = an.carleman()
     n_sing = len(car.singular_set())
     ok_a = n_sing >= 0.95 * GRID.n
@@ -105,7 +105,7 @@ def test_criterion_02_expgrow(corpus):
 # -------------------------------------------------------------------------
 
 def test_criterion_03_lp_signal_empty_spectrum(corpus):
-    est = SignalAnalysis(corpus["decay_poly_osc"], CFG).c0_reduced()
+    est = analysis_of(corpus["decay_poly_osc"], CFG).reduced(FunctionClass.C0)
     n_sing = len(est.singular_set())
     report(3, n_sing == 0, f"singular points: {n_sing}")
 
@@ -116,7 +116,8 @@ def test_criterion_03_lp_signal_empty_spectrum(corpus):
 
 def test_criterion_04_pole_localization(pole_analysis):
     an = pole_analysis
-    engines = {"reduced-c0": an.c0_reduced(), "weak-laplace": an.weak_laplace(),
+    engines = {"reduced-c0": an.reduced(FunctionClass.C0),
+               "weak-laplace": an.weak_laplace(),
                "laplace": an.laplace(), "carleman": an.carleman()}
     bad = []
     for name, est in engines.items():

@@ -1,12 +1,13 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from redspectra.cli import main
 from redspectra.io_utils import (canonical_json, read_signal_csv,
-                                 write_signal_csv)
+                                 write_kernel, write_signal_csv)
 from redspectra.errors import ParseError
 from redspectra.signals import Domain, SampledSignal
 
@@ -106,6 +107,37 @@ def test_reader_values_are_float_bitwise(tmp_path):
         (ref[:, 1::2] + 1j * ref[:, 2::2]).tobytes()
 
 
+def _rows_one_by_one(t, values):
+    """The CSV text of a per-row, per-field f-string writer."""
+    d = values.shape[1]
+    lines = ["t," + ",".join(f"re{c},im{c}" for c in range(d))]
+    for ti, row in zip(t, values):
+        fields = [f"{ti:.12g}"]
+        for v in row:
+            fields += [f"{v.real:.12g}", f"{v.imag:.12g}"]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_per_row_formatting(tmp_path):
+    # the edge values repeated past one block of rows
+    edge = np.tile([-0.0, 5e-324, 1e15, 1e16, 2 / 3, -1.5e-7, 123456.789],
+                   1300)
+    vals = edge[:, None] + 1j * edge[::-1, None] * np.array([[1.0, -3.0]])
+    sig = SampledSignal(Domain.FULL_LINE, -2 / 3, 2 / 3, vals, trusted=True)
+    path = tmp_path / "edge.csv"
+    write_signal_csv(path, sig)
+    assert path.read_text() == _rows_one_by_one(sig.times, sig.values)
+
+    kernel = SimpleNamespace(time_samples=lambda dt: (-0.0, vals[:, 1]),
+                             ft_support=(-np.inf, 1.0), kernel_id="edge",
+                             family="S", cut_mass=0.0)
+    path = tmp_path / "kernel.csv"
+    write_kernel(path, kernel, dt=1 / 3)
+    t = -0.0 + (1 / 3) * np.arange(len(vals))
+    assert path.read_text() == _rows_one_by_one(t, vals[:, 1:])
+
+
 def test_synth_and_analyze(tmp_path):
     out = str(tmp_path)
     assert main(["synth", "exp_iw1", "--out", out]) == 0
@@ -195,6 +227,18 @@ def test_analyze_rejects_bad_sidecar(tmp_path, tone_csv, capsys, sidecar):
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "sig.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["laplace", "weak-laplace"])
+def test_analyze_rejects_full_line_record_for_half_plane_kinds(
+        tmp_path, tone_csv, capsys, kind):
+    full = tone_csv.parent / "exp_iw1_full.csv"
+    rc = main(["analyze", str(full), "--kind", kind,
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "needs a half-line signal" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_synth_unknown_name(tmp_path):

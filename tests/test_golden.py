@@ -1,10 +1,12 @@
-"""Tri-state verdicts of ``analyze`` against a stored golden file.
+"""Tri-state verdicts of ``analyze`` and check statuses of ``verify``
+against stored golden files.
 
 ``tests/golden/verdicts.json`` holds, per case, the status vector one
-``redspectra analyze`` call gave on a default-configuration record (see
-``scripts/make_golden.py``).  Speed-ups and refactors must leave every
-status unchanged; a change that means to move verdicts regenerates the
-file and says so.
+``redspectra analyze`` call gave on a default-configuration record;
+``tests/golden/checks.json`` holds the status of every check of
+``verify --builtin`` (see ``scripts/make_golden.py``).  Speed-ups and
+refactors must leave every status unchanged; a change that means to move
+verdicts regenerates the files and says so.
 """
 
 import json
@@ -13,8 +15,11 @@ import os
 import pytest
 
 from redspectra.cli import main
+from redspectra.config import Config
+from redspectra.theorems import run_all
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verdicts.json")
+CHECKS = os.path.join(os.path.dirname(__file__), "golden", "checks.json")
 
 with open(GOLDEN) as _fh:
     CASES = json.load(_fh)["cases"]
@@ -43,3 +48,11 @@ def test_verdicts_match_golden(records, case):
     assert main(argv) == 0
     status = "".join(s[0] for s in json.loads(report.read_text())["status"])
     assert status == case["status"]
+
+
+def test_check_statuses_match_golden():
+    with open(CHECKS) as fh:
+        golden = [(c["check"], c["subject"], c["status"])
+                  for c in json.load(fh)]
+    got = [(r.check_id, r.subject, r.status.value) for r in run_all(Config())]
+    assert got == golden

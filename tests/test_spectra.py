@@ -13,7 +13,7 @@ from redspectra.spectra import (FrequencyGrid, RegStatus, ReducedScanner,
                                 laplace_spectrum, reduced_spectrum,
                                 weak_laplace_spectrum)
 from redspectra.spectra import test_regular as regular_point_test
-from redspectra.transforms import TransformScanner, half_plane_scan
+from redspectra.transforms import half_plane_scan
 
 from conftest import make_full, make_half
 
@@ -71,7 +71,7 @@ def test_scan_equals_per_point_test_regular(corpus, name):
                        (FunctionClass.AAP, c0.singular_clusters())):
         est = reduced_spectrum(F, cls, grid, CFG, candidates=cands)
         sc = ReducedScanner(F, grid.values(), CFG)
-        loop = [sc.test_regular(w, cls, None, cands) for w in grid.values()]
+        loop = [sc.test_regular(w, cls, cands) for w in grid.values()]
         assert [canonical_json(c.to_dict()) for c in est.certificates] == \
             [canonical_json(c.to_dict()) for c in loop]
 
@@ -129,8 +129,8 @@ def _circle_errors_node_by_node(sc, a, cfg):
 @pytest.mark.parametrize("name", ["exp_iw1", "chirp"])
 def test_circle_errors_match_node_by_node_reconstruction(corpus, name):
     F, omegas = corpus[name].half, GRID.values()
-    sc = TransformScanner(F, omegas, CFG)
-    hp = half_plane_scan(F, omegas, CFG, scanner=sc)
+    hp = half_plane_scan(F, omegas, CFG)
+    sc = hp.scanner
     for a in hp.a_seq[-2:]:
         got = spectra._cauchy_circle_errors(sc, a, CFG)
         ref = _circle_errors_node_by_node(sc, a, CFG)

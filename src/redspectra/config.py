@@ -80,17 +80,17 @@ class Config:
             _check_type(f.name, f.type, getattr(self, f.name))
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if f.name.startswith("tol_") or f.name in ("eps_div", "trunc_budget",
-                                                       "trunc_budget_strict"):
-                if not (isinstance(v, (int, float)) and v > 0):
+            if f.name.startswith("tol_") or f.name in _POSITIVE:
+                if not v > 0:
                     raise ConfigError(f"{f.name} must be > 0, got {v!r}")
+            elif f.name.endswith("_seq") and not all(x > 0 for x in v):
+                raise ConfigError(f"{f.name} entries must be > 0, got {v!r}")
         if self.grid_step <= 0 or self.grid_max <= self.grid_min:
             raise ConfigError("bad frequency grid")
-        if any(a <= 0 for a in self.a_seq) or \
-                any(a <= b for a, b in zip(self.a_seq, self.a_seq[1:])):
-            raise ConfigError("a_seq must be positive and strictly decreasing")
-        if any(d <= 0 for d in self.delta_seq):
-            raise ConfigError("delta_seq must be positive")
+        if self.corpus_seed < 0:
+            raise ConfigError(f"corpus_seed must be >= 0, got {self.corpus_seed}")
+        if any(a <= b for a, b in zip(self.a_seq, self.a_seq[1:])):
+            raise ConfigError("a_seq must be strictly decreasing")
 
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)
@@ -117,6 +117,14 @@ class Config:
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a flat JSON object")
         return cls.from_dict(data)
+
+
+#: fields besides the ``tol_*`` tolerances that must be > 0: budgets,
+#: steps, widths and counts (a zero step divides by zero, a zero count or
+#: width turns every verdict undecided)
+_POSITIVE = ("eps_div", "trunc_budget", "trunc_budget_strict", "dt", "t_end",
+             "conv_out_step", "min_window", "so_mollify_h", "evolution_dt",
+             "circle_nodes", "freq_grid_divisor")
 
 
 def _is_number(v) -> bool:

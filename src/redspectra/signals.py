@@ -11,11 +11,11 @@ periodized or silently zero-filled beyond the stated budget.
 
 Every convolution is planned by ``plan_convolution`` (window admission,
 padding, strided views trimmed to the taps that meet data, and the
-truncation bound) and multiplied by ``plan_product``, which copies row
-blocks of the overlapping views into contiguous memory for BLAS.
-``convolve`` multiplies by the kernel's weights; the band-pass ladder of
-``spectra.ReducedScanner`` multiplies one plan by the modulated weights
-of many frequencies at once.
+truncation bound).  ``convolve`` sums the plan against the kernel's
+weights in tap order (``plan_product``); the band-pass ladder of
+``spectra.ReducedScanner`` takes one plan to many modulated kernels at
+once with ``modulated_product``, an overlap-save FFT correlation of the
+same trapezoid sums.
 
 All types are immutable and all operations are pure functions, so signals
 may be shared freely across threads.
@@ -24,10 +24,12 @@ may be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .errors import DomainError, GridError, GrowthError, HorizonError, TruncationError
 
@@ -494,67 +496,128 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
                     (samples * w)[keep][::-1], float(min(omit * env, allowance)))
 
 
-#: byte bound on each operand block of ``plan_product``: the row block
-#: copied out of a view and the block of K it multiplies
+#: byte bound on the buffers of ``plan_product`` (a contiguous copy of a
+#: row block) and of ``modulated_product`` (per group of frequencies)
 BLOCK_BYTES = 16 * 2 ** 20
-#: columns of K per BLAS call in ``plan_product``
-COLUMN_BLOCK = 16
 
 
-def plan_product(plan: ConvPlan, K: np.ndarray) -> np.ndarray:
-    """``views[c] @ K`` for every channel c, as a (count, columns,
-    channels) array.
+def plan_product(plan: ConvPlan) -> np.ndarray:
+    """``views[c] @ weights_rev`` for every channel c, as a (count,
+    channels) array: the trapezoid sums of ``convolve``.
 
-    K holds one column of tap weights (in ``weights_rev`` order) per
-    output column.  The rows of a strided view overlap, so BLAS cannot
-    take the view itself: the product runs over contiguous copies of row
-    blocks, each multiplied by blocks of K of ``COLUMN_BLOCK`` columns
-    (counted from column 0), with both operand blocks bounded by
-    ``BLOCK_BYTES``.  The blocking depends only on the plan, so a
-    column's value depends only on the columns of its own block, not on
-    how many blocks share the call.  K is used as given: a contiguous K
-    (the ladder's modulated weights) goes to BLAS, while a strided one
-    (``convolve``'s reversed ``weights_rev`` column) is summed by numpy
-    in tap order, exactly as direct trapezoid summation.
+    The rows of a strided view overlap, so the product runs over
+    contiguous copies of row blocks bounded by ``BLOCK_BYTES``.  The
+    reversed weights are a strided column, which numpy sums in tap
+    order, exactly as direct trapezoid summation.  Taps are summed in
+    blocks of ``BLOCK_BYTES // 256`` (65 536 by default) and the block
+    sums added in order; the bytes of the verify report depend on this
+    order.
     """
     count, taps = plan.views[0].shape
-    K = np.asarray(K, complex)
-    if K.ndim != 2 or K.shape[0] != taps:
-        raise ValueError(f"K must have {taps} rows, got shape {K.shape}")
-    n = K.shape[1]
-    out = np.zeros((len(plan.views), count, n), complex)
-    item = out.itemsize
-    tap_block = max(1, BLOCK_BYTES // (item * COLUMN_BLOCK))
+    K = plan.weights_rev[:, None]
+    out = np.zeros((len(plan.views), count, 1), complex)
+    tap_block = max(1, BLOCK_BYTES // 256)
     for a in range(0, taps, tap_block):
         Ka = K[a:a + tap_block]
-        rows = max(1, BLOCK_BYTES // (item * len(Ka)))
+        rows = max(1, BLOCK_BYTES // (out.itemsize * len(Ka)))
         for c, view in enumerate(plan.views):
             for r in range(0, count, rows):
                 block = view[r:r + rows, a:a + tap_block].copy()
-                for j in range(0, n, COLUMN_BLOCK):
-                    out[c, r:r + rows, j:j + COLUMN_BLOCK] += \
-                        block @ Ka[:, j:j + COLUMN_BLOCK]
-    return out.transpose(1, 2, 0)
+                out[c, r:r + rows] += block @ Ka
+    return out[:, :, 0].T
+
+
+def lattice_exp_tables(z, n: int, dt: float) -> tuple:
+    """Factored exp(-z_l k dt) on the lattice 0 <= k < n.
+
+    With m = ceil(sqrt(n)) and k = b m + c, exp(-z k dt) = outer[l, b] *
+    inner[l, c], where outer[l, b] = exp(-z_l b m dt) (n_z x n_b,
+    n_b = ceil(n / m)) and inner[l, c] = exp(-z_l c dt) (n_z x m).  Each
+    entry is one direct exponential, so both tables are accurate to a
+    few ulp and the full n_z x n matrix is never formed."""
+    m = math.isqrt(n - 1) + 1              # ceil(sqrt(n)), n >= 1
+    n_b = -(-n // m)
+    outer = np.exp(-np.outer(z, dt * (m * np.arange(n_b))))
+    inner = np.exp(-np.outer(z, dt * np.arange(m)))
+    return outer, inner
 
 
 def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
     """Convolutions with the planned kernel modulated to each frequency,
     k(s) exp(i omega s), as a (count, len(omegas), channels) array.
 
-    The modulated weights are built about ``BLOCK_BYTES`` at a time, in
-    whole blocks of ``COLUMN_BLOCK`` columns, and each batch goes through
-    ``plan_product``.
+    An overlap-save FFT correlation.  With g = gcd(row, col) of the view
+    strides, R = row/g and D = col/g, let x be the padded record on the
+    lattice of spacing g dt.  Output k is sum_c x[kR + cD] b_c, where
+    b_c = a_c exp(i omega s_c) are the modulated weights (a =
+    ``weights_rev``; s_c = s_rev[0] - c D q with q = step/R, from the
+    factored tables of ``lattice_exp_tables``).  The outputs are cut
+    into segments of K, each reading a record slice of length
+    L = (K-1)R + (taps-1)D + 1; K is the whole count unless that slice
+    would outgrow ``BLOCK_BYTES``.  Every slice is transformed once per
+    channel at length N = R M with M >= L/R, so no lag wraps.  Per
+    frequency, b spread to stride D is transformed once; per segment and
+    channel, the product of the two spectra is folded to length M (the
+    sum of its R blocks keeps just the lags kR) and inverted at length M.
+
+    Frequencies are taken in groups whose buffers, N-wide transforms and
+    taps-wide phases, fit ``BLOCK_BYTES`` together.  Every step acts on
+    each frequency alone, so a column's value does not depend on which
+    others share the call.
     """
     omegas = np.asarray(omegas, float)
-    column = np.dtype(complex).itemsize * max(1, len(plan.s_rev))
-    group = COLUMN_BLOCK * max(1, BLOCK_BYTES // (COLUMN_BLOCK * column))
-    parts = []
-    for g in range(0, len(omegas), group):
-        K = np.outer(plan.s_rev, 1j * omegas[g:g + group])
-        np.exp(K, out=K)
-        K *= plan.weights_rev[:, None]
-        parts.append(plan_product(plan, K))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    view = plan.views[0]
+    count, taps = view.shape
+    out = np.zeros((count, len(omegas), len(plan.views)), complex)
+    if taps == 0 or len(omegas) == 0:
+        return out
+    item = view.itemsize
+    row, col = view.strides[0] // item, view.strides[1] // item
+    g = math.gcd(row, col)
+    R, D = row // g, col // g
+    span = (taps - 1) * D + 1
+    # a slice of at least twice the kernel span keeps most lags useful
+    cap = max(BLOCK_BYTES // item, 2 * span)
+    K = count if (count - 1) * R + span <= cap else (cap - span) // R + 1
+    M = sp_fft.next_fast_len(-(-((K - 1) * R + span) // R))
+    N = R * M
+    starts = range(0, count, K)
+    records = [np.lib.stride_tricks.as_strided(
+        v, shape=((count - 1) * R + span,), strides=(g * item,))
+        for v in plan.views]
+    seg_spectra = []               # per segment: (channels, N), scaled 1/N
+    for k0 in starts:
+        n_x = (min(K, count - k0) - 1) * R + span
+        seg = np.zeros((len(records), N), complex)
+        for c, x in enumerate(records):
+            seg[c, :n_x] = x[k0 * R:k0 * R + n_x]
+        seg = sp_fft.fft(seg, axis=1, overwrite_x=True)
+        seg /= N
+        seg_spectra.append(seg)
+
+    group = max(1, BLOCK_BYTES // (item * (N + taps)))
+    for j in range(0, len(omegas), group):
+        w = omegas[j:j + group]
+        outer, inner = lattice_exp_tables(1j * w, taps, plan.step * D / R)
+        outer *= np.exp(1j * w * plan.s_rev[0])[:, None]
+        phase = (outer[:, :, None] * inner[:, None, :]).reshape(len(w), -1)
+        kern = np.zeros((len(w), N), complex)
+        np.multiply(phase[:, :taps], plan.weights_rev, out=kern[:, :span:D])
+        del phase
+        # sum_c b_c exp(+2 pi i cD f / N): the correlating spectrum of b
+        kern = sp_fft.ifft(kern, axis=1, norm="forward", overwrite_x=True)
+        kern = kern.reshape(len(w), R, M)
+        for k0, seg in zip(starts, seg_spectra):
+            k1 = min(count, k0 + K)
+            for c, X in enumerate(seg.reshape(-1, R, M)):
+                # fold while multiplying: the sum of the R blocks of M
+                folded = kern[:, 0] * X[0]
+                for r in range(1, R):
+                    folded += kern[:, r] * X[r]
+                corr = sp_fft.ifft(folded, axis=1, norm="forward",
+                                   overwrite_x=True)
+                out[k0:k1, j:j + group, c] = corr[:, :k1 - k0].T
+    return out
 
 
 def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
@@ -571,7 +634,7 @@ def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
     suppresses the aliased high-frequency content of H.
     """
     plan = plan_convolution(H, kernel, out_step, out_range, budget, quad_step)
-    out = plan_product(plan, plan.weights_rev[:, None])[:, 0, :]
+    out = plan_product(plan)
     return ExtendedSignal(Domain.FULL_LINE, plan.t0, plan.step, out,
                           H.growth_exponent, trusted=True,
                           origin_domain=H.origin_domain,

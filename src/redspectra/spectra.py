@@ -31,11 +31,11 @@ import numpy as np
 
 from .classes import ClassReport, FunctionClass, Tri, detect, _plain
 from .config import Config, DEFAULT
-from .errors import HorizonError, RedSpectraError, TruncationError
+from .errors import (ConfigError, HorizonError, RedSpectraError,
+                     TruncationError)
 from .kernels import bandpass_kernel
-from .signals import (COLUMN_BLOCK, Domain, ExtendedSignal, SampledSignal,
-                      convolve, extend_by_zero, modulated_product,
-                      plan_convolution)
+from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
+                      extend_by_zero, modulated_product, plan_convolution)
 from .transforms import (HalfPlaneGrid, TransformScanner, half_plane_scan,
                          lattice_exp_sum)
 
@@ -54,9 +54,16 @@ class FrequencyGrid:
 
     def __post_init__(self):
         if self.step <= 0 or self.omega_max <= self.omega_min:
-            raise ValueError("bad frequency grid")
+            raise ConfigError("bad frequency grid")
         if self.n < 3:
-            raise ValueError("grid must cover at least 3 points")
+            raise ConfigError("grid must cover at least 3 points")
+        try:
+            self.values()
+        except MemoryError:
+            raise ConfigError(
+                f"frequency grid [{self.omega_min:g}, {self.omega_max:g}] in "
+                f"steps of {self.step:g} has {self.n} points, more than "
+                f"memory holds") from None
 
     @property
     def n(self) -> int:
@@ -162,10 +169,11 @@ class ReducedScanner:
     """Regular-point tester for one signal.
 
     ``scan`` classifies a set of grid frequencies rung by rung: each
-    band-pass bandwidth is one matrix product over the frequencies that
-    have no Yes yet.  Band outputs are cached per (bandwidth, frequency),
-    so scanning several classes, or single points with ``test_regular``,
-    reuses them.
+    band-pass bandwidth is one ``modulated_product`` (an FFT correlation
+    of the bandwidth's plan) over the frequencies that have no Yes yet.
+    Band outputs are cached per (bandwidth, frequency), so scanning
+    several classes, or single points with ``test_regular``, reuses
+    them.
     """
 
     def __init__(self, F: SampledSignal, omegas, cfg: Config = DEFAULT,
@@ -203,17 +211,14 @@ class ReducedScanner:
         """Outputs of F * bandpass(omega_j, delta), one (count, d) array
         per grid index j in ``idx``.
 
-        Uncached outputs come from one product of the bandwidth's plan
-        with modulated weights, computed for whole aligned blocks of
-        ``COLUMN_BLOCK`` grid indices: every output is then formed by the
-        same arithmetic whichever frequencies were asked for, so verdicts
-        do not depend on the order of calls.
+        Uncached outputs come from one ``modulated_product`` of the
+        bandwidth's plan over just those frequencies.  Each column is
+        computed on its own there, so verdicts do not depend on the order
+        of calls.
         """
         plan = self._band_geometry(delta)
-        d, n, C = round(delta, 12), len(self.omegas), COLUMN_BLOCK
-        blocks = sorted({j // C for j in idx
-                         if ("col", d, j) not in self._band_cache})
-        todo = [j for b in blocks for j in range(b * C, min(n, (b + 1) * C))]
+        d = round(delta, 12)
+        todo = [j for j in idx if ("col", d, j) not in self._band_cache]
         if todo:
             out = modulated_product(plan, self.omegas[todo])
             for k, j in enumerate(todo):

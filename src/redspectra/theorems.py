@@ -601,6 +601,7 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     if only is not None and only not in CHECK_IDS:
         raise ConfigError(f"unknown check id {only!r}; choose from: "
                           f"{', '.join(CHECK_IDS)}")
+    FrequencyGrid.from_config(cfg)      # an unbuildable grid is bad input
     corpus = build_corpus(cfg) if corpus is None else corpus
     analyses = {}
 

@@ -15,14 +15,14 @@ returned silently wrong.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Config, DEFAULT
 from .errors import DomainError, TailError
-from .signals import Domain, SampledSignal, trapezoid_weights
+from .signals import (Domain, SampledSignal, lattice_exp_tables,
+                      trapezoid_weights)
 
 #: |Re lambda| * T above which the truncation tail is negligible outright
 _SAFE_EXPONENT = 30.0
@@ -108,21 +108,6 @@ class HalfPlaneGrid:
     tail_bounds: tuple
     scale: float               # median |values|, the tolerance reference
     scanner: TransformScanner
-
-
-def lattice_exp_tables(z, n: int, dt: float) -> tuple:
-    """Factored exp(-z_l k dt) on the lattice 0 <= k < n.
-
-    With m = ceil(sqrt(n)) and k = b m + c, exp(-z k dt) = outer[l, b] *
-    inner[l, c], where outer[l, b] = exp(-z_l b m dt) (n_z x n_b,
-    n_b = ceil(n / m)) and inner[l, c] = exp(-z_l c dt) (n_z x m).  Each
-    entry is one direct exponential, so both tables are accurate to a
-    few ulp and the full n_z x n matrix is never formed."""
-    m = math.isqrt(n - 1) + 1              # ceil(sqrt(n)), n >= 1
-    n_b = -(-n // m)
-    outer = np.exp(-np.outer(z, dt * (m * np.arange(n_b))))
-    inner = np.exp(-np.outer(z, dt * np.arange(m)))
-    return outer, inner
 
 
 def lattice_exp_sum(weights, z, n: int, dt: float) -> np.ndarray:

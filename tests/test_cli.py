@@ -216,6 +216,63 @@ def test_analyze_rejects_bad_config(tmp_path, tone_csv, capsys, cfg_text):
     assert not (tmp_path / "r.json").exists()
 
 
+_ROWS = "".join(f"{0.01 * i:.2f},1,0\n" for i in range(5))
+
+
+@pytest.mark.parametrize("csv_text, cfg_text, kind", [
+    pytest.param(None, '{"conv_out_step": 0}', ["reduced", "--class", "c0"],
+                 id="conv_out_step=0"),
+    pytest.param(None, '{"circle_nodes": 0}', ["laplace"],
+                 id="circle_nodes=0"),
+    pytest.param(None, '{"circle_nodes": -64}', ["laplace"],
+                 id="circle_nodes<0"),
+    pytest.param(None, '{"wl_eps_seq": [0.25, 0]}', ["weak-laplace"],
+                 id="wl_eps_seq=0"),
+    pytest.param(None, '{"wl_eps_seq": [-0.5]}', ["weak-laplace"],
+                 id="wl_eps_seq<0"),
+    pytest.param(None, '{"evolution_dt": 0}', ["laplace"],
+                 id="evolution_dt=0"),
+    pytest.param(None, '{"min_window": -30}', ["reduced", "--class", "c0"],
+                 id="min_window<0"),
+    pytest.param(None, '{"so_mollify_h": 0}', ["reduced", "--class", "slowly_oscillating"],
+                 id="so_mollify_h=0"),
+    pytest.param(None, '{"corpus_seed": -1}', ["laplace"],
+                 id="corpus_seed<0"),
+    pytest.param(None, '{"grid_step": 1e-12}', ["laplace"],
+                 id="grid-too-large"),
+    pytest.param(None, '{"grid_min": 0, "grid_max": 0.1, "grid_step": 0.1}',
+                 ["laplace"], id="grid-of-two-points"),
+    pytest.param("", None, ["laplace"], id="csv-empty"),
+    pytest.param("t,re0,im0\n", None, ["laplace"], id="csv-header-only"),
+    pytest.param("t,re0,im0\n0,1,0\n", None, ["laplace"], id="csv-one-row"),
+    pytest.param("t,re0,im0\n" + _ROWS + "0.055,1,0\n", None, ["laplace"],
+                 id="csv-uneven-times"),
+    pytest.param("t,re0,im0\n" + _ROWS + "0.04,1,0\n", None, ["laplace"],
+                 id="csv-duplicate-time"),
+    pytest.param("t,re0,im0\n" + _ROWS + "0.05,1\n", None, ["laplace"],
+                 id="csv-short-row"),
+    pytest.param("t,re0,im0\n" + _ROWS + "0.05,inf,0\n", None, ["laplace"],
+                 id="csv-inf"),
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, tone_csv, capsys,
+                                             csv_text, cfg_text, kind):
+    # malformed CSV or an ill-valued config: exit 2 with a one-line
+    # message, never an exception, a traceback or a report
+    csv = tone_csv
+    if csv_text is not None:
+        csv = tmp_path / "sig.csv"
+        csv.write_text(csv_text)
+    argv = ["analyze", str(csv), "--kind", *kind,
+            "--out", str(tmp_path / "r.json")]
+    if cfg_text is not None:
+        (tmp_path / "cfg.json").write_text(cfg_text)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("sidecar", ['{"domain": "halfline"}',
                                      '{"domain": "half_line", "growth_',
                                      '{"growth_exponent": "two"}'])

@@ -59,3 +59,14 @@ def test_ints_accepted_for_float_fields():
 def test_missing_config_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError):
         Config.from_json(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("conv_out_step", 0.0), ("circle_nodes", 0), ("circle_nodes", -64),
+    ("wl_eps_seq", (0.25, 0.0)), ("delta_seq", (1.0, -0.5)),
+    ("a_seq", (0.4, -0.1)), ("evolution_dt", 0.0), ("min_window", -30.0),
+    ("so_mollify_h", 0.0), ("dt", 0.0), ("t_end", -1.0),
+    ("freq_grid_divisor", 0.0)])
+def test_steps_widths_and_counts_must_be_positive(key, value):
+    with pytest.raises(ConfigError, match=key):
+        Config(**{key: value})

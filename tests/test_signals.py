@@ -192,21 +192,11 @@ def _naive_trapezoid(H, kernel, quad_step, t_out, omegas):
     return out
 
 
-@pytest.mark.parametrize("block_bytes", [None, 1 << 16])
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("domain", ["half", "full"])
-@pytest.mark.parametrize("kernel", ["bandpass", "box-left", "box-right"])
-def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
-                                                dim, block_bytes):
-    # the ladder's product: trimmed plan times modulated weights, with
-    # small blocks as well (several weight batches and tap, row and
-    # column blocks).  The data
-    # vanish for |t| > 30, so taps are trimmed at both ends, and the wide
-    # boxes on [-60, 0] and [0, 60] weigh their edge taps fully: a trim
-    # one tap off shows.
-    if block_bytes:
-        monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
-
+def _plan_case(kernel, domain, dim, q, out_step):
+    """(H, kernel, plan) of the ladder-product tests.  The data vanish
+    for |t| > 30, so taps are trimmed at both ends, and the wide boxes on
+    [-60, 0] and [0, 60] weigh their edge taps fully: a trim one tap off
+    shows."""
     def fn(t):
         vals = np.stack([np.exp(1j * t), np.cos(0.5 * t) / (1 + 0.01 * t * t)],
                         axis=1)[:, :dim]
@@ -216,21 +206,90 @@ def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
     kern = {"bandpass": bandpass_kernel(0.0, 1.0),
             "box-left": box_kernel(60.0),
             "box-right": reflected(box_kernel(60.0))}[kernel]
-    q = 0.04
-    plan = plan_convolution(H, kern, 0.2, (-0.4, np.inf), 1e-3, q)
+    return H, kern, plan_convolution(H, kern, out_step, (-0.4, np.inf), 1e-3, q)
+
+
+def _check_plan_product(kernel, domain, dim, q, out_step):
+    H, kern, plan = _plan_case(kernel, domain, dim, q, out_step)
     omegas = np.linspace(-2.0, 2.0, 21)
     got = modulated_product(plan, omegas)
     t_out = plan.t0 + plan.step * np.arange(len(got))
     ref = _naive_trapezoid(H, kern, q, t_out, omegas)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    # convolve is the same product with the unmodulated weights
-    conv = convolve(H, kern, 0.2, (-0.4, np.inf), 1e-3, q)
+    # convolve is the same sum with the unmodulated weights
+    conv = convolve(H, kern, out_step, (-0.4, np.inf), 1e-3, q)
     j0 = int(np.argmin(np.abs(omegas)))
     assert conv.t0 == plan.t0 and conv.n == len(got)
     assert np.abs(conv.values - ref[:, j0]).max() <= 1e-12 * np.abs(ref).max()
     # the trim is tight: the first and last kept taps meet data
     for c in (0, -1):
         assert any(np.any(v[:, c] != 0) for v in plan.views)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 16])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("domain", ["half", "full"])
+@pytest.mark.parametrize("kernel", ["bandpass", "box-left", "box-right"])
+def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
+                                                dim, block_bytes):
+    # the ladder's product: trimmed plan times modulated weights, with
+    # small blocks as well (several overlap-save segments, frequency
+    # groups and tap and row blocks of convolve)
+    if block_bytes:
+        monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
+    _check_plan_product(kernel, domain, dim, 0.04, 0.2)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 12])
+@pytest.mark.parametrize("domain", ["half", "full"])
+@pytest.mark.parametrize("kernel", ["bandpass", "box-left", "box-right"])
+@pytest.mark.parametrize("q, out_step", [(0.03, 0.2), (0.06, 0.04)])
+def test_plan_product_matches_naive_sum_off_stride(monkeypatch, q, out_step,
+                                                   kernel, domain,
+                                                   block_bytes):
+    # output steps that are no multiple of the tap step: the correlation
+    # runs on the gcd lattice (0.01 and 0.02) with R = 20, D = 3 and
+    # R = 2, D = 3; the small block bound cuts the outputs into
+    # overlap-save segments
+    if block_bytes:
+        monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
+    _check_plan_product(kernel, domain, 2, q, out_step)
+
+
+@pytest.mark.parametrize("q, out_step", [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
+def test_overlap_save_segments_match_naive_sum(monkeypatch, q, out_step):
+    # data on the whole record and outputs wherever the window fits: the
+    # small block bound splits the outputs into several overlap-save
+    # segments, and every segment's first and last samples meet nonzero
+    # taps, so a slice one sample short shows
+    monkeypatch.setattr(signals, "BLOCK_BYTES", 1 << 12)
+    F = make_full(lambda t: np.stack([np.exp(1j * t), np.cos(0.5 * t)],
+                                     axis=1), t_end=100.0)
+    H, kern = extend_by_zero(F), box_kernel(60.0)
+    plan = plan_convolution(H, kern, out_step, None, 1e-3, q)
+    omegas = np.linspace(-2.0, 2.0, 5)
+    got = modulated_product(plan, omegas)
+    t_out = plan.t0 + plan.step * np.arange(len(got))
+    ref = _naive_trapezoid(H, kern, q, t_out, omegas)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 12])
+@pytest.mark.parametrize("q, out_step", [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
+def test_modulated_product_column_independent_of_its_batch(monkeypatch, q,
+                                                           out_step,
+                                                           block_bytes):
+    # a verdict must not depend on which frequencies share a call: each
+    # column equals, bit for bit, the same frequency computed alone (also
+    # with overlap-save segments and one frequency per group)
+    if block_bytes:
+        monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
+    _, _, plan = _plan_case("bandpass", "full", 2, q, out_step)
+    omegas = np.linspace(-2.0, 2.0, 21)
+    full = modulated_product(plan, omegas)
+    for j in range(len(omegas)):
+        assert np.array_equal(full[:, j], modulated_product(plan, omegas[j:j + 1])[:, 0])
+    assert np.array_equal(full[:, 5:9], modulated_product(plan, omegas[5:9]))
 
 
 def test_growth_validation():

@@ -18,7 +18,9 @@ possibly tiny amplitude.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +28,12 @@ from scipy.optimize import minimize_scalar
 
 from .config import Config, DEFAULT
 from .errors import HorizonError
-from .signals import Domain, Mean, SampledSignal, _cumulative, mollify, modulate
+from .signals import Domain, Mean, SampledSignal, _cumulative, mollify
 
 TAIL_FRACTIONS = (0.45, 0.65, 0.85)
+#: resolution of a refined Bohr frequency: Brent's absolute tolerance and
+#: the lattice the refined frequency is rounded onto
+XATOL = 1e-7
 
 
 class Tri(enum.Enum):
@@ -266,18 +271,57 @@ def is_ergodic(F, cfg: Config = DEFAULT, scale_ref=None, trunc_bound=0.0,
                        rep.tolerances)
 
 
+def _bohr_weights(F: SampledSignal, T: float | None) -> np.ndarray:
+    """w with a(omega) = sum_l w_l exp(-i omega t_l) F_l.
+
+    The T-windowed means A_j = (1/k) sum_i trap_i G_(j+i) (trapezoid of
+    k+1 taps, k = T/dt) averaged over n_w start points give w = (box of
+    n_w) * trap / (n_w k), a plateau with linear ramps of length n_w + k.
+    Its partial sums are multiples of 1/2, so w is exact up to the one
+    division."""
+    span = F.t_end - F.t0
+    T = 0.5 * span if T is None else T
+    k = F.lattice_steps(F.dt * round(min(T, 0.9 * span) / F.dt), "T")
+    if k < 1:
+        raise HorizonError(f"Bohr window {T} is shorter than dt={F.dt}")
+    n_w = max(1, min(F.n - k, int(0.45 * span / F.dt)))
+    trap = np.ones(k + 1)
+    trap[[0, -1]] = 0.5
+    c = np.concatenate(([0.0], np.cumsum(trap)))       # c[j] = sum trap[:j]
+    idx = np.arange(n_w + k)
+    return (c[np.minimum(idx, k) + 1] - c[np.maximum(idx - n_w + 1, 0)]) / (n_w * k)
+
+
+def _bohr_sum(F: SampledSignal, T: float | None = None):
+    """omega -> a(omega), the weighted sum of ``_bohr_weights`` on the
+    factored lattice of ``signals.lattice_exp_tables``.  With m =
+    ceil(sqrt(n)) and l = b m + c, exp(-i omega l dt) = outer_b inner_c,
+    so P[(channel, b), c] = w_l F_l is formed once and each evaluation is
+    exp(-i omega t0) (P @ inner) @ outer: one 2 sqrt(n)-long exponential
+    and two small products."""
+    w = _bohr_weights(F, T)
+    n, d = len(w), F.dim
+    m = math.isqrt(n - 1) + 1
+    n_b = -(-n // m)
+    P = np.zeros((n_b * m, d), complex)
+    P[:n] = w[:, None] * F.values[:n]
+    P = P.reshape(n_b, m, d).transpose(2, 0, 1).reshape(d * n_b, m)
+    u = F.dt * np.concatenate((np.arange(m), m * np.arange(n_b)))
+    t0 = F.t0
+
+    def a(omega):
+        e = np.exp(-1j * omega * u)
+        return cmath.exp(-1j * omega * t0) * ((P @ e[:m]).reshape(d, n_b) @ e[m:])
+    return a
+
+
 def bohr_coefficient(F: SampledSignal, omega: float, cfg: Config = DEFAULT,
                      T: float | None = None) -> BohrCoefficient:
     """a(omega) = mean of gamma_{-omega} F, estimated by averaging the
     T-windowed means over their admissible start points.  Averaging over
     start points is sanctioned by the uniform-in-t convergence in the
     ergodic-mean definition and suppresses transients like 1/(T W)."""
-    G = modulate(F, -omega)
-    span = F.t_end - F.t0
-    T = 0.5 * span if T is None else T
-    A = _window_means(G, min(T, 0.9 * span))
-    n_w = max(1, min(A.shape[0], int(0.45 * span / F.dt)))
-    return BohrCoefficient(omega, A[:n_w].mean(axis=0))
+    return BohrCoefficient(omega, _bohr_sum(F, T)(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +330,17 @@ def bohr_coefficient(F: SampledSignal, omega: float, cfg: Config = DEFAULT,
 
 def _refine_frequency(F: SampledSignal, center: float, halfwidth: float,
                       cfg: Config) -> float:
-    """Maximize |a(nu)| over [center-halfwidth, center+halfwidth]."""
-    def neg(nu):
-        return -bohr_coefficient(F, nu, cfg).norm()
+    """Maximize |a(nu)| over [center-halfwidth, center+halfwidth] by
+    bounded Brent to within ``XATOL``, and round the maximizer onto the
+    XATOL lattice: digits below the certified resolution would otherwise
+    carry the evaluator's rounding into the report."""
     if halfwidth <= 0:
         return center
-    res = minimize_scalar(neg, bounds=(center - halfwidth, center + halfwidth),
-                          method="bounded", options={"xatol": 1e-7})
-    return float(res.x)
+    a = _bohr_sum(F)
+    res = minimize_scalar(lambda nu: -np.linalg.norm(a(nu)),
+                          bounds=(center - halfwidth, center + halfwidth),
+                          method="bounded", options={"xatol": XATOL})
+    return XATOL * round(float(res.x) / XATOL)
 
 
 def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,

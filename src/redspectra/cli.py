@@ -19,7 +19,7 @@ import sys
 from .classes import FunctionClass
 from .config import Config, DEFAULT
 from .corpus import BUILDERS, build_corpus, build_signal
-from .errors import ConfigError, ParseError, RedSpectraError
+from .errors import ConfigError, RedSpectraError
 from .io_utils import (canonical_json, read_signal_csv, sidecar_path,
                        write_kernel, write_plot_csv, write_signal_csv)
 
@@ -39,9 +39,9 @@ def _load_config(args) -> Config:
         except ValueError as exc:
             raise ConfigError(f"--grid wants min:max:step, got {grid!r}") from exc
         overrides.update(grid_min=lo, grid_max=hi, grid_step=step)
-    if getattr(args, "tmax", None):
+    if getattr(args, "tmax", None) is not None:
         overrides["t_end"] = args.tmax
-    if getattr(args, "dt", None):
+    if getattr(args, "dt", None) is not None:
         overrides["dt"] = args.dt
     return cfg.replace(**overrides) if overrides else cfg
 
@@ -84,12 +84,21 @@ def _slug(s: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in s).strip("_")
 
 
+def _check_out_dir(path):
+    """Refuse, before any work, a report path whose directory is missing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise NotADirectoryError(f"output directory {parent} does not exist")
+
+
 def cmd_analyze(args) -> int:
     from .spectra import SignalAnalysis
     cfg = _load_config(args)
+    out = args.out or (os.path.splitext(args.signal)[0] + f".{args.kind}.json")
+    _check_out_dir(out)
     try:
         sig = read_signal_csv(args.signal)
-    except (ParseError, OSError, RedSpectraError) as exc:
+    except RedSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     kind = args.kind
@@ -107,7 +116,6 @@ def cmd_analyze(args) -> int:
     except RedSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    out = args.out or (os.path.splitext(args.signal)[0] + f".{kind}.json")
     with open(out, "w") as fh:
         fh.write(canonical_json(est.to_dict()) + "\n")
     write_plot_csv(os.path.splitext(out)[0] + ".csv", est)
@@ -119,13 +127,15 @@ def cmd_verify(args) -> int:
     from .theorems import CheckStatus, run_all
     cfg = _load_config(args)
     corpus = None
+    if args.out:
+        _check_out_dir(args.out)
     if not args.builtin:
         if not args.corpus:
             print("error: give a corpus directory or --builtin", file=sys.stderr)
             return EXIT_INPUT_ERROR
         try:
             corpus = _load_corpus_dir(args.corpus, cfg)
-        except (ParseError, OSError, RedSpectraError) as exc:
+        except RedSpectraError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     results = run_all(cfg, only=args.only, corpus=corpus)
@@ -147,6 +157,8 @@ def _load_corpus_dir(path, cfg):
     """Rebuild the built-in corpus but override records present as CSV
     files in the directory (synthesized or user-edited)."""
     import dataclasses
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"corpus directory {path} does not exist")
     corpus = build_corpus(cfg)
     out = dict(corpus)
     for name, entry in corpus.items():
@@ -196,7 +208,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redspectra.classes import (FunctionClass, Tri, ap_decompose,
-                                bohr_coefficient, detect, ergodic_mean, is_c0,
-                                is_slowly_oscillating, is_uc, tail_sup,
-                                uc_modulus)
+from scipy.optimize import minimize_scalar
+
+from redspectra.classes import (XATOL, FunctionClass, Tri, _refine_frequency,
+                                ap_decompose, bohr_coefficient, detect,
+                                ergodic_mean, is_c0, is_slowly_oscillating,
+                                is_uc, tail_sup, uc_modulus)
 from redspectra.config import Config
 from redspectra.errors import HorizonError
 from redspectra.signals import Domain, SampledSignal, convolve, extend_by_zero, \
@@ -87,6 +89,59 @@ def test_bohr_coefficients_of_cosine():
     for w in (1.0, -1.0):
         assert abs(bohr_coefficient(F, w, CFG).a[0] - 1.0) < 1e-2
     assert bohr_coefficient(F, 0.35, CFG).norm() < 5e-2
+    with pytest.raises(HorizonError):       # a window of no whole step
+        bohr_coefficient(F, 1.0, CFG, T=0.004)
+
+
+def _bohr_by_definition(F, omega):
+    """Mean over n_w start points of the T-windowed means of exp(-i omega
+    t) F, T = span/2, from a cumulative trapezoid."""
+    G = modulate(F, -omega).values
+    cum = np.vstack([np.zeros((1, F.dim)),
+                     np.cumsum(0.5 * F.dt * (G[1:] + G[:-1]), axis=0)])
+    span = F.t_end - F.t0
+    k = round(0.5 * span / F.dt)
+    A = (cum[k:] - cum[:-k]) / (k * F.dt)
+    n_w = max(1, min(A.shape[0], int(0.45 * span / F.dt)))
+    return A[:n_w].mean(axis=0)
+
+
+def _random_record(domain, n, seed):
+    rng = np.random.default_rng(seed)
+    t0 = 0.0 if domain is Domain.HALF_LINE else -0.37 * n * 0.01
+    t = t0 + 0.01 * np.arange(n)
+    vals = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            + np.exp(1j * np.outer(t, [1.3, -0.6])))
+    return SampledSignal(domain, t0, 0.01, vals, 0, trusted=True)
+
+
+@pytest.mark.parametrize("domain, n", [(Domain.HALF_LINE, 836),
+                                       (Domain.HALF_LINE, 4001),
+                                       (Domain.FULL_LINE, 1001),
+                                       (Domain.FULL_LINE, 3000)])
+def test_bohr_coefficient_is_the_windowed_mean(domain, n):
+    F = _random_record(domain, n, n)
+    for omega in (-4.1, -0.6, 0.0, 0.77, 1.3, 4.9):
+        a = bohr_coefficient(F, omega, CFG).a
+        ref = _bohr_by_definition(F, omega)
+        assert a.shape == (2,)
+        assert np.linalg.norm(a - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("domain, n", [(Domain.HALF_LINE, 836),
+                                       (Domain.FULL_LINE, 1001)])
+def test_refined_frequency_is_the_snapped_brent_maximizer(domain, n):
+    # Brent on the definition's |a| lands on the same XATOL lattice point:
+    # the snap hides how the weighted sum is ordered
+    F = _random_record(domain, n, 7 * n)
+    for center, hw in ((1.25, 0.2), (-0.5, 0.3), (0.3, 0.1)):
+        nu = _refine_frequency(F, center, hw, CFG)
+        assert nu == XATOL * round(nu / XATOL)
+        res = minimize_scalar(
+            lambda x: -np.linalg.norm(_bohr_by_definition(F, x)),
+            bounds=(center - hw, center + hw), method="bounded",
+            options={"xatol": XATOL})
+        assert XATOL * round(res.x / XATOL) == nu
 
 
 def test_ap_decompose_mix():
@@ -112,6 +167,7 @@ def test_ap_two_tones_recovered_from_one_seed():
     freqs = sorted(rep.evidence["frequencies"])
     assert len(freqs) == 2
     assert abs(freqs[0] - 1.0) < 1e-4 and abs(freqs[1] - np.sqrt(2)) < 1e-4
+    assert all(f == XATOL * round(f / XATOL) for f in freqs)
     assert rem.sup_norm() < 5e-3
 
 

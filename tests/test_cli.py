@@ -298,6 +298,31 @@ def test_analyze_rejects_full_line_record_for_half_plane_kinds(
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth", "exp_iw1", "--dt", "0", "--out", "{tmp}/s"],
+                 id="synth-dt=0"),
+    pytest.param(["synth", "exp_iw1", "--tmax", "0", "--out", "{tmp}/s"],
+                 id="synth-tmax=0"),
+    pytest.param(["synth", "exp_iw1", "--out", "{tmp}/a_file"],
+                 id="synth-out-is-a-file"),
+    pytest.param(["analyze", "{csv}", "--kind", "laplace",
+                  "--out", "{tmp}/missing/r.json"], id="analyze-out-dir-missing"),
+    pytest.param(["verify", "--builtin", "--only", "transform-identities",
+                  "--out", "{tmp}/missing/r.json"], id="verify-out-dir-missing"),
+    pytest.param(["verify", "{tmp}/missing", "--only", "transform-identities"],
+                 id="verify-corpus-dir-missing"),
+])
+def test_bad_paths_and_zero_steps_exit_2(tmp_path, tone_csv, capsys, argv):
+    # a zero --dt or --tmax is a value, not an absent flag; an output or
+    # corpus path that cannot be used is an input error, not a traceback
+    (tmp_path / "a_file").write_text("")
+    argv = [a.format(tmp=tmp_path, csv=tone_csv) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "missing").exists()
+
+
 def test_synth_unknown_name(tmp_path):
     assert main(["synth", "not_a_signal", "--out", str(tmp_path)]) == 2
 

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 
+from redspectra import theorems
 from redspectra.config import Config
-from redspectra.signals import Domain, SampledSignal
 from redspectra.theorems import (CheckStatus, EvolutionProblem,
                                  check_ergodic_theorem,
                                  check_evolution_spectrum,
                                  check_inclusion_chain, check_regular_ft,
                                  check_tauberian, evolution_residual,
                                  jordan_vacuous_problem,
-                                 random_evolution_problems, solve_evolution)
+                                 random_evolution_problems, run_all,
+                                 solve_evolution)
 
 CFG = Config()
 
@@ -18,20 +21,19 @@ CFG = Config()
 # ---------------------------------------------------------------------------
 
 def test_solver_trivial_and_scalar_exponential():
-    p = EvolutionProblem("stationary", np.zeros((1, 1)), None,
-                         np.array([2.0 + 1.0j]), ())
+    p = EvolutionProblem("stationary", np.zeros((1, 1)),
+                         np.array([2.0 + 1.0j]))
     u = solve_evolution(p, dt=0.01, t_end=20.0, cfg=CFG)
     assert np.abs(u.values - (2.0 + 1.0j)).max() < 1e-12
 
-    p2 = EvolutionProblem("rotator", np.array([[1j]]), None,
-                          np.array([1.0 + 0j]), ())
+    p2 = EvolutionProblem("rotator", np.array([[1j]]), np.array([1.0 + 0j]))
     u2 = solve_evolution(p2, dt=0.01, t_end=50.0, cfg=CFG)
     assert np.abs(u2.values[:, 0] - np.exp(1j * u2.times)).max() < 1e-6
 
 
 def test_solver_variation_of_constants_closed_form():
     # u' = -u + exp(i t), u(0) = 0  =>  u = (exp(it) - exp(-t))/(1 + i)
-    p = EvolutionProblem("forced", np.array([[-1.0 + 0j]]), None,
+    p = EvolutionProblem("forced", np.array([[-1.0 + 0j]]),
                          np.array([0.0 + 0j]),
                          ((np.array([1.0 + 0j]), 1.0),))
     u = solve_evolution(p, dt=0.001, t_end=50.0, cfg=CFG)
@@ -40,23 +42,45 @@ def test_solver_variation_of_constants_closed_form():
     assert np.abs(u.values[:, 0] - expect).max() < 1e-6
 
 
+def test_solver_resonant_forcing_closed_form():
+    # u' = i u + exp(i t), u(0) = 1  =>  u = (1 + t) exp(i t), unbounded
+    p = EvolutionProblem("resonant", np.array([[1j]]), np.array([1.0 + 0j]),
+                         ((np.array([1.0 + 0j]), 1.0),))
+    u = solve_evolution(p, dt=0.01, t_end=50.0, cfg=CFG)
+    t = u.times
+    assert len(t) == 5001
+    assert np.abs(u.values[:, 0] - (1.0 + t) * np.exp(1j * t)).max() < 1e-10
+    assert u.growth_exponent == 1
+
+
+def test_solver_forced_jordan_block_closed_form():
+    # u1' = u2 + c1 exp(i nu t), u2' = c2 exp(i nu t); with
+    # e(t) = (exp(i nu t) - 1)/(i nu):  u2 = b + c2 e,
+    # u1 = a + b t + c1 e + c2 (e - t)/(i nu)
+    a, b = 0.3 - 0.2j, -0.5 + 0.1j
+    c1, c2, nu = 0.7 + 0.4j, -0.6 + 0.9j, 1.3
+    p = EvolutionProblem("jordan-forced", np.array([[0.0, 1.0], [0.0, 0.0]]),
+                         np.array([a, b]), ((np.array([c1, c2]), nu),))
+    u = solve_evolution(p, dt=0.01, t_end=50.0, cfg=CFG)
+    t = u.times
+    e = (np.exp(1j * nu * t) - 1.0) / (1j * nu)
+    assert np.abs(u.values[:, 1] - (b + c2 * e)).max() < 1e-10
+    u1 = a + b * t + c1 * e + c2 * (e - t) / (1j * nu)
+    assert np.abs(u.values[:, 0] - u1).max() < 1e-10
+    assert u.growth_exponent == 1
+
+
 def test_solver_residual_bound():
-    for p in random_evolution_problems(3, CFG):
+    # the problems of ``run_all``: 20 random ones, jordan, and the
+    # forcing-free variants of the first three
+    problems = random_evolution_problems(20, CFG) + [jordan_vacuous_problem()]
+    problems += [replace(p, name=p.name + ":classC0", phi_modes=())
+                 for p in problems[:3]]
+    assert len(problems) == 24
+    for p in problems:
         u = solve_evolution(p, cfg=CFG)
         assert evolution_residual(p, u) <= CFG.tol_ode_coeff * (1 + u.sup_norm())
-
-
-def test_stepping_fallback_matches_closed_form():
-    A = np.array([[-0.5 + 1j]])
-    t = np.arange(0.0, 30.0 + 0.005, 0.01)
-    phi = SampledSignal(Domain.HALF_LINE, 0.0, 0.01,
-                        np.exp(1j * 0.7 * t), 0)
-    p = EvolutionProblem("sampled-phi", A, phi, np.array([1.0 + 0j]), ())
-    u = solve_evolution(p, dt=0.01, t_end=30.0, cfg=CFG)
-    lam = -0.5 + 1j
-    hom = np.exp(lam * t)
-    part = (np.exp(1j * 0.7 * t) - np.exp(lam * t)) / (1j * 0.7 - lam)
-    assert np.abs(u.values[:, 0] - (hom + part)).max() < 1e-4
+        assert u.growth_exponent == (1 if p.name == "evolution[jordan]" else 0)
 
 
 def test_evolution_checks_pass_and_jordan_vacuous():
@@ -98,3 +122,18 @@ def test_regular_ft_sinc_squared(corpus, cfg):
 def test_regular_ft_vacuous_without_integrable_transform(corpus, cfg):
     res = check_regular_ft(corpus["exp_iw1"], cfg)
     assert res.status is CheckStatus.VACUOUS
+
+
+def test_run_all_names_the_failing_subject(monkeypatch):
+    def broken(entry, cfg, analysis=None):
+        raise RuntimeError(f"engine fault on {entry.name}")
+
+    monkeypatch.setattr(theorems, "check_tauberian", broken)
+    results = run_all(Config(), only="tauberian")
+    assert [r.subject for r in results] == [
+        "aap_mix", "decay_poly", "chirp", "so_composite", "expgrow"]
+    for r in results:
+        assert r.check_id == "tauberian"
+        assert r.status is CheckStatus.FAIL
+        assert "RuntimeError" in r.details["exception"]
+        assert f"engine fault on {r.subject}" in r.details["exception"]

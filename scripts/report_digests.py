@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every report the golden roster produces.
+
+Usage:
+    PYTHONPATH=src python scripts/report_digests.py
+
+One line per report: first the ``results.json`` of ``redspectra verify
+--builtin``, then every ``redspectra analyze`` report of the case roster
+in ``scripts/make_golden.py``.  Run it on two checkouts and diff the
+output: an empty diff means the change left every report byte-identical.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from make_golden import CASES, analyze_statuses, corpus_name  # noqa: E402
+
+from redspectra.cli import main as cli_main  # noqa: E402
+
+
+def sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def quiet(fn, *args):
+    """``fn(*args)`` with the paths the CLI prints kept off stdout."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return fn(*args)
+
+
+def main():
+    with tempfile.TemporaryDirectory() as work:
+        results = os.path.join(work, "results.json")
+        rc = quiet(cli_main, ["verify", "--builtin", "--out", results])
+        print(f"{sha256_of(results)}  verify --builtin (exit {rc})", flush=True)
+        for name in dict.fromkeys(corpus_name(r) for r, _, _ in CASES):
+            if quiet(cli_main, ["synth", name, "--out", work]) != 0:
+                raise RuntimeError(f"synth {name} failed")
+        for record, kind, cls in CASES:
+            quiet(analyze_statuses, work, record, kind, cls, work)
+            report = os.path.join(work, f"{record}-{kind}-{cls}.json")
+            label = f"analyze {record} --kind {kind}" + \
+                (f" --class {cls}" if cls else "")
+            print(f"{sha256_of(report)}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

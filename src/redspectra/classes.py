@@ -6,8 +6,13 @@ periodic and slowly oscillating.
 Every detector returns a tri-state ``ClassReport``: YES requires the full
 threshold trace to pass, NO requires an explicit witness violating the
 defining bound by more than twice the tolerance, and anything in between
-is UNDECIDED.  UNDECIDED is a first-class answer on finite records and is
-never coerced.
+is UNDECIDED.  ``_verdict`` holds that rule once; each detector supplies
+its statistic, any extra condition on YES or NO, and its witness.
+UNDECIDED is a first-class answer on finite records and is never coerced.
+
+The AP split forms the Bohr sum of a record once (``_bohr_sum``) and
+refines every candidate window on it; each pass of its peel loop forms
+one sum of that pass's residual.
 
 Tolerances are relative to a reference scale.  For a detector applied to
 a convolution output the reference is the *input* signal's sup norm (the
@@ -63,21 +68,28 @@ class ClassReport:
 
     def to_dict(self):
         return {"class": self.cls.value, "member": self.member.value,
-                "evidence": _plain(self.evidence), "tolerances": _plain(self.tolerances)}
+                "evidence": self.evidence, "tolerances": self.tolerances}
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _verdict(cls: FunctionClass, stat: float, tol: float, ev: dict, tols: dict,
+             witness, yes: bool = True, no: bool = True) -> ClassReport:
+    """The tri-state rule: YES when ``stat <= tol`` and ``yes``; NO when
+    ``stat > 2 tol`` and ``no``, with ``witness()`` added to the evidence;
+    UNDECIDED otherwise."""
+    if stat <= tol and yes:
+        return ClassReport(cls, Tri.YES, ev, tols)
+    if stat > 2.0 * tol and no:
+        ev["witness"] = witness()
+        return ClassReport(cls, Tri.NO, ev, tols)
+    return ClassReport(cls, Tri.UNDECIDED, ev, tols)
+
+
+def _peak(F: SampledSignal, mask=None) -> dict:
+    """Witness: time and norm of F's largest sample within ``mask``."""
+    norms = F.norms
+    idx = int(np.argmax(norms)) if mask is None \
+        else np.flatnonzero(mask)[np.argmax(norms[mask])]
+    return {"t": float(F.times[idx]), "norm": float(norms[idx])}
 
 
 @dataclass(frozen=True)
@@ -96,15 +108,20 @@ class BohrCoefficient:
 # tails and C0
 # ---------------------------------------------------------------------------
 
+def _tail(F: SampledSignal, T: float) -> np.ndarray:
+    """Mask of the samples with t >= T (|t| >= T on the full line)."""
+    t = F.times
+    return t >= T if F.domain is Domain.HALF_LINE else np.abs(t) >= T
+
+
 def tail_sup(F: SampledSignal, checkpoints) -> list:
     """sup ||F|| over [T, t_end] per checkpoint (both tails on the full line)."""
     out = []
     norms = F.norms
-    t = F.times
     for T in checkpoints:
         if T > F.t_end + 1e-12:
             raise HorizonError(f"checkpoint {T} beyond record end {F.t_end}")
-        mask = t >= T if F.domain is Domain.HALF_LINE else np.abs(t) >= T
+        mask = _tail(F, T)
         out.append(float(norms[mask].max()) if mask.any() else 0.0)
     return out
 
@@ -139,16 +156,9 @@ def is_c0(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = Non
     checkpoints = _auto_checkpoints(F, cfg) if checkpoints is None else checkpoints
     sups = tail_sup(F, checkpoints)
     ev = {"checkpoints": list(checkpoints), "tail_sups": sups}
-    if sups[-1] <= tol and (sups[0] <= tol or sups[-1] <= cfg.decay_factor * sups[0]):
-        return ClassReport(FunctionClass.C0, Tri.YES, ev, tols)
-    if sups[-1] > 2.0 * tol:
-        t = F.times
-        mask = t >= checkpoints[-1] if F.domain is Domain.HALF_LINE \
-            else np.abs(t) >= checkpoints[-1]
-        idx = np.where(mask)[0][np.argmax(F.norms[mask])]
-        ev["witness"] = {"t": float(F.times[idx]), "norm": float(F.norms[idx])}
-        return ClassReport(FunctionClass.C0, Tri.NO, ev, tols)
-    return ClassReport(FunctionClass.C0, Tri.UNDECIDED, ev, tols)
+    decayed = sups[0] <= tol or sups[-1] <= cfg.decay_factor * sups[0]
+    return _verdict(FunctionClass.C0, sups[-1], tol, ev, tols,
+                    lambda: _peak(F, _tail(F, checkpoints[-1])), yes=decayed)
 
 
 def is_zero(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = None,
@@ -156,15 +166,9 @@ def is_zero(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = N
     scale = F.sup_norm() if scale_ref is None else scale_ref
     tol = max(cfg.tol_zero_abs, cfg.tol_zero * scale, 2.0 * trunc_bound)
     sup = F.sup_norm()
-    ev = {"sup": sup}
     tols = {"tol": tol, "scale_ref": scale, "trunc_bound": trunc_bound}
-    if sup <= tol:
-        return ClassReport(FunctionClass.ZERO, Tri.YES, ev, tols)
-    if sup > 2.0 * tol:
-        idx = int(np.argmax(F.norms))
-        ev["witness"] = {"t": float(F.times[idx]), "norm": float(F.norms[idx])}
-        return ClassReport(FunctionClass.ZERO, Tri.NO, ev, tols)
-    return ClassReport(FunctionClass.ZERO, Tri.UNDECIDED, ev, tols)
+    return _verdict(FunctionClass.ZERO, sup, tol, {"sup": sup}, tols,
+                    lambda: _peak(F))
 
 
 def is_bounded(F: SampledSignal, cfg: Config = DEFAULT,
@@ -194,14 +198,7 @@ def is_bounded(F: SampledSignal, cfg: Config = DEFAULT,
 # ergodic means
 # ---------------------------------------------------------------------------
 
-def _window_means(F: SampledSignal, T: float):
-    """A_T(t) = (1/T) int_t^{t+T} F, for every admissible grid t."""
-    k = F.lattice_steps(F.dt * round(T / F.dt), "T")
-    cum = _cumulative(F)
-    return (cum[k:] - cum[:-k]) / (k * F.dt)
-
-
-def default_horizons(F: SampledSignal, cfg: Config = DEFAULT):
+def default_horizons(F: SampledSignal):
     span = F.t_end - F.t0
     return [round(f * span, 6) for f in (0.125, 0.25, 0.5)]
 
@@ -218,40 +215,34 @@ def ergodic_mean(F: SampledSignal, T_list=None, cfg: Config = DEFAULT,
     """
     span = F.t_end - F.t0
     if T_list is None:
-        T_list = default_horizons(F, cfg)
+        T_list = default_horizons(F)
     T_max = max(T_list)
     if T_max >= span:
         raise HorizonError(f"horizon {T_max} exceeds the record span {span:.1f}")
     scale = F.sup_norm() if scale_ref is None else scale_ref
+    ks = [F.lattice_steps(F.dt * round(T / F.dt), "T") for T in T_list]
+    if min(ks) < 1:
+        raise HorizonError(f"horizon {min(T_list)} is shorter than dt={F.dt}")
     w_len = min(cfg.erg_window_frac * span, span - T_max)
-    n_w = max(2, int(w_len / F.dt))
-
-    A_max = _window_means(F, T_max)[:int(min(n_w, 10 ** 9))]
-    n_w = min(n_w, A_max.shape[0])
-    m = A_max[:n_w].mean(axis=0)
-    devs = []
-    for T in T_list:
-        A = _window_means(F, T)
-        nn = min(n_w, A.shape[0])
-        devs.append(float(np.linalg.norm(A[:nn] - m, axis=1).max()))
+    n_w = min(max(2, int(w_len / F.dt)), F.n - max(ks))
+    # A_T(t) = (1/T) int_t^{t+T} F at the first n_w grid t, per T, all
+    # read from one cumulative trapezoid
+    cum = _cumulative(F)
+    means = [(cum[k:k + n_w] - cum[:n_w]) / (k * F.dt) for k in ks]
+    m = means[int(np.argmax(T_list))].mean(axis=0)
+    curves = [np.linalg.norm(A - m, axis=1) for A in means]
+    devs = [float(c.max()) for c in curves]
     tol = cfg.tol_erg * scale + 2.0 * trunc_bound
     ev = {"T_list": list(T_list), "deviations": devs,
           "sup_window": [float(F.t0), float(F.t0 + n_w * F.dt)],
           "mean_norm": float(np.linalg.norm(m))}
     tols = {"tol_erg": cfg.tol_erg, "scale_ref": scale, "trunc_bound": trunc_bound}
     decreasing = devs[-1] <= cfg.decay_factor * devs[0] + 1e-15 or devs[0] <= tol
-    if devs[-1] <= tol and decreasing:
-        member = Tri.YES
-    elif devs[-1] > 2.0 * tol and devs[-1] >= 0.9 * devs[0]:
-        A = _window_means(F, T_list[-1])
-        nn = min(n_w, A.shape[0])
-        idx = int(np.argmax(np.linalg.norm(A[:nn] - m, axis=1)))
-        ev["witness"] = {"t": float(F.t0 + idx * F.dt),
-                         "deviation": devs[-1]}
-        member = Tri.NO
-    else:
-        member = Tri.UNDECIDED
-    return Mean(m), devs, ClassReport(FunctionClass.ERGODIC, member, ev, tols)
+    rep = _verdict(FunctionClass.ERGODIC, devs[-1], tol, ev, tols,
+                   lambda: {"t": float(F.t0 + int(np.argmax(curves[-1])) * F.dt),
+                            "deviation": devs[-1]},
+                   yes=decreasing, no=devs[-1] >= 0.9 * devs[0])
+    return Mean(m), devs, rep
 
 
 def is_ergodic(F, cfg: Config = DEFAULT, scale_ref=None, trunc_bound=0.0,
@@ -328,15 +319,14 @@ def bohr_coefficient(F: SampledSignal, omega: float, cfg: Config = DEFAULT,
 # almost periodic decomposition
 # ---------------------------------------------------------------------------
 
-def _refine_frequency(F: SampledSignal, center: float, halfwidth: float,
-                      cfg: Config) -> float:
+def _refine_frequency(a, center: float, halfwidth: float) -> float:
     """Maximize |a(nu)| over [center-halfwidth, center+halfwidth] by
     bounded Brent to within ``XATOL``, and round the maximizer onto the
     XATOL lattice: digits below the certified resolution would otherwise
-    carry the evaluator's rounding into the report."""
+    carry the evaluator's rounding into the report.  ``a`` is a
+    ``_bohr_sum`` evaluator."""
     if halfwidth <= 0:
         return center
-    a = _bohr_sum(F)
     res = minimize_scalar(lambda nu: -np.linalg.norm(a(nu)),
                           bounds=(center - halfwidth, center + halfwidth),
                           method="bounded", options={"xatol": XATOL})
@@ -349,18 +339,19 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     frequencies plus a remainder; report AAP membership.
 
     Candidates are floats or (center, halfwidth) pairs; each is refined by
-    maximizing the Bohr-coefficient magnitude, then the coefficients are
-    solved jointly by least squares on the record (which reduces to the
-    windowed means for well-separated frequencies).  AAP = YES iff the
-    remainder passes the C0 detector.
+    maximizing the Bohr-coefficient magnitude on the record's one Bohr
+    sum, then the coefficients are solved jointly by least squares on the
+    record (which reduces to the windowed means for well-separated
+    frequencies).  AAP = YES iff the remainder passes the C0 detector.
     """
     scale = F.sup_norm() if scale_ref is None else scale_ref
     windows = [(c if isinstance(c, (tuple, list)) else (c, cfg.grid_step))
                for c in candidate_freqs]
     sep = 0.5 * np.pi / max(F.t_end - F.t0, 1.0)
     freqs: list = []
+    a = _bohr_sum(F) if windows else None
     for center, hw in windows:
-        nu = _refine_frequency(F, center, hw, cfg)
+        nu = _refine_frequency(a, center, hw)
         if all(abs(nu - f) > sep for f in freqs):
             freqs.append(nu)
 
@@ -378,13 +369,13 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     ap_vals, freqs, sol = solve(freqs)
     # peel residual tones: one candidate window can hide several close
     # frequencies, which a single refinement pass cannot separate
-    for _ in range(3):
-        resid = SampledSignal(F.domain, F.t0, F.dt, F.values - ap_vals,
-                              F.growth_exponent, trusted=True)
+    for _ in range(3 if windows else 0):
+        a = _bohr_sum(SampledSignal(F.domain, F.t0, F.dt, F.values - ap_vals,
+                                    F.growth_exponent, trusted=True))
         best, best_norm = None, 3.0 * cfg.tol_bohr * scale
         for center, hw in windows:
-            nu = _refine_frequency(resid, center, hw, cfg)
-            bn = bohr_coefficient(resid, nu, cfg).norm()
+            nu = _refine_frequency(a, center, hw)
+            bn = np.linalg.norm(a(nu))
             if bn > best_norm and all(abs(nu - f) > sep for f in freqs):
                 best, best_norm = nu, bn
         if best is None:
@@ -409,53 +400,42 @@ def is_ap(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     ap_part, remainder, aap = ap_decompose(F, candidate_freqs, cfg, scale,
                                            trunc_bound)
     tol = cfg.tol_c0 * scale + 2.0 * trunc_bound
-    sup = remainder.sup_norm()
-    ev = dict(aap.evidence)
-    ev["remainder_sup"] = sup
-    tols = dict(aap.tolerances)
-    if sup <= tol:
-        return ClassReport(FunctionClass.AP, Tri.YES, ev, tols)
-    if sup > 2.0 * tol:
-        idx = int(np.argmax(remainder.norms))
-        ev["witness"] = {"t": float(remainder.times[idx]), "norm": sup}
-        return ClassReport(FunctionClass.AP, Tri.NO, ev, tols)
-    return ClassReport(FunctionClass.AP, Tri.UNDECIDED, ev, tols)
+    return _verdict(FunctionClass.AP, aap.evidence["remainder_sup"], tol,
+                    dict(aap.evidence), aap.tolerances, lambda: _peak(remainder))
 
 
 # ---------------------------------------------------------------------------
 # uniform continuity and slow oscillation
 # ---------------------------------------------------------------------------
 
-def uc_modulus(F: SampledSignal, lags=None, cfg: Config = DEFAULT):
+def _jumps(F: SampledSignal, s: float) -> np.ndarray:
+    """||F(t+s) - F(t)|| at every grid t with t + s on the record."""
+    k = F.lattice_steps(s, "lag")
+    if k <= 0 or k >= F.n:
+        raise HorizonError("lag outside the record")
+    return np.linalg.norm(F.values[k:] - F.values[:-k], axis=1)
+
+
+def uc_modulus(F: SampledSignal, lags=None):
     """modulus(s) = sup_t ||F(t+s) - F(t)|| for each lattice lag."""
     if lags is None:
         lags = [F.dt * m for m in (1, 2, 5, 10)]
-    out = []
-    for s in lags:
-        k = F.lattice_steps(s, "lag")
-        if k <= 0 or k >= F.n:
-            raise HorizonError("lag outside the record")
-        diff = F.values[k:] - F.values[:-k]
-        out.append(float(np.linalg.norm(diff, axis=1).max()))
-    return list(lags), out
+    return list(lags), [float(_jumps(F, s).max()) for s in lags]
 
 
 def is_uc(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = None,
           trunc_bound: float = 0.0, lags=None) -> ClassReport:
     scale = F.sup_norm() if scale_ref is None else scale_ref
-    lags, mods = uc_modulus(F, lags, cfg)
+    lags, mods = uc_modulus(F, lags)
     tol = cfg.tol_uc * scale + 2.0 * trunc_bound
-    ev = {"lags": lags, "modulus": mods}
     tols = {"tol_uc": cfg.tol_uc, "scale_ref": scale}
-    if mods[0] <= tol:
-        return ClassReport(FunctionClass.UC, Tri.YES, ev, tols)
-    if mods[0] > 2.0 * tol:
-        k = F.lattice_steps(lags[0], "lag")
-        diff = np.linalg.norm(F.values[k:] - F.values[:-k], axis=1)
-        idx = int(np.argmax(diff))
-        ev["witness"] = {"t": float(F.times[idx]), "jump": float(diff[idx])}
-        return ClassReport(FunctionClass.UC, Tri.NO, ev, tols)
-    return ClassReport(FunctionClass.UC, Tri.UNDECIDED, ev, tols)
+
+    def witness():
+        jumps = _jumps(F, lags[0])
+        idx = int(np.argmax(jumps))
+        return {"t": float(F.times[idx]), "jump": float(jumps[idx])}
+    return _verdict(FunctionClass.UC, mods[0], tol,
+                    {"lags": lags, "modulus": mods}, tols, witness)
 
 
 def is_slowly_oscillating(F: SampledSignal, cfg: Config = DEFAULT,
@@ -477,12 +457,9 @@ def is_slowly_oscillating(F: SampledSignal, cfg: Config = DEFAULT,
     ev = {"h_star": h, "u_lipschitz_bound": 2.0 * F.sup_norm() / h,
           "xi_c0": c0_rep.to_dict()}
     tols = {"tol_c0": cfg.tol_c0, "scale_ref": scale}
-    if c0_rep.member is Tri.YES:
-        return ClassReport(FunctionClass.SLOWLY_OSCILLATING, Tri.YES, ev, tols)
     if c0_rep.member is Tri.NO:
         ev["witness"] = c0_rep.evidence.get("witness")
-        return ClassReport(FunctionClass.SLOWLY_OSCILLATING, Tri.NO, ev, tols)
-    return ClassReport(FunctionClass.SLOWLY_OSCILLATING, Tri.UNDECIDED, ev, tols)
+    return ClassReport(FunctionClass.SLOWLY_OSCILLATING, c0_rep.member, ev, tols)
 
 
 # ---------------------------------------------------------------------------

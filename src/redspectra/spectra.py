@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classes import ClassReport, FunctionClass, Tri, detect, _plain
+from .classes import ClassReport, FunctionClass, Tri, detect
 from .config import Config, DEFAULT
 from .errors import (ConfigError, HorizonError, RedSpectraError,
                      TruncationError)
@@ -88,7 +88,7 @@ class RegularityCertificate:
     def to_dict(self):
         return {"omega": self.omega, "status": self.status.value,
                 "kernel": self.kernel_id, "kernel_ft_abs": self.kernel_ft_abs,
-                "evidence": _plain(self.evidence)}
+                "evidence": self.evidence}
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class SpectrumEstimate:
                          "step": self.grid.step},
                 "status": [c.status.value for c in self.certificates],
                 "points": [c.to_dict() for c in self.certificates],
-                "meta": _plain(self.meta)}
+                "meta": self.meta}
 
     def plot_rows(self):
         """(omega, status_code, metric) rows; 0 regular, 1 singular, 2 undecided."""

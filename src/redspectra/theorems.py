@@ -25,14 +25,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .classes import (FunctionClass, Tri, _plain, ap_decompose, detect,
+from .classes import (FunctionClass, Tri, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
 from .config import Config, DEFAULT
 from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
 from .errors import ConfigError, RedSpectraError
 from .kernels import bump_kernel, d_bump
-from .signals import (Domain, SampledSignal, convolve, extend_by_zero,
-                      indefinite_integral, modulate, mollify, translate,
+from .signals import (Domain, SampledSignal, _cumulative, convolve,
+                      extend_by_zero, modulate, mollify, translate,
                       trapezoid_weights)
 from .spectra import (FrequencyGrid, RegStatus, SignalAnalysis,
                       laplace_spectrum, reduced_spectrum)
@@ -55,7 +55,7 @@ class CheckResult:
 
     def to_dict(self):
         return {"check": self.check_id, "subject": self.subject,
-                "status": self.status.value, "details": _plain(self.details)}
+                "status": self.status.value, "details": self.details}
 
 
 def analysis_of(entry: CorpusSignal, cfg: Config = DEFAULT) -> SignalAnalysis:
@@ -469,12 +469,12 @@ def _powers(E: np.ndarray, count: int) -> np.ndarray:
 
 
 def evolution_residual(p: EvolutionProblem, u: SampledSignal) -> float:
-    """sup_t || u - u0 - A P u - P phi || with P the trapezoid integral."""
-    Pu = indefinite_integral(u)
-    phi_sig = SampledSignal(Domain.HALF_LINE, 0.0, u.dt,
-                            _phi_values(p, u.times), 0, trusted=True)
-    Pphi = indefinite_integral(phi_sig)
-    R = u.values - u.values[0][None, :] - Pu.values @ p.A.T - Pphi.values
+    """sup_t || u - u0 - A P u - P phi || with P the cumulative trapezoid
+    integral from t = 0, where u's record starts."""
+    phi = SampledSignal(Domain.HALF_LINE, 0.0, u.dt, _phi_values(p, u.times),
+                        0, trusted=True)
+    R = (u.values - u.values[0][None, :] - _cumulative(u) @ p.A.T
+         - _cumulative(phi))
     return float(np.linalg.norm(R, axis=1).max())
 
 

@@ -257,7 +257,7 @@ def mollify_identity_residual(F: SampledSignal, h: float, lam: complex) -> float
 
 
 def carleman_as_convolution_residual(phi: SampledSignal, lam: complex,
-                                     t_probe, cfg: Config = DEFAULT) -> float:
+                                     t_probe) -> float:
     """|| (phi * reflect(f_lam))(t) - C phi_t(lam) || at the probe times.
 
     reflect(f_lam) = -f_{-lam} for either sign of Re lam, and the

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from scipy.optimize import minimize_scalar
 
-from redspectra.classes import (XATOL, FunctionClass, Tri, _refine_frequency,
-                                ap_decompose, bohr_coefficient, detect,
-                                ergodic_mean, is_c0, is_slowly_oscillating,
-                                is_uc, tail_sup, uc_modulus)
+from redspectra import classes
+from redspectra.classes import (XATOL, FunctionClass, Tri, _bohr_sum,
+                                _refine_frequency, ap_decompose,
+                                bohr_coefficient, detect, ergodic_mean, is_c0,
+                                is_slowly_oscillating, is_uc, tail_sup,
+                                uc_modulus)
 from redspectra.config import Config
+from redspectra.corpus import build_signal
 from redspectra.errors import HorizonError
 from redspectra.signals import Domain, SampledSignal, convolve, extend_by_zero, \
     modulate, mollify
@@ -55,6 +58,11 @@ def test_ergodic_mean_constant():
     assert rep.member is Tri.YES
     assert abs(m.value[0] - (2.0 - 1.0j)) < 1e-10
     assert max(devs) < 1e-9
+
+
+def test_ergodic_mean_rejects_a_horizon_below_one_step():
+    with pytest.raises(HorizonError):
+        ergodic_mean(make_half(np.sin), [0.004, 50], CFG)
 
 
 def test_ergodic_mean_oscillation_rate():
@@ -135,7 +143,7 @@ def test_refined_frequency_is_the_snapped_brent_maximizer(domain, n):
     # the snap hides how the weighted sum is ordered
     F = _random_record(domain, n, 7 * n)
     for center, hw in ((1.25, 0.2), (-0.5, 0.3), (0.3, 0.1)):
-        nu = _refine_frequency(F, center, hw, CFG)
+        nu = _refine_frequency(_bohr_sum(F), center, hw)
         assert nu == XATOL * round(nu / XATOL)
         res = minimize_scalar(
             lambda x: -np.linalg.norm(_bohr_by_definition(F, x)),
@@ -171,12 +179,36 @@ def test_ap_two_tones_recovered_from_one_seed():
     assert rem.sup_norm() < 5e-3
 
 
+def test_ap_decompose_forms_one_bohr_sum_per_pass(monkeypatch):
+    # the record's sum serves the first refinement of every window, and
+    # each peel pass forms one sum of its residual; with one window the
+    # refinements count 1 + the passes
+    built, refined = [], []
+
+    def counting_sum(F, T=None):
+        built.append(F)
+        return _bohr_sum(F, T)
+
+    def counting_refine(a, center, hw):
+        refined.append(center)
+        return _refine_frequency(a, center, hw)
+    monkeypatch.setattr(classes, "_bohr_sum", counting_sum)
+    monkeypatch.setattr(classes, "_refine_frequency", counting_refine)
+    F = build_signal("aap_mix", CFG).half
+    ap, rem, rep = ap_decompose(F, [(1.0, 0.2)], CFG)
+    assert rep.member is Tri.YES and len(refined) >= 2
+    assert 1 <= len(built) <= len(refined)
+    built.clear()
+    ap, rem, rep = ap_decompose(F, [], CFG)
+    assert built == [] and rep.evidence["frequencies"] == []
+
+
 # ---------------------------------------------------------------------------
 # UC / SO / bounded
 # ---------------------------------------------------------------------------
 
 def test_uc_modulus_and_verdicts():
-    lags, mods = uc_modulus(make_half(np.sin), [0.01, 0.02], CFG)
+    lags, mods = uc_modulus(make_half(np.sin), [0.01, 0.02])
     assert mods[0] <= 0.011
     assert is_uc(make_half(np.sin), CFG).member is Tri.YES
     chirp = make_half(lambda t: np.exp(1j * t * t))

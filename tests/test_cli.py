@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from redspectra.classes import ClassReport, FunctionClass, Tri
 from redspectra.cli import main
 from redspectra.io_utils import (canonical_json, read_signal_csv,
                                  write_kernel, write_signal_csv)
@@ -355,6 +356,23 @@ def test_canonical_json_formatting():
     s = canonical_json({"a": 1.0, "b": 0.1234567890123456, "c": [1, 2.5],
                         "d": complex(1, -2)})
     assert s == '{"a":1.0,"b":0.123456789012,"c":[1,2.5],"d":{"re":1.0,"im":-2.0}}'
+    # numpy scalars and arrays, tuples and reports nested in evidence
+    # serialize as their plain Python values do
+    s = canonical_json({"f": np.float64(0.1234567890123456), "i": np.int64(-3),
+                        "z": np.complex128(0.5 - 1.5j),
+                        "v": np.array([1j, 2.0 + 0.25j]), "p": (1, 2.5)})
+    assert s == ('{"f":0.123456789012,"i":-3,"z":{"re":0.5,"im":-1.5},'
+                 '"v":[{"re":0.0,"im":1.0},{"re":2.0,"im":0.25}],"p":[1,2.5]}')
+    rep = ClassReport(FunctionClass.AAP, Tri.YES,
+                      {"frequencies": [np.float64(1.0)],
+                       "coefficients": {"1": np.array([1.0 - 2.0j])},
+                       "witness": {"t": np.float64(2.5), "k": np.int64(7)}},
+                      {"scale_ref": np.float64(3.0), "lags": (0.01, 0.02)})
+    assert canonical_json({"report": rep.to_dict()}) == (
+        '{"report":{"class":"aap","member":"yes","evidence":'
+        '{"frequencies":[1.0],"coefficients":{"1":[{"re":1.0,"im":-2.0}]},'
+        '"witness":{"t":2.5,"k":7}},'
+        '"tolerances":{"scale_ref":3.0,"lags":[0.01,0.02]}}}')
 
 
 def test_verify_rejects_corrupt_corpus_dir(tmp_path):

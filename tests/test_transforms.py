@@ -162,4 +162,4 @@ def test_carleman_as_convolution():
     phi = make_full(lambda t: np.exp(1j * t), t_end=120.0)
     for lam in (0.5, -0.5, 0.4 + 0.3j, -0.4 + 0.3j):
         assert carleman_as_convolution_residual(
-            phi, lam, [0.0, 5.0, -5.0], CFG) < 1e-6
+            phi, lam, [0.0, 5.0, -5.0]) < 1e-6

@@ -17,7 +17,7 @@ from .transforms import (HalfPlaneGrid, carleman_transform, half_plane_scan,
                          laplace_transform)
 from .spectra import (FrequencyGrid, RegStatus, RegularityCertificate,
                       SignalAnalysis, SpectrumEstimate, carleman_spectrum,
-                      laplace_spectrum, reduced_spectrum, test_regular,
+                      laplace_spectrum, reduced_spectrum,
                       weak_laplace_spectrum)
 from .theorems import (CheckResult, CheckStatus, EvolutionProblem,
                        check_evolution_spectrum, check_inclusion_chain,

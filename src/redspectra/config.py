@@ -32,8 +32,6 @@ class Config:
 
     # kernel construction
     support_cut: float = 1e-14       # relative sample cut for kernel tails
-    freq_grid_divisor: float = 50.0  # bandpass ft grid spacing = delta / this
-    eps_div: float = 1e-6            # minimum |f^| allowed in Wiener division
 
     # quadrature / convolution error model
     trunc_budget: float = 1e-3       # unseen kernel-mass budget (class work)
@@ -122,9 +120,9 @@ class Config:
 #: fields besides the ``tol_*`` tolerances that must be > 0: budgets,
 #: steps, widths and counts (a zero step divides by zero, a zero count or
 #: width turns every verdict undecided)
-_POSITIVE = ("eps_div", "trunc_budget", "trunc_budget_strict", "dt", "t_end",
+_POSITIVE = ("trunc_budget", "trunc_budget_strict", "dt", "t_end",
              "conv_out_step", "min_window", "so_mollify_h", "evolution_dt",
-             "circle_nodes", "freq_grid_divisor")
+             "circle_nodes")
 
 
 def _is_number(v) -> bool:

@@ -40,6 +40,10 @@ from .errors import DivisionError_, DomainError, GridError
 from .signals import trapezoid_weights
 
 _SQRT2 = np.sqrt(2.0)
+#: band-pass transform grid spacing (``TestKernel.freq_grid``) = delta / this
+FREQ_GRID_DIVISOR = 50.0
+#: minimum |f^| that ``wiener_divide`` divides by
+EPS_DIV = 1e-6
 
 
 @functools.lru_cache(maxsize=1)
@@ -307,7 +311,7 @@ def bandpass_kernel(omega0: float, delta: float, cfg: Config = DEFAULT) -> TestK
     def ft_fn(w, w0=omega0):
         return _plateau(np.asarray(w, float) - w0, b, sigma).astype(complex)
 
-    dw = delta / cfg.freq_grid_divisor
+    dw = delta / FREQ_GRID_DIVISOR
     half = int(np.ceil(2.5 * delta / dw))
     grid = omega0 + dw * np.arange(-half, half + 1)
     cut_tail = float(np.exp(-0.5 * (sigma * L) ** 2) * 2.0 / (np.pi * L * sigma * L))
@@ -476,7 +480,7 @@ def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
     """g with g^ f^ = 1 on the compact interval K and g^ compactly supported.
 
     g^ is a smooth plateau (1 on K, Gaussian edges, zero past a slight
-    enlargement) divided pointwise by f^; f^ must stay above ``eps_div``
+    enlargement) divided pointwise by f^; f^ must stay above ``EPS_DIV``
     in modulus over the enlarged interval.  The time samples come from
     inverse-transform quadrature over the stored grid.  The postcondition
     sup_K |g^ f^ - 1| <= 1e-8 is asserted on every call.
@@ -495,12 +499,12 @@ def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
 
     fhat = np.asarray(f.ft(grid), complex)
     core = (grid >= lo - e) & (grid <= hi + e)
-    if np.abs(fhat[core]).min() < cfg.eps_div:
+    if np.abs(fhat[core]).min() < EPS_DIV:
         raise DivisionError_(
             f"|f^| drops to {np.abs(fhat[core]).min():.3g} on the enlarged "
             f"interval around K={K}; the division hypothesis needs the "
             f"transform nonzero on a compact neighbourhood of K "
-            f"(threshold eps_div={cfg.eps_div:g})")
+            f"(threshold EPS_DIV={EPS_DIV:g})")
 
     chi = _plateau(grid - mid, b, sigma)
     ghat = np.where(chi > 1e-15, chi / fhat, 0.0)

@@ -350,8 +350,8 @@ def indefinite_integral(F: SampledSignal) -> SampledSignal:
     cum = _cumulative(F)
     i0 = F.index_of(0.0)
     cum = cum - cum[i0]
-    k = F.growth_exponent + 1 if F.sup_norm() > 0 else 0
-    return SampledSignal(F.domain, F.t0, F.dt, cum, k, trusted=True)
+    return SampledSignal(F.domain, F.t0, F.dt, cum, F.growth_exponent + 1,
+                         trusted=True)
 
 
 def mollify(F: SampledSignal, h: float) -> SampledSignal:
@@ -621,19 +621,18 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
 
 
 def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
-             out_range: tuple | None = None, budget: float = 1e-12,
-             quad_step: float | None = None) -> ExtendedSignal:
+             out_range: tuple | None = None,
+             budget: float = 1e-12) -> ExtendedSignal:
     """Trapezoid quadrature of (H * k)(t) = integral H(t - s) k(s) ds.
 
     The output grid and its truncation bound come from
     ``plan_convolution``; the worst admitted omission is recorded on the
     result as ``trunc_bound``.
 
-    ``out_step`` decimates the output grid; ``quad_step`` coarsens the
-    s-quadrature lattice, which is only safe for kernels whose own decay
-    suppresses the aliased high-frequency content of H.
+    ``out_step`` decimates the output grid; the s-quadrature runs on the
+    record lattice.
     """
-    plan = plan_convolution(H, kernel, out_step, out_range, budget, quad_step)
+    plan = plan_convolution(H, kernel, out_step, out_range, budget)
     out = plan_product(plan)
     return ExtendedSignal(Domain.FULL_LINE, plan.t0, plan.step, out,
                           H.growth_exponent, trusted=True,

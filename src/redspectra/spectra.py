@@ -16,6 +16,9 @@
   masses mark singular points.  Two window widths are scanned and must
   agree.
 
+The three transform engines share one certificate path
+(``_transform_estimate``); each supplies only its domain check and rule.
+
 A grid scan cannot certify true regularity or singularity, so UNDECIDED
 is a first-class status; every theorem check downstream treats it as
 "no violation".  All engines are pure; grid points are independent and
@@ -89,6 +92,12 @@ class RegularityCertificate:
         return {"omega": self.omega, "status": self.status.value,
                 "kernel": self.kernel_id, "kernel_ft_abs": self.kernel_ft_abs,
                 "evidence": self.evidence}
+
+
+def _trivial(w) -> RegularityCertificate:
+    """The certificate of every grid point of a zero record."""
+    return RegularityCertificate(w, RegStatus.REGULAR, "trivial", 1.0,
+                                 {"reason": "zero signal"})
 
 
 @dataclass(frozen=True)
@@ -263,10 +272,7 @@ class ReducedScanner:
         cfg = self.cfg
         idx = list(idx)
         if self.F.sup_norm() <= cfg.tol_zero_abs:
-            return [RegularityCertificate(self.omegas[j], RegStatus.REGULAR,
-                                          "trivial", 1.0,
-                                          {"reason": "zero signal"})
-                    for j in idx]
+            return [_trivial(self.omegas[j]) for j in idx]
         pts = {j: _PointScan(self.omegas[j]) for j in idx}
 
         for p in pts.values():
@@ -397,14 +403,6 @@ def _witness_metric(rep: ClassReport) -> float:
     return 0.0
 
 
-def test_regular(F: SampledSignal, omega: float, cls: FunctionClass,
-                 cfg: Config = DEFAULT, extra_kernels=(),
-                 candidates=None) -> RegularityCertificate:
-    """One-point regularity test (builds a throwaway scanner)."""
-    sc = ReducedScanner(F, np.array([omega]), cfg, extra_kernels)
-    return sc.test_regular(omega, cls, candidates)
-
-
 def reduced_spectrum(F: SampledSignal, cls: FunctionClass,
                      grid: FrequencyGrid | None = None, cfg: Config = DEFAULT,
                      extra_kernels=(), candidates=None,
@@ -450,8 +448,42 @@ def extension_comparison(H: SampledSignal, cls: FunctionClass,
 # transform spectra
 # ---------------------------------------------------------------------------
 
-def _growing(seq: np.ndarray, ratio: float) -> bool:
-    return bool(seq[-1] >= ratio * max(seq[0], 1e-300))
+def _blowup(mag: np.ndarray, scale: float, cfg: Config) -> np.ndarray:
+    """Per grid column of the (n_a, n_w) boundary magnitudes: the peak
+    reaches ``blowup_thresh`` times the scale and the value grows by
+    ``grow_ratio`` as a decreases."""
+    return (mag.max(axis=0) >= cfg.blowup_thresh * scale) & \
+        (mag[-1] >= cfg.grow_ratio * np.maximum(mag[0], 1e-300))
+
+
+def _transform_estimate(kind: str, F: SampledSignal,
+                        grid: FrequencyGrid | None, cfg: Config,
+                        hp: HalfPlaneGrid | None, rule) -> SpectrumEstimate:
+    """The one path from a record to a transform spectrum.
+
+    A zero record is trivially regular everywhere.  Otherwise
+    ``rule(hp, grid)`` reads the half-plane scan (``hp``, or a fresh one)
+    and returns boolean ``singular`` and ``regular`` arrays over the grid,
+    the kernel id of a regular point, one evidence dict per point and the
+    meta.  Singular beats regular beats undecided, and regular points near
+    a singular one are then demoted.
+    """
+    grid = FrequencyGrid.from_config(cfg) if grid is None else grid
+    omegas = grid.values()
+    if F.sup_norm() <= cfg.tol_zero_abs:
+        return SpectrumEstimate(kind, grid, tuple(map(_trivial, omegas)),
+                                {"trivial": True})
+    hp = half_plane_scan(F, omegas, cfg) if hp is None else hp
+    singular, regular, kernel_id, evidence, meta = rule(hp, grid)
+    certs = []
+    for w, sing, reg, ev in zip(omegas, singular, regular, evidence):
+        status = RegStatus.SINGULAR if sing else \
+            RegStatus.REGULAR if reg else RegStatus.UNDECIDED
+        certs.append(RegularityCertificate(
+            w, status, kernel_id if status is RegStatus.REGULAR else None,
+            0.0, ev))
+    return SpectrumEstimate(kind, grid, _buffer_singular(certs, omegas, cfg),
+                            meta)
 
 
 def carleman_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
@@ -459,44 +491,34 @@ def carleman_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
     """Boundary-jump / blowup classification of the Carleman transform."""
     if F.domain is not Domain.FULL_LINE:
         raise RedSpectraError("Carleman spectrum needs a full-line record")
-    grid = FrequencyGrid.from_config(cfg) if grid is None else grid
-    if F.sup_norm() <= cfg.tol_zero_abs:
-        return _trivial_estimate("carleman", grid)
-    hp = half_plane_scan(F, grid.values(), cfg)
-    scale = max(hp.scale, 1e-300)
-    tol_match = cfg.tol_match_coeff * scale
-    allowance = 2.0 * hp.tail_bounds[-1]
-    certs = []
-    J = np.linalg.norm(hp.right - hp.left, axis=2)      # (n_a, n_w)
-    mag = np.maximum(np.linalg.norm(hp.right, axis=2),
-                     np.linalg.norm(hp.left, axis=2))
-    for j, w in enumerate(grid.values()):
-        Jj = J[:, j]
-        peak = float(mag[:, j].max())
-        ev = {"jumps": Jj.tolist(), "peak_over_scale": peak / scale,
-              "metric": float(Jj[-1])}
-        blow = peak >= cfg.blowup_thresh * scale and _growing(mag[:, j],
-                                                              cfg.grow_ratio)
-        stagnant = (Jj[-1] >= cfg.jump_sing_ratio * Jj.max()
-                    and Jj[-1] > tol_match + allowance)
-        if blow or stagnant:
-            ev["witness"] = {"blowup": bool(blow), "jump_stagnation":
-                             bool(stagnant), "last_jump": float(Jj[-1])}
-            certs.append(RegularityCertificate(w, RegStatus.SINGULAR,
-                                               None, 0.0, ev))
-            continue
-        decayed = (Jj[-1] <= cfg.jump_reg_ratio * max(Jj.max(), 1e-300)
-                   and Jj[-1] <= tol_match + allowance)
+
+    def rule(hp, grid):
+        scale = max(hp.scale, 1e-300)
+        bound = cfg.tol_match_coeff * scale + 2.0 * hp.tail_bounds[-1]
+        J = np.linalg.norm(hp.right - hp.left, axis=2)      # (n_a, n_w)
+        mag = np.maximum(np.linalg.norm(hp.right, axis=2),
+                         np.linalg.norm(hp.left, axis=2))
+        peak = mag.max(axis=0)
+        blow = _blowup(mag, scale, cfg)
+        stagnant = (J[-1] >= cfg.jump_sing_ratio * J.max(axis=0)) & \
+            (J[-1] > bound)
+        decayed = (J[-1] <= cfg.jump_reg_ratio
+                   * np.maximum(J.max(axis=0), 1e-300)) & (J[-1] <= bound)
         elevated = peak >= cfg.elevated_thresh * scale
-        if decayed and not elevated:
-            certs.append(RegularityCertificate(
-                w, RegStatus.REGULAR, "two-sided-match", 0.0, ev))
-        else:
-            certs.append(RegularityCertificate(w, RegStatus.UNDECIDED,
-                                               None, 0.0, ev))
-    certs = _buffer_singular(certs, grid.values(), cfg)
-    return SpectrumEstimate("carleman", grid, tuple(certs),
-                            {"a_seq": list(hp.a_seq), "scale": scale})
+        evidence = []
+        for j in range(len(peak)):
+            ev = {"jumps": J[:, j].tolist(),
+                  "peak_over_scale": float(peak[j]) / scale,
+                  "metric": float(J[-1, j])}
+            if blow[j] or stagnant[j]:
+                ev["witness"] = {"blowup": bool(blow[j]),
+                                 "jump_stagnation": bool(stagnant[j]),
+                                 "last_jump": float(J[-1, j])}
+            evidence.append(ev)
+        return (blow | stagnant, decayed & ~elevated, "two-sided-match",
+                evidence, {"a_seq": list(hp.a_seq), "scale": scale})
+
+    return _transform_estimate("carleman", F, grid, cfg, None, rule)
 
 
 def _cauchy_circle_errors(sc: TransformScanner, a: float, cfg: Config):
@@ -523,54 +545,42 @@ def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
                      singular_only: bool = False) -> SpectrumEstimate:
     """Blowup / Cauchy / analytic-continuation classification of the
     Laplace transform boundary behaviour for a half-line signal.  The
-    Cauchy-circle test reuses the scanner that filled ``hp``."""
+    Cauchy-circle test reuses the scanner that filled ``hp``; with
+    ``singular_only`` it is skipped and no point is regular."""
     if F.domain is not Domain.HALF_LINE:
         raise RedSpectraError("Laplace spectrum needs a half-line signal")
-    grid = FrequencyGrid.from_config(cfg) if grid is None else grid
-    if F.sup_norm() <= cfg.tol_zero_abs:
-        return _trivial_estimate("laplace", grid)
-    omegas = grid.values()
-    hp = half_plane_scan(F, omegas, cfg) if hp is None else hp
-    scale = max(hp.scale, 1e-300)
-    mag = np.linalg.norm(hp.right, axis=2)
-    diffs = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)
-    tol_analytic = cfg.tol_analytic_coeff * scale
 
-    if not singular_only:
-        circle_err = [np.asarray(_cauchy_circle_errors(hp.scanner, a, cfg))
-                      for a in hp.a_seq[-2:]]
-    certs = []
-    for j, w in enumerate(omegas):
-        peak = float(mag[:, j].max())
-        rel = float(diffs[-1, j] / max(mag[-1, j], scale))
-        ev = {"peak_over_scale": peak / scale, "cauchy_rel": rel,
-              "metric": peak / scale}
-        blow = peak >= cfg.blowup_thresh * scale and _growing(mag[:, j],
-                                                              cfg.grow_ratio)
-        if blow:
-            ev["witness"] = {"blowup": True, "values": mag[:, j].tolist()}
-            certs.append(RegularityCertificate(w, RegStatus.SINGULAR, None,
-                                               0.0, ev))
-            continue
-        if singular_only:
-            certs.append(RegularityCertificate(w, RegStatus.UNDECIDED, None,
-                                               0.0, ev))
-            continue
-        elevated = peak >= cfg.elevated_thresh * scale
-        cauchy = (rel <= cfg.cauchy_rel
-                  and diffs[-1, j] <= max(1.0, cfg.cauchy_rel) * diffs[0, j]
-                  + 1e-15)
-        analytic = all(float(ce[j]) <= tol_analytic for ce in circle_err)
-        ev["circle_errors"] = [float(ce[j]) for ce in circle_err]
-        if cauchy and analytic and not elevated:
-            certs.append(RegularityCertificate(
-                w, RegStatus.REGULAR, "cauchy+analytic-continuation", 0.0, ev))
-        else:
-            certs.append(RegularityCertificate(w, RegStatus.UNDECIDED, None,
-                                               0.0, ev))
-    certs = _buffer_singular(certs, grid.values(), cfg)
-    return SpectrumEstimate("laplace", grid, tuple(certs),
-                            {"a_seq": list(hp.a_seq), "scale": scale})
+    def rule(hp, grid):
+        scale = max(hp.scale, 1e-300)
+        mag = np.linalg.norm(hp.right, axis=2)
+        diffs = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)
+        peak = mag.max(axis=0)
+        rel = diffs[-1] / np.maximum(mag[-1], scale)
+        blow = _blowup(mag, scale, cfg)
+        regular = np.zeros(len(peak), bool)
+        if not singular_only:
+            circle_err = [np.asarray(_cauchy_circle_errors(hp.scanner, a, cfg))
+                          for a in hp.a_seq[-2:]]
+            cauchy = (rel <= cfg.cauchy_rel) & \
+                (diffs[-1] <= max(1.0, cfg.cauchy_rel) * diffs[0] + 1e-15)
+            analytic = np.all([ce <= cfg.tol_analytic_coeff * scale
+                               for ce in circle_err], axis=0)
+            elevated = peak >= cfg.elevated_thresh * scale
+            regular = cauchy & analytic & ~elevated
+        evidence = []
+        for j in range(len(peak)):
+            ev = {"peak_over_scale": float(peak[j]) / scale,
+                  "cauchy_rel": float(rel[j]),
+                  "metric": float(peak[j]) / scale}
+            if blow[j]:
+                ev["witness"] = {"blowup": True, "values": mag[:, j].tolist()}
+            elif not singular_only:
+                ev["circle_errors"] = [float(ce[j]) for ce in circle_err]
+            evidence.append(ev)
+        return (blow, regular, "cauchy+analytic-continuation", evidence,
+                {"a_seq": list(hp.a_seq), "scale": scale})
+
+    return _transform_estimate("laplace", F, grid, cfg, hp, rule)
 
 
 def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
@@ -586,63 +596,42 @@ def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
     """
     if F.domain is not Domain.HALF_LINE:
         raise RedSpectraError("weak Laplace spectrum needs a half-line signal")
-    grid = FrequencyGrid.from_config(cfg) if grid is None else grid
-    if F.sup_norm() <= cfg.tol_zero_abs:
-        return _trivial_estimate("weak-laplace", grid)
-    omegas = grid.values()
-    hp = half_plane_scan(F, omegas, cfg) if hp is None else hp
-    eps_seq = cfg.wl_eps_seq
-    mag = np.linalg.norm(hp.right, axis=2)                    # (n_a, n_w)
-    dmag = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)  # (n_a-1, n_w)
-    dw = grid.step
-    certs = []
-    for j, w in enumerate(omegas):
-        votes = []
-        ev = {}
-        for eps in eps_seq:
-            k = int(round(eps / dw))
-            lo, hi = max(0, j - k), min(len(omegas) - 1, j + k)
-            if hi - lo < 2:
-                votes.append(RegStatus.UNDECIDED)
-                continue
-            I = np.trapezoid(mag[:, lo:hi + 1], dx=dw, axis=1)
-            D = np.trapezoid(dmag[:, lo:hi + 1], dx=dw, axis=1)
-            G = np.diff(I)
-            ev[f"window_mass_eps={eps:g}"] = I.tolist()
-            ev[f"l1_diffs_eps={eps:g}"] = D.tolist()
-            diverging = (np.all(G > 0) and G[-1] >= 0.5 * G[0]
-                         and I[-1] >= 1.3 * I[0])
-            cauchy = (D[-1] <= 0.5 * max(D[0], 1e-300)
-                      and D[-1] <= 0.1 * max(I[-1], 1e-300))
-            if diverging:
-                votes.append(RegStatus.SINGULAR)
-            elif cauchy:
-                votes.append(RegStatus.REGULAR)
-            else:
-                votes.append(RegStatus.UNDECIDED)
-        ev["metric"] = float(np.trapezoid(
-            mag[-1, max(0, j - 2):j + 3], dx=dw))
-        if all(v is RegStatus.SINGULAR for v in votes):
-            status = RegStatus.SINGULAR
-            ev["witness"] = {"window_mass_divergence": True}
-        elif all(v is RegStatus.REGULAR for v in votes):
-            status = RegStatus.REGULAR
-        else:
-            status = RegStatus.UNDECIDED
-        certs.append(RegularityCertificate(
-            w, status, "windowed-l1-cauchy" if status is RegStatus.REGULAR
-            else None, 0.0, ev))
-    certs = _buffer_singular(certs, grid.values(), cfg)
-    return SpectrumEstimate("weak-laplace", grid, tuple(certs),
-                            {"a_seq": list(hp.a_seq), "eps_seq": list(eps_seq),
-                             "scale": hp.scale})
 
+    def rule(hp, grid):
+        eps_seq, dw, n = cfg.wl_eps_seq, grid.step, grid.n
+        mag = np.linalg.norm(hp.right, axis=2)                    # (n_a, n_w)
+        dmag = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)  # (n_a-1, n_w)
+        singular, regular = np.ones(n, bool), np.ones(n, bool)
+        evidence = []
+        for j in range(n):
+            ev = {}
+            for eps in eps_seq:
+                k = int(round(eps / dw))
+                lo, hi = max(0, j - k), min(n - 1, j + k)
+                if hi - lo < 2:
+                    singular[j] = regular[j] = False
+                    continue
+                I = np.trapezoid(mag[:, lo:hi + 1], dx=dw, axis=1)
+                D = np.trapezoid(dmag[:, lo:hi + 1], dx=dw, axis=1)
+                G = np.diff(I)
+                ev[f"window_mass_eps={eps:g}"] = I.tolist()
+                ev[f"l1_diffs_eps={eps:g}"] = D.tolist()
+                diverging = (np.all(G > 0) and G[-1] >= 0.5 * G[0]
+                             and I[-1] >= 1.3 * I[0])
+                cauchy = (D[-1] <= 0.5 * max(D[0], 1e-300)
+                          and D[-1] <= 0.1 * max(I[-1], 1e-300))
+                singular[j] &= bool(diverging)
+                regular[j] &= bool(cauchy and not diverging)
+            ev["metric"] = float(np.trapezoid(
+                mag[-1, max(0, j - 2):j + 3], dx=dw))
+            if singular[j]:
+                ev["witness"] = {"window_mass_divergence": True}
+            evidence.append(ev)
+        return (singular, regular, "windowed-l1-cauchy", evidence,
+                {"a_seq": list(hp.a_seq), "eps_seq": list(eps_seq),
+                 "scale": hp.scale})
 
-def _trivial_estimate(kind: str, grid: FrequencyGrid) -> SpectrumEstimate:
-    certs = tuple(RegularityCertificate(w, RegStatus.REGULAR, "trivial", 1.0,
-                                        {"reason": "zero signal"})
-                  for w in grid.values())
-    return SpectrumEstimate(kind, grid, certs, {"trivial": True})
+    return _transform_estimate("weak-laplace", F, grid, cfg, hp, rule)
 
 
 def _buffer_singular(certs: list, omegas: np.ndarray, cfg: Config) -> tuple:

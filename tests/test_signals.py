@@ -11,7 +11,7 @@ from redspectra import signals
 from redspectra.signals import (Domain, SampledSignal, convolve, difference,
                                 extend_by_zero, indefinite_integral, modulate,
                                 modulated_product, mollify, plan_convolution,
-                                reflect, translate)
+                                plan_product, reflect, translate)
 
 from conftest import make_full, make_half
 
@@ -216,11 +216,11 @@ def _check_plan_product(kernel, domain, dim, q, out_step):
     t_out = plan.t0 + plan.step * np.arange(len(got))
     ref = _naive_trapezoid(H, kern, q, t_out, omegas)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    # convolve is the same sum with the unmodulated weights
-    conv = convolve(H, kern, out_step, (-0.4, np.inf), 1e-3, q)
+    # convolve's product is the same sum with the unmodulated weights
+    conv = plan_product(plan)
     j0 = int(np.argmin(np.abs(omegas)))
-    assert conv.t0 == plan.t0 and conv.n == len(got)
-    assert np.abs(conv.values - ref[:, j0]).max() <= 1e-12 * np.abs(ref).max()
+    assert conv.shape == got[:, j0].shape
+    assert np.abs(conv - ref[:, j0]).max() <= 1e-12 * np.abs(ref).max()
     # the trim is tight: the first and last kept taps meet data
     for c in (0, -1):
         assert any(np.any(v[:, c] != 0) for v in plan.views)

@@ -7,12 +7,12 @@ from redspectra.config import Config
 from redspectra.errors import RedSpectraError
 from redspectra.io_utils import canonical_json
 from redspectra.kernels import annihilator_kernel, box_kernel
-from redspectra.signals import Domain, SampledSignal, modulate
+from redspectra.signals import Domain, SampledSignal, extend_by_zero, modulate
 from redspectra.spectra import (FrequencyGrid, RegStatus, ReducedScanner,
                                 carleman_spectrum, extension_comparison,
                                 laplace_spectrum, reduced_spectrum,
                                 weak_laplace_spectrum)
-from redspectra.spectra import test_regular as regular_point_test
+from redspectra.theorems import random_evolution_problems, solve_evolution
 from redspectra.transforms import half_plane_scan
 
 from conftest import make_full, make_half
@@ -43,7 +43,8 @@ def test_pure_tone_zero_class_certificates():
 
 def test_regular_certificate_records_class_report():
     F = make_half(lambda t: np.exp(-t), t_end=120.0)
-    cert = regular_point_test(F, 0.5, FunctionClass.C0, cfg=CFG)
+    cert = ReducedScanner(F, np.array([0.5]), CFG).test_regular(
+        0.5, FunctionClass.C0)
     assert cert.status is RegStatus.REGULAR
     assert "class_report" in cert.evidence
 
@@ -54,8 +55,8 @@ def test_expgrow_regular_via_registered_annihilators():
     F = SampledSignal(Domain.FULL_LINE, -5.0, dt, np.exp(te), 8)
     ann = tuple(annihilator_kernel(a) for a in (2.0, 1.0, 0.5))
     for w in (0.0, 1.0, 2.0):
-        cert = regular_point_test(F, w, FunctionClass.C0, cfg=CFG,
-                                  extra_kernels=ann)
+        cert = ReducedScanner(F, np.array([w]), CFG, ann).test_regular(
+            w, FunctionClass.C0)
         assert cert.status is RegStatus.REGULAR
         assert cert.evidence.get("registered")
 
@@ -217,3 +218,65 @@ def test_box_augmented_search_only_adds_regularity():
             assert aug.status is RegStatus.REGULAR
         if abs(w - 1.0) <= 0.1:
             assert aug.status is RegStatus.SINGULAR
+
+
+# ---------------------------------------------------------------------------
+# the shared certificate path of the transform engines
+# ---------------------------------------------------------------------------
+
+SHORT = Config(t_end=120.0, grid_min=-2.5, grid_max=2.5, grid_step=0.25)
+
+
+@pytest.mark.parametrize("fn", [lambda t: np.exp(1j * t),
+                                lambda t: np.exp(-t) + np.cos(2.0 * t)])
+def test_shared_scan_gives_the_standalone_estimates(fn):
+    F = make_half(fn, t_end=120.0)
+    an = spectra.SignalAnalysis(F, SHORT)
+    grid = FrequencyGrid.from_config(SHORT)
+    for shared, alone in (
+            (an.laplace(), laplace_spectrum(F, grid, SHORT)),
+            (an.weak_laplace(), weak_laplace_spectrum(F, grid, SHORT)),
+            (an.carleman(), carleman_spectrum(extend_by_zero(F),
+                                              grid, SHORT))):
+        assert canonical_json(shared.to_dict()) == \
+            canonical_json(alone.to_dict())
+
+
+def test_zero_records_give_the_trivial_estimate():
+    half = make_half(lambda t: np.zeros_like(t), t_end=60.0)
+    full = make_full(lambda t: np.zeros_like(t), t_end=60.0)
+    reduced = reduced_spectrum(half, FunctionClass.C0, SMALL, CFG)
+    estimates = [laplace_spectrum(half, SMALL, CFG),
+                 laplace_spectrum(half, SMALL, CFG, singular_only=True),
+                 weak_laplace_spectrum(half, SMALL, CFG),
+                 carleman_spectrum(extend_by_zero(half), SMALL, CFG),
+                 carleman_spectrum(full, SMALL, CFG)]
+    for est in estimates:
+        assert est.meta == {"trivial": True}
+        # the certificate of the reduced scanner's zero record
+        assert [canonical_json(c.to_dict()) for c in est.certificates] == \
+            [canonical_json(c.to_dict()) for c in reduced.certificates]
+    # the domain check comes first
+    for engine in (laplace_spectrum, weak_laplace_spectrum):
+        with pytest.raises(RedSpectraError, match="half-line"):
+            engine(full, SMALL, CFG)
+    with pytest.raises(RedSpectraError, match="full-line"):
+        carleman_spectrum(half, SMALL, CFG)
+
+
+def test_singular_only_laplace_keeps_the_singular_set():
+    # check_evolution_spectrum reads only the singular set of the cheaper
+    # singular_only estimate
+    cfg = CFG.replace(t_end=120.0)
+    flagged = 0
+    for p in random_evolution_problems(3, cfg):
+        u = solve_evolution(p, cfg=cfg)
+        step = round(cfg.dt / u.dt)
+        u_c = SampledSignal(Domain.HALF_LINE, 0.0, u.dt * step,
+                            u.values[::step], u.growth_exponent)
+        full = laplace_spectrum(u_c, GRID, cfg)
+        cheap = laplace_spectrum(u_c, GRID, cfg, singular_only=True)
+        assert np.array_equal(cheap.singular_set(), full.singular_set())
+        assert RegStatus.REGULAR not in cheap.statuses()
+        flagged += len(full.singular_set()) > 0
+    assert flagged

@@ -4,10 +4,13 @@
 Usage:
     PYTHONPATH=src python scripts/report_digests.py
 
-One line per report: first the ``results.json`` of ``redspectra verify
+One line per file: first the ``results.json`` of ``redspectra verify
 --builtin``, then every ``redspectra analyze`` report of the case roster
-in ``scripts/make_golden.py``.  Run it on two checkouts and diff the
-output: an empty diff means the change left every report byte-identical.
+in ``scripts/make_golden.py``, then every file that ``redspectra synth``
+writes for each corpus signal at the default configuration (records,
+sidecars, and the CSV and sidecar of each registered kernel).  Run it on
+two checkouts and diff the output: an empty diff means the change left
+every report and export byte-identical.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from make_golden import CASES, analyze_statuses, corpus_name  # noqa: E402
 
 from redspectra.cli import main as cli_main  # noqa: E402
+from redspectra.corpus import BUILDERS  # noqa: E402
 
 
 def sha256_of(path) -> str:
@@ -49,6 +53,13 @@ def main():
             label = f"analyze {record} --kind {kind}" + \
                 (f" --class {cls}" if cls else "")
             print(f"{sha256_of(report)}  {label}", flush=True)
+        for name in BUILDERS:
+            out = os.path.join(work, "synth", name)
+            if quiet(cli_main, ["synth", name, "--out", out]) != 0:
+                raise RuntimeError(f"synth {name} failed")
+            for fname in sorted(os.listdir(out)):
+                print(f"{sha256_of(os.path.join(out, fname))}  "
+                      f"synth {name}: {fname}", flush=True)
     return 0
 
 

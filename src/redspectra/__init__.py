@@ -4,15 +4,15 @@ classes, and an executable verification suite for the spectral-inclusion
 and tauberian statements they satisfy."""
 
 from .config import Config, DEFAULT
-from .signals import (Domain, ExtendedSignal, Mean, SampledSignal, convolve,
+from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
                       difference, extend_by_zero, indefinite_integral,
                       modulate, mollify, reflect, translate)
 from .kernels import (TestKernel, annihilator_kernel, approximate_identity,
                       bandpass_kernel, box_kernel, bump_kernel, d_bump,
                       exp_kernel, wiener_divide)
-from .classes import (BohrCoefficient, ClassReport, FunctionClass, Tri,
-                      ap_decompose, bohr_coefficient, detect, ergodic_mean,
-                      is_c0, is_slowly_oscillating, tail_sup, uc_modulus)
+from .classes import (ClassReport, FunctionClass, Tri, ap_decompose,
+                      bohr_coefficient, detect, ergodic_mean, is_c0,
+                      is_slowly_oscillating, tail_sup, uc_modulus)
 from .transforms import (HalfPlaneGrid, carleman_transform, half_plane_scan,
                          laplace_transform)
 from .spectra import (FrequencyGrid, RegStatus, RegularityCertificate,

@@ -33,7 +33,7 @@ from scipy.optimize import minimize_scalar
 
 from .config import Config, DEFAULT
 from .errors import HorizonError
-from .signals import Domain, Mean, SampledSignal, _cumulative, mollify
+from .signals import Domain, SampledSignal, _cumulative, mollify
 
 TAIL_FRACTIONS = (0.45, 0.65, 0.85)
 #: resolution of a refined Bohr frequency: Brent's absolute tolerance and
@@ -92,18 +92,6 @@ def _peak(F: SampledSignal, mask=None) -> dict:
     return {"t": float(F.times[idx]), "norm": float(norms[idx])}
 
 
-@dataclass(frozen=True)
-class BohrCoefficient:
-    omega: float
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, complex)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.a))
-
-
 # ---------------------------------------------------------------------------
 # tails and C0
 # ---------------------------------------------------------------------------
@@ -140,7 +128,7 @@ def _auto_checkpoints(F: SampledSignal, cfg: Config):
 
 
 def is_c0(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = None,
-          trunc_bound: float = 0.0, checkpoints=None) -> ClassReport:
+          trunc_bound: float = 0.0) -> ClassReport:
     """Does F vanish at infinity, as far as the record can tell?
 
     YES needs the last tail sup under tolerance and the tail sups to have
@@ -153,7 +141,7 @@ def is_c0(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = Non
     if F.sup_norm() <= max(cfg.tol_zero_abs, 2.0 * trunc_bound):
         return ClassReport(FunctionClass.C0, Tri.YES,
                            {"sup": F.sup_norm(), "trivial": True}, tols)
-    checkpoints = _auto_checkpoints(F, cfg) if checkpoints is None else checkpoints
+    checkpoints = _auto_checkpoints(F, cfg)
     sups = tail_sup(F, checkpoints)
     ev = {"checkpoints": list(checkpoints), "tail_sups": sups}
     decayed = sups[0] <= tol or sups[-1] <= cfg.decay_factor * sups[0]
@@ -211,7 +199,8 @@ def ergodic_mean(F: SampledSignal, T_list=None, cfg: Config = DEFAULT,
     - m||, with the sup taken over a declared compact window (a documented
     finite-record truncation of the sup over all of J).
 
-    Returns ``(Mean, deviations, ClassReport)`` for the ERGODIC class.
+    Returns ``(mean vector, deviations, ClassReport)`` for the ERGODIC
+    class.
     """
     span = F.t_end - F.t0
     if T_list is None:
@@ -227,7 +216,7 @@ def ergodic_mean(F: SampledSignal, T_list=None, cfg: Config = DEFAULT,
     n_w = min(max(2, int(w_len / F.dt)), F.n - max(ks))
     # A_T(t) = (1/T) int_t^{t+T} F at the first n_w grid t, per T, all
     # read from one cumulative trapezoid
-    cum = _cumulative(F)
+    cum = _cumulative(F.values, F.dt)
     means = [(cum[k:k + n_w] - cum[:n_w]) / (k * F.dt) for k in ks]
     m = means[int(np.argmax(T_list))].mean(axis=0)
     curves = [np.linalg.norm(A - m, axis=1) for A in means]
@@ -242,21 +231,22 @@ def ergodic_mean(F: SampledSignal, T_list=None, cfg: Config = DEFAULT,
                    lambda: {"t": float(F.t0 + int(np.argmax(curves[-1])) * F.dt),
                             "deviation": devs[-1]},
                    yes=decreasing, no=devs[-1] >= 0.9 * devs[0])
-    return Mean(m), devs, rep
+    return m, devs, rep
 
 
 def is_ergodic(F, cfg: Config = DEFAULT, scale_ref=None, trunc_bound=0.0,
-               mean_zero: bool = False, T_list=None) -> ClassReport:
-    m, devs, rep = ergodic_mean(F, T_list, cfg, scale_ref, trunc_bound)
+               mean_zero: bool = False) -> ClassReport:
+    m, devs, rep = ergodic_mean(F, None, cfg, scale_ref, trunc_bound)
     if not mean_zero:
         return rep
     scale = F.sup_norm() if scale_ref is None else scale_ref
     tol = cfg.tol_erg * scale + 2.0 * trunc_bound
     member = rep.member
-    if member is Tri.YES and m.norm() > tol:
+    m_norm = float(np.linalg.norm(m))
+    if member is Tri.YES and m_norm > tol:
         member = Tri.NO
         ev = dict(rep.evidence)
-        ev["witness"] = {"mean_norm": m.norm()}
+        ev["witness"] = {"mean_norm": m_norm}
         return ClassReport(FunctionClass.ERGODIC_MEAN_ZERO, member, ev, rep.tolerances)
     return ClassReport(FunctionClass.ERGODIC_MEAN_ZERO, member, rep.evidence,
                        rep.tolerances)
@@ -307,12 +297,13 @@ def _bohr_sum(F: SampledSignal, T: float | None = None):
 
 
 def bohr_coefficient(F: SampledSignal, omega: float, cfg: Config = DEFAULT,
-                     T: float | None = None) -> BohrCoefficient:
+                     T: float | None = None) -> np.ndarray:
     """a(omega) = mean of gamma_{-omega} F, estimated by averaging the
     T-windowed means over their admissible start points.  Averaging over
     start points is sanctioned by the uniform-in-t convergence in the
-    ergodic-mean definition and suppresses transients like 1/(T W)."""
-    return BohrCoefficient(omega, _bohr_sum(F, T)(omega))
+    ergodic-mean definition and suppresses transients like 1/(T W).
+    Returns the coefficient vector, one entry per channel."""
+    return _bohr_sum(F, T)(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +415,9 @@ def uc_modulus(F: SampledSignal, lags=None):
 
 
 def is_uc(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = None,
-          trunc_bound: float = 0.0, lags=None) -> ClassReport:
+          trunc_bound: float = 0.0) -> ClassReport:
     scale = F.sup_norm() if scale_ref is None else scale_ref
-    lags, mods = uc_modulus(F, lags)
+    lags, mods = uc_modulus(F)
     tol = cfg.tol_uc * scale + 2.0 * trunc_bound
     tols = {"tol_uc": cfg.tol_uc, "scale_ref": scale}
 

@@ -96,26 +96,18 @@ def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     out = args.out or (os.path.splitext(args.signal)[0] + f".{args.kind}.json")
     _check_out_dir(out)
-    try:
-        sig = read_signal_csv(args.signal)
-    except RedSpectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    sig = read_signal_csv(args.signal)
     kind = args.kind
     if kind == "reduced" and not args.cls:
         print("error: --class is required for --kind reduced", file=sys.stderr)
         return EXIT_INPUT_ERROR
     an = SignalAnalysis(sig, cfg)
-    try:
-        if kind == "reduced":
-            est = an.reduced(_CLASSES[args.cls])
-        else:
-            est = {"beurling": an.beurling, "carleman": an.carleman,
-                   "laplace": an.laplace,
-                   "weak-laplace": an.weak_laplace}[kind]()
-    except RedSpectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if kind == "reduced":
+        est = an.reduced(_CLASSES[args.cls])
+    else:
+        est = {"beurling": an.beurling, "carleman": an.carleman,
+               "laplace": an.laplace,
+               "weak-laplace": an.weak_laplace}[kind]()
     with open(out, "w") as fh:
         fh.write(canonical_json(est.to_dict()) + "\n")
     write_plot_csv(os.path.splitext(out)[0] + ".csv", est)
@@ -133,11 +125,7 @@ def cmd_verify(args) -> int:
         if not args.corpus:
             print("error: give a corpus directory or --builtin", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        try:
-            corpus = _load_corpus_dir(args.corpus, cfg)
-        except RedSpectraError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        corpus = _load_corpus_dir(args.corpus, cfg)
     results = run_all(cfg, only=args.only, corpus=corpus)
     payload = [r.to_dict() for r in results]
     text = canonical_json(payload) + "\n"
@@ -208,7 +196,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError) as exc:
+    except (RedSpectraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

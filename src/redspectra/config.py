@@ -58,9 +58,6 @@ class Config:
     jump_reg_ratio: float = 0.4      # jump decayed to <= this of its max
     jump_sing_ratio: float = 0.6     # jump stagnated above this of its max
     tol_match_coeff: float = 1e-3    # tol_match = coeff * median scale
-    tol_analytic_coeff: float = 1e-3
-    circle_nodes: int = 64
-    circle_radius_factor: float = 0.9
     tail_cap: float = 0.5            # admit a_k while tail bound <= cap*sup
     wl_eps_seq: tuple = (0.25, 0.5)  # weak-Laplace window half-widths
     # a detected singularity contaminates the finite-depth boundary scan of
@@ -121,8 +118,7 @@ class Config:
 #: steps, widths and counts (a zero step divides by zero, a zero count or
 #: width turns every verdict undecided)
 _POSITIVE = ("trunc_budget", "trunc_budget_strict", "dt", "t_end",
-             "conv_out_step", "min_window", "so_mollify_h", "evolution_dt",
-             "circle_nodes")
+             "conv_out_step", "min_window", "so_mollify_h", "evolution_dt")
 
 
 def _is_number(v) -> bool:

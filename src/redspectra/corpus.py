@@ -160,7 +160,7 @@ def _expgrow(cfg, dt, T, t, tf):
          exp_tag("bump convolution grows like c exp(t)", "closed-form"),
          exp_tag("reduced C0 spectrum empty for compact-support kernels",
                  "literature")),
-        extra_kernels=ann + (d_bump(0.0, 1.0),),
+        extra_kernels=ann + (d_bump(),),
         meta={"bounded": False, "exp_rate": 1.0})
 
 

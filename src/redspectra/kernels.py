@@ -40,8 +40,6 @@ from .errors import DivisionError_, DomainError, GridError
 from .signals import trapezoid_weights
 
 _SQRT2 = np.sqrt(2.0)
-#: band-pass transform grid spacing (``TestKernel.freq_grid``) = delta / this
-FREQ_GRID_DIVISOR = 50.0
 #: minimum |f^| that ``wiener_divide`` divides by
 EPS_DIV = 1e-6
 
@@ -77,8 +75,7 @@ class TestKernel:
     discarded ``cut_mass`` is propagated into convolution error bounds
     through ``tail_mass``, the function x -> mass of |k| at distance >= x
     from the origin (cut included), given in closed form or as a table
-    closure (``_table_tail``).  ``freq_grid`` is the transform grid that
-    ``derivative`` integrates over (band-limited kernels only).
+    closure (``_table_tail``).
     """
 
     kernel_id: str
@@ -91,7 +88,6 @@ class TestKernel:
     mass: float                  # integral of |k|
     tail_mass: object
     cut_mass: float = 0.0
-    freq_grid: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
@@ -127,31 +123,6 @@ class TestKernel:
             ft_fn=lambda w: c * np.asarray(ff(w), complex),
             mass=a * self.mass, cut_mass=a * self.cut_mass,
             tail_mass=lambda x: a * tail(x))
-
-    def derivative(self) -> "TestKernel":
-        """Spectral derivative: transform i*w*k^(w), time samples by inverse
-        quadrature over the stored frequency grid (band-limited kernels)."""
-        w = self.freq_grid
-        dw = w[1] - w[0]
-        ftd = 1j * w * self.ft(w)
-        wts = trapezoid_weights(len(w), dw)
-
-        def time_fn(t, w=w, ftd=ftd, wts=wts):
-            t = np.atleast_1d(np.asarray(t, float))
-            return (np.exp(1j * np.outer(t, w)) * (ftd * wts)).sum(axis=1) / (2 * np.pi)
-
-        def ft_fn(om, ff=self.ft_fn):
-            om = np.asarray(om, float)
-            return 1j * om * np.asarray(ff(om), complex)
-
-        samples = time_fn(np.linspace(self.s_lo, self.s_hi, 2049))
-        mass = float(np.trapezoid(np.abs(samples),
-                                  dx=(self.s_hi - self.s_lo) / 2048))
-        L = max(abs(self.s_lo), abs(self.s_hi))
-        return TestKernel(
-            f"ddt({self.kernel_id})", self.family, time_fn, ft_fn,
-            self.s_lo, self.s_hi, self.ft_support, mass,
-            _table_tail(time_fn, L, self.cut_mass), self.cut_mass, w)
 
 
 def _table_tail(time_fn, L: float, cut_mass: float):
@@ -247,8 +218,7 @@ def bump_kernel(cfg: Config = DEFAULT) -> TestKernel:
 
     _BUMP_CACHE[key] = TestKernel(
         "bump", "S", time_fn, lambda w: psi_hat(w).astype(complex), -L, L,
-        (-2.0, 2.0), mass, _table_tail(time_fn, L, cut_mass), cut_mass,
-        np.linspace(-2.5, 2.5, 501))
+        (-2.0, 2.0), mass, _table_tail(time_fn, L, cut_mass), cut_mass)
     return _BUMP_CACHE[key]
 
 
@@ -266,7 +236,7 @@ def approximate_identity(n: int, cfg: Config = DEFAULT) -> TestKernel:
         time_fn=lambda t: n * np.asarray(bt(n * np.asarray(t, float)), complex),
         ft_fn=lambda w: np.asarray(bf(np.asarray(w, float) / n), complex),
         s_lo=base.s_lo / n, s_hi=base.s_hi / n, ft_support=(-2.0 * n, 2.0 * n),
-        tail_mass=lambda x: tail(n * x), freq_grid=base.freq_grid * n)
+        tail_mass=lambda x: tail(n * x))
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +281,12 @@ def bandpass_kernel(omega0: float, delta: float, cfg: Config = DEFAULT) -> TestK
     def ft_fn(w, w0=omega0):
         return _plateau(np.asarray(w, float) - w0, b, sigma).astype(complex)
 
-    dw = delta / FREQ_GRID_DIVISOR
-    half = int(np.ceil(2.5 * delta / dw))
-    grid = omega0 + dw * np.arange(-half, half + 1)
     cut_tail = float(np.exp(-0.5 * (sigma * L) ** 2) * 2.0 / (np.pi * L * sigma * L))
     return TestKernel(f"bandpass(w0={omega0:g},delta={delta:g})", "S",
                       time_fn, ft_fn, -L, L,
                       (omega0 - 2 * delta, omega0 + 2 * delta),
                       _env_abs_mass(env, L), _table_tail(time_fn, L, cut_tail),
-                      cut_tail, grid)
+                      cut_tail)
 
 
 def _env_abs_mass(env, L):
@@ -331,30 +298,26 @@ def _env_abs_mass(env, L):
 # compactly supported (time-domain) bumps and the annihilator family
 # ---------------------------------------------------------------------------
 
-def d_bump(center: float = 0.0, halfwidth: float = 1.0) -> TestKernel:
-    """Compactly supported smooth bump on [center-hw, center+hw], unit mass.
+def d_bump() -> TestKernel:
+    """Compactly supported smooth bump on [-1, 1], unit mass.
 
     This is the D-family workhorse: exact compact support in time, so
     convolutions against rapidly growing signals stay honest.
     """
     xs, ws = _leggauss()
     raw_mass = float((_bump_raw(xs) * ws).sum())
-    c = 1.0 / (raw_mass * halfwidth)
+    c = 1.0 / raw_mass
 
     def time_fn(t):
-        u = (np.asarray(t, float) - center) / halfwidth
-        return (c * _bump_raw(u)).astype(complex)
+        return (c * _bump_raw(t)).astype(complex)
 
     def ft_fn(w):
         w = np.atleast_1d(np.asarray(w, float))
-        ph = np.exp(-1j * np.outer(w, center + halfwidth * xs))
-        return (ph * (c * _bump_raw(xs) * halfwidth * ws)).sum(axis=1)
+        return (np.exp(-1j * np.outer(w, xs))
+                * (c * _bump_raw(xs) * ws)).sum(axis=1)
 
-    s_lo, s_hi = center - halfwidth, center + halfwidth
-    return TestKernel(f"dbump(c={center:g},hw={halfwidth:g})", "D",
-                      time_fn, ft_fn, s_lo, s_hi, (-np.inf, np.inf), 1.0,
-                      _table_tail(time_fn, max(abs(s_lo), abs(s_hi)), 0.0),
-                      0.0, np.linspace(-8.0, 8.0, 801))
+    return TestKernel("dbump(c=0,hw=1)", "D", time_fn, ft_fn, -1.0, 1.0,
+                      (-np.inf, np.inf), 1.0, _table_tail(time_fn, 1.0, 0.0))
 
 
 def annihilator_kernel(a: float) -> TestKernel:
@@ -395,8 +358,7 @@ def annihilator_kernel(a: float) -> TestKernel:
     mass = float((pv * w_nodes).sum() +
                  (np.exp(-2.0 * s_nodes) * pv * w_nodes).sum())
     return TestKernel(f"annihilator(a={a:g})", "D", time_fn, ft_fn, -a, a,
-                      (-np.inf, np.inf), mass, _table_tail(time_fn, a, 0.0),
-                      0.0, np.linspace(-8.0, 8.0, 801))
+                      (-np.inf, np.inf), mass, _table_tail(time_fn, a, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +430,7 @@ def reflected(k: TestKernel) -> TestKernel:
         k, kernel_id=f"reflect({k.kernel_id})",
         time_fn=lambda t: tf(-np.asarray(t, float)),
         ft_fn=lambda w: ff(-np.asarray(w, float)),
-        s_lo=-k.s_hi, s_hi=-k.s_lo, ft_support=(-hi, -lo),
-        freq_grid=None if k.freq_grid is None else -k.freq_grid[::-1])
+        s_lo=-k.s_hi, s_hi=-k.s_lo, ft_support=(-hi, -lo))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +443,8 @@ def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
     g^ is a smooth plateau (1 on K, Gaussian edges, zero past a slight
     enlargement) divided pointwise by f^; f^ must stay above ``EPS_DIV``
     in modulus over the enlarged interval.  The time samples come from
-    inverse-transform quadrature over the stored grid.  The postcondition
+    inverse-transform quadrature over a frequency grid covering the
+    plateau.  The postcondition
     sup_K |g^ f^ - 1| <= 1e-8 is asserted on every call.
     """
     lo, hi = float(K[0]), float(K[1])
@@ -541,7 +503,7 @@ def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
     g = TestKernel(f"wiener({f.kernel_id},K=[{lo:g},{hi:g}])", "S",
                    time_fn, ft_fn, -L, L,
                    (mid - b - 7 * sigma, mid + b + 7 * sigma),
-                   mass, _table_tail(time_fn, L, cut), cut, grid)
+                   mass, _table_tail(time_fn, L, cut), cut)
 
     ksel = (grid >= lo) & (grid <= hi)
     err = np.abs(ghat[ksel] * fhat[ksel] - 1.0).max()

@@ -238,18 +238,6 @@ class ExtendedSignal(SampledSignal):
                              self.values[i:], self.growth_exponent, trusted=True)
 
 
-@dataclass(frozen=True)
-class Mean:
-    value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value",
-                           np.atleast_1d(np.asarray(self.value, complex)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.value))
-
-
 # ---------------------------------------------------------------------------
 # elementary operations
 # ---------------------------------------------------------------------------
@@ -334,9 +322,12 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _cumulative(F: SampledSignal) -> np.ndarray:
-    steps = 0.5 * F.dt * (F.values[1:] + F.values[:-1])
-    return np.vstack([np.zeros((1, F.dim), complex), np.cumsum(steps, axis=0)])
+def _cumulative(values: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative trapezoid integral of the (n, d) rows ``values`` at
+    spacing dt, from the first row."""
+    steps = 0.5 * dt * (values[1:] + values[:-1])
+    return np.vstack([np.zeros((1, values.shape[1]), complex),
+                      np.cumsum(steps, axis=0)])
 
 
 def indefinite_integral(F: SampledSignal) -> SampledSignal:
@@ -347,7 +338,7 @@ def indefinite_integral(F: SampledSignal) -> SampledSignal:
     if F.domain is Domain.FULL_LINE and (F.t0 > _LATTICE_RTOL or F.t_end < -_LATTICE_RTOL):
         raise DomainError("indefinite integral is anchored at 0, which is "
                           "outside the record")
-    cum = _cumulative(F)
+    cum = _cumulative(F.values, F.dt)
     i0 = F.index_of(0.0)
     cum = cum - cum[i0]
     return SampledSignal(F.domain, F.t0, F.dt, cum, F.growth_exponent + 1,
@@ -365,7 +356,7 @@ def mollify(F: SampledSignal, h: float) -> SampledSignal:
         raise GridError("h must be a positive lattice multiple")
     if k >= F.n:
         raise HorizonError("h exceeds the record")
-    cum = _cumulative(F)
+    cum = _cumulative(F.values, F.dt)
     vals = (cum[k:] - cum[:-k]) / h
     return SampledSignal(F.domain, F.t0, F.dt, vals, F.growth_exponent,
                          trusted=True)

@@ -42,6 +42,13 @@ from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
 from .transforms import (HalfPlaneGrid, TransformScanner, half_plane_scan,
                          lattice_exp_sum)
 
+#: the Laplace engine's analytic-continuation test: nodes on the Cauchy
+#: circle, the circle's radius over its abscissa a, and the largest
+#: reconstruction error over the scan scale
+CIRCLE_N = 64
+CIRCLE_RADIUS = 0.9
+CIRCLE_TOL = 1e-3
+
 
 class RegStatus(enum.Enum):
     REGULAR = "regular"
@@ -58,6 +65,11 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.step <= 0 or self.omega_max <= self.omega_min:
             raise ConfigError("bad frequency grid")
+        q = (self.omega_max - self.omega_min) / self.step
+        if not np.isfinite(q) or abs(q - round(q)) > 1e-9 * q:
+            raise ConfigError(
+                f"grid step {self.step:g} does not divide [{self.omega_min:g}, "
+                f"{self.omega_max:g}]: the span holds {q:.6g} steps")
         if self.n < 3:
             raise ConfigError("grid must cover at least 3 points")
         try:
@@ -120,10 +132,6 @@ class SpectrumEstimate:
     def singular_set(self) -> np.ndarray:
         vals = self.grid.values()
         return vals[[c.status is RegStatus.SINGULAR for c in self.certificates]]
-
-    def undecided_set(self) -> np.ndarray:
-        vals = self.grid.values()
-        return vals[[c.status is RegStatus.UNDECIDED for c in self.certificates]]
 
     def singular_clusters(self) -> list:
         """Group consecutive singular grid points into (center, halfwidth)
@@ -342,8 +350,7 @@ class ReducedScanner:
             p.cert = RegularityCertificate(
                 p.omega, RegStatus.REGULAR, kid, 1.0,
                 {"class_report": rep.to_dict(),
-                 "metric": rep.evidence.get("tail_sups", [0.0])[-1]
-                 if "tail_sups" in rep.evidence else 0.0})
+                 "metric": rep.evidence.get("tail_sups", [0.0])[-1]})
         elif rep.member is Tri.NO:
             p.witnesses.append((kid, rep))
         else:
@@ -521,15 +528,15 @@ def carleman_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
     return _transform_estimate("carleman", F, grid, cfg, None, rule)
 
 
-def _cauchy_circle_errors(sc: TransformScanner, a: float, cfg: Config):
+def _cauchy_circle_errors(sc: TransformScanner, a: float):
     """Reconstruction error of L F at a/2 + i omega from the circle of
-    radius rf*a centred at a + i omega, per grid omega.
+    radius ``CIRCLE_RADIUS`` * a centred at a + i omega, per grid omega.
 
     The reconstruction is linear in the samples, so the error
     sum_l w_l L F(zeta_l + i omega) - L F(a/2 + i omega) is one scanner
     product with the damping sum_l w_l exp(-zeta_l u) - exp(-a u / 2)."""
-    n = cfg.circle_nodes
-    r = cfg.circle_radius_factor * a
+    n = CIRCLE_N
+    r = CIRCLE_RADIUS * a
     theta = 2 * np.pi * np.arange(n) / n
     zeta = a + r * np.exp(1j * theta)      # shared Re-offsets across omega
     target = 0.5 * a
@@ -559,11 +566,11 @@ def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
         blow = _blowup(mag, scale, cfg)
         regular = np.zeros(len(peak), bool)
         if not singular_only:
-            circle_err = [np.asarray(_cauchy_circle_errors(hp.scanner, a, cfg))
+            circle_err = [np.asarray(_cauchy_circle_errors(hp.scanner, a))
                           for a in hp.a_seq[-2:]]
             cauchy = (rel <= cfg.cauchy_rel) & \
                 (diffs[-1] <= max(1.0, cfg.cauchy_rel) * diffs[0] + 1e-15)
-            analytic = np.all([ce <= cfg.tol_analytic_coeff * scale
+            analytic = np.all([ce <= CIRCLE_TOL * scale
                                for ce in circle_err], axis=0)
             elevated = peak >= cfg.elevated_thresh * scale
             regular = cauchy & analytic & ~elevated
@@ -596,6 +603,12 @@ def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
     """
     if F.domain is not Domain.HALF_LINE:
         raise RedSpectraError("weak Laplace spectrum needs a half-line signal")
+    grid = FrequencyGrid.from_config(cfg) if grid is None else grid
+    narrow = [eps for eps in cfg.wl_eps_seq if round(eps / grid.step) < 1]
+    if narrow:
+        raise ConfigError(
+            f"wl_eps_seq entries {narrow} round to no whole grid step of "
+            f"{grid.step:g}: their windows hold no grid neighbour")
 
     def rule(hp, grid):
         eps_seq, dw, n = cfg.wl_eps_seq, grid.step, grid.n

@@ -205,12 +205,16 @@ def check_mollifier_union(entry: CorpusSignal,
 # ergodicity (bounded or slowly oscillating signals)
 # ---------------------------------------------------------------------------
 
+#: regular points the ergodic-theorem check modulates, evenly strided
+_ERGODIC_POINTS = 25
+
+
 def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
-                          analysis: SignalAnalysis | None = None,
-                          max_points: int = 101) -> CheckResult:
-    """At every regular point of the reduced C0 spectrum the modulated
-    signal must be ergodic with mean zero.  Requires the signal bounded or
-    slowly oscillating; otherwise VACUOUS."""
+                          analysis: SignalAnalysis | None = None) -> CheckResult:
+    """At every regular point of the reduced C0 spectrum (about
+    ``_ERGODIC_POINTS`` of them, evenly strided) the modulated signal must
+    be ergodic with mean zero.  Requires the signal bounded or slowly
+    oscillating; otherwise VACUOUS."""
     F = entry.half
     if F is None:
         return CheckResult("ergodic-theorem", entry.name, CheckStatus.VACUOUS,
@@ -227,16 +231,17 @@ def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
     est = an.reduced(FunctionClass.C0)
     regular = [w for w, c in zip(est.grid.values(), est.certificates)
                if c.status is RegStatus.REGULAR]
-    step = max(1, len(regular) // max_points)
+    step = max(1, len(regular) // _ERGODIC_POINTS)
     failures = []
     checked = 0
     for w in regular[::step]:
         G = modulate(F, -w)
         m, devs, rep = ergodic_mean(G, None, cfg)
         checked += 1
-        ok = rep.member is Tri.YES and m.norm() <= cfg.tol_erg * max(F.sup_norm(), 1e-300)
+        m_norm = float(np.linalg.norm(m))
+        ok = rep.member is Tri.YES and m_norm <= cfg.tol_erg * max(F.sup_norm(), 1e-300)
         if not ok:
-            failures.append({"omega": float(w), "mean_norm": m.norm(),
+            failures.append({"omega": float(w), "mean_norm": m_norm,
                              "deviations": devs, "member": rep.member.value})
     st = CheckStatus.PASS if not failures else CheckStatus.FAIL
     return CheckResult("ergodic-theorem", entry.name, st,
@@ -251,7 +256,7 @@ def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
 def _smoothing_kernel(entry: CorpusSignal, cfg: Config):
     """The bump psi; exponentially growing signals need a compactly
     supported bump instead (psi's tails would outgrow the budget)."""
-    return d_bump(0.0, 1.0) if "exp_rate" in entry.meta else bump_kernel(cfg)
+    return d_bump() if "exp_rate" in entry.meta else bump_kernel(cfg)
 
 
 def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
@@ -366,16 +371,20 @@ def check_regular_ft(entry: CorpusSignal, cfg: Config = DEFAULT) -> CheckResult:
 # transform identities
 # ---------------------------------------------------------------------------
 
-def check_transform_identities(entry: CorpusSignal, cfg: Config = DEFAULT,
-                               n_lambda: int = 20) -> CheckResult:
-    """Shift and mollifier identities of the Laplace transform at sampled
-    lambda with Re in [0.05, 0.5]."""
+#: sampled lambda of the transform-identities check
+_N_LAMBDA = 20
+
+
+def check_transform_identities(entry: CorpusSignal,
+                               cfg: Config = DEFAULT) -> CheckResult:
+    """Shift and mollifier identities of the Laplace transform at
+    ``_N_LAMBDA`` sampled lambda with Re in [0.05, 0.5]."""
     F = entry.half
     if F is None:
         return CheckResult("transform-identities", entry.name,
                            CheckStatus.VACUOUS, {"reason": "no half-line record"})
     rng = np.random.default_rng(cfg.corpus_seed + 17)
-    lams = rng.uniform(0.05, 0.5, n_lambda) + 1j * rng.uniform(-1.0, 1.0, n_lambda)
+    lams = rng.uniform(0.05, 0.5, _N_LAMBDA) + 1j * rng.uniform(-1.0, 1.0, _N_LAMBDA)
     from .transforms import laplace_transform
     scale = float(np.median([np.linalg.norm(laplace_transform(F, l, cfg))
                              for l in lams]))
@@ -388,7 +397,7 @@ def check_transform_identities(entry: CorpusSignal, cfg: Config = DEFAULT,
                        {"median_scale": scale, "tolerance": tol,
                         "worst_shift_residual": worst_shift,
                         "worst_mollify_residual": worst_moll,
-                        "n_lambda": n_lambda})
+                        "n_lambda": _N_LAMBDA})
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +480,9 @@ def _powers(E: np.ndarray, count: int) -> np.ndarray:
 def evolution_residual(p: EvolutionProblem, u: SampledSignal) -> float:
     """sup_t || u - u0 - A P u - P phi || with P the cumulative trapezoid
     integral from t = 0, where u's record starts."""
-    phi = SampledSignal(Domain.HALF_LINE, 0.0, u.dt, _phi_values(p, u.times),
-                        0, trusted=True)
-    R = (u.values - u.values[0][None, :] - _cumulative(u) @ p.A.T
-         - _cumulative(phi))
+    phi = _phi_values(p, u.times)
+    R = (u.values - u.values[0][None, :] - _cumulative(u.values, u.dt) @ p.A.T
+         - _cumulative(phi, u.dt))
     return float(np.linalg.norm(R, axis=1).max())
 
 
@@ -632,7 +640,7 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     for name in ("chirp", "const", "exp_iw1", "tchirp"):
         jobs.append(("ergodic-theorem", name,
                      lambda name=name: check_ergodic_theorem(
-                         corpus[name], cfg, an(name), max_points=25)))
+                         corpus[name], cfg, an(name))))
     for name in ("aap_mix", "decay_poly", "chirp", "so_composite", "expgrow"):
         jobs.append(("tauberian", name,
                      lambda name=name: check_tauberian(corpus[name], cfg,

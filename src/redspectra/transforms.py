@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .errors import DomainError, TailError
-from .signals import (Domain, SampledSignal, lattice_exp_tables,
+from .signals import (Domain, SampledSignal, _cumulative, lattice_exp_tables,
                       trapezoid_weights)
 
 #: |Re lambda| * T above which the truncation tail is negligible outright
@@ -102,7 +102,6 @@ class HalfPlaneGrid:
     """
 
     a_seq: tuple
-    omegas: np.ndarray
     right: np.ndarray
     left: np.ndarray | None
     tail_bounds: tuple
@@ -186,7 +185,6 @@ class TransformScanner:
 def half_plane_scan(F: SampledSignal, omegas,
                     cfg: Config = DEFAULT) -> HalfPlaneGrid:
     """Evaluate the transform on the admissible a_k x omega grid."""
-    omegas = np.asarray(omegas, float)
     sc = TransformScanner(F, omegas, cfg)
     a_adm, bounds = sc.admissible_a()
     if len(a_adm) < 3:
@@ -199,7 +197,7 @@ def half_plane_scan(F: SampledSignal, omegas,
         left = np.stack([sc.left_values(a) for a in a_adm])
         mags = np.concatenate([mags, np.linalg.norm(left, axis=2)])
     scale = float(np.median(mags))
-    return HalfPlaneGrid(a_adm, omegas, right, left, bounds, scale, sc)
+    return HalfPlaneGrid(a_adm, right, left, bounds, scale, sc)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +237,7 @@ def mollify_identity_residual(F: SampledSignal, h: float, lam: complex) -> float
     LM = trapezoid_transform(lam, M.times, M.values, F.dt)
 
     # cumulative integral I(v) = int_0^v exp(-lam t) F dt on the grid
-    integrand = np.exp(-lam * t)[:, None] * F.values
-    steps = 0.5 * F.dt * (integrand[1:] + integrand[:-1])
-    I = np.vstack([np.zeros((1, F.dim), complex), np.cumsum(steps, axis=0)])
+    I = _cumulative(np.exp(-lam * t)[:, None] * F.values, F.dt)
     v = t[:k + 1]
     wv = trapezoid_weights(k + 1, F.dt)
     ev = np.exp(lam * v) * wv

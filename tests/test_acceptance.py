@@ -55,14 +55,14 @@ def test_criterion_01_chirp_triple(corpus):
     n_sing = len(car.singular_set())
     ok_a = n_sing >= 0.95 * GRID.n
     lap = an.laplace()
-    ok_b = len(lap.singular_set()) == 0 and \
-        len(lap.undecided_set()) <= 0.10 * GRID.n
+    n_und = lap.statuses().count(RegStatus.UNDECIDED)
+    ok_b = len(lap.singular_set()) == 0 and n_und <= 0.10 * GRID.n
     chirp = corpus["chirp"].half
     oks_c = [is_c0(mollify(chirp, h), CFG, scale_ref=1.0).member is Tri.YES
              for h in (0.5, 1.0, 2.0)]
     report(1, ok_a and ok_b and all(oks_c),
            f"carleman singular {n_sing}/{GRID.n}, laplace singular "
-           f"{len(lap.singular_set())}, undecided {len(lap.undecided_set())}, "
+           f"{len(lap.singular_set())}, undecided {n_und}, "
            f"mollified-chirp vanishing {oks_c}")
 
 
@@ -85,7 +85,7 @@ def test_criterion_02_expgrow(corpus):
                 for w in (0.0, 1.0, 2.0)]
     ok_reg = all(s is RegStatus.REGULAR for s in statuses)
 
-    psi = d_bump(0.0, 1.0)
+    psi = d_bump()
     convb = convolve(E, psi, budget=1e-9)
     tt = convb.times
     sel = (tt >= -2.0) & (tt <= 7.0)
@@ -171,7 +171,7 @@ def test_criterion_07_transform_identities(corpus):
     rows = []
     ok = True
     for name in ("decay_exp", "exp_iw1", "chirp"):
-        r = check_transform_identities(corpus[name], CFG, n_lambda=20)
+        r = check_transform_identities(corpus[name], CFG)
         ok = ok and r.status is CheckStatus.PASS
         rows.append(f"{name}: shift {r.details['worst_shift_residual']:.1e} "
                     f"mollify {r.details['worst_mollify_residual']:.1e} "
@@ -224,8 +224,8 @@ def test_criterion_09_approximate_identity():
 
 def test_criterion_10_chirp_ergodic(corpus):
     m, devs, rep = ergodic_mean(corpus["chirp"].half, [25.0, 50.0, 100.0], CFG)
-    ok = m.norm() <= 1e-2 and devs[0] > devs[1] > devs[2]
-    report(10, ok, f"mean {m.norm():.2e}, deviations "
+    ok = np.linalg.norm(m) <= 1e-2 and devs[0] > devs[1] > devs[2]
+    report(10, ok, f"mean {np.linalg.norm(m):.2e}, deviations "
                    f"{[round(d, 4) for d in devs]}")
 
 

@@ -274,6 +274,45 @@ def test_bad_input_exits_2_without_traceback(tmp_path, tone_csv, capsys,
     assert not (tmp_path / "r.json").exists()
 
 
+def test_analyze_rejects_a_grid_step_that_does_not_divide_the_span(
+        tmp_path, tone_csv, capsys):
+    # 10 / 0.3 steps is no whole number: the grid would space its points
+    # 0.30303 apart while the report said 0.3
+    rc = main(["analyze", str(tone_csv), "--kind", "laplace",
+               "--grid=-5:5:0.3", "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not divide" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_weak_laplace_rejects_windows_below_one_grid_step(
+        tmp_path, tone_csv, capsys):
+    # eps = 0.25 rounds to no grid step of 0.5: every point would be
+    # undecided for want of a window
+    rc = main(["analyze", str(tone_csv), "--kind", "weak-laplace",
+               "--grid=-5:5:0.5", "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "wl_eps_seq" in err and "0.5" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_main_turns_every_package_error_into_exit_2(tmp_path, capsys):
+    # one second of so_composite contradicts its declared growth: the
+    # GrowthError is bad input, not a traceback
+    assert main(["synth", "so_composite", "--tmax", "1",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"t_end": 1}')
+    assert main(["verify", "--builtin", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("sidecar", ['{"domain": "halfline"}',
                                      '{"domain": "half_line", "growth_',
                                      '{"growth_exponent": "two"}'])

@@ -5,9 +5,10 @@ from redspectra.errors import ConfigError
 
 
 def test_unknown_keys_rejected():
-    # the others were Config fields that no CLI path read
+    # the others were Config fields that no CLI path read or no run varied
     for key in ("not_a_knob", "tol_ft_coeff", "tol_conv_coeff", "tol_decay",
-                "eps_div", "freq_grid_divisor"):
+                "eps_div", "freq_grid_divisor", "circle_nodes",
+                "circle_radius_factor", "tol_analytic_coeff"):
         with pytest.raises(ConfigError):
             Config.from_dict({"tol_c0": 0.01, key: 1})
 
@@ -42,7 +43,8 @@ def test_a_seq_rejects_equal_neighbours():
 
 @pytest.mark.parametrize("key, value", [
     ("grid_step", "x"), ("grid_min", None), ("tol_c0", True),
-    ("grid_max", float("inf")), ("corpus_seed", 1.5), ("circle_nodes", "64"),
+    ("grid_max", float("inf")), ("corpus_seed", 1.5),
+    ("buffer_radius", "0.45"),
     ("a_seq", 0.4), ("a_seq", []), ("delta_seq", ["1.0"]),
     ("wl_eps_seq", {"a": 1})])
 def test_ill_typed_values_rejected(key, value):
@@ -61,7 +63,8 @@ def test_missing_config_file_is_a_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("conv_out_step", 0.0), ("circle_nodes", 0), ("circle_nodes", -64),
+    ("conv_out_step", 0.0), ("trunc_budget", 0.0),
+    ("trunc_budget_strict", -1e-8),
     ("wl_eps_seq", (0.25, 0.0)), ("delta_seq", (1.0, -0.5)),
     ("a_seq", (0.4, -0.1)), ("evolution_dt", 0.0), ("min_window", -30.0),
     ("so_mollify_h", 0.0), ("dt", 0.0), ("t_end", -1.0)])

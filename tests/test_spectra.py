@@ -4,7 +4,7 @@ import pytest
 from redspectra import spectra
 from redspectra.classes import FunctionClass
 from redspectra.config import Config
-from redspectra.errors import RedSpectraError
+from redspectra.errors import ConfigError, RedSpectraError
 from redspectra.io_utils import canonical_json
 from redspectra.kernels import annihilator_kernel, box_kernel
 from redspectra.signals import Domain, SampledSignal, extend_by_zero, modulate
@@ -99,11 +99,19 @@ def test_detector_error_makes_only_its_point_undecided(monkeypatch):
             assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
 
 
+def test_grid_step_must_divide_the_span():
+    with pytest.raises(ConfigError, match="does not divide"):
+        FrequencyGrid(-5.0, 5.0, 0.3)
+    with pytest.raises(ConfigError, match="does not divide"):
+        FrequencyGrid(-5.0, 5.0, 1e-320)        # 10 / step overflows
+    grid = FrequencyGrid(-5.0, 5.0, 0.1)
+    assert grid.n == 101 and np.allclose(np.diff(grid.values()), 0.1)
+
+
 def test_lp_signal_has_empty_c0_spectrum():
     F = make_half(lambda t: np.exp(1j * t) / (1.0 + t))
     est = reduced_spectrum(F, FunctionClass.C0, GRID, CFG)
-    assert len(est.singular_set()) == 0
-    assert len(est.undecided_set()) == 0
+    assert all(s is RegStatus.REGULAR for s in est.statuses())
 
 
 def test_zero_signal_trivially_regular():
@@ -116,10 +124,10 @@ def test_zero_signal_trivially_regular():
 # transform spectra on closed-form signals
 # ---------------------------------------------------------------------------
 
-def _circle_errors_node_by_node(sc, a, cfg):
+def _circle_errors_node_by_node(sc, a):
     """The Cauchy-circle reconstruction as 64 + 1 separate evaluations."""
-    n = cfg.circle_nodes
-    r = cfg.circle_radius_factor * a
+    n = spectra.CIRCLE_N
+    r = spectra.CIRCLE_RADIUS * a
     theta = 2 * np.pi * np.arange(n) / n
     zeta = a + r * np.exp(1j * theta)
     weights = (r * np.exp(1j * theta)) / (zeta - 0.5 * a) / n
@@ -133,8 +141,8 @@ def test_circle_errors_match_node_by_node_reconstruction(corpus, name):
     hp = half_plane_scan(F, omegas, CFG)
     sc = hp.scanner
     for a in hp.a_seq[-2:]:
-        got = spectra._cauchy_circle_errors(sc, a, CFG)
-        ref = _circle_errors_node_by_node(sc, a, CFG)
+        got = spectra._cauchy_circle_errors(sc, a)
+        ref = _circle_errors_node_by_node(sc, a)
         assert np.max(np.abs(got - ref)) <= 1e-12 * hp.scale
 
 

@@ -101,6 +101,16 @@ def test_inclusion_chain_on_pole_signal(corpus, cfg):
     assert res.details["violations"] == []
 
 
+def test_inclusion_chain_vacuous_when_weak_laplace_has_no_window(
+        corpus, short_cfg):
+    # at grid step 0.5 the weak-Laplace window eps = 0.25 holds no grid
+    # neighbour: the engine refuses, and the chain reports why
+    res = check_inclusion_chain(corpus["exp_iw1"],
+                                short_cfg.replace(grid_step=0.5))
+    assert res.status is CheckStatus.VACUOUS
+    assert "wl_eps_seq" in res.details["reason"]
+
+
 def test_ergodic_theorem_vacuous_for_unbounded(corpus, cfg):
     res = check_ergodic_theorem(corpus["tchirp"], cfg)
     assert res.status is CheckStatus.VACUOUS

@@ -4,6 +4,7 @@ import pytest
 from redspectra.config import Config
 from redspectra.errors import DomainError, TailError
 from redspectra.signals import Domain, SampledSignal
+from redspectra.spectra import CIRCLE_N, CIRCLE_RADIUS
 from redspectra.transforms import (TransformScanner,
                                    carleman_as_convolution_residual,
                                    carleman_transform, half_plane_scan,
@@ -129,9 +130,9 @@ def test_factored_product_matches_dense(n_right, n_left, d):
 def test_circle_damping_matches_dense():
     dt, n = 0.01, 20001
     u = dt * np.arange(n)
-    theta = 2 * np.pi * np.arange(CFG.circle_nodes) / CFG.circle_nodes
+    theta = 2 * np.pi * np.arange(CIRCLE_N) / CIRCLE_N
     for a in (0.4, 0.05):
-        r = CFG.circle_radius_factor * a
+        r = CIRCLE_RADIUS * a
         zeta = a + r * np.exp(1j * theta)
         weights = r * np.exp(1j * theta) / (zeta - 0.5 * a) / len(theta)
         ref = weights @ np.exp(-np.outer(zeta, u))

@@ -36,6 +36,14 @@ from .errors import HorizonError
 from .signals import Domain, SampledSignal, _cumulative, mollify
 
 TAIL_FRACTIONS = (0.45, 0.65, 0.85)
+# membership thresholds, relative to the reference scale
+TOL_C0 = 0.02            # C0: last tail sup
+TOL_ERG = 0.04           # ergodic: mean deviation
+TOL_BOHR = 1e-2          # AP: least Bohr coefficient kept
+TOL_UC = 0.02            # UC: jump at the shortest lag
+TOL_ZERO = 1e-6          # zero class, floored by Config.tol_zero_abs
+DECAY_FACTOR = 0.9       # required tail-sup / deviation shrink for a Yes
+ERG_WINDOW_FRAC = 0.5    # ergodic sup-window length / usable record
 #: resolution of a refined Bohr frequency: Brent's absolute tolerance and
 #: the lattice the refined frequency is rounded onto
 XATOL = 1e-7
@@ -136,15 +144,15 @@ def is_c0(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = Non
     final tail violating the bound by more than twice the tolerance.
     """
     scale = F.sup_norm() if scale_ref is None else scale_ref
-    tol = cfg.tol_c0 * scale + 2.0 * trunc_bound
-    tols = {"tol_c0": cfg.tol_c0, "scale_ref": scale, "trunc_bound": trunc_bound}
+    tol = TOL_C0 * scale + 2.0 * trunc_bound
+    tols = {"tol_c0": TOL_C0, "scale_ref": scale, "trunc_bound": trunc_bound}
     if F.sup_norm() <= max(cfg.tol_zero_abs, 2.0 * trunc_bound):
         return ClassReport(FunctionClass.C0, Tri.YES,
                            {"sup": F.sup_norm(), "trivial": True}, tols)
     checkpoints = _auto_checkpoints(F, cfg)
     sups = tail_sup(F, checkpoints)
     ev = {"checkpoints": list(checkpoints), "tail_sups": sups}
-    decayed = sups[0] <= tol or sups[-1] <= cfg.decay_factor * sups[0]
+    decayed = sups[0] <= tol or sups[-1] <= DECAY_FACTOR * sups[0]
     return _verdict(FunctionClass.C0, sups[-1], tol, ev, tols,
                     lambda: _peak(F, _tail(F, checkpoints[-1])), yes=decayed)
 
@@ -152,7 +160,7 @@ def is_c0(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = Non
 def is_zero(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = None,
             trunc_bound: float = 0.0) -> ClassReport:
     scale = F.sup_norm() if scale_ref is None else scale_ref
-    tol = max(cfg.tol_zero_abs, cfg.tol_zero * scale, 2.0 * trunc_bound)
+    tol = max(cfg.tol_zero_abs, TOL_ZERO * scale, 2.0 * trunc_bound)
     sup = F.sup_norm()
     tols = {"tol": tol, "scale_ref": scale, "trunc_bound": trunc_bound}
     return _verdict(FunctionClass.ZERO, sup, tol, {"sup": sup}, tols,
@@ -191,8 +199,8 @@ def default_horizons(F: SampledSignal):
     return [round(f * span, 6) for f in (0.125, 0.25, 0.5)]
 
 
-def ergodic_mean(F: SampledSignal, T_list=None, cfg: Config = DEFAULT,
-                 scale_ref: float | None = None, trunc_bound: float = 0.0):
+def ergodic_mean(F: SampledSignal, T_list=None, scale_ref: float | None = None,
+                 trunc_bound: float = 0.0):
     """Mean and sup-deviation curve of the windowed averages.
 
     deviation(T) = sup over window start points t of ||(1/T) int_t^{t+T} F
@@ -212,7 +220,7 @@ def ergodic_mean(F: SampledSignal, T_list=None, cfg: Config = DEFAULT,
     ks = [F.lattice_steps(F.dt * round(T / F.dt), "T") for T in T_list]
     if min(ks) < 1:
         raise HorizonError(f"horizon {min(T_list)} is shorter than dt={F.dt}")
-    w_len = min(cfg.erg_window_frac * span, span - T_max)
+    w_len = min(ERG_WINDOW_FRAC * span, span - T_max)
     n_w = min(max(2, int(w_len / F.dt)), F.n - max(ks))
     # A_T(t) = (1/T) int_t^{t+T} F at the first n_w grid t, per T, all
     # read from one cumulative trapezoid
@@ -221,12 +229,12 @@ def ergodic_mean(F: SampledSignal, T_list=None, cfg: Config = DEFAULT,
     m = means[int(np.argmax(T_list))].mean(axis=0)
     curves = [np.linalg.norm(A - m, axis=1) for A in means]
     devs = [float(c.max()) for c in curves]
-    tol = cfg.tol_erg * scale + 2.0 * trunc_bound
+    tol = TOL_ERG * scale + 2.0 * trunc_bound
     ev = {"T_list": list(T_list), "deviations": devs,
           "sup_window": [float(F.t0), float(F.t0 + n_w * F.dt)],
           "mean_norm": float(np.linalg.norm(m))}
-    tols = {"tol_erg": cfg.tol_erg, "scale_ref": scale, "trunc_bound": trunc_bound}
-    decreasing = devs[-1] <= cfg.decay_factor * devs[0] + 1e-15 or devs[0] <= tol
+    tols = {"tol_erg": TOL_ERG, "scale_ref": scale, "trunc_bound": trunc_bound}
+    decreasing = devs[-1] <= DECAY_FACTOR * devs[0] + 1e-15 or devs[0] <= tol
     rep = _verdict(FunctionClass.ERGODIC, devs[-1], tol, ev, tols,
                    lambda: {"t": float(F.t0 + int(np.argmax(curves[-1])) * F.dt),
                             "deviation": devs[-1]},
@@ -234,13 +242,13 @@ def ergodic_mean(F: SampledSignal, T_list=None, cfg: Config = DEFAULT,
     return m, devs, rep
 
 
-def is_ergodic(F, cfg: Config = DEFAULT, scale_ref=None, trunc_bound=0.0,
+def is_ergodic(F, scale_ref=None, trunc_bound=0.0,
                mean_zero: bool = False) -> ClassReport:
-    m, devs, rep = ergodic_mean(F, None, cfg, scale_ref, trunc_bound)
+    m, devs, rep = ergodic_mean(F, None, scale_ref, trunc_bound)
     if not mean_zero:
         return rep
     scale = F.sup_norm() if scale_ref is None else scale_ref
-    tol = cfg.tol_erg * scale + 2.0 * trunc_bound
+    tol = TOL_ERG * scale + 2.0 * trunc_bound
     member = rep.member
     m_norm = float(np.linalg.norm(m))
     if member is Tri.YES and m_norm > tol:
@@ -296,7 +304,7 @@ def _bohr_sum(F: SampledSignal, T: float | None = None):
     return a
 
 
-def bohr_coefficient(F: SampledSignal, omega: float, cfg: Config = DEFAULT,
+def bohr_coefficient(F: SampledSignal, omega: float,
                      T: float | None = None) -> np.ndarray:
     """a(omega) = mean of gamma_{-omega} F, estimated by averaging the
     T-windowed means over their admissible start points.  Averaging over
@@ -352,7 +360,7 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
         G = np.exp(1j * np.outer(F.times, np.asarray(fs)))
         sol, *_ = np.linalg.lstsq(G, F.values, rcond=None)
         keep = [j for j in range(len(fs))
-                if np.linalg.norm(sol[j]) > cfg.tol_bohr * scale]
+                if np.linalg.norm(sol[j]) > TOL_BOHR * scale]
         if not keep:
             return np.zeros_like(F.values), [], None
         return G[:, keep] @ sol[keep], [fs[j] for j in keep], sol[keep]
@@ -363,7 +371,7 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     for _ in range(3 if windows else 0):
         a = _bohr_sum(SampledSignal(F.domain, F.t0, F.dt, F.values - ap_vals,
                                     F.growth_exponent, trusted=True))
-        best, best_norm = None, 3.0 * cfg.tol_bohr * scale
+        best, best_norm = None, 3.0 * TOL_BOHR * scale
         for center, hw in windows:
             nu = _refine_frequency(a, center, hw)
             bn = np.linalg.norm(a(nu))
@@ -390,7 +398,7 @@ def is_ap(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     scale = F.sup_norm() if scale_ref is None else scale_ref
     ap_part, remainder, aap = ap_decompose(F, candidate_freqs, cfg, scale,
                                            trunc_bound)
-    tol = cfg.tol_c0 * scale + 2.0 * trunc_bound
+    tol = TOL_C0 * scale + 2.0 * trunc_bound
     return _verdict(FunctionClass.AP, aap.evidence["remainder_sup"], tol,
                     dict(aap.evidence), aap.tolerances, lambda: _peak(remainder))
 
@@ -414,12 +422,12 @@ def uc_modulus(F: SampledSignal, lags=None):
     return list(lags), [float(_jumps(F, s).max()) for s in lags]
 
 
-def is_uc(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = None,
+def is_uc(F: SampledSignal, scale_ref: float | None = None,
           trunc_bound: float = 0.0) -> ClassReport:
     scale = F.sup_norm() if scale_ref is None else scale_ref
     lags, mods = uc_modulus(F)
-    tol = cfg.tol_uc * scale + 2.0 * trunc_bound
-    tols = {"tol_uc": cfg.tol_uc, "scale_ref": scale}
+    tol = TOL_UC * scale + 2.0 * trunc_bound
+    tols = {"tol_uc": TOL_UC, "scale_ref": scale}
 
     def witness():
         jumps = _jumps(F, lags[0])
@@ -447,7 +455,7 @@ def is_slowly_oscillating(F: SampledSignal, cfg: Config = DEFAULT,
     c0_rep = is_c0(xi, cfg, scale, trunc_bound)
     ev = {"h_star": h, "u_lipschitz_bound": 2.0 * F.sup_norm() / h,
           "xi_c0": c0_rep.to_dict()}
-    tols = {"tol_c0": cfg.tol_c0, "scale_ref": scale}
+    tols = {"tol_c0": TOL_C0, "scale_ref": scale}
     if c0_rep.member is Tri.NO:
         ev["witness"] = c0_rep.evidence.get("witness")
     return ClassReport(FunctionClass.SLOWLY_OSCILLATING, c0_rep.member, ev, tols)
@@ -468,11 +476,11 @@ def detect(cls: FunctionClass, F: SampledSignal, cfg: Config = DEFAULT,
     if cls is FunctionClass.BOUNDED:
         return is_bounded(F, cfg, scale_ref, trunc_bound)
     if cls is FunctionClass.UC:
-        return is_uc(F, cfg, scale_ref, trunc_bound)
+        return is_uc(F, scale_ref, trunc_bound)
     if cls is FunctionClass.ERGODIC:
-        return is_ergodic(F, cfg, scale_ref, trunc_bound)
+        return is_ergodic(F, scale_ref, trunc_bound)
     if cls is FunctionClass.ERGODIC_MEAN_ZERO:
-        return is_ergodic(F, cfg, scale_ref, trunc_bound, mean_zero=True)
+        return is_ergodic(F, scale_ref, trunc_bound, mean_zero=True)
     if cls is FunctionClass.AP:
         if candidates is None:
             return ClassReport(cls, Tri.UNDECIDED,

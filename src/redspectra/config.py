@@ -1,8 +1,10 @@
-"""Run configuration: tolerances, grids and scan parameters.
+"""Run configuration: grids, scan sequences and record-scale settings.
 
-A single frozen dataclass holds every knob used by the detectors and
-spectrum engines.  Values can be loaded from a flat JSON file; unknown
-keys are rejected so typos never silently fall back to defaults.
+A frozen dataclass holds what the record and its grid decide: steps,
+horizons and widths, the zero amplitude and the corpus seed.  The
+dimensionless thresholds are constants of the modules that read them.
+Values can be loaded from a flat JSON file; unknown keys are rejected so
+typos never silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -29,53 +31,27 @@ class Config:
     a_seq: tuple = (0.4, 0.2, 0.1, 0.05, 0.025)
     # regularity-test kernel bandwidth ladder
     delta_seq: tuple = (1.0, 0.5, 0.25)
-
-    # kernel construction
-    support_cut: float = 1e-14       # relative sample cut for kernel tails
-
-    # quadrature / convolution error model
-    trunc_budget: float = 1e-3       # unseen kernel-mass budget (class work)
-    trunc_budget_strict: float = 1e-8
     conv_out_step: float = 0.2       # decimated output spacing for band work
 
-    # class membership (all relative to the reference scale)
-    tol_c0: float = 0.02
-    tol_erg: float = 0.04
-    tol_bohr: float = 1e-2
-    tol_uc: float = 0.02
-    tol_zero: float = 1e-6
-    tol_zero_abs: float = 1e-8
-    decay_factor: float = 0.9        # required tail-sup shrink for a Yes
+    # class membership
     min_window: float = 30.0         # shortest usable analysis window
-    erg_window_frac: float = 0.5     # sup-window length / usable record
     so_mollify_h: float = 0.02       # h* for the slowly-oscillating split
+    tol_zero_abs: float = 1e-8       # amplitude below which a record is zero
 
     # transform spectra
-    blowup_thresh: float = 10.0      # Singular: peak >= thresh * scale
-    elevated_thresh: float = 5.0     # not Regular above this peak/scale
-    grow_ratio: float = 1.5          # blowup must also grow along a_seq
-    cauchy_rel: float = 0.07         # relative Cauchy threshold (Laplace)
-    jump_reg_ratio: float = 0.4      # jump decayed to <= this of its max
-    jump_sing_ratio: float = 0.6     # jump stagnated above this of its max
-    tol_match_coeff: float = 1e-3    # tol_match = coeff * median scale
-    tail_cap: float = 0.5            # admit a_k while tail bound <= cap*sup
     wl_eps_seq: tuple = (0.25, 0.5)  # weak-Laplace window half-widths
     # a detected singularity contaminates the finite-depth boundary scan of
     # its neighbours: Regular verdicts this close to a Singular grid point
     # are demoted to Undecided (matches the band-pass transition blur)
     buffer_radius: float = 0.45
-
-    # identities / ODE
-    tol_transform_coeff: float = 1e-4
-    tol_ode_coeff: float = 1e-5
-    evolution_dt: float = 0.001
+    evolution_dt: float = 0.001      # evolution-equation solve step
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
             _check_type(f.name, f.type, getattr(self, f.name))
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if f.name.startswith("tol_") or f.name in _POSITIVE:
+            if f.name in _POSITIVE:
                 if not v > 0:
                     raise ConfigError(f"{f.name} must be > 0, got {v!r}")
             elif f.name.endswith("_seq") and not all(x > 0 for x in v):
@@ -114,11 +90,11 @@ class Config:
         return cls.from_dict(data)
 
 
-#: fields besides the ``tol_*`` tolerances that must be > 0: budgets,
-#: steps, widths and counts (a zero step divides by zero, a zero count or
-#: width turns every verdict undecided)
-_POSITIVE = ("trunc_budget", "trunc_budget_strict", "dt", "t_end",
-             "conv_out_step", "min_window", "so_mollify_h", "evolution_dt")
+#: fields that must be > 0: steps, widths and amplitudes (a zero step
+#: divides by zero, a zero width turns every verdict undecided, and a zero
+#: buffer radius keeps Regular verdicts next to a Singular one)
+_POSITIVE = ("dt", "t_end", "conv_out_step", "min_window", "so_mollify_h",
+             "tol_zero_abs", "buffer_radius", "evolution_dt")
 
 
 def _is_number(v) -> bool:

@@ -142,9 +142,11 @@ def _chirp_mollified(cfg, dt, T, t, tf):
     km = round(h_m / dt)
     Pf = _fresnel_P(np.concatenate([tf, tf[-1] + dt * np.arange(1, km + 1)]))
     Mh = (Pf[km:] - Pf[:-km]) / h_m
+    # the half line starts at the index of t = 0: the arange lattice puts
+    # that sample a rounding error below 0, so a mask tf >= 0 would drop it
     return CorpusSignal(
         "chirp_mollified", f"M_{h_m:g} exp(i t^2), exact Fresnel samples",
-        _half(Mh[tf >= 0], dt), _full(Mh, dt, -T),
+        _half(Mh[round(T / dt):], dt), _full(Mh, dt, -T),
         (exp_tag("vanishes at infinity", "literature"),
          exp_tag("Laplace spectrum empty", "literature")),
         meta={"poles": [], "bounded": True, "c0": True})

@@ -35,13 +35,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import erf
 
-from .config import Config, DEFAULT
 from .errors import DivisionError_, DomainError, GridError
 from .signals import trapezoid_weights
 
 _SQRT2 = np.sqrt(2.0)
 #: minimum |f^| that ``wiener_divide`` divides by
 EPS_DIV = 1e-6
+#: kernel tails are cut where |k| falls below this fraction of its peak
+SUPPORT_CUT = 1e-14
 
 
 @functools.lru_cache(maxsize=1)
@@ -189,16 +190,12 @@ def _psi_hat_factory(a):
     return psi_hat
 
 
-_BUMP_CACHE: dict = {}
-
-
-def bump_kernel(cfg: Config = DEFAULT) -> TestKernel:
+@functools.lru_cache(maxsize=1)
+def bump_kernel() -> TestKernel:
     """The smooth non-negative kernel psi with psi^(0) = 1 and transform
     supported in [-2, 2]: psi = (phi^)^2, phi(x) = a exp(1/(x^2-1)).
+    Built once; every call returns the same kernel.
     """
-    key = ("bump", cfg.support_cut)
-    if key in _BUMP_CACHE:
-        return _BUMP_CACHE[key]
     a = _bump_normalizer()
     phi_hat = _phi_hat_factory(a)
     psi_hat = _psi_hat_factory(a)
@@ -211,23 +208,22 @@ def bump_kernel(cfg: Config = DEFAULT) -> TestKernel:
     # locate the support cut: last point where psi >= cut * peak
     tt = np.arange(0.0, 400.0, 0.25)
     vals = np.abs(time_fn(tt))
-    above = np.where(vals >= cfg.support_cut * peak)[0]
+    above = np.where(vals >= SUPPORT_CUT * peak)[0]
     L = float(tt[above[-1]]) + 0.5
     cut_mass = 2.0 * float(np.trapezoid(vals[tt >= L], dx=0.25))
     mass = 2.0 * float(np.trapezoid(vals[tt <= L], dx=0.25))
 
-    _BUMP_CACHE[key] = TestKernel(
+    return TestKernel(
         "bump", "S", time_fn, lambda w: psi_hat(w).astype(complex), -L, L,
         (-2.0, 2.0), mass, _table_tail(time_fn, L, cut_mass), cut_mass)
-    return _BUMP_CACHE[key]
 
 
-def approximate_identity(n: int, cfg: Config = DEFAULT) -> TestKernel:
+def approximate_identity(n: int) -> TestKernel:
     """psi_n(t) = n psi(n t): unit mass, transform psi^(w/n) supported in
     [-2n, 2n]; an approximate identity for uniformly continuous functions."""
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
-    base = bump_kernel(cfg)
+    base = bump_kernel()
     if n == 1:
         return base
     bt, bf, tail = base.time_fn, base.ft_fn, base.tail_mass
@@ -248,7 +244,7 @@ def _plateau(u, b, sigma):
     return 0.5 * (erf((u + b) / (sigma * _SQRT2)) - erf((u - b) / (sigma * _SQRT2)))
 
 
-def bandpass_kernel(omega0: float, delta: float, cfg: Config = DEFAULT) -> TestKernel:
+def bandpass_kernel(omega0: float, delta: float) -> TestKernel:
     """Kernel whose transform is a smooth plateau: 1 on
     [omega0-delta, omega0+delta], below 1e-9 outside [omega0-2delta, omega0+2delta].
 
@@ -271,7 +267,7 @@ def bandpass_kernel(omega0: float, delta: float, cfg: Config = DEFAULT) -> TestK
     # envelope is bounded by exp(-sigma^2 t^2/2)/(pi t): scan for the cut
     tt = np.arange(1.0, 60.0 / sigma, 0.5)
     bound = np.exp(-0.5 * (sigma * tt) ** 2) / (np.pi * tt)
-    above = np.where(bound >= cfg.support_cut * peak)[0]
+    above = np.where(bound >= SUPPORT_CUT * peak)[0]
     L = float(np.ceil(tt[above[-1]] + 1.0)) if len(above) else 1.0
 
     def time_fn(t, w0=omega0):
@@ -437,7 +433,7 @@ def reflected(k: TestKernel) -> TestKernel:
 # Wiener division
 # ---------------------------------------------------------------------------
 
-def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
+def wiener_divide(f, K: tuple) -> TestKernel:
     """g with g^ f^ = 1 on the compact interval K and g^ compactly supported.
 
     g^ is a smooth plateau (1 on K, Gaussian edges, zero past a slight
@@ -494,7 +490,7 @@ def wiener_divide(f, K: tuple, cfg: Config = DEFAULT) -> TestKernel:
     tt = np.linspace(0.0, 0.45 * period, 3000)
     vals = np.abs(time_fn(tt)) + np.abs(time_fn(-tt))
     peak = vals.max()
-    above = np.where(vals >= max(cfg.support_cut * peak, 1e-300))[0]
+    above = np.where(vals >= max(SUPPORT_CUT * peak, 1e-300))[0]
     L = float(tt[min(above[-1] + 1, len(tt) - 1)])
     cut = float(vals[tt >= L].sum() * (tt[1] - tt[0])) if (tt >= L).any() else 0.0
 

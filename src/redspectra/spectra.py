@@ -48,6 +48,15 @@ from .transforms import (HalfPlaneGrid, TransformScanner, half_plane_scan,
 CIRCLE_N = 64
 CIRCLE_RADIUS = 0.9
 CIRCLE_TOL = 1e-3
+TRUNC_BUDGET = 1e-3      # unseen kernel-mass budget of a convolution
+# transform spectra, relative to the scan scale or along a_seq
+BLOWUP_THRESH = 10.0     # Singular: peak >= thresh * scale
+ELEVATED_THRESH = 5.0    # not Regular above this peak/scale
+GROW_RATIO = 1.5         # blowup must also grow along a_seq
+CAUCHY_REL = 0.07        # relative Cauchy threshold (Laplace)
+JUMP_REG_RATIO = 0.4     # jump decayed to <= this of its max (Carleman)
+JUMP_SING_RATIO = 0.6    # jump stagnated above this of its max
+TOL_MATCH_COEFF = 1e-3   # jump tolerance = coeff * scale
 
 
 class RegStatus(enum.Enum):
@@ -216,9 +225,9 @@ class ReducedScanner:
         lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
             else -np.inf
         plan = plan_convolution(
-            H, bandpass_kernel(0.0, delta, cfg),
+            H, bandpass_kernel(0.0, delta),
             max(1, round(cfg.conv_out_step / H.dt)) * H.dt, (lo, np.inf),
-            cfg.trunc_budget, _quad_step_for(delta, cfg, H.dt))
+            TRUNC_BUDGET, _quad_step_for(delta, cfg, H.dt))
         if len(plan.views[0]) < max(3, int(cfg.min_window / cfg.conv_out_step)):
             raise TruncationError(f"band {delta}: usable window too short")
         self._band_cache[key] = plan
@@ -320,7 +329,7 @@ class ReducedScanner:
             scaled = kern.scaled(1.0 / fw, tag="unit")
             try:
                 conv = convolve(self.ext, scaled, out_step=None,
-                                budget=self.cfg.trunc_budget)
+                                budget=TRUNC_BUDGET)
                 restricted = conv.restrict_to_origin()
             except (TruncationError, HorizonError) as exc:
                 p.reasons.append(f"{kern.kernel_id}: {exc}")
@@ -455,12 +464,12 @@ def extension_comparison(H: SampledSignal, cls: FunctionClass,
 # transform spectra
 # ---------------------------------------------------------------------------
 
-def _blowup(mag: np.ndarray, scale: float, cfg: Config) -> np.ndarray:
+def _blowup(mag: np.ndarray, scale: float) -> np.ndarray:
     """Per grid column of the (n_a, n_w) boundary magnitudes: the peak
-    reaches ``blowup_thresh`` times the scale and the value grows by
-    ``grow_ratio`` as a decreases."""
-    return (mag.max(axis=0) >= cfg.blowup_thresh * scale) & \
-        (mag[-1] >= cfg.grow_ratio * np.maximum(mag[0], 1e-300))
+    reaches ``BLOWUP_THRESH`` times the scale and the value grows by
+    ``GROW_RATIO`` as a decreases."""
+    return (mag.max(axis=0) >= BLOWUP_THRESH * scale) & \
+        (mag[-1] >= GROW_RATIO * np.maximum(mag[0], 1e-300))
 
 
 def _transform_estimate(kind: str, F: SampledSignal,
@@ -501,17 +510,17 @@ def carleman_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
 
     def rule(hp, grid):
         scale = max(hp.scale, 1e-300)
-        bound = cfg.tol_match_coeff * scale + 2.0 * hp.tail_bounds[-1]
+        bound = TOL_MATCH_COEFF * scale + 2.0 * hp.tail_bounds[-1]
         J = np.linalg.norm(hp.right - hp.left, axis=2)      # (n_a, n_w)
         mag = np.maximum(np.linalg.norm(hp.right, axis=2),
                          np.linalg.norm(hp.left, axis=2))
         peak = mag.max(axis=0)
-        blow = _blowup(mag, scale, cfg)
-        stagnant = (J[-1] >= cfg.jump_sing_ratio * J.max(axis=0)) & \
+        blow = _blowup(mag, scale)
+        stagnant = (J[-1] >= JUMP_SING_RATIO * J.max(axis=0)) & \
             (J[-1] > bound)
-        decayed = (J[-1] <= cfg.jump_reg_ratio
+        decayed = (J[-1] <= JUMP_REG_RATIO
                    * np.maximum(J.max(axis=0), 1e-300)) & (J[-1] <= bound)
-        elevated = peak >= cfg.elevated_thresh * scale
+        elevated = peak >= ELEVATED_THRESH * scale
         evidence = []
         for j in range(len(peak)):
             ev = {"jumps": J[:, j].tolist(),
@@ -563,16 +572,15 @@ def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
         diffs = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)
         peak = mag.max(axis=0)
         rel = diffs[-1] / np.maximum(mag[-1], scale)
-        blow = _blowup(mag, scale, cfg)
+        blow = _blowup(mag, scale)
         regular = np.zeros(len(peak), bool)
         if not singular_only:
             circle_err = [np.asarray(_cauchy_circle_errors(hp.scanner, a))
                           for a in hp.a_seq[-2:]]
-            cauchy = (rel <= cfg.cauchy_rel) & \
-                (diffs[-1] <= max(1.0, cfg.cauchy_rel) * diffs[0] + 1e-15)
+            cauchy = (rel <= CAUCHY_REL) & (diffs[-1] <= diffs[0] + 1e-15)
             analytic = np.all([ce <= CIRCLE_TOL * scale
                                for ce in circle_err], axis=0)
-            elevated = peak >= cfg.elevated_thresh * scale
+            elevated = peak >= ELEVATED_THRESH * scale
             regular = cauchy & analytic & ~elevated
         evidence = []
         for j in range(len(peak)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .classes import (FunctionClass, Tri, ap_decompose, detect,
+from .classes import (TOL_ERG, FunctionClass, Tri, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
 from .config import Config, DEFAULT
 from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
@@ -34,10 +34,14 @@ from .kernels import bump_kernel, d_bump
 from .signals import (Domain, SampledSignal, _cumulative, convolve,
                       extend_by_zero, modulate, mollify, translate,
                       trapezoid_weights)
-from .spectra import (FrequencyGrid, RegStatus, SignalAnalysis,
+from .spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus, SignalAnalysis,
                       laplace_spectrum, reduced_spectrum)
 from .transforms import (mollify_identity_residual, shift_identity_residual,
                          trapezoid_transform)
+
+TRUNC_BUDGET_STRICT = 1e-8   # kernel-mass budget of the regular-ft smoothing
+TOL_TRANSFORM_COEFF = 1e-4   # transform residuals / signal or transform scale
+TOL_ODE_COEFF = 1e-5         # ODE residual / (1 + sup |u|)
 
 
 class CheckStatus(enum.Enum):
@@ -236,10 +240,10 @@ def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
     checked = 0
     for w in regular[::step]:
         G = modulate(F, -w)
-        m, devs, rep = ergodic_mean(G, None, cfg)
+        m, devs, rep = ergodic_mean(G)
         checked += 1
         m_norm = float(np.linalg.norm(m))
-        ok = rep.member is Tri.YES and m_norm <= cfg.tol_erg * max(F.sup_norm(), 1e-300)
+        ok = rep.member is Tri.YES and m_norm <= TOL_ERG * max(F.sup_norm(), 1e-300)
         if not ok:
             failures.append({"omega": float(w), "mean_norm": m_norm,
                              "deviations": devs, "member": rep.member.value})
@@ -253,10 +257,10 @@ def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
 # tauberian behaviour of smoothed signals
 # ---------------------------------------------------------------------------
 
-def _smoothing_kernel(entry: CorpusSignal, cfg: Config):
+def _smoothing_kernel(entry: CorpusSignal):
     """The bump psi; exponentially growing signals need a compactly
     supported bump instead (psi's tails would outgrow the budget)."""
-    return d_bump() if "exp_rate" in entry.meta else bump_kernel(cfg)
+    return d_bump() if "exp_rate" in entry.meta else bump_kernel()
 
 
 def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
@@ -265,10 +269,10 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
     smoothed signal is asymptotically almost periodic; empty spectrum plus
     uniform continuity implies it vanishes (on the whole line)."""
     F = entry.half if entry.half is not None else entry.full
-    psi = _smoothing_kernel(entry, cfg)
+    psi = _smoothing_kernel(entry)
     try:
         conv = convolve(extend_by_zero(F), psi, out_step=cfg.conv_out_step,
-                        budget=cfg.trunc_budget)
+                        budget=TRUNC_BUDGET)
     except RedSpectraError as exc:
         return CheckResult("tauberian", entry.name, CheckStatus.VACUOUS,
                            {"reason": f"smoothing failed: {exc}"})
@@ -286,7 +290,7 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
         s0, sam = psi.time_samples(F.dt)
         c_ref = complex(trapezoid_transform(
             rate, s0 + F.dt * np.arange(len(sam)), sam, F.dt))
-        uc_rep = is_uc(restricted, cfg, scale_ref, conv.trunc_bound)
+        uc_rep = is_uc(restricted, scale_ref, conv.trunc_bound)
         return CheckResult(
             "tauberian", entry.name, CheckStatus.VACUOUS,
             {"reason": "uniform-continuity hypothesis fails (sharpness case)",
@@ -307,7 +311,7 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
         details["mollified_bounded_probe"] = {
             f"h={h:g}": is_bounded(mollify(F, h), cfg).member.value
             for h in _H_SEQ}
-        uc_rep = is_uc(restricted, cfg, scale_ref, conv.trunc_bound)
+        uc_rep = is_uc(restricted, scale_ref, conv.trunc_bound)
         if uc_rep.member is not Tri.YES:
             details["reason"] = "smoothed signal not verifiably uniformly continuous"
             details["uc"] = uc_rep.to_dict()
@@ -321,7 +325,7 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
     # nonempty spectrum: need every modulated signal ergodic
     for center, _hw in clusters:
         G = modulate(F, -center)
-        m, devs, rep = ergodic_mean(G, None, cfg)
+        m, devs, rep = ergodic_mean(G)
         if rep.member is Tri.NO:
             details["reason"] = f"modulation at {center:g} not ergodic"
             return CheckResult("tauberian", entry.name, CheckStatus.VACUOUS,
@@ -330,7 +334,7 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
                                      conv.trunc_bound)
     details["aap"] = aap.to_dict()
     st = CheckStatus.PASS if aap.member is Tri.YES else CheckStatus.FAIL
-    if entry.half is not None and is_uc(F, cfg).member is Tri.YES:
+    if entry.half is not None and is_uc(F).member is Tri.YES:
         _, _, aap_f = ap_decompose(F, clusters, cfg)
         details["signal_itself_aap"] = aap_f.to_dict()
         if aap_f.member is not Tri.YES:
@@ -346,9 +350,9 @@ def check_regular_ft(entry: CorpusSignal, cfg: Config = DEFAULT) -> CheckResult:
         return CheckResult("regular-ft", entry.name, CheckStatus.VACUOUS,
                            {"reason": "no integrable closed-form transform"})
     F = entry.full if entry.full is not None else entry.half
-    psi = bump_kernel(cfg)
+    psi = bump_kernel()
     conv = convolve(extend_by_zero(F), psi, out_step=cfg.conv_out_step,
-                    budget=cfg.trunc_budget_strict)
+                    budget=TRUNC_BUDGET_STRICT)
     rep = is_c0(conv, cfg, F.sup_norm(), conv.trunc_bound)
     # cross-validate against (1/2pi) int F^(eta) psi^(eta) exp(i t eta) deta
     eta = np.linspace(-2.2, 2.2, 2201)
@@ -359,7 +363,7 @@ def check_regular_ft(entry: CorpusSignal, cfg: Config = DEFAULT) -> CheckResult:
     ref = (np.exp(1j * np.outer(probes, eta)) @ (fhat * phat * wts)) / (2 * np.pi)
     direct = np.array([conv.values[conv.index_of(tp), 0] for tp in probes])
     err = float(np.abs(direct - ref).max())
-    tol = cfg.tol_transform_coeff * max(F.sup_norm(), 1.0) + 10 * conv.trunc_bound
+    tol = TOL_TRANSFORM_COEFF * max(F.sup_norm(), 1.0) + 10 * conv.trunc_bound
     details = {"c0": rep.to_dict(), "riemann_lebesgue_error": err,
                "tolerance": tol}
     ok = rep.member is Tri.YES and err <= tol
@@ -386,9 +390,9 @@ def check_transform_identities(entry: CorpusSignal,
     rng = np.random.default_rng(cfg.corpus_seed + 17)
     lams = rng.uniform(0.05, 0.5, _N_LAMBDA) + 1j * rng.uniform(-1.0, 1.0, _N_LAMBDA)
     from .transforms import laplace_transform
-    scale = float(np.median([np.linalg.norm(laplace_transform(F, l, cfg))
+    scale = float(np.median([np.linalg.norm(laplace_transform(F, l))
                              for l in lams]))
-    tol = cfg.tol_transform_coeff * max(scale, 1e-12)
+    tol = TOL_TRANSFORM_COEFF * max(scale, 1e-12)
     worst_shift = max(shift_identity_residual(F, 2.0, l) for l in lams)
     worst_moll = max(mollify_identity_residual(F, 1.0, l) for l in lams)
     ok = worst_shift <= tol and worst_moll <= tol
@@ -539,7 +543,7 @@ def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
     """
     u = solve_evolution(p, cfg=cfg)
     res = evolution_residual(p, u)
-    tol_ode = cfg.tol_ode_coeff * (1.0 + u.sup_norm())
+    tol_ode = TOL_ODE_COEFF * (1.0 + u.sup_norm())
     details = {"dim": p.dim, "residual": res, "tol_ode": tol_ode,
                "n_modes": len(p.phi_modes)}
     bd = is_bounded(u, cfg)

@@ -9,8 +9,8 @@ its growth-aware bound
     C (1 + T^2)^k  exp(-a T) / a * (1 + k)
 
 is computed for every abscissa and recorded.  Values whose bound exceeds
-``tail_cap`` times the signal scale are refused (TailError) rather than
-returned silently wrong.
+``TAIL_CAP`` times the signal scale, or overflows, are refused (TailError)
+rather than returned silently wrong.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .signals import (Domain, SampledSignal, _cumulative, lattice_exp_tables,
 
 #: |Re lambda| * T above which the truncation tail is negligible outright
 _SAFE_EXPONENT = 30.0
+#: admit an abscissa while its tail bound is at most this times the sup
+TAIL_CAP = 0.5
 
 
 def tail_bound(F: SampledSignal, a: float) -> float:
@@ -44,33 +46,34 @@ def trapezoid_transform(lam, u: np.ndarray, values: np.ndarray,
     return (np.exp(-lam * u) * trapezoid_weights(len(u), dt)) @ values
 
 
-def _check_tail(F: SampledSignal, a: float, cfg: Config):
+def _check_tail(F: SampledSignal, a: float):
     if a == 0.0:
         raise DomainError("transform undefined for Re lambda = 0")
     T = F.t_end if F.domain is Domain.HALF_LINE else max(abs(F.t0), F.t_end)
     if abs(a) * T >= _SAFE_EXPONENT:
         return 0.0
-    b = tail_bound(F, abs(a))
-    if b > cfg.tail_cap * max(F.sup_norm(), 1e-300):
+    try:
+        b = tail_bound(F, abs(a))
+    except OverflowError:           # (1 + T^2)^k beyond the float range
+        b = np.inf
+    if b > TAIL_CAP * max(F.sup_norm(), 1e-300):
         raise TailError(f"truncation tail bound {b:.3g} at Re lambda = {a:g} "
-                        f"exceeds {cfg.tail_cap} * signal scale")
+                        f"exceeds {TAIL_CAP} * signal scale")
     return b
 
 
-def laplace_transform(F: SampledSignal, lam: complex,
-                      cfg: Config = DEFAULT) -> np.ndarray:
+def laplace_transform(F: SampledSignal, lam: complex) -> np.ndarray:
     """L F(lambda) = integral_0^inf exp(-lambda t) F(t) dt, Re lambda > 0."""
     if F.domain is not Domain.HALF_LINE:
         raise DomainError("Laplace transform needs a half-line signal")
     lam = complex(lam)
     if lam.real <= 0:
         raise DomainError("Laplace transform needs Re lambda > 0")
-    _check_tail(F, lam.real, cfg)
+    _check_tail(F, lam.real)
     return trapezoid_transform(lam, F.times, F.values, F.dt)
 
 
-def carleman_transform(F: SampledSignal, lam: complex,
-                       cfg: Config = DEFAULT) -> np.ndarray:
+def carleman_transform(F: SampledSignal, lam: complex) -> np.ndarray:
     """Two-half-plane transform of a full-line record:
 
         C F(lambda) = integral_0^inf exp(-lambda t) F(t) dt   (Re > 0)
@@ -81,7 +84,7 @@ def carleman_transform(F: SampledSignal, lam: complex,
     lam = complex(lam)
     if lam.real == 0:
         raise DomainError("Carleman transform undefined on the imaginary axis")
-    _check_tail(F, lam.real, cfg)
+    _check_tail(F, lam.real)
     i0 = F.index_of(0.0)
     if lam.real > 0:
         vals = F.values[i0:]
@@ -175,7 +178,7 @@ class TransformScanner:
         out, bounds = [], []
         for a in self.cfg.a_seq:
             try:
-                bounds.append(_check_tail(self.F, a, self.cfg))
+                bounds.append(_check_tail(self.F, a))
                 out.append(a)
             except TailError:
                 continue

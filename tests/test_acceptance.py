@@ -15,7 +15,8 @@ from redspectra.kernels import (annihilator_kernel, approximate_identity,
                                 wiener_divide)
 from redspectra.signals import (Domain, SampledSignal, convolve,
                                 extend_by_zero, mollify)
-from redspectra.spectra import FrequencyGrid, RegStatus, ReducedScanner
+from redspectra.spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus,
+                               ReducedScanner)
 from redspectra.theorems import (CheckStatus, analysis_of,
                                  check_convolution_shrinking,
                                  check_inclusion_chain,
@@ -187,8 +188,8 @@ def test_criterion_08_wiener_division():
     K = (-0.5, 0.5)
     kk = np.linspace(*K, 201)
     errs = {}
-    for f in (bump_kernel(CFG), bandpass_kernel(0.0, 1.0, CFG)):
-        g = wiener_divide(f, K, CFG)
+    for f in (bump_kernel(), bandpass_kernel(0.0, 1.0)):
+        g = wiener_divide(f, K)
         errs[f.kernel_id] = float(np.abs(
             np.asarray(g.ft(kk)) * np.asarray(f.ft(kk)) - 1.0).max())
     ok = all(e <= 1e-8 for e in errs.values())
@@ -206,7 +207,7 @@ def test_criterion_09_approximate_identity():
     EU = extend_by_zero(U)
     errs = []
     for n in (1, 2, 4, 8):
-        kn = approximate_identity(n, CFG)
+        kn = approximate_identity(n)
         C = convolve(EU, kn, out_step=0.2, out_range=(-25.0, 25.0),
                      budget=1e-8)
         errs.append(float(np.abs(C.values[:, 0] - np.exp(1j * C.times)).max()))
@@ -223,7 +224,7 @@ def test_criterion_09_approximate_identity():
 # -------------------------------------------------------------------------
 
 def test_criterion_10_chirp_ergodic(corpus):
-    m, devs, rep = ergodic_mean(corpus["chirp"].half, [25.0, 50.0, 100.0], CFG)
+    m, devs, rep = ergodic_mean(corpus["chirp"].half, [25.0, 50.0, 100.0])
     ok = np.linalg.norm(m) <= 1e-2 and devs[0] > devs[1] > devs[2]
     report(10, ok, f"mean {np.linalg.norm(m):.2e}, deviations "
                    f"{[round(d, 4) for d in devs]}")
@@ -235,9 +236,9 @@ def test_criterion_10_chirp_ergodic(corpus):
 
 def test_criterion_11_tauberian_mixture(corpus):
     F = corpus["aap_mix"].half
-    psi = bump_kernel(CFG)
+    psi = bump_kernel()
     conv = convolve(extend_by_zero(F), psi, out_step=CFG.conv_out_step,
-                    budget=CFG.trunc_budget).restrict_to_origin()
+                    budget=TRUNC_BUDGET).restrict_to_origin()
     ap, rem, rep = ap_decompose(conv, [(1.0, 0.2)], CFG,
                                 scale_ref=F.sup_norm())
     coeff = list(rep.evidence["coefficients"].values())

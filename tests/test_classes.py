@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from redspectra import classes
-from redspectra.classes import (XATOL, FunctionClass, Tri, _bohr_sum,
-                                _refine_frequency, ap_decompose,
+from redspectra.classes import (TOL_ERG, XATOL, FunctionClass, Tri,
+                                _bohr_sum, _refine_frequency, ap_decompose,
                                 bohr_coefficient, detect, ergodic_mean, is_c0,
                                 is_slowly_oscillating, is_uc, tail_sup,
                                 uc_modulus)
@@ -54,7 +54,7 @@ def test_tail_sup_is_nested_monotone():
 
 def test_ergodic_mean_constant():
     F = make_half(lambda t: np.full(len(t), 2.0 - 1.0j))
-    m, devs, rep = ergodic_mean(F, [25, 50, 100], CFG)
+    m, devs, rep = ergodic_mean(F, [25, 50, 100])
     assert rep.member is Tri.YES
     assert abs(m[0] - (2.0 - 1.0j)) < 1e-10
     assert max(devs) < 1e-9
@@ -62,14 +62,14 @@ def test_ergodic_mean_constant():
 
 def test_ergodic_mean_rejects_a_horizon_below_one_step():
     with pytest.raises(HorizonError):
-        ergodic_mean(make_half(np.sin), [0.004, 50], CFG)
+        ergodic_mean(make_half(np.sin), [0.004, 50])
 
 
 def test_ergodic_mean_oscillation_rate():
     # windowed means of exp(i w t) decay like 2/(w T)
     w = 0.7
     F = make_half(lambda t: np.exp(1j * w * t))
-    m, devs, rep = ergodic_mean(F, [25, 50, 100], CFG)
+    m, devs, rep = ergodic_mean(F, [25, 50, 100])
     assert np.linalg.norm(m) < 5e-3
     for T, d in zip((25, 50, 100), devs):
         assert d <= 2.0 / (w * T) + 1e-9
@@ -77,14 +77,14 @@ def test_ergodic_mean_oscillation_rate():
 
 def test_ergodic_chirp_fresnel():
     F = make_half(lambda t: np.exp(1j * t * t))
-    m, devs, rep = ergodic_mean(F, [25, 50, 100], CFG)
+    m, devs, rep = ergodic_mean(F, [25, 50, 100])
     assert rep.member is Tri.YES and np.linalg.norm(m) <= 1e-2
     assert devs[0] > devs[1] > devs[2]
 
 
 def test_ergodic_no_for_drifting_signal():
     F = make_half(lambda t: np.exp(1j * np.sqrt(1 + t)), k=0)
-    m, devs, rep = ergodic_mean(F, [25, 50, 100], CFG)
+    m, devs, rep = ergodic_mean(F, [25, 50, 100])
     assert rep.member in (Tri.NO, Tri.UNDECIDED)
 
 
@@ -95,10 +95,10 @@ def test_ergodic_no_for_drifting_signal():
 def test_bohr_coefficients_of_cosine():
     F = make_half(lambda t: 2.0 * np.cos(t))
     for w in (1.0, -1.0):
-        assert abs(bohr_coefficient(F, w, CFG)[0] - 1.0) < 1e-2
-    assert np.linalg.norm(bohr_coefficient(F, 0.35, CFG)) < 5e-2
+        assert abs(bohr_coefficient(F, w)[0] - 1.0) < 1e-2
+    assert np.linalg.norm(bohr_coefficient(F, 0.35)) < 5e-2
     with pytest.raises(HorizonError):       # a window of no whole step
-        bohr_coefficient(F, 1.0, CFG, T=0.004)
+        bohr_coefficient(F, 1.0, T=0.004)
 
 
 def _bohr_by_definition(F, omega):
@@ -130,7 +130,7 @@ def _random_record(domain, n, seed):
 def test_bohr_coefficient_is_the_windowed_mean(domain, n):
     F = _random_record(domain, n, n)
     for omega in (-4.1, -0.6, 0.0, 0.77, 1.3, 4.9):
-        a = bohr_coefficient(F, omega, CFG)
+        a = bohr_coefficient(F, omega)
         ref = _bohr_by_definition(F, omega)
         assert a.shape == (2,)
         assert np.linalg.norm(a - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -210,9 +210,9 @@ def test_ap_decompose_forms_one_bohr_sum_per_pass(monkeypatch):
 def test_uc_modulus_and_verdicts():
     lags, mods = uc_modulus(make_half(np.sin), [0.01, 0.02])
     assert mods[0] <= 0.011
-    assert is_uc(make_half(np.sin), CFG).member is Tri.YES
+    assert is_uc(make_half(np.sin)).member is Tri.YES
     chirp = make_half(lambda t: np.exp(1j * t * t))
-    rep = is_uc(chirp, CFG)
+    rep = is_uc(chirp)
     assert rep.member is Tri.NO and "witness" in rep.evidence
 
 
@@ -242,13 +242,13 @@ def test_ergodic_closure_under_mollification(w, h):
     # ergodic with the same mean
     F = make_half(lambda t: np.exp(1j * t))
     G = modulate(F, w)
-    m0, _, rep0 = ergodic_mean(G, None, CFG)
+    m0, _, rep0 = ergodic_mean(G, None)
     assert rep0.member is Tri.YES
-    m1, _, rep1 = ergodic_mean(modulate(mollify(F, h), w), None, CFG)
+    m1, _, rep1 = ergodic_mean(modulate(mollify(F, h), w), None)
     assert rep1.member is Tri.YES
-    m2, _, rep2 = ergodic_mean(mollify(G, h), None, CFG)
+    m2, _, rep2 = ergodic_mean(mollify(G, h), None)
     assert rep2.member is Tri.YES
-    assert np.linalg.norm(m2 - m0) < 2 * CFG.tol_erg
+    assert np.linalg.norm(m2 - m0) < 2 * TOL_ERG
 
 
 def test_ergodic_closure_under_convolution():
@@ -256,9 +256,9 @@ def test_ergodic_closure_under_convolution():
     # ergodic and uniformly continuous
     F = make_half(lambda t: np.exp(1j * 0.5 * t))
     conv = convolve(extend_by_zero(F, -5.0), box_kernel(1.0)).restrict_to_origin()
-    m, devs, rep = ergodic_mean(conv, None, CFG)
+    m, devs, rep = ergodic_mean(conv, None)
     assert rep.member is Tri.YES
-    assert is_uc(conv, CFG).member is Tri.YES
+    assert is_uc(conv).member is Tri.YES
 
 
 def test_c0_closure_2_9_2_10():
@@ -267,15 +267,15 @@ def test_c0_closure_2_9_2_10():
     for h in (0.5, 1.0):
         M = mollify(F, h)
         assert is_c0(M, CFG).member is Tri.YES
-        m, _, rep = ergodic_mean(M, None, CFG)
-        assert rep.member is Tri.YES and np.linalg.norm(m) < CFG.tol_erg
+        m, _, rep = ergodic_mean(M, None)
+        assert rep.member is Tri.YES and np.linalg.norm(m) < TOL_ERG
 
 
 def test_uc_and_ergodic_implies_bounded_on_corpus():
     for f in (np.sin, lambda t: np.exp(1j * t * 0.5)):
         F = make_half(f)
-        if is_uc(F, CFG).member is Tri.YES and \
-                ergodic_mean(F, None, CFG)[2].member is Tri.YES:
+        if is_uc(F).member is Tri.YES and \
+                ergodic_mean(F, None)[2].member is Tri.YES:
             assert detect(FunctionClass.BOUNDED, F, CFG).member is Tri.YES
 
 

@@ -239,6 +239,8 @@ _ROWS = "".join(f"{0.01 * i:.2f},1,0\n" for i in range(5))
                  id="so_mollify_h=0"),
     pytest.param(None, '{"corpus_seed": -1}', ["laplace"],
                  id="corpus_seed<0"),
+    pytest.param(None, '{"buffer_radius": -1}', ["laplace"],
+                 id="buffer_radius<0"),
     pytest.param(None, '{"grid_step": 1e-12}', ["laplace"],
                  id="grid-too-large"),
     pytest.param(None, '{"grid_min": 0, "grid_max": 0.1, "grid_step": 0.1}',
@@ -324,6 +326,26 @@ def test_analyze_rejects_bad_sidecar(tmp_path, tone_csv, capsys, sidecar):
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "sig.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, record, domain", [
+    ("laplace", "exp_iw1", "half_line"),
+    ("weak-laplace", "exp_iw1", "half_line"),
+    ("carleman", "exp_iw1_full", "full_line")])
+def test_an_overflowing_tail_bound_refuses_the_abscissa(
+        tmp_path, tone_csv, capsys, kind, record, domain):
+    # (1 + T^2)^400 is past the float range on a 60 s record: each
+    # abscissa is refused, as one whose bound exceeds the cap
+    csv = tmp_path / "sig.csv"
+    csv.write_text((tone_csv.parent / f"{record}.csv").read_text())
+    (tmp_path / "sig.json").write_text(
+        f'{{"domain": "{domain}", "growth_exponent": 400}}')
+    rc = main(["analyze", str(csv), "--kind", kind,
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fewer than 3 admissible abscissae" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["laplace", "weak-laplace"])

@@ -5,7 +5,7 @@ import pytest
 
 from redspectra import cli
 from redspectra.config import Config
-from redspectra.corpus import BUILDERS, build_corpus, build_signal
+from redspectra.corpus import BUILDERS, _fresnel_P, build_corpus, build_signal
 
 
 def _same(a, b) -> bool:
@@ -52,3 +52,17 @@ def test_so_composite_noise_is_the_seeded_draw():
     draw = np.random.default_rng(3).standard_normal(len(t))
     noise = np.where(t < 10.0, 0.5 * draw, 0.0)
     assert _same(sig.values[:, 0], (np.sin(t) + noise).astype(complex))
+
+
+def test_half_line_records_start_at_zero_with_every_sample():
+    # a half-line record holds t = 0, dt, ..., t_end; chirp_mollified's
+    # samples are M_1 exp(i t^2)(t) = P(t + 1) - P(t), P from the Fresnel
+    # integrals, at those labelled times
+    cfg = Config()
+    for name, entry in build_corpus(cfg).items():
+        if entry.half is not None:
+            assert entry.half.n == round(cfg.t_end / cfg.dt) + 1, name
+    F = build_signal("chirp_mollified", cfg).half
+    t = F.times
+    ref = _fresnel_P(t + 1.0) - _fresnel_P(t)
+    assert np.abs(F.values[:, 0] - ref).max() < 1e-8

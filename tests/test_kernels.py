@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import redspectra
-from redspectra.config import Config
 from redspectra.errors import DivisionError_, DomainError, GridError
 from redspectra.kernels import (annihilator_kernel, approximate_identity,
                                 bandpass_kernel, box_kernel, bump_kernel,
                                 d_bump, exp_kernel, fourier_consistency_error,
                                 reflected, wiener_divide)
-
-CFG = Config()
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 
 from redspectra import theorems
 from redspectra.config import Config
-from redspectra.theorems import (CheckStatus, EvolutionProblem,
-                                 check_ergodic_theorem,
+from redspectra.theorems import (TOL_ODE_COEFF, CheckStatus,
+                                 EvolutionProblem, check_ergodic_theorem,
                                  check_evolution_spectrum,
                                  check_inclusion_chain, check_regular_ft,
                                  check_tauberian, evolution_residual,
@@ -79,7 +79,7 @@ def test_solver_residual_bound():
     assert len(problems) == 24
     for p in problems:
         u = solve_evolution(p, cfg=CFG)
-        assert evolution_residual(p, u) <= CFG.tol_ode_coeff * (1 + u.sup_norm())
+        assert evolution_residual(p, u) <= TOL_ODE_COEFF * (1 + u.sup_norm())
         assert u.growth_exponent == (1 if p.name == "evolution[jordan]" else 0)
 
 

@@ -20,28 +20,28 @@ CFG = Config()
 def test_laplace_closed_forms():
     F = make_half(lambda t: np.exp(1j * t))
     for lam in (0.5, 0.3 + 0.7j, 1.0 - 0.2j):
-        val = laplace_transform(F, lam, CFG)[0]
+        val = laplace_transform(F, lam)[0]
         assert abs(val - 1.0 / (lam - 1j)) < 1e-4
     Z = make_half(lambda t: np.zeros_like(t))
-    assert abs(laplace_transform(Z, 0.5, CFG)[0]) == 0.0
+    assert abs(laplace_transform(Z, 0.5)[0]) == 0.0
 
 
 def test_laplace_domain_and_tail_errors():
     F = make_half(lambda t: np.exp(1j * t))
     with pytest.raises(DomainError):
-        laplace_transform(F, 1j * 0.5, CFG)
+        laplace_transform(F, 1j * 0.5)
     with pytest.raises(DomainError):
-        laplace_transform(F, -0.5, CFG)
+        laplace_transform(F, -0.5)
     short = make_half(lambda t: np.ones_like(t), t_end=40.0)
     with pytest.raises(TailError):
-        laplace_transform(short, 0.01, CFG)
+        laplace_transform(short, 0.01)
 
 
 def test_carleman_two_half_planes():
     G = make_full(lambda t: np.exp(1j * t))
     for a in (0.5, 0.2):
-        r = carleman_transform(G, a, CFG)[0]
-        l = carleman_transform(G, -a, CFG)[0]
+        r = carleman_transform(G, a)[0]
+        l = carleman_transform(G, -a)[0]
         assert abs(r - 1.0 / (a - 1j)) < 1e-4
         assert abs(l - 1.0 / (-a - 1j)) < 1e-4
     with pytest.raises(DomainError):

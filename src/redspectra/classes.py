@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .config import Config, DEFAULT
 from .errors import HorizonError
@@ -326,6 +325,8 @@ def _refine_frequency(a, center: float, halfwidth: float) -> float:
     ``_bohr_sum`` evaluator."""
     if halfwidth <= 0:
         return center
+    # imported here, not at module level: scipy is slow to load
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda nu: -np.linalg.norm(a(nu)),
                           bounds=(center - halfwidth, center + halfwidth),
                           method="bounded", options={"xatol": XATOL})

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import fresnel
 
 from .config import Config, DEFAULT
 from .kernels import annihilator_kernel, d_bump
@@ -50,6 +49,8 @@ def _full(vals, dt, t0, k=0):
 
 def _fresnel_P(t):
     """P(t) = int_0^t exp(i s^2) ds via the Fresnel integrals."""
+    # imported here, not at module level: scipy is slow to load
+    from scipy.special import fresnel
     sign = np.sign(t)
     s_, c_ = fresnel(np.abs(t) * np.sqrt(2.0 / np.pi))
     return sign * np.sqrt(np.pi / 2.0) * (c_ + 1j * s_)

@@ -33,7 +33,6 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DivisionError_, DomainError, GridError
 from .signals import trapezoid_weights
@@ -241,6 +240,8 @@ def approximate_identity(n: int) -> TestKernel:
 
 def _plateau(u, b, sigma):
     """box[-b, b] smoothed by N(0, sigma): 1 on the core, Gaussian edges."""
+    # imported here, not at module level: scipy is slow to load
+    from scipy.special import erf
     return 0.5 * (erf((u + b) / (sigma * _SQRT2)) - erf((u - b) / (sigma * _SQRT2)))
 
 

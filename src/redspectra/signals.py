@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import DomainError, GridError, GrowthError, HorizonError, TruncationError
 
@@ -89,7 +88,8 @@ def _check_growth(times: np.ndarray, norms: np.ndarray, k: int):
     """
     if k < 0 or k != int(k):
         raise GrowthError(f"growth_exponent must be a nonnegative integer, got {k}")
-    ratio = norms / (1.0 + times * times) ** k
+    with np.errstate(over="ignore"):   # an inf envelope gives ratio 0
+        ratio = norms / (1.0 + times * times) ** k
     peak = ratio.max()
     if peak == 0.0:
         return
@@ -198,7 +198,8 @@ class SampledSignal:
 
     def envelope_constant(self) -> float:
         """C with ||F(t)|| <= C (1+t^2)^k over the record."""
-        r = self.norms / (1.0 + self.times ** 2) ** self.growth_exponent
+        with np.errstate(over="ignore"):   # an inf envelope gives ratio 0
+            r = self.norms / (1.0 + self.times ** 2) ** self.growth_exponent
         return float(r.max())
 
 
@@ -533,6 +534,28 @@ def lattice_exp_tables(z, n: int, dt: float) -> tuple:
     return outer, inner
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n, n >= 1: a length whose complex
+    FFT splits into radices pocketfft handles directly (the value of
+    ``scipy.fft.next_fast_len`` for complex input)."""
+    best = 1 << (n - 1).bit_length()       # the least power of two >= n
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # the least p3 * 2^j >= n
+                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
     """Convolutions with the planned kernel modulated to each frequency,
     k(s) exp(i omega s), as a (count, len(omegas), channels) array.
@@ -570,7 +593,7 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
     # a slice of at least twice the kernel span keeps most lags useful
     cap = max(BLOCK_BYTES // item, 2 * span)
     K = count if (count - 1) * R + span <= cap else (cap - span) // R + 1
-    M = sp_fft.next_fast_len(-(-((K - 1) * R + span) // R))
+    M = _next_fast_len(-(-((K - 1) * R + span) // R))
     N = R * M
     starts = range(0, count, K)
     records = [np.lib.stride_tricks.as_strided(
@@ -582,7 +605,7 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
         seg = np.zeros((len(records), N), complex)
         for c, x in enumerate(records):
             seg[c, :n_x] = x[k0 * R:k0 * R + n_x]
-        seg = sp_fft.fft(seg, axis=1, overwrite_x=True)
+        np.fft.fft(seg, axis=1, out=seg)
         seg /= N
         seg_spectra.append(seg)
 
@@ -596,7 +619,7 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
         np.multiply(phase[:, :taps], plan.weights_rev, out=kern[:, :span:D])
         del phase
         # sum_c b_c exp(+2 pi i cD f / N): the correlating spectrum of b
-        kern = sp_fft.ifft(kern, axis=1, norm="forward", overwrite_x=True)
+        np.fft.ifft(kern, axis=1, norm="forward", out=kern)
         kern = kern.reshape(len(w), R, M)
         for k0, seg in zip(starts, seg_spectra):
             k1 = min(count, k0 + K)
@@ -605,9 +628,8 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
                 folded = kern[:, 0] * X[0]
                 for r in range(1, R):
                     folded += kern[:, r] * X[r]
-                corr = sp_fft.ifft(folded, axis=1, norm="forward",
-                                   overwrite_x=True)
-                out[k0:k1, j:j + group, c] = corr[:, :k1 - k0].T
+                np.fft.ifft(folded, axis=1, norm="forward", out=folded)
+                out[k0:k1, j:j + group, c] = folded[:, :k1 - k0].T
     return out
 
 

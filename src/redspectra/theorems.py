@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .classes import (TOL_ERG, FunctionClass, Tri, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
@@ -451,6 +450,8 @@ def solve_evolution(p: EvolutionProblem, dt: float | None = None,
     (eigenvector condition below 1e8) with no eigenvalue right of the
     axis, else 1.
     """
+    # imported here, not at module level: scipy is slow to load
+    from scipy.linalg import expm
     dt = cfg.evolution_dt if dt is None else dt
     t_end = cfg.t_end if t_end is None else t_end
     n = len(np.arange(0.0, t_end + dt / 2, dt))

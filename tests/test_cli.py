@@ -332,6 +332,7 @@ def test_analyze_rejects_bad_sidecar(tmp_path, tone_csv, capsys, sidecar):
     ("laplace", "exp_iw1", "half_line"),
     ("weak-laplace", "exp_iw1", "half_line"),
     ("carleman", "exp_iw1_full", "full_line")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_tail_bound_refuses_the_abscissa(
         tmp_path, tone_csv, capsys, kind, record, domain):
     # (1 + T^2)^400 is past the float range on a 60 s record: each

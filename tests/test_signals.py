@@ -292,6 +292,19 @@ def test_modulated_product_column_independent_of_its_batch(monkeypatch, q,
     assert np.array_equal(full[:, 5:9], modulated_product(plan, omegas[5:9]))
 
 
+def test_next_fast_len_matches_scipy():
+    # scipy is only the oracle here; the engine computes the length itself
+    from scipy.fft import next_fast_len
+    for n in [*range(1, 20_001), 2 ** 20 + 1, 3 ** 11 + 1, 7 ** 7 + 1,
+              11 ** 5 + 1, 999_983]:
+        m = signals._next_fast_len(n)
+        assert m == next_fast_len(n), n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        assert m == 1, n
+
+
 def test_growth_validation():
     t = np.arange(0.0, 200.0 + DT / 2, DT)
     with pytest.raises(GrowthError):

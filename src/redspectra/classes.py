@@ -317,6 +317,81 @@ def bohr_coefficient(F: SampledSignal, omega: float,
 # almost periodic decomposition
 # ---------------------------------------------------------------------------
 
+def _sign(v: float) -> float:
+    """Sign of v, with a zero counted as +1."""
+    return 1.0 if v >= 0.0 else -1.0
+
+
+def _bounded_brent(f, lo: float, hi: float, xatol: float,
+                   maxfun: int = 500) -> float:
+    """A local minimizer of f on [lo, hi] to within ``xatol``: Brent's
+    golden-section search with parabolic steps (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5), stopped after
+    ``maxfun`` evaluations.  Step for step it is the bounded method of
+    ``scipy.optimize.minimize_scalar`` (the same tolerances, sign rule and
+    bracket updates), so both return the same x."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (xf, fx), (nfc, fnfc) and (fulc, ffulc)
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
 def _refine_frequency(a, center: float, halfwidth: float) -> float:
     """Maximize |a(nu)| over [center-halfwidth, center+halfwidth] by
     bounded Brent to within ``XATOL``, and round the maximizer onto the
@@ -325,12 +400,9 @@ def _refine_frequency(a, center: float, halfwidth: float) -> float:
     ``_bohr_sum`` evaluator."""
     if halfwidth <= 0:
         return center
-    # imported here, not at module level: scipy is slow to load
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda nu: -np.linalg.norm(a(nu)),
-                          bounds=(center - halfwidth, center + halfwidth),
-                          method="bounded", options={"xatol": XATOL})
-    return XATOL * round(float(res.x) / XATOL)
+    nu = _bounded_brent(lambda w: -np.linalg.norm(a(w)),
+                        center - halfwidth, center + halfwidth, XATOL)
+    return XATOL * round(float(nu) / XATOL)
 
 
 def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,

@@ -92,15 +92,18 @@ def _check_out_dir(path):
 
 
 def cmd_analyze(args) -> int:
-    from .spectra import SignalAnalysis
-    cfg = _load_config(args)
-    out = args.out or (os.path.splitext(args.signal)[0] + f".{args.kind}.json")
-    _check_out_dir(out)
-    sig = read_signal_csv(args.signal)
     kind = args.kind
-    if kind == "reduced" and not args.cls:
+    if kind == "reduced" and args.cls is None:
         print("error: --class is required for --kind reduced", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if kind != "reduced" and args.cls is not None:
+        print("error: --class applies only to --kind reduced", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    from .spectra import SignalAnalysis
+    cfg = _load_config(args)
+    out = args.out or (os.path.splitext(args.signal)[0] + f".{kind}.json")
+    _check_out_dir(out)
+    sig = read_signal_csv(args.signal)
     an = SignalAnalysis(sig, cfg)
     if kind == "reduced":
         est = an.reduced(_CLASSES[args.cls])

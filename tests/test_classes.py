@@ -152,6 +152,66 @@ def test_refined_frequency_is_the_snapped_brent_maximizer(domain, n):
         assert XATOL * round(res.x / XATOL) == nu
 
 
+def _brent_objectives(rng, lo, hi, bohr):
+    """One objective per kind on [lo, hi], drawn from ``rng``."""
+    w = hi - lo
+    c = lo + w * rng.uniform()
+    s = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+    k = 2.0 * np.pi * rng.uniform(1.0, 20.0) / w
+    x0 = lo + 0.5 * (3.0 - np.sqrt(5.0)) * w          # Brent's first probe
+
+    def multimodal(x):
+        return np.sin(k * (x - lo)) + 0.3 * np.cos(2.7 * k * (x - c))
+    return {
+        "quadratic": lambda x: s * s * (x - c) ** 2,
+        # a minimum on the first probe gives zero steps, counted as +1
+        "quadratic at the first probe": lambda x: (x - x0) ** 2,
+        # the minimum at a bracket end, as where |a| still rises at the
+        # edge of a candidate window
+        "monotone": lambda x: np.arctan(s * (x - lo) / w),
+        "constant": lambda x: s,
+        "multimodal": multimodal,
+        # ties between evaluations
+        "staircase": lambda x: np.round(4.0 * multimodal(x)),
+        "bohr": lambda x: -np.linalg.norm(bohr(x)),
+    }
+
+
+def test_bounded_brent_matches_scipy_bounded_minimizer():
+    # scipy serves only as the oracle: the port must stop on the same x,
+    # bit for bit, over widths 1e-8 to 10 and both tolerances in use
+    rng = np.random.default_rng(2105)
+    bohr = _bohr_sum(_random_record(Domain.HALF_LINE, 836, 11))
+    n = 0
+    for width in np.geomspace(1e-8, 10.0, 10):
+        for xatol in (1e-7, 1e-5):
+            for _ in range(4):
+                lo = rng.uniform(-5.0, 5.0)
+                hi = lo + width
+                for kind, f in _brent_objectives(rng, lo, hi, bohr).items():
+                    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                          options={"xatol": xatol})
+                    x = classes._bounded_brent(f, lo, hi, xatol)
+                    assert x == res.x, (kind, lo, hi, xatol)
+                    n += 1
+    assert n == 560
+
+
+def test_bounded_brent_stops_where_scipy_stops_when_maxfun_runs_out():
+    f = _brent_objectives(np.random.default_rng(7), -1.0, 3.0,
+                          None)["multimodal"]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+    res = minimize_scalar(f, bounds=(-1.0, 3.0), method="bounded",
+                          options={"xatol": 1e-7, "maxiter": 7})
+    assert res.status == 1 and res.nfev == 7           # maxfun ran out
+    assert classes._bounded_brent(counted, -1.0, 3.0, 1e-7, maxfun=7) == res.x
+    assert len(calls) == 7
+
+
 def test_ap_decompose_mix():
     F = make_half(lambda t: np.exp(1j * t) + np.exp(-t))
     ap, rem, rep = ap_decompose(F, [(1.0, 0.2)], CFG)

@@ -165,6 +165,19 @@ def test_analyze_requires_class_for_reduced(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kind", ["laplace", "weak-laplace", "carleman",
+                                  "beurling"])
+def test_analyze_refuses_class_with_a_non_reduced_kind(tmp_path, tone_csv,
+                                                       capsys, kind):
+    # it used to be ignored silently; now refused before any work
+    out = tmp_path / "r.json"
+    rc = main(["analyze", str(tone_csv), "--kind", kind, "--class", "c0",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: --class applies only to --kind reduced\n"
+    assert not out.exists()
+
 
 def test_analyze_accepts_a_bounded_record_with_a_rising_tail(tmp_path):
     # a beat longer than the record: bounded, though its envelope rises

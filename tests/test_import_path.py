@@ -1,6 +1,7 @@
 """scipy stays off the import path: importing the package loads numpy
-only, and the transform kinds never load scipy at all.  Each check runs in
-a fresh interpreter, since this test session has scipy loaded already."""
+only, and neither the transform kinds nor the reduced kind (its Bohr
+refinement included) load scipy at all.  Each check runs in a fresh
+interpreter, since this test session has scipy loaded already."""
 
 import os
 import subprocess
@@ -33,5 +34,16 @@ def test_transform_analysis_loads_no_scipy(tmp_path):
             "assert main(['synth', 'exp_iw1', '--tmax', '60', '--out', '.']) == 0\n"
             "assert main(['analyze', 'exp_iw1.csv', '--kind', 'laplace',\n"
             "             '--out', 'r.json']) == 0\n")
+    assert _loaded_scipy(code, tmp_path) == "[]"
+    assert (tmp_path / "r.json").exists()
+
+
+def test_reduced_analysis_loads_no_scipy(tmp_path):
+    # the default 200 s record: its band outputs form a C0 cluster, so the
+    # AAP detector refines Bohr frequencies (a 60 s record refines none)
+    code = ("from redspectra.cli import main\n"
+            "assert main(['synth', 'exp_iw1', '--out', '.']) == 0\n"
+            "assert main(['analyze', 'exp_iw1.csv', '--kind', 'reduced',\n"
+            "             '--class', 'aap', '--out', 'r.json']) == 0\n")
     assert _loaded_scipy(code, tmp_path) == "[]"
     assert (tmp_path / "r.json").exists()

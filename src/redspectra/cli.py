@@ -120,6 +120,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     from .theorems import CheckStatus, run_all
+    if args.builtin and args.corpus:
+        print("error: give a corpus directory or --builtin, not both",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
     cfg = _load_config(args)
     corpus = None
     if args.out:

@@ -447,8 +447,11 @@ def extension_comparison(H: SampledSignal, cls: FunctionClass,
     classifications agree up to UNDECIDED points.
     """
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
+    i0 = H.index_of(0.0)            # GridError if 0 is off the lattice
+    half = SampledSignal(Domain.HALF_LINE, 0.0, H.dt, H.values[i0:],
+                         H.growth_exponent, trusted=True)
     direct = reduced_spectrum(H, cls, grid, cfg)
-    restricted = reduced_spectrum(H.restrict(0.0, H.t_end), cls, grid, cfg)
+    restricted = reduced_spectrum(half, cls, grid, cfg)
     disagree = []
     for w, cd, cr in zip(grid.values(), direct.certificates,
                          restricted.certificates):

@@ -601,10 +601,41 @@ def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
 # roster
 # ---------------------------------------------------------------------------
 
+#: one row per corpus check, in report order: (check id, check function,
+#: whether it reads the subject's shared ``SignalAnalysis``, subjects).  A
+#: subject is a corpus name, or (name, parameter) for a check that takes
+#: one.  ``run_all`` looks each function up by name when it runs, so a
+#: patched ``theorems.check_*`` is the one called.
+CORPUS_ROSTER = (
+    ("inclusion-chain", "check_inclusion_chain", True, CHAIN_NAMES),
+    ("spectral-algebra", "check_modulation_shift", False,
+     (("exp_iw1", 0.5), ("chirp", 1.0), ("decay_exp", 2.0))),
+    ("spectral-algebra", "check_translation_invariance", False,
+     (("exp_iw1", 1.0), ("chirp", 2.5), ("decay_exp", 5.0))),
+    ("spectral-algebra", "check_convolution_shrinking", False,
+     (("exp_iw1", 1.0), ("aap_mix", 0.5))),
+    ("mollifier-union", "check_mollifier_union", False, ("exp_iw1", "const")),
+    ("ergodic-theorem", "check_ergodic_theorem", True,
+     ("chirp", "const", "exp_iw1", "tchirp")),
+    ("tauberian", "check_tauberian", True,
+     ("aap_mix", "decay_poly", "chirp", "so_composite", "expgrow")),
+    ("regular-ft", "check_regular_ft", False, ("sinc_sq", "zero", "exp_iw1")),
+    ("transform-identities", "check_transform_identities", False,
+     ("decay_exp", "exp_iw1", "chirp")),
+)
+
 #: check ids of ``run_all``, the values ``only`` accepts
-CHECK_IDS = ("inclusion-chain", "spectral-algebra", "mollifier-union",
-             "ergodic-theorem", "tauberian", "regular-ft",
-             "transform-identities", "evolution")
+CHECK_IDS = (*dict.fromkeys(row[0] for row in CORPUS_ROSTER), "evolution")
+
+
+def evolution_roster(cfg: Config = DEFAULT) -> list:
+    """(problem, class) pairs of the evolution check: 20 random problems
+    and jordan with no class, then the forcing-free variants of the first
+    three with class C0 (the class-spectrum part needs zero forcing)."""
+    problems = random_evolution_problems(20, cfg) + [jordan_vacuous_problem()]
+    return [(p, None) for p in problems] + [
+        (replace(p, name=p.name + ":classC0", phi_modes=()), FunctionClass.C0)
+        for p in problems[:3]]
 
 
 def run_all(cfg: Config = DEFAULT, only: str | None = None,
@@ -615,65 +646,25 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
                           f"{', '.join(CHECK_IDS)}")
     FrequencyGrid.from_config(cfg)      # an unbuildable grid is bad input
     corpus = build_corpus(cfg) if corpus is None else corpus
-    analyses = {}
+    jobs = []       # (check id, subject, check function, arguments, shared)
+    for check_id, fn_name, shared, subjects in CORPUS_ROSTER:
+        for subject in subjects:
+            name, *param = (subject,) if isinstance(subject, str) else subject
+            jobs.append((check_id, name, fn_name,
+                         (corpus[name], *param, cfg), shared))
+    jobs += [("evolution", p.name, "check_evolution_spectrum", (p, cfg, cls),
+              False) for p, cls in evolution_roster(cfg)]
 
-    def an(name):
-        if name not in analyses:
-            analyses[name] = analysis_of(corpus[name], cfg)
-        return analyses[name]
-
-    jobs = []       # (check id, subject, job)
-    for name in CHAIN_NAMES:
-        jobs.append(("inclusion-chain", name,
-                     lambda name=name: check_inclusion_chain(
-                         corpus[name], cfg, an(name))))
-    for name, lam in (("exp_iw1", 0.5), ("chirp", 1.0), ("decay_exp", 2.0)):
-        jobs.append(("spectral-algebra", name,
-                     lambda name=name, lam=lam: check_modulation_shift(
-                         corpus[name], lam, cfg)))
-    for name, s in (("exp_iw1", 1.0), ("chirp", 2.5), ("decay_exp", 5.0)):
-        jobs.append(("spectral-algebra", name,
-                     lambda name=name, s=s: check_translation_invariance(
-                         corpus[name], s, cfg)))
-    for name, h in (("exp_iw1", 1.0), ("aap_mix", 0.5)):
-        jobs.append(("spectral-algebra", name,
-                     lambda name=name, h=h: check_convolution_shrinking(
-                         corpus[name], h, cfg)))
-    for name in ("exp_iw1", "const"):
-        jobs.append(("mollifier-union", name,
-                     lambda name=name: check_mollifier_union(corpus[name], cfg)))
-    for name in ("chirp", "const", "exp_iw1", "tchirp"):
-        jobs.append(("ergodic-theorem", name,
-                     lambda name=name: check_ergodic_theorem(
-                         corpus[name], cfg, an(name))))
-    for name in ("aap_mix", "decay_poly", "chirp", "so_composite", "expgrow"):
-        jobs.append(("tauberian", name,
-                     lambda name=name: check_tauberian(corpus[name], cfg,
-                                                       an(name))))
-    for name in ("sinc_sq", "zero", "exp_iw1"):
-        jobs.append(("regular-ft", name,
-                     lambda name=name: check_regular_ft(corpus[name], cfg)))
-    for name in ("decay_exp", "exp_iw1", "chirp"):
-        jobs.append(("transform-identities", name,
-                     lambda name=name: check_transform_identities(
-                         corpus[name], cfg)))
-    problems = random_evolution_problems(20, cfg) + [jordan_vacuous_problem()]
-    for p in problems:
-        jobs.append(("evolution", p.name,
-                     lambda p=p: check_evolution_spectrum(p, cfg)))
-    # the class-spectrum variant needs forcing-free instances
-    for p in problems[:3]:
-        quiet = replace(p, name=p.name + ":classC0", phi_modes=())
-        jobs.append(("evolution", quiet.name,
-                     lambda p=quiet: check_evolution_spectrum(
-                         p, cfg, class_A=FunctionClass.C0)))
-
+    analyses = {}   # built on first use, one per corpus signal
     results = []
-    for check_id, subject, job in jobs:
+    for check_id, subject, fn_name, args, shared in jobs:
         if only is not None and check_id != only:
             continue
         try:
-            results.append(job())
+            if shared and subject not in analyses:
+                analyses[subject] = analysis_of(corpus[subject], cfg)
+            kw = {"analysis": analyses[subject]} if shared else {}
+            results.append(globals()[fn_name](*args, **kw))
         except Exception as exc:            # engine panic -> FAIL with context
             results.append(CheckResult(check_id, subject, CheckStatus.FAIL,
                                        {"exception": repr(exc)}))

@@ -4,6 +4,7 @@ import pytest
 from redspectra.config import Config
 from redspectra.corpus import build_corpus
 from redspectra.signals import Domain, SampledSignal
+from redspectra.theorems import run_all
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +15,12 @@ def cfg():
 @pytest.fixture(scope="session")
 def corpus(cfg):
     return build_corpus(cfg)
+
+
+@pytest.fixture(scope="session")
+def builtin_results():
+    # the default roster of ``verify --builtin``, run once per session
+    return run_all(Config())
 
 
 @pytest.fixture(scope="session")

@@ -18,12 +18,6 @@ from redspectra.signals import (Domain, SampledSignal, convolve,
 from redspectra.spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus,
                                ReducedScanner)
 from redspectra.theorems import (CheckStatus, analysis_of,
-                                 check_convolution_shrinking,
-                                 check_inclusion_chain,
-                                 check_modulation_shift,
-                                 check_transform_identities,
-                                 check_translation_invariance,
-                                 check_evolution_spectrum,
                                  random_evolution_problems)
 
 CFG = Config()
@@ -35,9 +29,10 @@ def corpus():
     return build_corpus(CFG)
 
 
-@pytest.fixture(scope="module")
-def pole_analysis(corpus):
-    return analysis_of(corpus["exp_iw1"], CFG)
+def of_check(results, check_id) -> dict:
+    """The results of one check id of the default ``run_all`` roster, by
+    subject, in report order."""
+    return {r.subject: r for r in results if r.check_id == check_id}
 
 
 def report(criterion, ok, detail=""):
@@ -115,8 +110,8 @@ def test_criterion_03_lp_signal_empty_spectrum(corpus):
 # 4. pole localization across all four engines
 # -------------------------------------------------------------------------
 
-def test_criterion_04_pole_localization(pole_analysis):
-    an = pole_analysis
+def test_criterion_04_pole_localization(corpus):
+    an = analysis_of(corpus["exp_iw1"], CFG)
     engines = {"reduced-c0": an.reduced(FunctionClass.C0),
                "weak-laplace": an.weak_laplace(),
                "laplace": an.laplace(), "carleman": an.carleman()}
@@ -135,11 +130,11 @@ def test_criterion_04_pole_localization(pole_analysis):
 # 5. inclusion chain over the whole corpus
 # -------------------------------------------------------------------------
 
-def test_criterion_05_inclusion_chain(corpus, pole_analysis):
+def test_criterion_05_inclusion_chain(builtin_results):
+    chain = of_check(builtin_results, "inclusion-chain")
     failures = []
     for name in CHAIN_NAMES:
-        an = pole_analysis if name == "exp_iw1" else None
-        res = check_inclusion_chain(corpus[name], CFG, analysis=an)
+        res = chain[name]
         if res.status is CheckStatus.FAIL:
             failures.append((name, res.details["violations"][:3]))
     report(5, not failures, f"violations: {failures}" if failures else
@@ -150,14 +145,9 @@ def test_criterion_05_inclusion_chain(corpus, pole_analysis):
 # 6. modulation / translation invariance, convolution shrinking
 # -------------------------------------------------------------------------
 
-def test_criterion_06_spectral_algebra(corpus):
-    results = []
-    for name, lam in (("exp_iw1", 0.5), ("chirp", 1.0), ("decay_exp", 2.0)):
-        results.append(check_modulation_shift(corpus[name], lam, CFG))
-    for name, s in (("exp_iw1", 1.0), ("chirp", 2.5), ("decay_exp", 5.0)):
-        results.append(check_translation_invariance(corpus[name], s, CFG))
-    for name, h in (("exp_iw1", 1.0), ("aap_mix", 0.5)):
-        results.append(check_convolution_shrinking(corpus[name], h, CFG))
+def test_criterion_06_spectral_algebra(builtin_results):
+    # modulation, translation and convolution shrinking, in that order
+    results = list(of_check(builtin_results, "spectral-algebra").values())
     bad = [(r.subject, r.details) for r in results
            if r.status is not CheckStatus.PASS]
     report(6, not bad, f"{len(results)} algebra checks"
@@ -168,11 +158,12 @@ def test_criterion_06_spectral_algebra(corpus):
 # 7. shift and mollifier identities of the Laplace transform
 # -------------------------------------------------------------------------
 
-def test_criterion_07_transform_identities(corpus):
+def test_criterion_07_transform_identities(builtin_results):
+    by_name = of_check(builtin_results, "transform-identities")
     rows = []
     ok = True
     for name in ("decay_exp", "exp_iw1", "chirp"):
-        r = check_transform_identities(corpus[name], CFG)
+        r = by_name[name]
         ok = ok and r.status is CheckStatus.PASS
         rows.append(f"{name}: shift {r.details['worst_shift_residual']:.1e} "
                     f"mollify {r.details['worst_mollify_residual']:.1e} "
@@ -253,11 +244,12 @@ def test_criterion_11_tauberian_mixture(corpus):
 # 12. evolution-equation spectral inclusion
 # -------------------------------------------------------------------------
 
-def test_criterion_12_evolution():
+def test_criterion_12_evolution(builtin_results):
     problems = random_evolution_problems(20, CFG)
+    by_name = of_check(builtin_results, "evolution")
     n_viol, n_res = 0, 0
     for p in problems:
-        r = check_evolution_spectrum(p, CFG)
+        r = by_name[p.name]
         if r.details.get("violations"):
             n_viol += 1
         if r.details["residual"] > r.details["tol_ode"]:

@@ -217,6 +217,37 @@ def tone_csv(tmp_path_factory):
     return out / "exp_iw1.csv"
 
 
+@pytest.fixture(scope="module")
+def default_records(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default")
+    for name in ("const", "exp_iw1"):
+        assert main(["synth", name, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("record, cls", [
+    ("const", "ergodic"), ("const", "ergodic_mean_zero"),
+    ("exp_iw1", "ergodic"), ("exp_iw1", "ergodic_mean_zero")])
+def test_reduced_spectrum_relative_to_the_ergodic_classes(
+        tmp_path, default_records, record, cls):
+    # every band output of a constant or of exp(i t) is a multiple of the
+    # record, which is ergodic, so both spectra relative to "ergodic" are
+    # empty.  exp(i t) has mean zero; a constant's band output has mean
+    # zero exactly when the band misses 0, so relative to
+    # "ergodic_mean_zero" the constant is singular at 0 alone (up to the
+    # band-pass blur) and exp(i t) nowhere
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(default_records / f"{record}.csv"),
+                 "--kind", "reduced", "--class", cls, "--out", str(out)]) == 0
+    status = json.loads(out.read_text())["status"]
+    singular = [w for w, s in zip(np.linspace(-5, 5, 101), status)
+                if s == "singular"]
+    if record == "const" and cls == "ergodic_mean_zero":
+        assert 0.0 in singular and all(abs(w) <= 0.5 for w in singular)
+    else:
+        assert singular == []
+
+
 @pytest.mark.parametrize("cfg_text", ['{"grid_step": "x"}',
                                       '{"a_seq": [0.4, 0.4, 0.1]}'])
 def test_analyze_rejects_bad_config(tmp_path, tone_csv, capsys, cfg_text):
@@ -387,6 +418,9 @@ def test_analyze_rejects_full_line_record_for_half_plane_kinds(
                   "--out", "{tmp}/missing/r.json"], id="verify-out-dir-missing"),
     pytest.param(["verify", "{tmp}/missing", "--only", "transform-identities"],
                  id="verify-corpus-dir-missing"),
+    # the directory used to be ignored silently beside --builtin
+    pytest.param(["verify", "{tmp}", "--builtin", "--only", "regular-ft",
+                  "--out", "{tmp}/r.json"], id="verify-corpus-dir-and-builtin"),
 ])
 def test_bad_paths_and_zero_steps_exit_2(tmp_path, tone_csv, capsys, argv):
     # a zero --dt or --tmax is a value, not an absent flag; an output or
@@ -397,6 +431,7 @@ def test_bad_paths_and_zero_steps_exit_2(tmp_path, tone_csv, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "s").exists() and not (tmp_path / "missing").exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_synth_unknown_name(tmp_path):
@@ -448,6 +483,25 @@ def test_canonical_json_formatting():
         '{"frequencies":[1.0],"coefficients":{"1":[{"re":1.0,"im":-2.0}]},'
         '"witness":{"t":2.5,"k":7}},'
         '"tolerances":{"scale_ref":3.0,"lags":[0.01,0.02]}}}')
+
+
+def test_verify_reads_the_records_of_a_corpus_dir(tmp_path):
+    # a shorter exp_iw1 in the directory replaces the built-in one; the
+    # other subjects keep their built-in records
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "exp_iw1", "--tmax", "100",
+                 "--out", str(corpus)]) == 0
+    reports = {}
+    for tag, source in (("dir", [str(corpus)]), ("builtin", ["--builtin"])):
+        out = tmp_path / f"{tag}.json"
+        assert main(["verify", *source, "--only", "transform-identities",
+                     "--out", str(out)]) == 0
+        reports[tag] = {r["subject"]: r["details"]
+                        for r in json.loads(out.read_text())}
+    assert list(reports["dir"]) == ["decay_exp", "exp_iw1", "chirp"]
+    for name in ("decay_exp", "chirp"):
+        assert reports["dir"][name] == reports["builtin"][name]
+    assert reports["dir"]["exp_iw1"] != reports["builtin"]["exp_iw1"]
 
 
 def test_verify_rejects_corrupt_corpus_dir(tmp_path):

@@ -15,8 +15,6 @@ import os
 import pytest
 
 from redspectra.cli import main
-from redspectra.config import Config
-from redspectra.theorems import run_all
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verdicts.json")
 CHECKS = os.path.join(os.path.dirname(__file__), "golden", "checks.json")
@@ -50,9 +48,9 @@ def test_verdicts_match_golden(records, case):
     assert status == case["status"]
 
 
-def test_check_statuses_match_golden():
+def test_check_statuses_match_golden(builtin_results):
     with open(CHECKS) as fh:
         golden = [(c["check"], c["subject"], c["status"])
                   for c in json.load(fh)]
-    got = [(r.check_id, r.subject, r.status.value) for r in run_all(Config())]
+    got = [(r.check_id, r.subject, r.status.value) for r in builtin_results]
     assert got == golden

@@ -4,7 +4,7 @@ import pytest
 from redspectra import spectra
 from redspectra.classes import FunctionClass
 from redspectra.config import Config
-from redspectra.errors import ConfigError, RedSpectraError
+from redspectra.errors import ConfigError, GridError, RedSpectraError
 from redspectra.io_utils import canonical_json
 from redspectra.kernels import annihilator_kernel, box_kernel
 from redspectra.signals import Domain, SampledSignal, extend_by_zero, modulate
@@ -189,6 +189,15 @@ def test_extension_comparison_agrees_up_to_undecided():
     H = make_full(lambda t: np.exp(1j * t), t_end=120.0)
     out = extension_comparison(H, FunctionClass.C0, SMALL, CFG)
     assert out["definite_disagreements"] == []
+    # "restricted" is the half-line record, zero-extended by the engine
+    half = make_half(lambda t: np.exp(1j * t), t_end=120.0)
+    assert out["restricted"].statuses() == reduced_spectrum(
+        half, FunctionClass.C0, SMALL, CFG).statuses()
+    # a record whose lattice misses t = 0 has no half-line restriction
+    off = SampledSignal(Domain.FULL_LINE, -10.005, 0.01,
+                        np.exp(1j * np.arange(-10.005, 10.0, 0.01)))
+    with pytest.raises(GridError):
+        extension_comparison(off, FunctionClass.C0, SMALL, CFG)
 
 
 def test_estimate_serialization_and_clusters():

@@ -1,15 +1,14 @@
-from dataclasses import replace
-
 import numpy as np
 
 from redspectra import theorems
+from redspectra.classes import FunctionClass
 from redspectra.config import Config
-from redspectra.theorems import (TOL_ODE_COEFF, CheckStatus,
+from redspectra.theorems import (CORPUS_ROSTER, TOL_ODE_COEFF, CheckStatus,
                                  EvolutionProblem, check_ergodic_theorem,
                                  check_evolution_spectrum,
                                  check_inclusion_chain, check_regular_ft,
                                  check_tauberian, evolution_residual,
-                                 jordan_vacuous_problem,
+                                 evolution_roster, jordan_vacuous_problem,
                                  random_evolution_problems, run_all,
                                  solve_evolution)
 
@@ -73,14 +72,20 @@ def test_solver_forced_jordan_block_closed_form():
 def test_solver_residual_bound():
     # the problems of ``run_all``: 20 random ones, jordan, and the
     # forcing-free variants of the first three
-    problems = random_evolution_problems(20, CFG) + [jordan_vacuous_problem()]
-    problems += [replace(p, name=p.name + ":classC0", phi_modes=())
-                 for p in problems[:3]]
+    problems = [p for p, _cls in evolution_roster(CFG)]
     assert len(problems) == 24
     for p in problems:
         u = solve_evolution(p, cfg=CFG)
         assert evolution_residual(p, u) <= TOL_ODE_COEFF * (1 + u.sup_norm())
         assert u.growth_exponent == (1 if p.name == "evolution[jordan]" else 0)
+
+
+def test_evolution_roster_pairs_classes_with_forcing_free_problems():
+    roster = evolution_roster(CFG)
+    assert [cls for _p, cls in roster] == [None] * 21 + [FunctionClass.C0] * 3
+    assert [p.name for p, _cls in roster[-3:]] == [
+        f"evolution[{i}]:classC0" for i in range(3)]
+    assert all(p.phi_modes == () for p, cls in roster if cls is not None)
 
 
 def test_evolution_checks_pass_and_jordan_vacuous():
@@ -140,8 +145,8 @@ def test_run_all_names_the_failing_subject(monkeypatch):
 
     monkeypatch.setattr(theorems, "check_tauberian", broken)
     results = run_all(Config(), only="tauberian")
-    assert [r.subject for r in results] == [
-        "aap_mix", "decay_poly", "chirp", "so_composite", "expgrow"]
+    [subjects] = [row[3] for row in CORPUS_ROSTER if row[0] == "tauberian"]
+    assert [r.subject for r in results] == list(subjects)
     for r in results:
         assert r.check_id == "tauberian"
         assert r.status is CheckStatus.FAIL

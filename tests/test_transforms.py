@@ -57,6 +57,25 @@ def test_growth_aware_tail_bound_monotone():
     assert tail_bound(G, 0.1) > tail_bound(F, 0.1)
 
 
+def test_tail_bound_refuses_large_abscissae_of_a_steep_envelope():
+    # a bounded record declared with k = 20 on T = 1000: a*T >= 30 is no
+    # licence to drop the tail, because (1 + T^2)^20 exp(-a T) / a is
+    # 1e-52 at a = 0.4 but 1e35 and more from a = 0.2 down
+    F = make_half(lambda t: np.exp(1j * t), t_end=1000.0, dt=0.1, k=20)
+    sc = TransformScanner(F, [0.0, 1.0], CFG)
+    a_adm, bounds = sc.admissible_a()
+    assert a_adm == (0.4,)
+    assert bounds == (tail_bound(F, 0.4),) and 0.0 < bounds[0] < 1e-50
+    with pytest.raises(TailError, match="fewer than 3 admissible"):
+        half_plane_scan(F, [0.0, 1.0], CFG)
+    # a numpy-integer exponent overflows to inf, not to OverflowError, and
+    # inf * exp(-a T) is nan once exp(-a T) underflows: refused as well
+    G = SampledSignal(Domain.HALF_LINE, 0.0, 1.0, np.ones(3000),
+                      np.int64(120), trusted=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert TransformScanner(G, [0.0], CFG).admissible_a() == ((), ())
+
+
 def _trapezoid_geometric(z, N, dt):
     """dt * (sum_{k<=N} z^k - (1 + z^N)/2): the trapezoid sum of z^k."""
     zN = z ** N

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .kernels import annihilator_kernel, d_bump
-from .signals import Domain, SampledSignal
+from .signals import Domain, SampledSignal, span_steps
 
 SQRT2 = np.sqrt(2.0)
 
@@ -140,7 +140,7 @@ def _chirp(cfg, dt, T, t, tf):
 
 def _chirp_mollified(cfg, dt, T, t, tf):
     h_m = 1.0
-    km = round(h_m / dt)
+    km = span_steps(h_m, dt, "mollifier width")
     Pf = _fresnel_P(np.concatenate([tf, tf[-1] + dt * np.arange(1, km + 1)]))
     Mh = (Pf[km:] - Pf[:-km]) / h_m
     # the half line starts at the index of t = 0: the arange lattice puts

@@ -110,6 +110,15 @@ def _check_growth(times: np.ndarray, norms: np.ndarray, k: int):
             f"inner {r_in:.3g}; least-squares fit suggests k ~ {fit:.2f}")
 
 
+def span_steps(span: float, dt: float, what: str) -> int:
+    """Convert a time span to an integer number of dt steps or raise."""
+    steps = span / dt
+    k = round(steps)
+    if abs(steps - k) > _LATTICE_RTOL * max(1.0, abs(steps)):
+        raise GridError(f"{what} {span!r} is not a multiple of dt={dt}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled function J -> C^d with grid metadata.
@@ -173,12 +182,7 @@ class SampledSignal:
         return float(self.norms.max())
 
     def lattice_steps(self, span: float, what: str = "value") -> int:
-        """Convert a time span to an integer number of dt steps or raise."""
-        steps = span / self.dt
-        k = round(steps)
-        if abs(steps - k) > _LATTICE_RTOL * max(1.0, abs(steps)):
-            raise GridError(f"{what} {span!r} is not a multiple of dt={self.dt}")
-        return int(k)
+        return span_steps(span, self.dt, what)
 
     def index_of(self, t: float) -> int:
         return self.lattice_steps(t - self.t0, f"time {t}")

@@ -284,11 +284,12 @@ class ReducedScanner:
         meaningful, refuse the band-pass rungs on their own through the
         envelope-weighted truncation budget.  Any other package error at
         one point makes that point Undecided with the error as its only
-        reason.
+        reason.  A record too short for every rung, with no registered
+        kernel to try instead, raises TruncationError.
         """
         cfg = self.cfg
         idx = list(idx)
-        if self.F.sup_norm() <= cfg.tol_zero_abs:
+        if self.scale_ref <= cfg.tol_zero_abs:
             return [_trivial(self.omegas[j]) for j in idx]
         pts = {j: _PointScan(self.omegas[j]) for j in idx}
 
@@ -298,6 +299,7 @@ class ReducedScanner:
             except RedSpectraError as exc:
                 p.fail(exc)
 
+        refused = []
         for delta in cfg.delta_seq:
             open_ = [j for j, p in pts.items() if p.cert is None]
             if not open_:
@@ -306,8 +308,9 @@ class ReducedScanner:
                 plan = self._band_geometry(delta)
                 cols = self._band_columns(delta, open_)
             except (TruncationError, HorizonError) as exc:
+                refused.append(f"delta={delta}: {exc}")
                 for j in open_:
-                    pts[j].refuse(f"delta={delta}: {exc}")
+                    pts[j].refuse(refused[-1])
                 continue
             except RedSpectraError as exc:
                 for j in open_:
@@ -319,6 +322,8 @@ class ReducedScanner:
                 except RedSpectraError as exc:
                     pts[j].fail(exc)
 
+        if not self.extra and len(refused) == len(cfg.delta_seq):
+            raise TruncationError("no band-pass window: " + "; ".join(refused))
         return [pts[j].certificate(len(cfg.delta_seq)) for j in idx]
 
     def _registered(self, p, cls, candidates):
@@ -421,14 +426,14 @@ def _witness_metric(rep: ClassReport) -> float:
 
 def reduced_spectrum(F: SampledSignal, cls: FunctionClass,
                      grid: FrequencyGrid | None = None, cfg: Config = DEFAULT,
-                     extra_kernels=(), candidates=None,
+                     candidates=None,
                      scanner: ReducedScanner | None = None) -> SpectrumEstimate:
     """Map the regularity test over the grid.  For candidate-hungry
     classes (AP/AAP) pass ``candidates``, typically the singular clusters
     of the C0 spectrum of the same signal."""
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
     omegas = grid.values()
-    sc = scanner or ReducedScanner(F, omegas, cfg, extra_kernels)
+    sc = scanner or ReducedScanner(F, omegas, cfg)
     certs = sc.scan(cls, [sc.index_of(w) for w in omegas], candidates)
     # the ladder's band-pass kernels are all of the S family
     return SpectrumEstimate(f"reduced({cls.value},S)", grid, tuple(certs),
@@ -560,12 +565,9 @@ def _cauchy_circle_errors(sc: TransformScanner, a: float):
 
 def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
                      cfg: Config = DEFAULT,
-                     hp: HalfPlaneGrid | None = None,
-                     singular_only: bool = False) -> SpectrumEstimate:
+                     hp: HalfPlaneGrid | None = None) -> SpectrumEstimate:
     """Blowup / Cauchy / analytic-continuation classification of the
-    Laplace transform boundary behaviour for a half-line signal.  The
-    Cauchy-circle test reuses the scanner that filled ``hp``; with
-    ``singular_only`` it is skipped and no point is regular."""
+    Laplace transform boundary behaviour for a half-line signal."""
     if F.domain is not Domain.HALF_LINE:
         raise RedSpectraError("Laplace spectrum needs a half-line signal")
 
@@ -576,15 +578,12 @@ def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
         peak = mag.max(axis=0)
         rel = diffs[-1] / np.maximum(mag[-1], scale)
         blow = _blowup(mag, scale)
-        regular = np.zeros(len(peak), bool)
-        if not singular_only:
-            circle_err = [np.asarray(_cauchy_circle_errors(hp.scanner, a))
-                          for a in hp.a_seq[-2:]]
-            cauchy = (rel <= CAUCHY_REL) & (diffs[-1] <= diffs[0] + 1e-15)
-            analytic = np.all([ce <= CIRCLE_TOL * scale
-                               for ce in circle_err], axis=0)
-            elevated = peak >= ELEVATED_THRESH * scale
-            regular = cauchy & analytic & ~elevated
+        sc = TransformScanner(F, grid.values(), cfg)
+        circle_err = [_cauchy_circle_errors(sc, a) for a in hp.a_seq[-2:]]
+        cauchy = (rel <= CAUCHY_REL) & (diffs[-1] <= diffs[0] + 1e-15)
+        analytic = np.all(np.array(circle_err) <= CIRCLE_TOL * scale, axis=0)
+        elevated = peak >= ELEVATED_THRESH * scale
+        regular = cauchy & analytic & ~elevated
         evidence = []
         for j in range(len(peak)):
             ev = {"peak_over_scale": float(peak[j]) / scale,
@@ -592,7 +591,7 @@ def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
                   "metric": float(peak[j]) / scale}
             if blow[j]:
                 ev["witness"] = {"blowup": True, "values": mag[:, j].tolist()}
-            elif not singular_only:
+            else:
                 ev["circle_errors"] = [float(ce[j]) for ce in circle_err]
             evidence.append(ev)
         return (blow, regular, "cauchy+analytic-continuation", evidence,
@@ -736,21 +735,12 @@ class SignalAnalysis:
         return self._get("half-plane", run)
 
     def laplace(self) -> SpectrumEstimate:
-        return self._transform("laplace", laplace_spectrum)
+        return self._get("laplace", lambda: laplace_spectrum(
+            self.F, self.grid, self.cfg, hp=self._half_plane()))
 
     def weak_laplace(self) -> SpectrumEstimate:
-        return self._transform("weak-laplace", weak_laplace_spectrum)
-
-    def _transform(self, key, engine) -> SpectrumEstimate:
-        """The estimate of ``engine`` from the shared half-plane scan.  The
-        scan holds its evaluator's tables, so it is dropped once both
-        estimates exist: a verify run keeps its analyses to the end."""
-        if key not in self._cache:
-            self._cache[key] = engine(self.F, self.grid, self.cfg,
-                                      hp=self._half_plane())
-            if "laplace" in self._cache and "weak-laplace" in self._cache:
-                del self._cache["half-plane"]
-        return self._cache[key]
+        return self._get("weak-laplace", lambda: weak_laplace_spectrum(
+            self.F, self.grid, self.cfg, hp=self._half_plane()))
 
     def carleman(self) -> SpectrumEstimate:
         def run():

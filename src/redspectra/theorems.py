@@ -31,12 +31,12 @@ from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
 from .errors import ConfigError, RedSpectraError
 from .kernels import bump_kernel, d_bump
 from .signals import (Domain, SampledSignal, _cumulative, convolve,
-                      extend_by_zero, modulate, mollify, translate,
+                      extend_by_zero, modulate, mollify, span_steps, translate,
                       trapezoid_weights)
 from .spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus, SignalAnalysis,
                       laplace_spectrum, reduced_spectrum)
-from .transforms import (mollify_identity_residual, shift_identity_residual,
-                         trapezoid_transform)
+from .transforms import (laplace_transform, mollify_identity_residual,
+                         shift_identity_residual, trapezoid_transform)
 
 TRUNC_BUDGET_STRICT = 1e-8   # kernel-mass budget of the regular-ft smoothing
 TOL_TRANSFORM_COEFF = 1e-4   # transform residuals / signal or transform scale
@@ -374,8 +374,8 @@ def check_regular_ft(entry: CorpusSignal, cfg: Config = DEFAULT) -> CheckResult:
 # transform identities
 # ---------------------------------------------------------------------------
 
-#: sampled lambda of the transform-identities check
-_N_LAMBDA = 20
+#: sampled lambda, shift and mollifier width of the transform identities
+_N_LAMBDA, _ID_SHIFT, _ID_H = 20, 2.0, 1.0
 
 
 def check_transform_identities(entry: CorpusSignal,
@@ -388,12 +388,11 @@ def check_transform_identities(entry: CorpusSignal,
                            CheckStatus.VACUOUS, {"reason": "no half-line record"})
     rng = np.random.default_rng(cfg.corpus_seed + 17)
     lams = rng.uniform(0.05, 0.5, _N_LAMBDA) + 1j * rng.uniform(-1.0, 1.0, _N_LAMBDA)
-    from .transforms import laplace_transform
     scale = float(np.median([np.linalg.norm(laplace_transform(F, l))
                              for l in lams]))
     tol = TOL_TRANSFORM_COEFF * max(scale, 1e-12)
-    worst_shift = max(shift_identity_residual(F, 2.0, l) for l in lams)
-    worst_moll = max(mollify_identity_residual(F, 1.0, l) for l in lams)
+    worst_shift = max(shift_identity_residual(F, _ID_SHIFT, l) for l in lams)
+    worst_moll = max(mollify_identity_residual(F, _ID_H, l) for l in lams)
     ok = worst_shift <= tol and worst_moll <= tol
     return CheckResult("transform-identities", entry.name,
                        CheckStatus.PASS if ok else CheckStatus.FAIL,
@@ -559,16 +558,14 @@ def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
     u_c = SampledSignal(Domain.HALF_LINE, 0.0, u.dt * step, u.values[::step],
                         u.growth_exponent, trusted=True)
     grid = FrequencyGrid.from_config(cfg)
-    su = laplace_spectrum(u_c, grid, cfg, singular_only=True).singular_set()
+    su = laplace_spectrum(u_c, grid, cfg).singular_set()
     neutral = [l.imag for l in np.linalg.eigvals(p.A) if abs(l.real) < 1e-9]
     allowed = list(neutral)
     if p.phi_modes:
         phi = SampledSignal(Domain.HALF_LINE, 0.0, u_c.dt,
                             _phi_values(p, u_c.times), 0, trusted=True)
-        if phi.sup_norm() > cfg.tol_zero_abs:
-            sphi = laplace_spectrum(phi, grid, cfg,
-                                    singular_only=True).singular_set()
-            allowed.extend(float(w) for w in sphi)
+        sphi = laplace_spectrum(phi, grid, cfg).singular_set()
+        allowed.extend(float(w) for w in sphi)
     # the half-plane transition blur: how far a singular flag may sit
     # from an allowed frequency
     blur = 0.35
@@ -638,6 +635,15 @@ def evolution_roster(cfg: Config = DEFAULT) -> list:
         for p in problems[:3]]
 
 
+def _lattice_spans(cfg: Config) -> list:
+    """(what, span) of each time span the checks step on the lattice."""
+    rows = {row[1]: row[3] for row in CORPUS_ROSTER}
+    return ([("shift", s) for _, s in rows["check_translation_invariance"]]
+            + [("width", h) for _, h in rows["check_convolution_shrinking"]]
+            + [("width", h) for h in (*_H_SEQ, _ID_H)]
+            + [("shift", _ID_SHIFT), ("output step", cfg.conv_out_step)])
+
+
 def run_all(cfg: Config = DEFAULT, only: str | None = None,
             corpus: dict | None = None) -> list:
     """Run every check; any engine exception becomes a FAIL with context."""
@@ -645,6 +651,8 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
         raise ConfigError(f"unknown check id {only!r}; choose from: "
                           f"{', '.join(CHECK_IDS)}")
     FrequencyGrid.from_config(cfg)      # an unbuildable grid is bad input
+    for what, span in _lattice_spans(cfg):  # so is a span off the lattice
+        span_steps(span, cfg.dt, what)
     corpus = build_corpus(cfg) if corpus is None else corpus
     jobs = []       # (check id, subject, check function, arguments, shared)
     for check_id, fn_name, shared, subjects in CORPUS_ROSTER:

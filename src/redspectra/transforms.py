@@ -21,19 +21,21 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .errors import DomainError, TailError
-from .signals import (Domain, SampledSignal, _cumulative, lattice_exp_tables,
+from .kernels import exp_kernel, reflected
+from .signals import (Domain, SampledSignal, _cumulative, convolve,
+                      extend_by_zero, lattice_exp_tables, mollify, translate,
                       trapezoid_weights)
 
 #: admit an abscissa while its tail bound is at most this times the sup
 TAIL_CAP = 0.5
 
 
-def tail_bound(F: SampledSignal, a: float) -> float:
+def tail_bound(F: SampledSignal, a: float, c: float | None = None) -> float:
     """Bound on || integral_T^inf exp(-a t) F(t) dt || from the declared
-    growth envelope ||F(t)|| <= C (1+t^2)^k."""
+    growth envelope ||F(t)|| <= C (1+t^2)^k; ``c`` is C when known."""
     T = F.t_end if F.domain is Domain.HALF_LINE else max(abs(F.t0), F.t_end)
     k = F.growth_exponent
-    c = F.envelope_constant()
+    c = F.envelope_constant() if c is None else c
     return float(c * (1.0 + T * T) ** k * np.exp(-a * T) / a * (1.0 + k))
 
 
@@ -44,14 +46,14 @@ def trapezoid_transform(lam, u: np.ndarray, values: np.ndarray,
     return (np.exp(-lam * u) * trapezoid_weights(len(u), dt)) @ values
 
 
-def _check_tail(F: SampledSignal, a: float):
-    if a == 0.0:
-        raise DomainError("transform undefined for Re lambda = 0")
+def _check_tail(F: SampledSignal, a: float, c=None, sup=None) -> float:
+    """``tail_bound(F, |a|)``, or TailError when it exceeds ``TAIL_CAP``
+    times ``sup`` (of F when not given), overflows or is nan."""
     try:
-        b = tail_bound(F, abs(a))
+        b = tail_bound(F, abs(a), c)
     except OverflowError:           # (1 + T^2)^k beyond the float range
         b = np.inf
-    if not b <= TAIL_CAP * max(F.sup_norm(), 1e-300):   # a nan bound too
+    if not b <= TAIL_CAP * max(F.sup_norm() if sup is None else sup, 1e-300):
         raise TailError(f"truncation tail bound {b:.3g} at Re lambda = {a:g} "
                         f"exceeds {TAIL_CAP} * signal scale")
     return b
@@ -95,8 +97,6 @@ class HalfPlaneGrid:
     ``right``/``left`` have shape (n_a, n_omega, d); ``left`` is None for
     half-line signals.  ``tail_bounds`` records the truncation bound per
     abscissa; abscissae whose bound exceeded the cap are simply absent.
-    ``scanner`` is the evaluator that filled the grid, kept for further
-    values of the same record (the Laplace engine's circle test).
     """
 
     a_seq: tuple
@@ -104,7 +104,6 @@ class HalfPlaneGrid:
     left: np.ndarray | None
     tail_bounds: tuple
     scale: float               # median |values|, the tolerance reference
-    scanner: TransformScanner
 
 
 def lattice_exp_sum(weights, z, n: int, dt: float) -> np.ndarray:
@@ -170,10 +169,12 @@ class TransformScanner:
         return -self.product(np.exp(-zeta * self.u), left=True)
 
     def admissible_a(self) -> tuple:
+        # C and the sup are read once per scan, not once per abscissa
+        c, sup = self.F.envelope_constant(), self.F.sup_norm()
         out, bounds = [], []
         for a in self.cfg.a_seq:
             try:
-                bounds.append(_check_tail(self.F, a))
+                bounds.append(_check_tail(self.F, a, c, sup))
                 out.append(a)
             except TailError:
                 continue
@@ -195,7 +196,7 @@ def half_plane_scan(F: SampledSignal, omegas,
         left = np.stack([sc.left_values(a) for a in a_adm])
         mags = np.concatenate([mags, np.linalg.norm(left, axis=2)])
     scale = float(np.median(mags))
-    return HalfPlaneGrid(a_adm, right, left, bounds, scale, sc)
+    return HalfPlaneGrid(a_adm, right, left, bounds, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,6 @@ def shift_identity_residual(F: SampledSignal, s: float, lam: complex) -> float:
     identity telescopes exactly; the residual isolates quadrature
     coherence of the implementations rather than tail mismatch.
     """
-    from .signals import translate
     k = F.lattice_steps(s, "shift")
     Fs = translate(F, s)
     lam = complex(lam)
@@ -226,7 +226,6 @@ def mollify_identity_residual(F: SampledSignal, h: float, lam: complex) -> float
 
     The correction carries the double integral of exp(lam v) I(v) over
     [0, h] and the finite-record boundary term at the right end."""
-    from .signals import mollify
     lam = complex(lam)
     k = F.lattice_steps(h, "h")
     M = mollify(F, h)
@@ -259,8 +258,6 @@ def carleman_as_convolution_residual(phi: SampledSignal, lam: complex,
     int_0^inf exp(-lam s) phi(t+s) ds on the right half-plane and
     -int_{-inf}^0 exp(-lam s) phi(t+s) ds on the left.
     """
-    from .kernels import exp_kernel, reflected
-    from .signals import convolve, extend_by_zero
     lam = complex(lam)
     kern = reflected(exp_kernel(lam))
     conv = convolve(extend_by_zero(phi), kern, budget=1e-9)

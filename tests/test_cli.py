@@ -434,6 +434,45 @@ def test_bad_paths_and_zero_steps_exit_2(tmp_path, tone_csv, capsys, argv):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("dt, named", [("0.3", "shift 1.0"),
+                                       ("0.25", "output step 0.2")])
+def test_verify_refuses_a_dt_off_the_lattice_of_its_spans(tmp_path, capsys,
+                                                          dt, named):
+    # a dt that misses a fixed shift, width or output step of the checks
+    # used to fail a dozen of them with GridError and exit 1
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(f'{{"dt": {dt}}}')
+    assert main(["verify", "--builtin", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} is not a multiple of dt={dt}")
+    assert not out.exists()
+
+
+def test_synth_refuses_a_mollifier_width_off_the_lattice(tmp_path, capsys):
+    # round(1 / 0.3) = 3 steps wrote M_0.9 samples labelled M_1
+    assert main(["synth", "chirp_mollified", "--dt", "0.3",
+                 "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "mollifier width 1.0 is not a multiple of dt=0.3" in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("kind", [["reduced", "--class", "c0"], ["beurling"]])
+def test_reduced_kinds_refuse_a_record_too_short_for_every_rung(
+        tmp_path, capsys, kind):
+    # on a 10 s record no band-pass rung admits an output window; the
+    # report used to hold 101 UNDECIDED points and exit 0
+    assert main(["synth", "exp_iw1", "--tmax", "10",
+                 "--out", str(tmp_path)]) == 0
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(tmp_path / "exp_iw1.csv"), "--kind", *kind,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no band-pass window: delta=1.0: ")
+    assert not out.exists()
+
+
 def test_synth_unknown_name(tmp_path):
     assert main(["synth", "not_a_signal", "--out", str(tmp_path)]) == 2
 

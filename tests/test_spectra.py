@@ -12,8 +12,7 @@ from redspectra.spectra import (FrequencyGrid, RegStatus, ReducedScanner,
                                 carleman_spectrum, extension_comparison,
                                 laplace_spectrum, reduced_spectrum,
                                 weak_laplace_spectrum)
-from redspectra.theorems import random_evolution_problems, solve_evolution
-from redspectra.transforms import half_plane_scan
+from redspectra.transforms import TransformScanner, half_plane_scan
 
 from conftest import make_full, make_half
 
@@ -139,7 +138,7 @@ def _circle_errors_node_by_node(sc, a):
 def test_circle_errors_match_node_by_node_reconstruction(corpus, name):
     F, omegas = corpus[name].half, GRID.values()
     hp = half_plane_scan(F, omegas, CFG)
-    sc = hp.scanner
+    sc = TransformScanner(F, omegas, CFG)
     for a in hp.a_seq[-2:]:
         got = spectra._cauchy_circle_errors(sc, a)
         ref = _circle_errors_node_by_node(sc, a)
@@ -248,15 +247,18 @@ SHORT = Config(t_end=120.0, grid_min=-2.5, grid_max=2.5, grid_step=0.25)
                                 lambda t: np.exp(-t) + np.cos(2.0 * t)])
 def test_shared_scan_gives_the_standalone_estimates(fn):
     F = make_half(fn, t_end=120.0)
-    an = spectra.SignalAnalysis(F, SHORT)
     grid = FrequencyGrid.from_config(SHORT)
-    for shared, alone in (
-            (an.laplace(), laplace_spectrum(F, grid, SHORT)),
-            (an.weak_laplace(), weak_laplace_spectrum(F, grid, SHORT)),
-            (an.carleman(), carleman_spectrum(extend_by_zero(F),
-                                              grid, SHORT))):
-        assert canonical_json(shared.to_dict()) == \
-            canonical_json(alone.to_dict())
+    alone = [laplace_spectrum(F, grid, SHORT),
+             weak_laplace_spectrum(F, grid, SHORT),
+             carleman_spectrum(extend_by_zero(F), grid, SHORT)]
+    an = spectra.SignalAnalysis(F, SHORT)
+    # either transform estimate may come first from the shared scan
+    an_rev = spectra.SignalAnalysis(F, SHORT)
+    an_rev.weak_laplace()
+    for a in (an, an_rev):
+        shared = [a.laplace(), a.weak_laplace(), a.carleman()]
+        for s, e in zip(shared, alone):
+            assert canonical_json(s.to_dict()) == canonical_json(e.to_dict())
 
 
 def test_zero_records_give_the_trivial_estimate():
@@ -264,7 +266,6 @@ def test_zero_records_give_the_trivial_estimate():
     full = make_full(lambda t: np.zeros_like(t), t_end=60.0)
     reduced = reduced_spectrum(half, FunctionClass.C0, SMALL, CFG)
     estimates = [laplace_spectrum(half, SMALL, CFG),
-                 laplace_spectrum(half, SMALL, CFG, singular_only=True),
                  weak_laplace_spectrum(half, SMALL, CFG),
                  carleman_spectrum(extend_by_zero(half), SMALL, CFG),
                  carleman_spectrum(full, SMALL, CFG)]
@@ -279,21 +280,3 @@ def test_zero_records_give_the_trivial_estimate():
             engine(full, SMALL, CFG)
     with pytest.raises(RedSpectraError, match="full-line"):
         carleman_spectrum(half, SMALL, CFG)
-
-
-def test_singular_only_laplace_keeps_the_singular_set():
-    # check_evolution_spectrum reads only the singular set of the cheaper
-    # singular_only estimate
-    cfg = CFG.replace(t_end=120.0)
-    flagged = 0
-    for p in random_evolution_problems(3, cfg):
-        u = solve_evolution(p, cfg=cfg)
-        step = round(cfg.dt / u.dt)
-        u_c = SampledSignal(Domain.HALF_LINE, 0.0, u.dt * step,
-                            u.values[::step], u.growth_exponent)
-        full = laplace_spectrum(u_c, GRID, cfg)
-        cheap = laplace_spectrum(u_c, GRID, cfg, singular_only=True)
-        assert np.array_equal(cheap.singular_set(), full.singular_set())
-        assert RegStatus.REGULAR not in cheap.statuses()
-        flagged += len(full.singular_set()) > 0
-    assert flagged

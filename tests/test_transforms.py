@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,20 @@ def test_tail_bound_refuses_large_abscissae_of_a_steep_envelope():
                       np.int64(120), trusted=True)
     with np.errstate(over="ignore", invalid="ignore"):
         assert TransformScanner(G, [0.0], CFG).admissible_a() == ((), ())
+
+
+def test_admissible_a_reads_the_record_once_per_scan(monkeypatch):
+    F = make_half(lambda t: np.exp(1j * t), t_end=100.0)
+    calls = Counter()
+    for name in ("envelope_constant", "sup_norm"):
+        def counted(self, _orig=getattr(SampledSignal, name), _name=name):
+            calls[_name] += 1
+            return _orig(self)
+        monkeypatch.setattr(SampledSignal, name, counted)
+    a_adm, bounds = TransformScanner(F, [0.0], CFG).admissible_a()
+    assert calls == {"envelope_constant": 1, "sup_norm": 1}
+    assert a_adm == CFG.a_seq[:-1]       # a T = 2.5 leaves too long a tail
+    assert bounds == tuple(tail_bound(F, a) for a in a_adm)
 
 
 def _trapezoid_geometric(z, N, dt):

@@ -30,6 +30,7 @@ are cached per grid.  The central constructions:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -238,11 +239,12 @@ def approximate_identity(n: int) -> TestKernel:
 # band-pass plateau kernels
 # ---------------------------------------------------------------------------
 
+_erf = np.vectorize(math.erf, otypes=[float])   # the standard library's erf
+
+
 def _plateau(u, b, sigma):
     """box[-b, b] smoothed by N(0, sigma): 1 on the core, Gaussian edges."""
-    # imported here, not at module level: scipy is slow to load
-    from scipy.special import erf
-    return 0.5 * (erf((u + b) / (sigma * _SQRT2)) - erf((u - b) / (sigma * _SQRT2)))
+    return 0.5 * (_erf((u + b) / (sigma * _SQRT2)) - _erf((u - b) / (sigma * _SQRT2)))
 
 
 def bandpass_kernel(omega0: float, delta: float) -> TestKernel:

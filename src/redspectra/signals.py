@@ -185,7 +185,9 @@ class SampledSignal:
         return span_steps(span, self.dt, what)
 
     def index_of(self, t: float) -> int:
-        return self.lattice_steps(t - self.t0, f"time {t}")
+        return self.lattice_steps(
+            t - self.t0, f"time {t!r} is off the lattice of a record from "
+                         f"t0={self.t0!r}: its offset")
 
     def restrict(self, t_lo: float, t_hi: float) -> "SampledSignal":
         i = max(0, int(np.ceil((t_lo - self.t0) / self.dt - _LATTICE_RTOL)))

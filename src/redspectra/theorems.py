@@ -30,7 +30,7 @@ from .config import Config, DEFAULT
 from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
 from .errors import ConfigError, RedSpectraError
 from .kernels import bump_kernel, d_bump
-from .signals import (Domain, SampledSignal, _cumulative, convolve,
+from .signals import (Domain, SampledSignal, convolve,
                       extend_by_zero, modulate, mollify, span_steps, translate,
                       trapezoid_weights)
 from .spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus, SignalAnalysis,
@@ -41,6 +41,7 @@ from .transforms import (laplace_transform, mollify_identity_residual,
 TRUNC_BUDGET_STRICT = 1e-8   # kernel-mass budget of the regular-ft smoothing
 TOL_TRANSFORM_COEFF = 1e-4   # transform residuals / signal or transform scale
 TOL_ODE_COEFF = 1e-5         # ODE residual / (1 + sup |u|)
+_RESIDUAL_BLOCK = 8192       # rows per block of the streamed ODE residual
 
 
 class CheckStatus(enum.Enum):
@@ -449,26 +450,74 @@ def solve_evolution(p: EvolutionProblem, dt: float | None = None,
     (eigenvector condition below 1e8) with no eigenvalue right of the
     axis, else 1.
     """
-    # imported here, not at module level: scipy is slow to load
-    from scipy.linalg import expm
     dt = cfg.evolution_dt if dt is None else dt
     t_end = cfg.t_end if t_end is None else t_end
     n = len(np.arange(0.0, t_end + dt / 2, dt))
+    d, r = p.dim, len(p.phi_modes)
+    B = _augmented(p)
+    z0 = np.concatenate([p.u0, np.ones(r, complex)])
+    m = math.isqrt(n - 1) + 1
+    n_b = -(-n // m)
+    outer = _powers(_expm(m * dt * B), n_b)
+    inner = _powers(_expm(dt * B), m)
+    u = (outer[:, :d] @ (inner @ z0).T).transpose(0, 2, 1).reshape(-1, d)[:n]
+    lam, V = np.linalg.eig(B)
+    k = 0 if np.linalg.cond(V) < 1e8 and np.all(lam.real <= 1e-9) else 1
+    return SampledSignal(Domain.HALF_LINE, 0.0, dt, u, k, trusted=True)
+
+
+# degree m: (theta_m, the largest 1-norm at which the [m/m] Pade
+# approximant of exp meets double precision, and its coefficients b_0..b_m)
+# from Higham, SIAM J. Matrix Anal. Appl. 26, 2005
+_PADE = {
+    3: (1.495585217958292e-2, (120., 60., 12., 1.)),
+    5: (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    7: (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200.,
+                               25200., 1512., 56., 1.)),
+    9: (2.097847961257068e0, (17643225600., 8821612800., 2075673600.,
+                              302702400., 30270240., 2162160., 110880.,
+                              3960., 90., 1.)),
+    13: (5.371920351148152e0, (64764752532480000., 32382376266240000.,
+                               7771770303897600., 1187353796428800.,
+                               129060195264000., 10559470521600.,
+                               670442572800., 33522128640., 1323241920.,
+                               40840800., 960960., 16380., 182., 1.)),
+}
+
+
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp(X) by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
+    26, 2005): the [m/m] Pade approximant of least degree m whose theta_m
+    bounds the 1-norm of X; past theta_13, degree 13 on X / 2^s, s the
+    least scaling that brings the norm under theta_13, squared s times.
+    The approximant is (V - U)^-1 (V + U), U and V the odd and even terms
+    of its numerator, both summed over the even powers of X."""
+    norm = np.linalg.norm(X, 1)
+    m = next((m for m in _PADE if norm <= _PADE[m][0]), 13)
+    s = max(0, math.ceil(math.log2(norm / _PADE[13][0]))) if m == 13 else 0
+    X = X / 2.0 ** s
+    b = _PADE[m][1]
+    X2 = X @ X
+    powers = [np.eye(len(X), dtype=complex)]     # X^0, X^2, ..., X^(m-1)
+    while len(powers) <= m // 2:
+        powers.append(powers[-1] @ X2)
+    U = X @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+    V = sum(b[2 * j] * P for j, P in enumerate(powers))
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def _augmented(p: EvolutionProblem) -> np.ndarray:
+    """Van Loan's B = [[A, C], [0, diag(i nu)]] of ``solve_evolution``."""
     d, r = p.dim, len(p.phi_modes)
     B = np.zeros((d + r, d + r), complex)
     B[:d, :d] = p.A
     for j, (c, nu) in enumerate(p.phi_modes):
         B[:d, d + j] = c
         B[d + j, d + j] = 1j * nu
-    z0 = np.concatenate([p.u0, np.ones(r, complex)])
-    m = math.isqrt(n - 1) + 1
-    n_b = -(-n // m)
-    outer = _powers(expm(m * dt * B), n_b)
-    inner = _powers(expm(dt * B), m)
-    u = (outer[:, :d] @ (inner @ z0).T).transpose(0, 2, 1).reshape(-1, d)[:n]
-    lam, V = np.linalg.eig(B)
-    k = 0 if np.linalg.cond(V) < 1e8 and np.all(lam.real <= 1e-9) else 1
-    return SampledSignal(Domain.HALF_LINE, 0.0, dt, u, k, trusted=True)
+    return B
 
 
 def _powers(E: np.ndarray, count: int) -> np.ndarray:
@@ -483,11 +532,36 @@ def _powers(E: np.ndarray, count: int) -> np.ndarray:
 
 def evolution_residual(p: EvolutionProblem, u: SampledSignal) -> float:
     """sup_t || u - u0 - A P u - P phi || with P the cumulative trapezoid
-    integral from t = 0, where u's record starts."""
-    phi = _phi_values(p, u.times)
-    R = (u.values - u.values[0][None, :] - _cumulative(u.values, u.dt) @ p.A.T
-         - _cumulative(phi, u.dt))
-    return float(np.linalg.norm(R, axis=1).max())
+    integral from t = 0, where u's record starts.
+
+    The record is walked in blocks of ``_RESIDUAL_BLOCK`` rows, so the
+    temporaries are (block, d) rather than (n, d).  Each block reads one
+    row past its end, and the integrals of u and phi up to its first row
+    enter as the first term of its cumulative sums: the sums run left to
+    right in the same order as over the whole record, and the residual is
+    the same to the bit.
+    """
+    u0 = u.values[0][None, :]
+    carry_u = carry_phi = np.zeros((1, p.dim), complex)
+    worst = 0.0
+    for i0 in range(0, u.n, _RESIDUAL_BLOCK):
+        i1 = min(i0 + _RESIDUAL_BLOCK, u.n)
+        v = u.values[i0:i1 + 1]
+        phi = _phi_values(p, u.t0 + u.dt * np.arange(i0, i0 + len(v)))
+        Pu = _carried_cumulative(carry_u, v, u.dt)
+        Pphi = _carried_cumulative(carry_phi, phi, u.dt)
+        R = v[:i1 - i0] - u0 - Pu[:i1 - i0] @ p.A.T - Pphi[:i1 - i0]
+        worst = max(worst, float(np.linalg.norm(R, axis=1).max()))
+        carry_u, carry_phi = Pu[-1:], Pphi[-1:]
+    return worst
+
+
+def _carried_cumulative(carry: np.ndarray, values: np.ndarray,
+                        dt: float) -> np.ndarray:
+    """``signals._cumulative`` of a block of rows whose first row already
+    holds the integral ``carry`` (a (1, d) row)."""
+    steps = 0.5 * dt * (values[1:] + values[:-1])
+    return np.cumsum(np.vstack([carry, steps]), axis=0)
 
 
 def random_evolution_problems(n: int, cfg: Config = DEFAULT) -> list:

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.special import fresnel
 
 from redspectra import cli
 from redspectra.config import Config
-from redspectra.corpus import BUILDERS, _fresnel_P, build_corpus, build_signal
+from redspectra.corpus import BUILDERS, build_corpus, build_signal
+
+
+def _fresnel_P(t):
+    """P(t) = int_0^t exp(i s^2) ds via scipy's Fresnel integrals (oracle)."""
+    s_, c_ = fresnel(np.abs(t) * np.sqrt(2.0 / np.pi))
+    return np.sign(t) * np.sqrt(np.pi / 2.0) * (c_ + 1j * s_)
 
 
 def _same(a, b) -> bool:
@@ -66,3 +73,18 @@ def test_half_line_records_start_at_zero_with_every_sample():
     t = F.times
     ref = _fresnel_P(t + 1.0) - _fresnel_P(t)
     assert np.abs(F.values[:, 0] - ref).max() < 1e-8
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05])
+def test_chirp_mollified_matches_the_fresnel_difference(dt):
+    # M_1 exp(i t^2)(t) = P(t + 1) - P(t) at every labelled time of the
+    # full-line record; 1e-12 sits above the rounding of the phase s^2,
+    # one ulp of which is about 7e-12 rad at |s| = 200.  At dt = 0.05 a
+    # lattice step turns up to 20 rad of phase and is cut into pieces.
+    cfg = Config(dt=dt)
+    T, km = cfg.t_end, round(1.0 / dt)
+    tf = np.arange(-T, T + dt / 2, dt)
+    P = _fresnel_P(np.concatenate([tf, tf[-1] + dt * np.arange(1, km + 1)]))
+    F = build_signal("chirp_mollified", cfg).full
+    assert F.n == len(tf)
+    assert np.abs(F.values[:, 0] - (P[km:] - P[:-km])).max() <= 1e-12

@@ -1,7 +1,9 @@
-"""scipy stays off the import path: importing the package loads numpy
-only, and neither the transform kinds nor the reduced kind (its Bohr
-refinement included) load scipy at all.  Each check runs in a fresh
-interpreter, since this test session has scipy loaded already."""
+"""The package's runtime is numpy-only: importing it, every analyze kind
+(the reduced kind's Bohr refinement included), the evolution checks of
+verify (their matrix exponential) and the synthesized mollified chirp
+(its Fresnel samples) load no scipy module.  scipy serves the tests as
+an oracle only.  Each check runs in a fresh interpreter, since this test
+session has scipy loaded already."""
 
 import os
 import subprocess
@@ -47,3 +49,18 @@ def test_reduced_analysis_loads_no_scipy(tmp_path):
             "             '--class', 'aap', '--out', 'r.json']) == 0\n")
     assert _loaded_scipy(code, tmp_path) == "[]"
     assert (tmp_path / "r.json").exists()
+
+
+def test_evolution_checks_load_no_scipy(tmp_path):
+    code = ("from redspectra.cli import main\n"
+            "assert main(['verify', '--builtin', '--only', 'evolution',\n"
+            "             '--out', 'r.json']) == 0\n")
+    assert _loaded_scipy(code, tmp_path) == "[]"
+    assert (tmp_path / "r.json").exists()
+
+
+def test_mollified_chirp_synthesis_loads_no_scipy(tmp_path):
+    code = ("from redspectra.cli import main\n"
+            "assert main(['synth', 'chirp_mollified', '--out', '.']) == 0\n")
+    assert _loaded_scipy(code, tmp_path) == "[]"
+    assert (tmp_path / "chirp_mollified.csv").exists()

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erf
 
 import redspectra
 from redspectra.errors import DivisionError_, DomainError, GridError
-from redspectra.kernels import (annihilator_kernel, approximate_identity,
+from redspectra.kernels import (_erf, annihilator_kernel, approximate_identity,
                                 bandpass_kernel, box_kernel, bump_kernel,
                                 d_bump, exp_kernel, fourier_consistency_error,
                                 reflected, wiener_divide)
@@ -98,6 +99,12 @@ def test_bandpass_plateau_and_support(w0, delta):
     vals = np.asarray(k.ft(probe))
     assert np.abs(vals.imag).max() < 1e-14
     assert vals.real.min() > -tol and vals.real.max() < 1 + tol
+
+
+def test_plateau_erf_matches_scipy():
+    # the plateau's erf is the standard library's; scipy is only the oracle
+    x = np.linspace(-12.0, 12.0, 480001)
+    assert np.abs(_erf(x) - erf(x)).max() <= 2 * np.finfo(float).eps
 
 
 def test_bandpass_fourier_consistency_and_modulation():

@@ -69,6 +69,16 @@ def test_translate_off_lattice_rejected():
         translate(F, -1.0)
 
 
+def test_index_of_off_the_lattice_names_time_start_and_offset():
+    # the record of a full-line corpus signal at dt = 0.3 misses t = 0
+    F = SampledSignal(Domain.FULL_LINE, -200.0, 0.3, np.ones(1334), 0)
+    with pytest.raises(GridError) as err:
+        F.index_of(0.0)
+    assert str(err.value) == ("time 0.0 is off the lattice of a record from "
+                              "t0=-200.0: its offset 200.0 is not a multiple "
+                              "of dt=0.3")
+
+
 def test_reflect_needs_full_line():
     F = make_half(lambda t: np.ones_like(t), t_end=10.0)
     with pytest.raises(DomainError):

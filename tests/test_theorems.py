@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
+import pytest
+from scipy.linalg import expm
 
 from redspectra import theorems
 from redspectra.classes import FunctionClass
 from redspectra.config import Config
+from redspectra.signals import Domain, SampledSignal, _cumulative
 from redspectra.theorems import (CORPUS_ROSTER, TOL_ODE_COEFF, CheckStatus,
                                  EvolutionProblem, check_ergodic_theorem,
                                  check_evolution_spectrum,
@@ -78,6 +83,54 @@ def test_solver_residual_bound():
         u = solve_evolution(p, cfg=CFG)
         assert evolution_residual(p, u) <= TOL_ODE_COEFF * (1 + u.sup_norm())
         assert u.growth_exponent == (1 if p.name == "evolution[jordan]" else 0)
+
+
+def _expm_matrices():
+    # the solver exponentiates dt B and m dt B, m = ceil(sqrt(n))
+    n = round(CFG.t_end / CFG.evolution_dt) + 1
+    m = math.isqrt(n - 1) + 1
+    for p, _cls in evolution_roster(CFG):
+        B = theorems._augmented(p)
+        yield p.name, CFG.evolution_dt * B
+        yield f"{p.name} x{m}", m * CFG.evolution_dt * B
+    yield "zero", np.zeros((3, 3), complex)
+    yield "jordan", np.diag(np.ones(3), 1).astype(complex) * 0.7 - 0.2 * np.eye(4)
+    yield "imaginary diagonal", np.diag(1j * np.array([-40.0, -3.0, 0.0, 0.5, 25.0]))
+    rng = np.random.default_rng(2024)
+    for norm in (1e-3, 1e-2, 0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
+        for d in (1, 2, 4, 7):
+            X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            yield f"random d={d} |X|_1={norm}", X * (norm / np.linalg.norm(X, 1))
+
+
+def test_expm_matches_scipy():
+    # scipy is only the oracle; above theta_13 = 5.37 the Pade step squares
+    cases = list(_expm_matrices())
+    assert len(cases) == 2 * 24 + 3 + 40
+    for name, X in cases:
+        E, ref = theorems._expm(X), expm(X)
+        assert np.linalg.norm(E - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+
+def _residual_by_full_arrays(p, u):
+    """The residual over the whole record at once, with (n, d) temporaries:
+    the formula the streamed ``evolution_residual`` must reproduce."""
+    phi = theorems._phi_values(p, u.times)
+    R = (u.values - u.values[0][None, :] - _cumulative(u.values, u.dt) @ p.A.T
+         - _cumulative(phi, u.dt))
+    return float(np.linalg.norm(R, axis=1).max())
+
+
+@pytest.mark.parametrize("n", [1, 1000, theorems._RESIDUAL_BLOCK,
+                               theorems._RESIDUAL_BLOCK + 1,
+                               2 * theorems._RESIDUAL_BLOCK + 37])
+def test_streamed_residual_equals_the_full_array_formula(n):
+    p = random_evolution_problems(20, CFG)[5]            # dim 4, forced
+    assert p.dim == 4 and p.phi_modes
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    u = SampledSignal(Domain.HALF_LINE, 0.0, 0.001, vals, 0, trusted=True)
+    assert evolution_residual(p, u) == _residual_by_full_arrays(p, u)
 
 
 def test_evolution_roster_pairs_classes_with_forcing_free_problems():

@@ -4,13 +4,17 @@
 Usage:
     PYTHONPATH=src python scripts/report_digests.py
 
-One line per file: first the ``results.json`` of ``redspectra verify
---builtin``, then every ``redspectra analyze`` report of the case roster
-in ``scripts/make_golden.py``, then every file that ``redspectra synth``
-writes for each corpus signal at the default configuration (records,
-sidecars, and the CSV and sidecar of each registered kernel).  Run it on
-two checkouts and diff the output: an empty diff means the change left
-every report and export byte-identical.
+The first line names the BLAS thread environment: the
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` variables as set, and
+the number of CPUs the process may run on.  The bytes of the verify
+report depend on the BLAS thread count, so compare only outputs whose
+first lines agree.  Then one line per file: first the ``results.json``
+of ``redspectra verify --builtin``, then every ``redspectra analyze``
+report of the case roster in ``scripts/make_golden.py``, then every file
+that ``redspectra synth`` writes for each corpus signal at the default
+configuration (records, sidecars, and the CSV and sidecar of each
+registered kernel).  Run it on two checkouts and diff the output: an
+empty diff means the change left every report and export byte-identical.
 """
 
 import contextlib
@@ -39,7 +43,16 @@ def quiet(fn, *args):
         return fn(*args)
 
 
+def blas_environment() -> str:
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return f"BLAS threads: {threads} cpus={cpus}"
+
+
 def main():
+    print(blas_environment(), flush=True)
     with tempfile.TemporaryDirectory() as work:
         results = os.path.join(work, "results.json")
         rc = quiet(cli_main, ["verify", "--builtin", "--out", results])

@@ -32,7 +32,8 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .errors import HorizonError
-from .signals import Domain, SampledSignal, _cumulative, mollify
+from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
+                      mollify)
 
 TAIL_FRACTIONS = (0.45, 0.65, 0.85)
 # membership thresholds, relative to the reference scale
@@ -281,25 +282,17 @@ def _bohr_weights(F: SampledSignal, T: float | None) -> np.ndarray:
 
 
 def _bohr_sum(F: SampledSignal, T: float | None = None):
-    """omega -> a(omega), the weighted sum of ``_bohr_weights`` on the
-    factored lattice of ``signals.lattice_exp_tables``.  With m =
-    ceil(sqrt(n)) and l = b m + c, exp(-i omega l dt) = outer_b inner_c,
-    so P[(channel, b), c] = w_l F_l is formed once and each evaluation is
-    exp(-i omega t0) (P @ inner) @ outer: one 2 sqrt(n)-long exponential
-    and two small products."""
+    """omega -> a(omega), the weighted sum of ``_bohr_weights``: the rows
+    w_l F_l are laid out once on a ``signals.FactoredLattice`` and each
+    evaluation is exp(-i omega t0) times one contraction at z = i omega."""
     w = _bohr_weights(F, T)
-    n, d = len(w), F.dim
-    m = math.isqrt(n - 1) + 1
-    n_b = -(-n // m)
-    P = np.zeros((n_b * m, d), complex)
-    P[:n] = w[:, None] * F.values[:n]
-    P = P.reshape(n_b, m, d).transpose(2, 0, 1).reshape(d * n_b, m)
-    u = F.dt * np.concatenate((np.arange(m), m * np.arange(n_b)))
+    lattice = FactoredLattice(len(w), F.dt)
+    Y = lattice.blocks(w[:, None] * F.values[:len(w)])
     t0 = F.t0
 
     def a(omega):
-        e = np.exp(-1j * omega * u)
-        return cmath.exp(-1j * omega * t0) * ((P @ e[:m]).reshape(d, n_b) @ e[m:])
+        return cmath.exp(-1j * omega * t0) * lattice.contract(
+            lattice.exp(1j * omega), Y)
     return a
 
 
@@ -400,8 +393,12 @@ def _refine_frequency(a, center: float, halfwidth: float) -> float:
     ``_bohr_sum`` evaluator."""
     if halfwidth <= 0:
         return center
-    nu = _bounded_brent(lambda w: -np.linalg.norm(a(w)),
-                        center - halfwidth, center + halfwidth, XATOL)
+
+    def objective(w):   # -np.linalg.norm(a(w)), its sums without its checks
+        v = a(w)
+        return -math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    nu = _bounded_brent(objective, center - halfwidth, center + halfwidth,
+                        XATOL)
     return XATOL * round(float(nu) / XATOL)
 
 

@@ -329,12 +329,12 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _cumulative(values: np.ndarray, dt: float) -> np.ndarray:
+def _cumulative(values: np.ndarray, dt: float, carry=0j) -> np.ndarray:
     """Cumulative trapezoid integral of the (n, d) rows ``values`` at
-    spacing dt, from the first row."""
+    spacing dt from the first row, where it is ``carry`` (a (1, d) row)."""
     steps = 0.5 * dt * (values[1:] + values[:-1])
-    return np.vstack([np.zeros((1, values.shape[1]), complex),
-                      np.cumsum(steps, axis=0)])
+    return np.cumsum(np.vstack([np.full((1, values.shape[1]), carry), steps]),
+                     axis=0)
 
 
 def indefinite_integral(F: SampledSignal) -> SampledSignal:
@@ -525,19 +525,50 @@ def plan_product(plan: ConvPlan) -> np.ndarray:
     return out[:, :, 0].T
 
 
-def lattice_exp_tables(z, n: int, dt: float) -> tuple:
-    """Factored exp(-z_l k dt) on the lattice 0 <= k < n.
+class FactoredLattice:
+    """exp(-z k dt) on the lattice 0 <= k < n, factored at k = b m + c,
+    m = ceil(sqrt(n)) unless given, 0 <= b < n_b = ceil(n / m): the outer
+    table exp(-z b m dt) times the inner exp(-z c dt).  Each entry is one
+    direct exponential, accurate to a few ulp, and no n_z x n table is
+    ever formed."""
 
-    With m = ceil(sqrt(n)) and k = b m + c, exp(-z k dt) = outer[l, b] *
-    inner[l, c], where outer[l, b] = exp(-z_l b m dt) (n_z x n_b,
-    n_b = ceil(n / m)) and inner[l, c] = exp(-z_l c dt) (n_z x m).  Each
-    entry is one direct exponential, so both tables are accurate to a
-    few ulp and the full n_z x n matrix is never formed."""
-    m = math.isqrt(n - 1) + 1              # ceil(sqrt(n)), n >= 1
-    n_b = -(-n // m)
-    outer = np.exp(-np.outer(z, dt * (m * np.arange(n_b))))
-    inner = np.exp(-np.outer(z, dt * np.arange(m)))
-    return outer, inner
+    def __init__(self, n: int, dt: float, m: int | None = None):
+        self.n = n
+        self.m = math.isqrt(n - 1) + 1 if m is None else m      # n >= 1
+        self.n_b = -(-n // self.m)
+        self._offsets = dt * np.concatenate((np.arange(self.m),
+                                             self.m * np.arange(self.n_b)))
+
+    def exp(self, z) -> np.ndarray:
+        """The inner table, then the outer, from one exponential: (m +
+        n_b,) at one z, (n_z, m + n_b) at a column of z (n_z, 1)."""
+        return np.exp(-z * self._offsets)
+
+    def blocks(self, rows: np.ndarray) -> np.ndarray:
+        """The (n, d) rows, zero-padded to n_b m and laid out as (m, n_b
+        d): entry [c, b d + j] is channel j of row b m + c."""
+        Y = np.zeros((self.n_b * self.m, rows.shape[1]), complex)
+        Y[:self.n] = rows
+        # d = 1 stays a strided view: the rounding of the products follows it
+        Y = Y.reshape(self.n_b, self.m, -1).transpose(1, 0, 2)
+        return Y.reshape(self.m, -1)
+
+    def contract(self, E: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """sum_k exp(-z k dt) y_k, (d,) at one z or (n_z, d) at a batch:
+        sum_b outer[b] (inner @ Y)[b], with ``Y`` from ``blocks`` and ``E``
+        from the ``exp`` of a lattice with this m and at least n_b blocks."""
+        m, n_b = self.m, self.n_b
+        if E.ndim == 1:
+            return E[m:m + n_b] @ (E[:m] @ Y).reshape(n_b, -1)
+        P = (E[:, :m] @ Y).reshape(len(E), n_b, -1)
+        return np.einsum("jb,jbd->jd", E[:, m:m + n_b], P)
+
+    def dual(self, weights, z) -> np.ndarray:
+        """sum_l weights_l exp(-z_l k dt) for 0 <= k < n: one product
+        (n_b x n_z) @ (n_z x m) of the tables, read row-major."""
+        E = self.exp(z[:, None])
+        return ((weights[:, None] * E[:, self.m:]).T
+                @ E[:, :self.m]).reshape(-1)[:self.n]
 
 
 def _next_fast_len(n: int) -> int:
@@ -571,7 +602,7 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
     lattice of spacing g dt.  Output k is sum_c x[kR + cD] b_c, where
     b_c = a_c exp(i omega s_c) are the modulated weights (a =
     ``weights_rev``; s_c = s_rev[0] - c D q with q = step/R, from the
-    factored tables of ``lattice_exp_tables``).  The outputs are cut
+    tables of a ``FactoredLattice``).  The outputs are cut
     into segments of K, each reading a record slice of length
     L = (K-1)R + (taps-1)D + 1; K is the whole count unless that slice
     would outgrow ``BLOCK_BYTES``.  Every slice is transformed once per
@@ -618,7 +649,8 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
     group = max(1, BLOCK_BYTES // (item * (N + taps)))
     for j in range(0, len(omegas), group):
         w = omegas[j:j + group]
-        outer, inner = lattice_exp_tables(1j * w, taps, plan.step * D / R)
+        lattice = FactoredLattice(taps, plan.step * D / R)
+        inner, outer = np.hsplit(lattice.exp(1j * w[:, None]), [lattice.m])
         outer *= np.exp(1j * w * plan.s_rev[0])[:, None]
         phase = (outer[:, :, None] * inner[:, None, :]).reshape(len(w), -1)
         kern = np.zeros((len(w), N), complex)

@@ -39,8 +39,7 @@ from .errors import (ConfigError, HorizonError, RedSpectraError,
 from .kernels import bandpass_kernel
 from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
                       extend_by_zero, modulated_product, plan_convolution)
-from .transforms import (HalfPlaneGrid, TransformScanner, half_plane_scan,
-                         lattice_exp_sum)
+from .transforms import HalfPlaneGrid, TransformScanner, half_plane_scan
 
 #: the Laplace engine's analytic-continuation test: nodes on the Cauchy
 #: circle, the circle's radius over its abscissa a, and the largest
@@ -558,8 +557,7 @@ def _cauchy_circle_errors(sc: TransformScanner, a: float):
     zeta = a + r * np.exp(1j * theta)      # shared Re-offsets across omega
     target = 0.5 * a
     weights = (r * np.exp(1j * theta)) / (zeta - target) / n
-    damping = (lattice_exp_sum(weights, zeta, len(sc.u), sc.F.dt)
-               - np.exp(-target * sc.u))
+    damping = sc.lattice.dual(weights, zeta) - np.exp(-target * sc.u)
     return np.linalg.norm(sc.product(damping), axis=1)
 
 

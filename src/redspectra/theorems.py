@@ -30,9 +30,9 @@ from .config import Config, DEFAULT
 from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
 from .errors import ConfigError, RedSpectraError
 from .kernels import bump_kernel, d_bump
-from .signals import (Domain, SampledSignal, convolve,
-                      extend_by_zero, modulate, mollify, span_steps, translate,
-                      trapezoid_weights)
+from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
+                      convolve, extend_by_zero, modulate, mollify, span_steps,
+                      translate, trapezoid_weights)
 from .spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus, SignalAnalysis,
                       laplace_spectrum, reduced_spectrum)
 from .transforms import (laplace_transform, mollify_identity_residual,
@@ -443,12 +443,11 @@ def solve_evolution(p: EvolutionProblem, dt: float | None = None,
     forcing modes join the state (Van Loan, IEEE TAC 1978).  z = (u,
     exp(i nu_1 t), ...) solves z' = B z with B = [[A, C], [0, diag(i nu)]]
     and C = (c_1, ...), so u(t) is the first d entries of exp(tB) z(0).
-    On the sample lattice t = k dt with k = b m + c and m = ceil(sqrt(n)),
-    as in ``signals.lattice_exp_tables``, exp(k dt B) = exp(m dt B)^b
-    exp(dt B)^c: two tables of about sqrt(n) powers and one batched
-    product.  The growth exponent is 0 when B is diagonalisable
-    (eigenvector condition below 1e8) with no eigenvalue right of the
-    axis, else 1.
+    On the split k = b m + c of the ``signals.FactoredLattice`` of the
+    samples t = k dt, exp(k dt B) = exp(m dt B)^b exp(dt B)^c: two tables
+    of about sqrt(n) powers and one batched product.  The growth exponent
+    is 0 when B is diagonalisable (eigenvector condition below 1e8) with
+    no eigenvalue right of the axis, else 1.
     """
     dt = cfg.evolution_dt if dt is None else dt
     t_end = cfg.t_end if t_end is None else t_end
@@ -456,10 +455,9 @@ def solve_evolution(p: EvolutionProblem, dt: float | None = None,
     d, r = p.dim, len(p.phi_modes)
     B = _augmented(p)
     z0 = np.concatenate([p.u0, np.ones(r, complex)])
-    m = math.isqrt(n - 1) + 1
-    n_b = -(-n // m)
-    outer = _powers(_expm(m * dt * B), n_b)
-    inner = _powers(_expm(dt * B), m)
+    lattice = FactoredLattice(n, dt)
+    outer = _powers(_expm(lattice.m * dt * B), lattice.n_b)
+    inner = _powers(_expm(dt * B), lattice.m)
     u = (outer[:, :d] @ (inner @ z0).T).transpose(0, 2, 1).reshape(-1, d)[:n]
     lam, V = np.linalg.eig(B)
     k = 0 if np.linalg.cond(V) < 1e8 and np.all(lam.real <= 1e-9) else 1
@@ -542,26 +540,18 @@ def evolution_residual(p: EvolutionProblem, u: SampledSignal) -> float:
     the same to the bit.
     """
     u0 = u.values[0][None, :]
-    carry_u = carry_phi = np.zeros((1, p.dim), complex)
+    carry_u = carry_phi = 0j
     worst = 0.0
     for i0 in range(0, u.n, _RESIDUAL_BLOCK):
         i1 = min(i0 + _RESIDUAL_BLOCK, u.n)
         v = u.values[i0:i1 + 1]
         phi = _phi_values(p, u.t0 + u.dt * np.arange(i0, i0 + len(v)))
-        Pu = _carried_cumulative(carry_u, v, u.dt)
-        Pphi = _carried_cumulative(carry_phi, phi, u.dt)
+        Pu = _cumulative(v, u.dt, carry_u)
+        Pphi = _cumulative(phi, u.dt, carry_phi)
         R = v[:i1 - i0] - u0 - Pu[:i1 - i0] @ p.A.T - Pphi[:i1 - i0]
         worst = max(worst, float(np.linalg.norm(R, axis=1).max()))
         carry_u, carry_phi = Pu[-1:], Pphi[-1:]
     return worst
-
-
-def _carried_cumulative(carry: np.ndarray, values: np.ndarray,
-                        dt: float) -> np.ndarray:
-    """``signals._cumulative`` of a block of rows whose first row already
-    holds the integral ``carry`` (a (1, d) row)."""
-    steps = 0.5 * dt * (values[1:] + values[:-1])
-    return np.cumsum(np.vstack([carry, steps]), axis=0)
 
 
 def random_evolution_problems(n: int, cfg: Config = DEFAULT) -> list:

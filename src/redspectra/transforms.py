@@ -22,8 +22,8 @@ import numpy as np
 from .config import Config, DEFAULT
 from .errors import DomainError, TailError
 from .kernels import exp_kernel, reflected
-from .signals import (Domain, SampledSignal, _cumulative, convolve,
-                      extend_by_zero, lattice_exp_tables, mollify, translate,
+from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
+                      convolve, extend_by_zero, mollify, translate,
                       trapezoid_weights)
 
 #: admit an abscissa while its tail bound is at most this times the sup
@@ -106,19 +106,12 @@ class HalfPlaneGrid:
     scale: float               # median |values|, the tolerance reference
 
 
-def lattice_exp_sum(weights, z, n: int, dt: float) -> np.ndarray:
-    """sum_l weights_l exp(-z_l k dt) for 0 <= k < n, as one product of
-    the factored tables: (n_b x n_z) @ (n_z x m), read row-major."""
-    outer, inner = lattice_exp_tables(z, n, dt)
-    return ((weights[:, None] * outer).T @ inner).reshape(-1)[:n]
-
-
 class TransformScanner:
     """Batch evaluator for one signal: exp(-i omega u) on the lattice
-    u = k dt, 0 <= k < max(n_right, n_left), kept as the factored tables
-    of ``lattice_exp_tables`` and shared by every abscissa and both
-    half-lines.  F(u) uses a prefix of the lattice; F(-u) uses the
-    conjugate, because exp(+i omega u) = conj(exp(-i omega u))."""
+    u = k dt, 0 <= k < max(n_right, n_left), kept as the tables of one
+    ``FactoredLattice`` and shared by every abscissa and both half-lines.
+    F(u) uses a prefix of the lattice; F(-u) uses the conjugate, because
+    exp(+i omega u) = conj(exp(-i omega u))."""
 
     def __init__(self, F: SampledSignal, omegas, cfg: Config = DEFAULT):
         self.F = F
@@ -129,33 +122,22 @@ class TransformScanner:
         self._neg_vals = (F.values[i0::-1]          # F(-u), u >= 0
                           if F.domain is Domain.FULL_LINE else None)
         self.u = F.dt * np.arange(max(F.n - i0, i0 + 1))
-        self._E_outer, inner = lattice_exp_tables(1j * self.omegas,
-                                                  len(self.u), F.dt)
-        # _E_neg names the same table: perfbench/tracing.py reads both
-        self._E_pos = self._E_neg = inner
+        self.lattice = FactoredLattice(len(self.u), F.dt)
+        self._E = self.lattice.exp(1j * self.omegas[:, None])
+        # the inner table, under the two names perfbench/tracing.py reads
+        self._E_pos = self._E_neg = self._E[:, :self.lattice.m]
 
     def product(self, damping: np.ndarray, left: bool = False) -> np.ndarray:
         """Trapezoid of exp(-i omega_j u) damping(u) F(u) over u >= 0 for
         every grid omega (n_omega, d); with ``left``, of exp(+i omega_j u)
-        damping(u) F(-u).  ``damping`` is sampled on ``u``.
-
-        The lattice sum is sum_b outer[j, b] sum_c inner[j, c] y[b m + c]:
-        one product with the inner table over the zero-padded samples
-        laid out as (m, n_b d), then a row-wise contraction with the
-        outer table."""
+        damping(u) F(-u).  ``damping`` is sampled on ``u``."""
         vals = self._neg_vals if left else self._pos_vals
-        n, d = vals.shape
+        n = len(vals)
         y = (damping[:n] * trapezoid_weights(n, self.F.dt))[:, None] * vals
         if left:                            # conj(E) @ y = conj(E @ conj(y))
             y = np.conj(y)
-        inner = self._E_pos
-        m = inner.shape[1]
-        n_b = -(-n // m)
-        Y = np.zeros((n_b * m, d), complex)
-        Y[:n] = y
-        Y = Y.reshape(n_b, m, d).transpose(1, 0, 2).reshape(m, n_b * d)
-        P = (inner @ Y).reshape(len(self.omegas), n_b, d)
-        out = np.einsum("jb,jbd->jd", self._E_outer[:, :n_b], P)
+        half = FactoredLattice(n, self.F.dt, self.lattice.m)
+        out = half.contract(self._E, half.blocks(y))
         return np.conj(out) if left else out
 
     def right_values(self, zeta: complex) -> np.ndarray:

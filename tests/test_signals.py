@@ -8,7 +8,8 @@ from redspectra.errors import (DomainError, GridError, GrowthError,
                                TruncationError)
 from redspectra.kernels import bandpass_kernel, box_kernel, bump_kernel, reflected
 from redspectra import signals
-from redspectra.signals import (Domain, SampledSignal, convolve, difference,
+from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
+                                convolve, difference,
                                 extend_by_zero, indefinite_integral, modulate,
                                 modulated_product, mollify, plan_convolution,
                                 plan_product, reflect, translate)
@@ -360,3 +361,40 @@ def test_growth_validation_rejects_power_laws(p, k):
 def test_half_line_must_start_at_zero():
     with pytest.raises(DomainError):
         SampledSignal(Domain.HALF_LINE, 1.0, DT, np.ones(100))
+
+
+def _rel_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+# n = 1, m^2 = 4900 and m^2 + 1 = 4901 (where m steps from 70 to 71);
+# ``short`` cuts the rows below a lattice whose m is given
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5000), short=st.integers(0, 5000),
+       d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, short=0, d=1, seed=0)
+@example(n=4900, short=70, d=2, seed=1)
+@example(n=4901, short=4900, d=3, seed=2)
+def test_factored_lattice_matches_dense(n, short, d, seed):
+    rng = np.random.default_rng(seed)
+    dt = 0.01
+    z = rng.uniform(0.0, 0.5, 5) + 1j * rng.uniform(-5.0, 5.0, 5)
+    rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    dense = np.exp(-np.outer(z, dt * np.arange(n)))
+    lattice = FactoredLattice(n, dt)
+    E = lattice.exp(z[:, None])
+    Y = lattice.blocks(rows)
+    got = lattice.contract(E, Y)
+    assert got.shape == (5, d)
+    assert _rel_gap(got, dense @ rows) < 1e-13
+    one = lattice.contract(lattice.exp(z[2]), Y)
+    assert one.shape == (d,)
+    assert _rel_gap(one, dense[2] @ rows) < 1e-13
+    k = n - short % n                      # 1 <= k <= n rows
+    part = FactoredLattice(k, dt, lattice.m)
+    got = part.contract(E, part.blocks(rows[:k]))
+    assert _rel_gap(got, dense[:, :k] @ rows[:k]) < 1e-13
+    w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    got = lattice.dual(w, z)
+    assert got.shape == (n,)
+    assert _rel_gap(got, w @ dense) < 1e-13

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +5,8 @@ from scipy.linalg import expm
 from redspectra import theorems
 from redspectra.classes import FunctionClass
 from redspectra.config import Config
-from redspectra.signals import Domain, SampledSignal, _cumulative
+from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
+                                _cumulative)
 from redspectra.theorems import (CORPUS_ROSTER, TOL_ODE_COEFF, CheckStatus,
                                  EvolutionProblem, check_ergodic_theorem,
                                  check_evolution_spectrum,
@@ -86,9 +85,9 @@ def test_solver_residual_bound():
 
 
 def _expm_matrices():
-    # the solver exponentiates dt B and m dt B, m = ceil(sqrt(n))
+    # the solver exponentiates dt B and m dt B on the split of its lattice
     n = round(CFG.t_end / CFG.evolution_dt) + 1
-    m = math.isqrt(n - 1) + 1
+    m = FactoredLattice(n, CFG.evolution_dt).m
     for p, _cls in evolution_roster(CFG):
         B = theorems._augmented(p)
         yield p.name, CFG.evolution_dt * B

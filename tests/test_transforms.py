@@ -5,12 +5,12 @@ import pytest
 
 from redspectra.config import Config
 from redspectra.errors import DomainError, TailError
-from redspectra.signals import Domain, SampledSignal
+from redspectra.signals import Domain, FactoredLattice, SampledSignal
 from redspectra.spectra import CIRCLE_N, CIRCLE_RADIUS
 from redspectra.transforms import (TransformScanner,
                                    carleman_as_convolution_residual,
                                    carleman_transform, half_plane_scan,
-                                   laplace_transform, lattice_exp_sum,
+                                   laplace_transform,
                                    mollify_identity_residual,
                                    shift_identity_residual, tail_bound)
 
@@ -171,7 +171,7 @@ def test_circle_damping_matches_dense():
         zeta = a + r * np.exp(1j * theta)
         weights = r * np.exp(1j * theta) / (zeta - 0.5 * a) / len(theta)
         ref = weights @ np.exp(-np.outer(zeta, u))
-        got = lattice_exp_sum(weights, zeta, n, dt)
+        got = FactoredLattice(n, dt).dual(weights, zeta)
         assert got.shape == (n,)
         assert np.max(np.abs(got - ref)) < 1e-15
 

@@ -5,16 +5,14 @@ and tauberian statements they satisfy."""
 
 from .config import Config, DEFAULT
 from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
-                      difference, extend_by_zero, indefinite_integral,
-                      modulate, mollify, reflect, translate)
+                      extend_by_zero, indefinite_integral, modulate, mollify,
+                      translate)
 from .kernels import (TestKernel, annihilator_kernel, approximate_identity,
-                      bandpass_kernel, box_kernel, bump_kernel, d_bump,
-                      exp_kernel, wiener_divide)
+                      bandpass_kernel, bump_kernel, d_bump, wiener_divide)
 from .classes import (ClassReport, FunctionClass, Tri, ap_decompose,
                       bohr_coefficient, detect, ergodic_mean, is_c0,
                       is_slowly_oscillating, tail_sup, uc_modulus)
-from .transforms import (HalfPlaneGrid, carleman_transform, half_plane_scan,
-                         laplace_transform)
+from .transforms import HalfPlaneGrid, half_plane_scan, laplace_transform
 from .spectra import (FrequencyGrid, RegStatus, RegularityCertificate,
                       SignalAnalysis, SpectrumEstimate, carleman_spectrum,
                       laplace_spectrum, reduced_spectrum,

@@ -1,6 +1,7 @@
 """Test kernels: the non-negative bump with band-limited transform, its
-dilates (an approximate identity), band-pass plateau kernels, box and
-exponential kernels, and division in the frequency domain.
+dilates (an approximate identity), band-pass plateau kernels, compactly
+supported bumps and the annihilators of exp(t), and division in the
+frequency domain.
 
 Fourier convention, shared by every module:
 
@@ -8,10 +9,9 @@ Fourier convention, shared by every module:
 
 Every kernel is a ``TestKernel``: time and transform functions, the
 retained support, the mass of |k| and a tail-mass function given at
-construction (closed form for the box and exponential kernels, a sample
-table otherwise).  ``TestKernel.scaled`` is the one scaling path and
-``reflected`` the one reflection.  Kernels are immutable; sample tables
-are cached per grid.  The central constructions:
+construction (a sample table, ``_table_tail``, or one rescaled).
+``TestKernel.scaled`` is the one scaling path.  Kernels are immutable;
+sample tables are cached per grid.  The central constructions:
 
 * ``bump_kernel`` builds psi = (phi^)^2 for the scaled bump
   phi(x) = a exp(1/(x^2-1)) on [-1, 1], with a chosen so psi^(0) = 1.
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DivisionError_, DomainError, GridError
+from .errors import DivisionError_, GridError
 from .signals import trapezoid_weights
 
 _SQRT2 = np.sqrt(2.0)
@@ -361,78 +361,6 @@ def annihilator_kernel(a: float) -> TestKernel:
 
 
 # ---------------------------------------------------------------------------
-# box and exponential kernels
-# ---------------------------------------------------------------------------
-
-def box_kernel(h: float) -> TestKernel:
-    """s_h = (1/h) * indicator of [-h, 0]; unit mass, transform
-    s_h^(w) = (exp(i w h) - 1)/(i w h).
-
-    The jump at -h must fall on a sample, so the box is sampled only on
-    lattices whose step divides h (GridError otherwise).
-    """
-    if h <= 0:
-        raise ValueError("h must be > 0")
-
-    def time_fn(t):
-        t = np.asarray(t, float)
-        step = t[1] - t[0] if t.size > 1 else h
-        if abs(h / step - round(h / step)) > 1e-9 * max(1.0, h / step):
-            raise GridError("box width h must be a lattice multiple")
-        inside = (t >= -h - 1e-9 * abs(step)) & (t <= 0.0)
-        return np.where(inside, 1.0 / h, 0.0).astype(complex)
-
-    def ft_fn(w):
-        wh = np.atleast_1d(w) * h
-        safe = np.where(wh == 0, 1.0, wh)
-        return np.where(wh == 0.0, 1.0 + 0j, (np.exp(1j * safe) - 1.0) / (1j * safe))
-
-    return TestKernel(f"box(h={h:g})", "L1", time_fn, ft_fn, -h, 0.0,
-                      (-np.inf, np.inf), 1.0,
-                      lambda x: max(0.0, (h - x) / h) if x > 0 else 1.0)
-
-
-def exp_kernel(lam: complex) -> TestKernel:
-    """f_lambda: exp(-lambda t) on t >= 0 if Re lambda > 0, and the
-    reflected-negated kernel -exp(-lambda t) on t <= 0 if Re lambda < 0.
-    In both cases f_lambda^(w) = 1/(lambda + i w).  Only Re lambda != 0
-    gives an integrable kernel."""
-    lam = complex(lam)
-    if lam.real == 0:
-        raise DomainError("exp kernel needs Re lambda != 0 (f_lambda is "
-                          "not integrable on the imaginary axis)")
-    a = abs(lam.real)
-    L = np.log(1e14) / a            # support cut where |f| drops to 1e-14
-
-    def time_fn(t):
-        t = np.asarray(t, float)
-        if lam.real > 0:
-            return np.where(t >= 0, np.exp(-lam * t), 0.0)
-        return np.where(t <= 0, -np.exp(-lam * t), 0.0)
-
-    return TestKernel(f"exp(lam={lam:g})", "L1", time_fn,
-                      lambda w: 1.0 / (lam + 1j * np.atleast_1d(w)),
-                      0.0 if lam.real > 0 else -L, L if lam.real > 0 else 0.0,
-                      (-np.inf, np.inf), 1.0 / a,
-                      lambda x: float(np.exp(-a * max(x, 0.0)) / a))
-
-
-def reflected(k: TestKernel) -> TestKernel:
-    """k-check(t) = k(-t), with transform k^(-w) and the same tail mass.
-
-    For the exponential kernels reflect(f_lam) = -f_{-lam}, which the
-    Carleman-transform-as-convolution identity uses.
-    """
-    tf, ff = k.time_fn, k.ft_fn
-    lo, hi = k.ft_support
-    return replace(
-        k, kernel_id=f"reflect({k.kernel_id})",
-        time_fn=lambda t: tf(-np.asarray(t, float)),
-        ft_fn=lambda w: ff(-np.asarray(w, float)),
-        s_lo=-k.s_hi, s_hi=-k.s_lo, ft_support=(-hi, -lo))
-
-
-# ---------------------------------------------------------------------------
 # Wiener division
 # ---------------------------------------------------------------------------
 
@@ -510,18 +438,3 @@ def wiener_divide(f, K: tuple) -> TestKernel:
         raise DivisionError_(f"division postcondition failed: "
                              f"sup_K |g^ f^ - 1| = {err:.3g} > 1e-8")
     return g
-
-
-def fourier_consistency_error(kernel, dt: float = 0.01,
-                              n_check: int = 61) -> float:
-    """Independent check that quadrature of the time samples reproduces the
-    stored transform: max |FT_quad(samples) - k^| over a probe grid."""
-    s0, vals = kernel.time_samples(dt)
-    s = s0 + dt * np.arange(len(vals))
-    w = trapezoid_weights(len(vals), dt)
-    lo, hi = kernel.ft_support
-    if not np.isfinite(lo):
-        lo, hi = -4.0, 4.0
-    probes = np.linspace(lo - 0.5, hi + 0.5, n_check)
-    quad = np.exp(-1j * np.outer(probes, s)) @ (vals * w)
-    return float(np.abs(quad - np.asarray(kernel.ft(probes), complex)).max())

@@ -1,7 +1,6 @@
 """Sampled signals on the half line or full line, and their elementary
-operations: zero extension, translation, modulation, reflection, finite
-differences, convolution against test kernels, sliding-average
-mollification and the indefinite integral.
+operations: zero extension, translation, modulation, convolution against
+test kernels, sliding-average mollification and the indefinite integral.
 
 A signal is a finite, uniformly sampled record of a conceptually infinite
 object.  Every operation that would need values outside the record either
@@ -189,19 +188,6 @@ class SampledSignal:
             t - self.t0, f"time {t!r} is off the lattice of a record from "
                          f"t0={self.t0!r}: its offset")
 
-    def restrict(self, t_lo: float, t_hi: float) -> "SampledSignal":
-        i = max(0, int(np.ceil((t_lo - self.t0) / self.dt - _LATTICE_RTOL)))
-        j = min(self.n - 1, int(np.floor((t_hi - self.t0) / self.dt + _LATTICE_RTOL)))
-        if j < i:
-            raise HorizonError("empty restriction")
-        new_t0 = self.t0 + i * self.dt
-        dom = self.domain
-        if dom is Domain.HALF_LINE and abs(new_t0) > _LATTICE_RTOL * self.dt:
-            dom = Domain.FULL_LINE
-        return SampledSignal(dom, new_t0 if dom is Domain.FULL_LINE else 0.0,
-                             self.dt, self.values[i:j + 1], self.growth_exponent,
-                             trusted=True)
-
     def envelope_constant(self) -> float:
         """C with ||F(t)|| <= C (1+t^2)^k over the record."""
         with np.errstate(over="ignore"):   # an inf envelope gives ratio 0
@@ -297,29 +283,6 @@ def modulate(F: SampledSignal, omega: float) -> SampledSignal:
     vals = F.values * np.exp(1j * omega * F.times)[:, None]
     return SampledSignal(F.domain, F.t0, F.dt, vals, F.growth_exponent,
                          trusted=True)
-
-
-def reflect(F: SampledSignal) -> SampledSignal:
-    """F-check(t) = F(-t); full-line records only."""
-    if F.domain is not Domain.FULL_LINE:
-        raise DomainError("reflection needs a full-line record")
-    return SampledSignal(Domain.FULL_LINE, -F.t_end, F.dt, F.values[::-1],
-                         F.growth_exponent, trusted=True)
-
-
-def difference(F: SampledSignal, s: float) -> SampledSignal:
-    """Delta_s F(t) = F(t+s) - F(t) on the common grid."""
-    k = F.lattice_steps(s, "lag")
-    if k < 0:
-        raise DomainError("difference lag must be >= 0")
-    if k >= F.n:
-        raise HorizonError("lag exceeds the record")
-    vals = F.values[k:] - F.values[:F.n - k]
-    if F.domain is Domain.HALF_LINE:
-        return SampledSignal(Domain.HALF_LINE, 0.0, F.dt, vals,
-                             F.growth_exponent, trusted=True)
-    return SampledSignal(Domain.FULL_LINE, F.t0, F.dt, vals,
-                         F.growth_exponent, trusted=True)
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

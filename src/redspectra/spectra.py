@@ -439,34 +439,6 @@ def reduced_spectrum(F: SampledSignal, cls: FunctionClass,
                             {"class": cls.value, "family": "S"})
 
 
-def extension_comparison(H: SampledSignal, cls: FunctionClass,
-                         grid: FrequencyGrid | None = None,
-                         cfg: Config = DEFAULT) -> dict:
-    """Compare the spectrum of a full-line H (bounded left tail) with the
-    spectrum of its restriction to the half line.
-
-    The engine itself always tests the zero extension of the restriction;
-    this helper quantifies how much the alternative convention (convolving
-    H directly) would differ.  For H with a bounded left tail the two
-    classifications agree up to UNDECIDED points.
-    """
-    grid = FrequencyGrid.from_config(cfg) if grid is None else grid
-    i0 = H.index_of(0.0)            # GridError if 0 is off the lattice
-    half = SampledSignal(Domain.HALF_LINE, 0.0, H.dt, H.values[i0:],
-                         H.growth_exponent, trusted=True)
-    direct = reduced_spectrum(H, cls, grid, cfg)
-    restricted = reduced_spectrum(half, cls, grid, cfg)
-    disagree = []
-    for w, cd, cr in zip(grid.values(), direct.certificates,
-                         restricted.certificates):
-        a, b = cd.status, cr.status
-        if a is not b and RegStatus.UNDECIDED not in (a, b):
-            disagree.append({"omega": float(w), "direct": a.value,
-                             "restricted": b.value})
-    return {"direct": direct, "restricted": restricted,
-            "definite_disagreements": disagree}
-
-
 # ---------------------------------------------------------------------------
 # transform spectra
 # ---------------------------------------------------------------------------
@@ -598,6 +570,19 @@ def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
     return _transform_estimate("laplace", F, grid, cfg, hp, rule)
 
 
+def wl_window_steps(eps_seq, grid: FrequencyGrid) -> list:
+    """The whole grid steps round(eps / step) of each weak-Laplace window
+    half-width eps; ConfigError when one rounds to none, since its window
+    would hold no grid neighbour."""
+    steps = [int(round(eps / grid.step)) for eps in eps_seq]
+    narrow = [eps for eps, k in zip(eps_seq, steps) if k < 1]
+    if narrow:
+        raise ConfigError(
+            f"wl_eps_seq entries {narrow} round to no whole grid step of "
+            f"{grid.step:g}: their windows hold no grid neighbour")
+    return steps
+
+
 def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
                           cfg: Config = DEFAULT,
                           hp: HalfPlaneGrid | None = None) -> SpectrumEstimate:
@@ -612,11 +597,7 @@ def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
     if F.domain is not Domain.HALF_LINE:
         raise RedSpectraError("weak Laplace spectrum needs a half-line signal")
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
-    narrow = [eps for eps in cfg.wl_eps_seq if round(eps / grid.step) < 1]
-    if narrow:
-        raise ConfigError(
-            f"wl_eps_seq entries {narrow} round to no whole grid step of "
-            f"{grid.step:g}: their windows hold no grid neighbour")
+    steps = wl_window_steps(cfg.wl_eps_seq, grid)
 
     def rule(hp, grid):
         eps_seq, dw, n = cfg.wl_eps_seq, grid.step, grid.n
@@ -626,8 +607,7 @@ def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
         evidence = []
         for j in range(n):
             ev = {}
-            for eps in eps_seq:
-                k = int(round(eps / dw))
+            for eps, k in zip(eps_seq, steps):
                 lo, hi = max(0, j - k), min(n - 1, j + k)
                 if hi - lo < 2:
                     singular[j] = regular[j] = False

@@ -28,15 +28,16 @@ from .classes import (TOL_ERG, FunctionClass, Tri, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
 from .config import Config, DEFAULT
 from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
-from .errors import ConfigError, RedSpectraError
+from .errors import ConfigError, GridError, RedSpectraError
 from .kernels import bump_kernel, d_bump
 from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
                       convolve, extend_by_zero, modulate, mollify, span_steps,
                       translate, trapezoid_weights)
 from .spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus, SignalAnalysis,
-                      laplace_spectrum, reduced_spectrum)
-from .transforms import (laplace_transform, mollify_identity_residual,
-                         shift_identity_residual, trapezoid_transform)
+                      laplace_spectrum, reduced_spectrum, wl_window_steps)
+from .transforms import (MIN_ABSCISSAE, laplace_transform,
+                         mollify_identity_residual, shift_identity_residual,
+                         trapezoid_transform)
 
 TRUNC_BUDGET_STRICT = 1e-8   # kernel-mass budget of the regular-ft smoothing
 TOL_TRANSFORM_COEFF = 1e-4   # transform residuals / signal or transform scale
@@ -714,10 +715,30 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     if only is not None and only not in CHECK_IDS:
         raise ConfigError(f"unknown check id {only!r}; choose from: "
                           f"{', '.join(CHECK_IDS)}")
-    FrequencyGrid.from_config(cfg)      # an unbuildable grid is bad input
-    for what, span in _lattice_spans(cfg):  # so is a span off the lattice
+    # bad input, refused before any engine runs: an unbuildable grid,
+    # weak-Laplace windows holding no grid step, too few abscissae for a
+    # half-plane scan and a span off the lattice of some record
+    grid = FrequencyGrid.from_config(cfg)
+    wl_window_steps(cfg.wl_eps_seq, grid)
+    if len(cfg.a_seq) < MIN_ABSCISSAE:
+        raise ConfigError(f"a_seq {list(cfg.a_seq)} holds fewer than "
+                          f"{MIN_ABSCISSAE} abscissae, too few for any "
+                          f"half-plane scan")
+    spans = _lattice_spans(cfg)
+    for what, span in spans:
         span_steps(span, cfg.dt, what)
     corpus = build_corpus(cfg) if corpus is None else corpus
+    record_of_dt = {}       # each distinct record dt: the first record with it
+    for name, entry in corpus.items():
+        for tag, rec in (("", entry.half), ("_full", entry.full)):
+            if rec is not None:
+                record_of_dt.setdefault(rec.dt, name + tag)
+    for dt, record in record_of_dt.items():
+        try:
+            for what, span in spans:
+                span_steps(span, dt, what)
+        except GridError as exc:
+            raise GridError(f"record {record}: {exc}") from None
     jobs = []       # (check id, subject, check function, arguments, shared)
     for check_id, fn_name, shared, subjects in CORPUS_ROSTER:
         for subject in subjects:

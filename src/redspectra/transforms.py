@@ -1,6 +1,7 @@
-"""Laplace and Carleman transforms of sampled records, and half-plane
-scans of their values on grids a_k + i omega approaching the imaginary
-axis.
+"""The Laplace transform of sampled records, half-plane scans of the
+Laplace and Carleman transforms on grids a_k + i omega approaching the
+imaginary axis, and the finite-record transform identities the checks
+read.
 
 All integrals are composite trapezoids over the record.  Truncating the
 integral at the record horizon T is the one irreducible approximation;
@@ -21,13 +22,13 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .errors import DomainError, TailError
-from .kernels import exp_kernel, reflected
 from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
-                      convolve, extend_by_zero, mollify, translate,
-                      trapezoid_weights)
+                      mollify, translate, trapezoid_weights)
 
 #: admit an abscissa while its tail bound is at most this times the sup
 TAIL_CAP = 0.5
+#: a boundary scan needs at least this many admissible abscissae
+MIN_ABSCISSAE = 3
 
 
 def tail_bound(F: SampledSignal, a: float, c: float | None = None) -> float:
@@ -68,26 +69,6 @@ def laplace_transform(F: SampledSignal, lam: complex) -> np.ndarray:
         raise DomainError("Laplace transform needs Re lambda > 0")
     _check_tail(F, lam.real)
     return trapezoid_transform(lam, F.times, F.values, F.dt)
-
-
-def carleman_transform(F: SampledSignal, lam: complex) -> np.ndarray:
-    """Two-half-plane transform of a full-line record:
-
-        C F(lambda) = integral_0^inf exp(-lambda t) F(t) dt   (Re > 0)
-                    = -integral_0^inf exp(lambda t) F(-t) dt  (Re < 0)
-    """
-    if F.domain is not Domain.FULL_LINE:
-        raise DomainError("Carleman transform needs a full-line record")
-    lam = complex(lam)
-    if lam.real == 0:
-        raise DomainError("Carleman transform undefined on the imaginary axis")
-    _check_tail(F, lam.real)
-    i0 = F.index_of(0.0)
-    if lam.real > 0:
-        vals = F.values[i0:]
-        return trapezoid_transform(lam, F.dt * np.arange(len(vals)), vals, F.dt)
-    vals = F.values[i0::-1]                 # F(-u), u >= 0
-    return -trapezoid_transform(-lam, F.dt * np.arange(len(vals)), vals, F.dt)
 
 
 @dataclass(frozen=True)
@@ -168,9 +149,10 @@ def half_plane_scan(F: SampledSignal, omegas,
     """Evaluate the transform on the admissible a_k x omega grid."""
     sc = TransformScanner(F, omegas, cfg)
     a_adm, bounds = sc.admissible_a()
-    if len(a_adm) < 3:
-        raise TailError("fewer than 3 admissible abscissae: record too short "
-                        "or growth too strong for a boundary scan")
+    if len(a_adm) < MIN_ABSCISSAE:
+        raise TailError(f"fewer than {MIN_ABSCISSAE} admissible abscissae: "
+                        "record too short or growth too strong for a "
+                        "boundary scan")
     right = np.stack([sc.right_values(a) for a in a_adm])
     mags = np.linalg.norm(right, axis=2)
     left = None
@@ -229,30 +211,3 @@ def mollify_identity_residual(F: SampledSignal, h: float, lam: complex) -> float
     g = (np.exp(lam * h) - 1.0) / (lam * h)
     rhs = g * LF - corr_head - corr_tail
     return float(np.linalg.norm(LM - rhs))
-
-
-def carleman_as_convolution_residual(phi: SampledSignal, lam: complex,
-                                     t_probe) -> float:
-    """|| (phi * reflect(f_lam))(t) - C phi_t(lam) || at the probe times.
-
-    reflect(f_lam) = -f_{-lam} for either sign of Re lam, and the
-    convolution against it reproduces the transform of the translate:
-    int_0^inf exp(-lam s) phi(t+s) ds on the right half-plane and
-    -int_{-inf}^0 exp(-lam s) phi(t+s) ds on the left.
-    """
-    lam = complex(lam)
-    kern = reflected(exp_kernel(lam))
-    conv = convolve(extend_by_zero(phi), kern, budget=1e-9)
-    worst = 0.0
-    for tp in t_probe:
-        idx = conv.index_of(tp)
-        if lam.real > 0:
-            tail = phi.restrict(tp, phi.t_end)
-            ref = trapezoid_transform(lam, tail.times - tp, tail.values,
-                                      tail.dt)
-        else:
-            head = phi.restrict(phi.t0, tp)   # u = t - tp in [t0 - tp, 0]
-            ref = -trapezoid_transform(lam, head.times - tp, head.values,
-                                       head.dt)
-        worst = max(worst, float(np.linalg.norm(conv.values[idx] - ref)))
-    return worst

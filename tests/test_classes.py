@@ -16,9 +16,9 @@ from redspectra.corpus import build_signal
 from redspectra.errors import HorizonError
 from redspectra.signals import Domain, SampledSignal, convolve, extend_by_zero, \
     modulate, mollify
-from redspectra.kernels import box_kernel
 
 from conftest import make_half
+from oracles import box_kernel
 
 CFG = Config()
 

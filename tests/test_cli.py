@@ -449,6 +449,40 @@ def test_verify_refuses_a_dt_off_the_lattice_of_its_spans(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg_text, named", [
+    ('{"wl_eps_seq": [0.04, 0.5]}', "wl_eps_seq entries [0.04] round to no "
+                                    "whole grid step of 0.1"),
+    ('{"a_seq": [0.4, 0.2]}', "a_seq [0.4, 0.2] holds fewer than 3")],
+    ids=["wl_eps_seq", "a_seq"])
+def test_verify_refuses_a_config_no_scan_can_use(tmp_path, capsys, cfg_text,
+                                                named):
+    # windows narrower than a grid step left all 14 chain subjects VACUOUS
+    # with exit 0; two abscissae left the chain VACUOUS and failed every
+    # evolution subject with a TailError
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(cfg_text)
+    assert main(["verify", "--builtin", "--only", "inclusion-chain",
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_refuses_a_corpus_record_off_the_lattice_of_its_spans(
+        tmp_path, capsys):
+    # the spans were checked against the configured dt only, so a record
+    # at dt 0.3 failed four checks with GridError and exit 1
+    corpus, out = tmp_path / "corpus", tmp_path / "r.json"
+    assert main(["synth", "exp_iw1", "--dt", "0.3",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: record exp_iw1: shift 1.0 is not a multiple of " \
+                  "dt=0.3\n"
+    assert not out.exists()
+
+
 def test_synth_refuses_a_mollifier_width_off_the_lattice(tmp_path, capsys):
     # round(1 / 0.3) = 3 steps wrote M_0.9 samples labelled M_1
     assert main(["synth", "chirp_mollified", "--dt", "0.3",

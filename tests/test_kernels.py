@@ -12,9 +12,11 @@ from scipy.special import erf
 import redspectra
 from redspectra.errors import DivisionError_, DomainError, GridError
 from redspectra.kernels import (_erf, annihilator_kernel, approximate_identity,
-                                bandpass_kernel, box_kernel, bump_kernel,
-                                d_bump, exp_kernel, fourier_consistency_error,
-                                reflected, wiener_divide)
+                                bandpass_kernel, bump_kernel, d_bump,
+                                wiener_divide)
+
+from oracles import (box_kernel, exp_kernel, fourier_consistency_error,
+                     reflected)
 
 
 # ---------------------------------------------------------------------------

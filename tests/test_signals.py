@@ -6,15 +6,15 @@ from scipy.integrate import quad
 
 from redspectra.errors import (DomainError, GridError, GrowthError,
                                TruncationError)
-from redspectra.kernels import bandpass_kernel, box_kernel, bump_kernel, reflected
+from redspectra.kernels import bandpass_kernel, bump_kernel
 from redspectra import signals
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
-                                convolve, difference,
-                                extend_by_zero, indefinite_integral, modulate,
-                                modulated_product, mollify, plan_convolution,
-                                plan_product, reflect, translate)
+                                convolve, extend_by_zero, indefinite_integral,
+                                modulate, modulated_product, mollify,
+                                plan_convolution, plan_product, translate)
 
 from conftest import make_full, make_half
+from oracles import box_kernel, difference, reflect, reflected, restrict
 
 DT = 0.01
 
@@ -153,7 +153,7 @@ def test_commutation_of_convolutions():
     B = convolve(convolve(E, psi, budget=1e-6), phi, budget=1e-6)
     lo = max(A.t0, B.t0) + 1.0
     hi = min(A.t_end, B.t_end) - 1.0
-    ra, rb = A.restrict(lo, hi), B.restrict(lo, hi)
+    ra, rb = restrict(A, lo, hi), restrict(B, lo, hi)
     n = min(ra.n, rb.n)
     tol = 30.0 * DT ** 2 * max(phi.mass, 1.0) + 4e-6
     assert np.abs(ra.values[:n] - rb.values[:n]).max() < tol

@@ -6,15 +6,15 @@ from redspectra.classes import FunctionClass
 from redspectra.config import Config
 from redspectra.errors import ConfigError, GridError, RedSpectraError
 from redspectra.io_utils import canonical_json
-from redspectra.kernels import annihilator_kernel, box_kernel
+from redspectra.kernels import annihilator_kernel
 from redspectra.signals import Domain, SampledSignal, extend_by_zero, modulate
 from redspectra.spectra import (FrequencyGrid, RegStatus, ReducedScanner,
-                                carleman_spectrum, extension_comparison,
-                                laplace_spectrum, reduced_spectrum,
-                                weak_laplace_spectrum)
+                                carleman_spectrum, laplace_spectrum,
+                                reduced_spectrum, weak_laplace_spectrum)
 from redspectra.transforms import TransformScanner, half_plane_scan
 
 from conftest import make_full, make_half
+from oracles import box_kernel, extension_comparison
 
 CFG = Config()
 GRID = FrequencyGrid.from_config(CFG)

@@ -7,14 +7,13 @@ from redspectra.config import Config
 from redspectra.errors import DomainError, TailError
 from redspectra.signals import Domain, FactoredLattice, SampledSignal
 from redspectra.spectra import CIRCLE_N, CIRCLE_RADIUS
-from redspectra.transforms import (TransformScanner,
-                                   carleman_as_convolution_residual,
-                                   carleman_transform, half_plane_scan,
+from redspectra.transforms import (TransformScanner, half_plane_scan,
                                    laplace_transform,
                                    mollify_identity_residual,
                                    shift_identity_residual, tail_bound)
 
 from conftest import make_full, make_half
+from oracles import carleman_as_convolution_residual, carleman_transform
 
 CFG = Config()
 

@@ -711,7 +711,9 @@ def _lattice_spans(cfg: Config) -> list:
 
 def run_all(cfg: Config = DEFAULT, only: str | None = None,
             corpus: dict | None = None) -> list:
-    """Run every check; any engine exception becomes a FAIL with context."""
+    """Run every check; any engine exception becomes a FAIL with context.
+    Each shared analysis is built on first use and freed after its
+    subject's last job."""
     if only is not None and only not in CHECK_IDS:
         raise ConfigError(f"unknown check id {only!r}; choose from: "
                           f"{', '.join(CHECK_IDS)}")
@@ -741,18 +743,23 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
             raise GridError(f"record {record}: {exc}") from None
     jobs = []       # (check id, subject, check function, arguments, shared)
     for check_id, fn_name, shared, subjects in CORPUS_ROSTER:
+        if only not in (None, check_id):
+            continue
         for subject in subjects:
             name, *param = (subject,) if isinstance(subject, str) else subject
             jobs.append((check_id, name, fn_name,
                          (corpus[name], *param, cfg), shared))
-    jobs += [("evolution", p.name, "check_evolution_spectrum", (p, cfg, cls),
-              False) for p, cls in evolution_roster(cfg)]
+    if only in (None, "evolution"):
+        jobs += [("evolution", p.name, "check_evolution_spectrum",
+                  (p, cfg, cls), False) for p, cls in evolution_roster(cfg)]
+    # each shared subject's last job: its analysis is freed after it, and
+    # after an earlier job loses the work objects but keeps its estimates
+    last = {subject: i for i, (_, subject, _, _, shared) in enumerate(jobs)
+            if shared}
 
-    analyses = {}   # built on first use, one per corpus signal
+    analyses = {}   # one per corpus signal that a later job reads
     results = []
-    for check_id, subject, fn_name, args, shared in jobs:
-        if only is not None and check_id != only:
-            continue
+    for i, (check_id, subject, fn_name, args, shared) in enumerate(jobs):
         try:
             if shared and subject not in analyses:
                 analyses[subject] = analysis_of(corpus[subject], cfg)
@@ -761,4 +768,8 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
         except Exception as exc:            # engine panic -> FAIL with context
             results.append(CheckResult(check_id, subject, CheckStatus.FAIL,
                                        {"exception": repr(exc)}))
+        if shared and last[subject] == i:
+            analyses.pop(subject, None)
+        elif shared and subject in analyses:
+            analyses[subject].release_work()
     return results

@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from redspectra import theorems
+from redspectra import spectra, theorems
 from redspectra.classes import FunctionClass
 from redspectra.config import Config
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
@@ -204,3 +207,74 @@ def test_run_all_names_the_failing_subject(monkeypatch):
         assert r.status is CheckStatus.FAIL
         assert "RuntimeError" in r.details["exception"]
         assert f"engine fault on {r.subject}" in r.details["exception"]
+
+
+def _probe_analyses(monkeypatch, check_name, check):
+    """Record a weak reference to each analysis ``run_all`` builds, and
+    replace ``check_name`` by ``check`` preceded by a probe that lists,
+    per job, the other subjects whose analysis is still alive."""
+    refs = {}
+    build = theorems.analysis_of
+
+    def recording(entry, cfg):
+        an = build(entry, cfg)
+        refs[entry.name] = weakref.ref(an)
+        return an
+
+    alive = []
+
+    def probed(entry, cfg, analysis=None):
+        gc.collect()
+        alive.append([s for s, r in refs.items()
+                      if s != entry.name and r() is not None])
+        return check(entry, cfg, analysis)
+
+    monkeypatch.setattr(theorems, "analysis_of", recording)
+    monkeypatch.setattr(theorems, check_name, probed)
+    return refs, alive
+
+
+def test_run_all_frees_each_analysis_after_its_last_job(monkeypatch):
+    refs, alive = _probe_analyses(monkeypatch, "check_ergodic_theorem",
+                                  check_ergodic_theorem)
+    results = run_all(Config(), only="ergodic-theorem")
+    [subjects] = [row[3] for row in CORPUS_ROSTER
+                  if row[0] == "ergodic-theorem"]
+    assert [r.subject for r in results] == list(subjects)
+    assert list(refs) == list(subjects)
+    assert alive == [[] for _ in subjects]
+    gc.collect()
+    assert all(r() is None for r in refs.values())
+
+
+def test_run_all_frees_the_analysis_of_a_failing_check(monkeypatch):
+    def broken(entry, cfg, analysis=None):
+        raise RuntimeError(f"engine fault on {entry.name}")
+
+    refs, alive = _probe_analyses(monkeypatch, "check_tauberian", broken)
+    results = run_all(Config(), only="tauberian")
+    assert [r.status for r in results] == [CheckStatus.FAIL] * len(results)
+    assert len(refs) == len(results)
+    assert alive == [[] for _ in results]
+
+
+def test_cached_reads_build_no_scanner(monkeypatch, corpus):
+    # every tauberian subject goes through two jobs: the first one drops
+    # the analysis' scanner, the second reads the cached C0 estimate
+    [row] = [row for row in CORPUS_ROSTER if row[0] == "tauberian"]
+    monkeypatch.setattr(theorems, "CORPUS_ROSTER", CORPUS_ROSTER + (row,))
+    built = []
+    init = spectra.ReducedScanner.__init__
+
+    def counting(self, F, *args, **kw):
+        built.append(next(name for name in row[3] if corpus[name].half is F))
+        init(self, F, *args, **kw)
+
+    monkeypatch.setattr(spectra.ReducedScanner, "__init__", counting)
+    results = run_all(Config(), only="tauberian", corpus=corpus)
+    assert [r.subject for r in results] == list(row[3]) * 2
+    # a subject reaches its analysis when it has a reduced C0 estimate
+    reached = [r.subject for r in results[:len(row[3])]
+               if "singular_clusters" in r.details]
+    assert reached and built == reached
+    assert results[len(row[3]):] == results[:len(row[3])]

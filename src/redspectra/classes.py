@@ -170,22 +170,22 @@ def is_zero(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = N
 def is_bounded(F: SampledSignal, cfg: Config = DEFAULT,
                scale_ref: float | None = None, trunc_bound: float = 0.0) -> ClassReport:
     """Trend test: segment sups along the record must not keep growing."""
-    t, norms = F.times, F.norms
-    scale = F.sup_norm() if scale_ref is None else scale_ref
-    qs = np.quantile(np.abs(t), [0.5, 0.65, 0.8, 0.95])
-    s_in = float(norms[np.abs(t) < qs[0]].max())
+    norms, at = F.norms, np.abs(F.times)
+    scale = float(norms.max()) if scale_ref is None else scale_ref
+    qs = np.quantile(at, [0.5, 0.65, 0.8, 0.95])
+    s_in = float(norms[at < qs[0]].max())
     segs = []
     for lo, hi in zip(qs[:-1], qs[1:]):
-        sel = (np.abs(t) >= lo) & (np.abs(t) < hi)
+        sel = (at >= lo) & (at < hi)
         segs.append(float(norms[sel].max()) if sel.any() else 0.0)
     ev = {"inner_sup": s_in, "segment_sups": segs}
     tols = {"scale_ref": scale}
     if segs[-1] <= 1.3 * s_in + cfg.tol_zero_abs:
         return ClassReport(FunctionClass.BOUNDED, Tri.YES, ev, tols)
     if segs[-1] >= 1.4 * max(segs[0], cfg.tol_zero_abs) and segs[-1] >= 1.4 * s_in:
-        outer = np.abs(t) >= qs[-1]
+        outer = at >= qs[-1]
         idx = np.where(outer)[0][np.argmax(norms[outer])]
-        ev["witness"] = {"t": float(t[idx]), "norm": float(norms[idx])}
+        ev["witness"] = {"t": float(F.times[idx]), "norm": float(norms[idx])}
         return ClassReport(FunctionClass.BOUNDED, Tri.NO, ev, tols)
     return ClassReport(FunctionClass.BOUNDED, Tri.UNDECIDED, ev, tols)
 

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import Config, DEFAULT
 from .kernels import annihilator_kernel, d_bump
-from .signals import Domain, SampledSignal, span_steps
+from .signals import Domain, SampledSignal, row_slices, span_steps
 
 SQRT2 = np.sqrt(2.0)
 
@@ -60,14 +60,20 @@ def _chirp_panels(x):
     phase turn 2 |s| ds of a piece within ``_PANEL_PHASE`` rad (one piece
     per step on the default lattice), and each piece takes the 12-point
     Gauss-Legendre rule, exact to degree 23: its error is then below the
-    rounding of the phase s^2 itself.
+    rounding of the phase s^2 itself.  The steps are taken in row blocks,
+    so the node table never spans the whole lattice.
     """
     xi, w = np.polynomial.legendre.leggauss(12)
     half = 0.5 * (x[1:] - x[:-1])
+    mid = 0.5 * (x[1:] + x[:-1])
     q = max(1, math.ceil(4.0 * np.abs(x).max() * half.max() / _PANEL_PHASE))
     nodes = ((2 * np.arange(q)[:, None] + 1 + xi) / q - 1).ravel()
-    s = (0.5 * (x[1:] + x[:-1]))[:, None] + half[:, None] * nodes
-    return half * (np.exp(1j * s * s) @ np.tile(w / q, q))
+    weights = np.tile(w / q, q)
+    out = np.empty(len(half), complex)
+    for r in row_slices(len(half), 16 * len(nodes)):
+        s = mid[r, None] + half[r, None] * nodes
+        out[r] = half[r] * (np.exp(1j * s * s) @ weights)
+    return out
 
 
 def exp_tag(statement, source, **params):

@@ -43,6 +43,21 @@ _GROWTH_TAIL_FRAC = 0.15
 # noise draw) is no evidence against the declared exponent
 _GROWTH_ORDER_MARGIN = 0.25
 
+#: byte bound on each transient work buffer: a block of rows, a group of
+#: frequencies.  Every row and every frequency is computed alone, so no
+#: value depends on it (``BLOCK_BYTES`` is the bound that fixes sums)
+WORK_BYTES = 2 * 2 ** 20
+
+
+def row_slices(n: int, row_bytes: int) -> list:
+    """Slices that cover rows 0..n-1 in order, each holding at most
+    ``WORK_BYTES`` of rows of ``row_bytes`` bytes (two rows at least).  A
+    lone last row joins the block before it: numpy multiplies a one-row
+    matrix by another kernel, which rounds differently."""
+    rows = max(2, WORK_BYTES // row_bytes)
+    return [slice(i, i + rows if i + rows < n - 1 else n)
+            for i in range(0, max(n - 1, 1), rows)]
+
 
 class Domain(enum.Enum):
     HALF_LINE = "half_line"   # [0, inf)
@@ -175,7 +190,10 @@ class SampledSignal:
 
     @property
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
+        # by row blocks: the norm of a block makes two complex copies of it
+        parts = [np.linalg.norm(self.values[r], axis=1)
+                 for r in row_slices(self.n, self.values[0].nbytes)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def sup_norm(self) -> float:
         return float(self.norms.max())
@@ -457,8 +475,10 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
                     (samples * w)[keep][::-1], float(min(omit * env, allowance)))
 
 
-#: byte bound on the buffers of ``plan_product`` (a contiguous copy of a
-#: row block) and of ``modulated_product`` (per group of frequencies)
+#: byte bound that fixes the order of the ladder's sums: ``plan_product``
+#: sums its taps in blocks of ``BLOCK_BYTES // 256`` and
+#: ``modulated_product`` cuts its outputs into segments whose record slice
+#: fits it.  The bytes of the verify report depend on both.
 BLOCK_BYTES = 16 * 2 ** 20
 
 
@@ -467,12 +487,12 @@ def plan_product(plan: ConvPlan) -> np.ndarray:
     channels) array: the trapezoid sums of ``convolve``.
 
     The rows of a strided view overlap, so the product runs over
-    contiguous copies of row blocks bounded by ``BLOCK_BYTES``.  The
+    contiguous copies of row blocks bounded by ``WORK_BYTES``.  The
     reversed weights are a strided column, which numpy sums in tap
-    order, exactly as direct trapezoid summation.  Taps are summed in
-    blocks of ``BLOCK_BYTES // 256`` (65 536 by default) and the block
-    sums added in order; the bytes of the verify report depend on this
-    order.
+    order, exactly as direct trapezoid summation, row by row.  Taps are
+    summed in blocks of ``BLOCK_BYTES // 256`` (65 536 by default) and
+    the block sums added in order; the bytes of the verify report depend
+    on this order.
     """
     count, taps = plan.views[0].shape
     K = plan.weights_rev[:, None]
@@ -480,11 +500,9 @@ def plan_product(plan: ConvPlan) -> np.ndarray:
     tap_block = max(1, BLOCK_BYTES // 256)
     for a in range(0, taps, tap_block):
         Ka = K[a:a + tap_block]
-        rows = max(1, BLOCK_BYTES // (out.itemsize * len(Ka)))
         for c, view in enumerate(plan.views):
-            for r in range(0, count, rows):
-                block = view[r:r + rows, a:a + tap_block].copy()
-                out[c, r:r + rows] += block @ Ka
+            for r in row_slices(count, out.itemsize * len(Ka)):
+                out[c, r] += view[r, a:a + tap_block].copy() @ Ka
     return out[:, :, 0].T
 
 
@@ -575,7 +593,7 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
     sum of its R blocks keeps just the lags kR) and inverted at length M.
 
     Frequencies are taken in groups whose buffers, N-wide transforms and
-    taps-wide phases, fit ``BLOCK_BYTES`` together.  Every step acts on
+    taps-wide phases, fit ``WORK_BYTES`` together.  Every step acts on
     each frequency alone, so a column's value does not depend on which
     others share the call.
     """
@@ -609,10 +627,10 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
         seg /= N
         seg_spectra.append(seg)
 
-    group = max(1, BLOCK_BYTES // (item * (N + taps)))
+    group = max(1, WORK_BYTES // (item * (N + taps)))
+    lattice = FactoredLattice(taps, plan.step * D / R)
     for j in range(0, len(omegas), group):
         w = omegas[j:j + group]
-        lattice = FactoredLattice(taps, plan.step * D / R)
         inner, outer = np.hsplit(lattice.exp(1j * w[:, None]), [lattice.m])
         outer *= np.exp(1j * w * plan.s_rev[0])[:, None]
         phase = (outer[:, :, None] * inner[:, None, :]).reshape(len(w), -1)

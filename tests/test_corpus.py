@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import fresnel
 
-from redspectra import cli
+from redspectra import cli, corpus, signals
 from redspectra.config import Config
 from redspectra.corpus import BUILDERS, build_corpus, build_signal
 
@@ -13,6 +13,34 @@ def _fresnel_P(t):
     """P(t) = int_0^t exp(i s^2) ds via scipy's Fresnel integrals (oracle)."""
     s_, c_ = fresnel(np.abs(t) * np.sqrt(2.0 / np.pi))
     return np.sign(t) * np.sqrt(np.pi / 2.0) * (c_ + 1j * s_)
+
+
+def _chirp_panels_whole(x):
+    """The panels from one (steps, 12 q) node table over the whole lattice:
+    the formula the row-blocked ``corpus._chirp_panels`` must reproduce."""
+    xi, w = np.polynomial.legendre.leggauss(12)
+    half = 0.5 * (x[1:] - x[:-1])
+    q = max(1, int(np.ceil(4.0 * np.abs(x).max() * half.max()
+                           / corpus._PANEL_PHASE)))
+    nodes = ((2 * np.arange(q)[:, None] + 1 + xi) / q - 1).ravel()
+    s = (0.5 * (x[1:] + x[:-1]))[:, None] + half[:, None] * nodes
+    return half * (np.exp(1j * s * s) @ np.tile(w / q, q))
+
+
+def test_row_blocked_chirp_panels_equal_the_whole_table():
+    # a block holds WORK_BYTES // 192 steps at one piece per step: one
+    # block, one block and a lone step, two blocks, and chirp_mollified's
+    # full-line lattice; the last lattice takes 63 pieces per step
+    rows = signals.WORK_BYTES // (16 * 12)
+    cfg = Config()
+    dt, T = cfg.dt, cfg.t_end
+    tf = np.arange(-T, T + dt / 2, dt)
+    lattices = [dt * np.arange(rows + 1), dt * np.arange(rows + 2),
+                dt * np.arange(rows + 3), dt * np.arange(2 * rows + 2) - 10.0,
+                np.concatenate([tf, tf[-1] + dt * np.arange(1, 101)]),
+                np.linspace(-3.0, 500.0, 2001)]
+    for x in lattices:
+        assert np.array_equal(corpus._chirp_panels(x), _chirp_panels_whole(x)), len(x)
 
 
 def _same(a, b) -> bool:

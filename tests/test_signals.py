@@ -248,6 +248,7 @@ def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
     # groups and tap and row blocks of convolve)
     if block_bytes:
         monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(signals, "WORK_BYTES", block_bytes)
     _check_plan_product(kernel, domain, dim, 0.04, 0.2)
 
 
@@ -261,9 +262,11 @@ def test_plan_product_matches_naive_sum_off_stride(monkeypatch, q, out_step,
     # output steps that are no multiple of the tap step: the correlation
     # runs on the gcd lattice (0.01 and 0.02) with R = 20, D = 3 and
     # R = 2, D = 3; the small block bound cuts the outputs into
-    # overlap-save segments
+    # overlap-save segments, and the small work budget takes one frequency
+    # per group and copies rows two at a time
     if block_bytes:
         monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(signals, "WORK_BYTES", block_bytes)
     _check_plan_product(kernel, domain, 2, q, out_step)
 
 
@@ -295,12 +298,47 @@ def test_modulated_product_column_independent_of_its_batch(monkeypatch, q,
     # with overlap-save segments and one frequency per group)
     if block_bytes:
         monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(signals, "WORK_BYTES", block_bytes)
     _, _, plan = _plan_case("bandpass", "full", 2, q, out_step)
     omegas = np.linspace(-2.0, 2.0, 21)
     full = modulated_product(plan, omegas)
     for j in range(len(omegas)):
         assert np.array_equal(full[:, j], modulated_product(plan, omegas[j:j + 1])[:, 0])
     assert np.array_equal(full[:, 5:9], modulated_product(plan, omegas[5:9]))
+
+
+@pytest.mark.parametrize("q, out_step", [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
+def test_products_independent_of_the_work_budget(monkeypatch, q, out_step):
+    # the work budget bounds buffers, never a sum: frequency groups and
+    # row copies of any size give the same bits
+    _, _, plan = _plan_case("bandpass", "full", 2, q, out_step)
+    omegas = np.linspace(-2.0, 2.0, 21)
+    conv, mod = plan_product(plan), modulated_product(plan, omegas)
+    monkeypatch.setattr(signals, "WORK_BYTES", 1 << 10)
+    assert np.array_equal(plan_product(plan), conv)
+    assert np.array_equal(modulated_product(plan, omegas), mod)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 10, 100])
+def test_row_slices_cover_in_order_without_a_lone_row(monkeypatch, n):
+    monkeypatch.setattr(signals, "WORK_BYTES", 48)      # three 16-byte rows
+    slices = signals.row_slices(n, 16)
+    assert [i for r in slices for i in range(n)[r]] == list(range(n))
+    assert all(r.stop - r.start <= 4 for r in slices)
+    assert n == 1 or all(r.stop - r.start >= 2 for r in slices)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_row_block_norms_equal_the_whole_array_formula(dim):
+    # one block holds WORK_BYTES // (16 dim) rows: records of one row,
+    # one block, one block and a lone row, and two blocks
+    rows = signals.WORK_BYTES // (16 * dim)
+    rng = np.random.default_rng(dim)
+    for n in (1, rows, rows + 1, rows + 2):
+        vals = ((rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+                * 10.0 ** rng.uniform(-8.0, 8.0, (n, dim)))
+        F = SampledSignal(Domain.HALF_LINE, 0.0, DT, vals, 0, trusted=True)
+        assert np.array_equal(F.norms, np.linalg.norm(F.values, axis=1)), n
 
 
 def test_next_fast_len_matches_scipy():

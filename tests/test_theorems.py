@@ -1,12 +1,13 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from redspectra import spectra, theorems
-from redspectra.classes import FunctionClass
+from redspectra import signals, spectra, theorems
+from redspectra.classes import FunctionClass, is_bounded
 from redspectra.config import Config
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
                                 _cumulative)
@@ -85,6 +86,57 @@ def test_solver_residual_bound():
         u = solve_evolution(p, cfg=CFG)
         assert evolution_residual(p, u) <= TOL_ODE_COEFF * (1 + u.sup_norm())
         assert u.growth_exponent == (1 if p.name == "evolution[jordan]" else 0)
+
+
+def _solve_by_batched_product(p, dt, t_end):
+    """u from one batched (n_b, d, m) product and its transposed copy: the
+    formula the solver, which writes u one outer block at a time, must
+    reproduce."""
+    n = len(np.arange(0.0, t_end + dt / 2, dt))
+    d, r = p.dim, len(p.phi_modes)
+    B = theorems._augmented(p)
+    z0 = np.concatenate([p.u0, np.ones(r, complex)])
+    lattice = FactoredLattice(n, dt)
+    outer = theorems._powers(theorems._expm(lattice.m * dt * B), lattice.n_b)
+    inner = theorems._powers(theorems._expm(dt * B), lattice.m)
+    return (outer[:, :d] @ (inner @ z0).T).transpose(0, 2, 1).reshape(-1, d)[:n]
+
+
+def test_blocked_solver_equals_the_batched_product():
+    for p, _cls in evolution_roster(CFG):
+        u = solve_evolution(p, cfg=CFG)
+        ref = _solve_by_batched_product(p, CFG.evolution_dt, CFG.t_end)
+        assert np.array_equal(u.values, ref), p.name
+    # one sample, a last block of one row, a full last block
+    p = random_evolution_problems(20, CFG)[5]
+    for dt, t_end in [(0.01, 0.0), (0.01, 0.06), (0.01, 0.08), (0.5, 50.0)]:
+        u = solve_evolution(p, dt=dt, t_end=t_end, cfg=CFG)
+        assert np.array_equal(u.values, _solve_by_batched_product(p, dt, t_end))
+
+
+def test_evolution_working_set_stays_within_the_work_budget():
+    # beyond u itself, solving, the streamed residual, sup_norm and
+    # is_bounded hold block buffers and a few (n,) float vectors (norms,
+    # |t|, the quantiles' copy): under four work budgets on the dim-4
+    # problem, where u is 12.8 MB.  Whole-record (n, d) temporaries would
+    # not fit.
+    p = random_evolution_problems(20, CFG)[5]
+    assert p.dim == 4
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        u = solve_evolution(p, cfg=CFG)
+        evolution_residual(p, u)
+        is_bounded(u, CFG, scale_ref=u.sup_norm())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert u.values.nbytes == 16 * 4 * 200_001
+    assert peak < u.values.nbytes + 4 * signals.WORK_BYTES
 
 
 def _expm_matrices():

@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Print every definition in ``src/redspectra`` whose body never ran.
+
+Usage:
+    PYTHONPATH=src python scripts/line_census.py
+
+A ``sys.settrace`` line tracer watches the package's own frames while
+this roster of CLI calls runs in-process, in a temporary directory:
+
+* ``synth`` of every corpus name, and once with ``--tmax`` and ``--dt``;
+* ``verify --builtin --config FILE`` and ``verify DIR --only regular-ft``
+  (DIR holds the synthesized records);
+* ``analyze`` of laplace, weak-laplace, beurling and the reduced spectrum
+  of every class on ``exp_iw1``, ``so_composite`` and ``chirp`` (one call
+  with ``--grid``);
+* ``analyze`` of carleman and beurling on ``exp_iw1_full``, ``sinc_full``
+  and ``tchirp_full``.
+
+A definition (function or method, nested ones included) ran when a line
+of one of its own simple statements ran: a loop or ``if`` header alone
+does not count, so a function whose loop never turns is listed.  The
+output is one qualified name per line, ``module.Class.method`` or
+``module.function.inner``, sorted.  Diff it between two checkouts as
+with ``scripts/report_digests.py``.  The roster takes about half a
+minute.
+"""
+
+import ast
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+
+# located, not imported: the package is imported under the tracer, so the
+# functions its module-level code calls count as run
+_PKG = importlib.util.find_spec("redspectra").submodule_search_locations[0]
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = _FUNCS + (ast.ClassDef, ast.Lambda)
+
+
+def _own_lines(fn) -> set:
+    """Lines of the simple statements of ``fn``'s own body (nested
+    definitions and the docstring excluded)."""
+    lines = set()
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and \
+            isinstance(body[0].value, ast.Constant) and \
+            isinstance(body[0].value.value, str):
+        body = body[1:]
+    todo = list(body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _SCOPES):
+            continue
+        children = [c for c in ast.iter_child_nodes(node)
+                    if isinstance(c, (ast.stmt, ast.excepthandler,
+                                      ast.match_case))]
+        if children:                # compound: only its inner statements
+            todo.extend(children)
+        elif isinstance(node, ast.stmt):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def definitions() -> dict:
+    """(file, first line, name) of each function's code object ->
+    [qualified name, its own simple-statement lines]."""
+    defs = {}
+
+    def visit(node, qual, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _FUNCS + (ast.ClassDef,)):
+                q = f"{qual}.{child.name}"
+                if isinstance(child, _FUNCS):
+                    first = min([child.lineno] +
+                                [d.lineno for d in child.decorator_list])
+                    defs[(path, first, child.name)] = [q, _own_lines(child)]
+                visit(child, q, path)
+            else:
+                visit(child, qual, path)
+
+    for fname in sorted(os.listdir(_PKG)):
+        if fname.endswith(".py"):
+            path = os.path.join(_PKG, fname)
+            with open(path) as fh:
+                visit(ast.parse(fh.read()), fname[:-3], path)
+    return defs
+
+
+class Census:
+    """The tracer: a frame of a definition not yet seen to run is traced
+    line by line until one of its own simple statements runs."""
+
+    def __init__(self):
+        self.defs = definitions()
+        self.ran = set()
+
+    def _call(self, frame, event, arg):
+        code = frame.f_code
+        key = (code.co_filename, code.co_firstlineno, code.co_name)
+        if key in self.ran or key not in self.defs:
+            return None
+        own = self.defs[key][1]
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno in own:
+                self.ran.add(key)
+                return None
+            return line
+        return line
+
+    def run(self, fn, *args):
+        sys.settrace(self._call)
+        try:
+            return fn(*args)
+        finally:
+            sys.settrace(None)
+
+    def never_ran(self) -> list:
+        return sorted(q for key, (q, _) in self.defs.items()
+                      if key not in self.ran)
+
+
+def _package():
+    """The CLI entry point, the class list and the corpus names."""
+    from redspectra.classes import FunctionClass
+    from redspectra.cli import main
+    from redspectra.corpus import BUILDERS
+    return main, FunctionClass, BUILDERS
+
+
+def roster(work: str, classes, names) -> list:
+    """The argv lists of the census, in order."""
+    data = os.path.join(work, "data")
+    cfg = os.path.join(work, "config.json")
+    with open(cfg, "w") as fh:
+        json.dump({"dt": 0.01}, fh)
+    calls = [["synth", name, "--out", data] for name in names]
+    calls.append(["synth", "exp_iw1", "--tmax", "60", "--dt", "0.02",
+                  "--out", os.path.join(work, "short")])
+    calls.append(["verify", "--builtin", "--config", cfg,
+                  "--out", os.path.join(work, "builtin.json")])
+    calls.append(["verify", data, "--only", "regular-ft",
+                  "--out", os.path.join(work, "regular-ft.json")])
+    kinds = [["--kind", k] for k in ("laplace", "weak-laplace", "beurling")]
+    kinds += [["--kind", "reduced", "--class", c.value] for c in classes]
+    for record in ("exp_iw1", "so_composite", "chirp"):
+        for kind in kinds:
+            calls.append(["analyze", os.path.join(data, f"{record}.csv"),
+                          *kind, "--out",
+                          os.path.join(work, f"{record}-{kind[-1]}.json")])
+    calls[-1] += ["--grid=-2:2:0.1"]
+    for record in ("exp_iw1_full", "sinc_full", "tchirp_full"):
+        for kind in ("carleman", "beurling"):
+            calls.append(["analyze", os.path.join(data, f"{record}.csv"),
+                          "--kind", kind, "--out",
+                          os.path.join(work, f"{record}-{kind}.json")])
+    return calls
+
+
+def main():
+    census = Census()
+    cli_main, classes, names = census.run(_package)
+    with tempfile.TemporaryDirectory() as work:
+        for argv in roster(work, classes, names):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = census.run(cli_main, argv)
+            if rc != 0:
+                print(f"exit {rc}: {' '.join(argv)}", file=sys.stderr)
+    for name in census.never_ran():
+        print(name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,10 +5,9 @@ and tauberian statements they satisfy."""
 
 from .config import Config, DEFAULT
 from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
-                      extend_by_zero, indefinite_integral, modulate, mollify,
-                      translate)
-from .kernels import (TestKernel, annihilator_kernel, approximate_identity,
-                      bandpass_kernel, bump_kernel, d_bump, wiener_divide)
+                      extend_by_zero, modulate, mollify, translate)
+from .kernels import (TestKernel, annihilator_kernel, bandpass_kernel,
+                      bump_kernel, d_bump)
 from .classes import (ClassReport, FunctionClass, Tri, ap_decompose,
                       bohr_coefficient, detect, ergodic_mean, is_c0,
                       is_slowly_oscillating, tail_sup, uc_modulus)

@@ -85,7 +85,10 @@ def _slug(s: str) -> str:
 
 
 def _check_out_dir(path):
-    """Refuse, before any work, a report path whose directory is missing."""
+    """Refuse, before any work, a report path that is a directory or whose
+    directory is missing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path} is a directory")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise NotADirectoryError(f"output directory {parent} does not exist")

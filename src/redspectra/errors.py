@@ -31,11 +31,6 @@ class TailError(RedSpectraError):
     """Transform truncation tail bound too large to be meaningful."""
 
 
-class DivisionError_(RedSpectraError):
-    """Frequency-domain division attempted where the divisor transform
-    drops below the safety threshold on the target interval."""
-
-
 class ConfigError(RedSpectraError):
     """Bad configuration value or unknown configuration key."""
 

@@ -1,7 +1,6 @@
-"""Test kernels: the non-negative bump with band-limited transform, its
-dilates (an approximate identity), band-pass plateau kernels, compactly
-supported bumps and the annihilators of exp(t), and division in the
-frequency domain.
+"""Test kernels: the non-negative bump with band-limited transform,
+band-pass plateau kernels, compactly supported bumps and the annihilators
+of exp(t).
 
 Fourier convention, shared by every module:
 
@@ -23,8 +22,6 @@ sample tables are cached per grid.  The central constructions:
   time kernel Gaussian decay, so records of a few hundred seconds suffice.
   (An edge built from compactly supported bumps would decay only like
   exp(-c sqrt(t)) and need kernels thousands of seconds long.)
-* ``wiener_divide(f, K)`` returns g with g^ f^ = 1 on K and g^ compactly
-  supported, the computable form of the L^1 Wiener division lemma.
 """
 
 from __future__ import annotations
@@ -35,12 +32,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DivisionError_, GridError
-from .signals import trapezoid_weights
+from .errors import GridError
 
 _SQRT2 = np.sqrt(2.0)
-#: minimum |f^| that ``wiener_divide`` divides by
-EPS_DIV = 1e-6
 #: kernel tails are cut where |k| falls below this fraction of its peak
 SUPPORT_CUT = 1e-14
 
@@ -218,23 +212,6 @@ def bump_kernel() -> TestKernel:
         (-2.0, 2.0), mass, _table_tail(time_fn, L, cut_mass), cut_mass)
 
 
-def approximate_identity(n: int) -> TestKernel:
-    """psi_n(t) = n psi(n t): unit mass, transform psi^(w/n) supported in
-    [-2n, 2n]; an approximate identity for uniformly continuous functions."""
-    if n < 1 or n != int(n):
-        raise ValueError("n must be a positive integer")
-    base = bump_kernel()
-    if n == 1:
-        return base
-    bt, bf, tail = base.time_fn, base.ft_fn, base.tail_mass
-    return replace(
-        base, kernel_id=f"bump_n{n}",
-        time_fn=lambda t: n * np.asarray(bt(n * np.asarray(t, float)), complex),
-        ft_fn=lambda w: np.asarray(bf(np.asarray(w, float) / n), complex),
-        s_lo=base.s_lo / n, s_hi=base.s_hi / n, ft_support=(-2.0 * n, 2.0 * n),
-        tail_mass=lambda x: tail(n * x))
-
-
 # ---------------------------------------------------------------------------
 # band-pass plateau kernels
 # ---------------------------------------------------------------------------
@@ -358,83 +335,3 @@ def annihilator_kernel(a: float) -> TestKernel:
                  (np.exp(-2.0 * s_nodes) * pv * w_nodes).sum())
     return TestKernel(f"annihilator(a={a:g})", "D", time_fn, ft_fn, -a, a,
                       (-np.inf, np.inf), mass, _table_tail(time_fn, a, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Wiener division
-# ---------------------------------------------------------------------------
-
-def wiener_divide(f, K: tuple) -> TestKernel:
-    """g with g^ f^ = 1 on the compact interval K and g^ compactly supported.
-
-    g^ is a smooth plateau (1 on K, Gaussian edges, zero past a slight
-    enlargement) divided pointwise by f^; f^ must stay above ``EPS_DIV``
-    in modulus over the enlarged interval.  The time samples come from
-    inverse-transform quadrature over a frequency grid covering the
-    plateau.  The postcondition
-    sup_K |g^ f^ - 1| <= 1e-8 is asserted on every call.
-    """
-    lo, hi = float(K[0]), float(K[1])
-    if hi <= lo:
-        raise ValueError("K must be a nondegenerate interval")
-    e = max(0.1, 0.15 * (hi - lo))
-    sigma = e / 13.0
-    b = 0.5 * (hi - lo) + 0.5 * e
-    mid = 0.5 * (hi + lo)
-
-    dw = min(e / 40.0, 0.02)
-    half = int(np.ceil((b + 7 * sigma) / dw)) + 1
-    grid = mid + dw * np.arange(-half, half + 1)
-
-    fhat = np.asarray(f.ft(grid), complex)
-    core = (grid >= lo - e) & (grid <= hi + e)
-    if np.abs(fhat[core]).min() < EPS_DIV:
-        raise DivisionError_(
-            f"|f^| drops to {np.abs(fhat[core]).min():.3g} on the enlarged "
-            f"interval around K={K}; the division hypothesis needs the "
-            f"transform nonzero on a compact neighbourhood of K "
-            f"(threshold EPS_DIV={EPS_DIV:g})")
-
-    chi = _plateau(grid - mid, b, sigma)
-    ghat = np.where(chi > 1e-15, chi / fhat, 0.0)
-
-    wts = trapezoid_weights(len(grid), dw)
-    gw = ghat * wts
-
-    def time_fn(t):
-        t = np.atleast_1d(np.asarray(t, float))
-        out = np.empty(len(t), complex)
-        for i in range(0, len(t), 512):
-            tt = t[i:i + 512]
-            out[i:i + 512] = (np.exp(1j * np.outer(tt, grid)) * gw).sum(axis=1) / (2 * np.pi)
-        return out
-
-    def ft_fn(w, f=f):
-        w = np.atleast_1d(np.asarray(w, float))
-        chi = _plateau(w - mid, b, sigma)
-        fh = np.asarray(f.ft(w), complex)
-        safe = (chi > 1e-15) & (np.abs(fh) > 1e-300)
-        return np.where(safe, chi / np.where(safe, fh, 1.0), 0.0)
-
-    # empirical support cut on the time side
-    period = 2 * np.pi / dw
-    tt = np.linspace(0.0, 0.45 * period, 3000)
-    vals = np.abs(time_fn(tt)) + np.abs(time_fn(-tt))
-    peak = vals.max()
-    above = np.where(vals >= max(SUPPORT_CUT * peak, 1e-300))[0]
-    L = float(tt[min(above[-1] + 1, len(tt) - 1)])
-    cut = float(vals[tt >= L].sum() * (tt[1] - tt[0])) if (tt >= L).any() else 0.0
-
-    mass = float(np.trapezoid(np.abs(time_fn(np.linspace(-L, L, 4001))),
-                              dx=2 * L / 4000))
-    g = TestKernel(f"wiener({f.kernel_id},K=[{lo:g},{hi:g}])", "S",
-                   time_fn, ft_fn, -L, L,
-                   (mid - b - 7 * sigma, mid + b + 7 * sigma),
-                   mass, _table_tail(time_fn, L, cut), cut)
-
-    ksel = (grid >= lo) & (grid <= hi)
-    err = np.abs(ghat[ksel] * fhat[ksel] - 1.0).max()
-    if err > 1e-8:
-        raise DivisionError_(f"division postcondition failed: "
-                             f"sup_K |g^ f^ - 1| = {err:.3g} > 1e-8")
-    return g

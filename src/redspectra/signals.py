@@ -1,6 +1,6 @@
 """Sampled signals on the half line or full line, and their elementary
 operations: zero extension, translation, modulation, convolution against
-test kernels, sliding-average mollification and the indefinite integral.
+test kernels and sliding-average mollification.
 
 A signal is a finite, uniformly sampled record of a conceptually infinite
 object.  Every operation that would need values outside the record either
@@ -13,8 +13,8 @@ padding, strided views trimmed to the taps that meet data, and the
 truncation bound).  ``convolve`` sums the plan against the kernel's
 weights in tap order (``plan_product``); the band-pass ladder of
 ``spectra.ReducedScanner`` takes one plan to many modulated kernels at
-once with ``modulated_product``, an overlap-save FFT correlation of the
-same trapezoid sums.
+once with ``modulated_product``, one FFT correlation of the same
+trapezoid sums.
 
 All types are immutable and all operations are pure functions, so signals
 may be shared freely across threads.
@@ -45,7 +45,7 @@ _GROWTH_ORDER_MARGIN = 0.25
 
 #: byte bound on each transient work buffer: a block of rows, a group of
 #: frequencies.  Every row and every frequency is computed alone, so no
-#: value depends on it (``BLOCK_BYTES`` is the bound that fixes sums)
+#: value depends on it
 WORK_BYTES = 2 * 2 ** 20
 
 
@@ -318,21 +318,6 @@ def _cumulative(values: np.ndarray, dt: float, carry=0j) -> np.ndarray:
                      axis=0)
 
 
-def indefinite_integral(F: SampledSignal) -> SampledSignal:
-    """PF(t) = integral of F from 0 to t, by cumulative trapezoid.
-
-    t = 0 must lie on the record (always true on the half line).
-    """
-    if F.domain is Domain.FULL_LINE and (F.t0 > _LATTICE_RTOL or F.t_end < -_LATTICE_RTOL):
-        raise DomainError("indefinite integral is anchored at 0, which is "
-                          "outside the record")
-    cum = _cumulative(F.values, F.dt)
-    i0 = F.index_of(0.0)
-    cum = cum - cum[i0]
-    return SampledSignal(F.domain, F.t0, F.dt, cum, F.growth_exponent + 1,
-                         trusted=True)
-
-
 def mollify(F: SampledSignal, h: float) -> SampledSignal:
     """Sliding average M_h F(t) = (1/h) * integral of F over [t, t+h].
 
@@ -456,12 +441,11 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
     r_lo = base + c_lo * col
     r_hi = r_lo + span + max(0, taps - 1) * col
     pad_l, pad_r = max(0, -r_lo), max(0, r_hi - (H.n - 1))
-    padded = np.vstack([np.zeros((pad_l, H.dim), complex),
-                        H.values[max(0, r_lo):min(H.n, r_hi + 1)],
-                        np.zeros((pad_r, H.dim), complex)])
+    rows = H.values[max(0, r_lo):min(H.n, r_hi + 1)]
     views = []
     for c in range(H.dim):
-        base_c = np.ascontiguousarray(padded[:, c])
+        base_c = np.zeros(pad_l + len(rows) + pad_r, complex)
+        base_c[pad_l:pad_l + len(rows)] = rows[:, c]
         views.append(np.lib.stride_tricks.as_strided(
             base_c, shape=(count, taps),
             strides=(row * base_c.strides[0], col * base_c.strides[0]),
@@ -475,13 +459,6 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
                     (samples * w)[keep][::-1], float(min(omit * env, allowance)))
 
 
-#: byte bound that fixes the order of the ladder's sums: ``plan_product``
-#: sums its taps in blocks of ``BLOCK_BYTES // 256`` and
-#: ``modulated_product`` cuts its outputs into segments whose record slice
-#: fits it.  The bytes of the verify report depend on both.
-BLOCK_BYTES = 16 * 2 ** 20
-
-
 def plan_product(plan: ConvPlan) -> np.ndarray:
     """``views[c] @ weights_rev`` for every channel c, as a (count,
     channels) array: the trapezoid sums of ``convolve``.
@@ -489,20 +466,16 @@ def plan_product(plan: ConvPlan) -> np.ndarray:
     The rows of a strided view overlap, so the product runs over
     contiguous copies of row blocks bounded by ``WORK_BYTES``.  The
     reversed weights are a strided column, which numpy sums in tap
-    order, exactly as direct trapezoid summation, row by row.  Taps are
-    summed in blocks of ``BLOCK_BYTES // 256`` (65 536 by default) and
-    the block sums added in order; the bytes of the verify report depend
-    on this order.
+    order, exactly as direct trapezoid summation, row by row.
     """
     count, taps = plan.views[0].shape
     K = plan.weights_rev[:, None]
     out = np.zeros((len(plan.views), count, 1), complex)
-    tap_block = max(1, BLOCK_BYTES // 256)
-    for a in range(0, taps, tap_block):
-        Ka = K[a:a + tap_block]
-        for c, view in enumerate(plan.views):
-            for r in row_slices(count, out.itemsize * len(Ka)):
-                out[c, r] += view[r, a:a + tap_block].copy() @ Ka
+    if taps == 0:                   # no tap meets a nonzero sample
+        return out[:, :, 0].T
+    for c, view in enumerate(plan.views):
+        for r in row_slices(count, out.itemsize * taps):
+            out[c, r] += view[r].copy() @ K
     return out[:, :, 0].T
 
 
@@ -578,19 +551,17 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
     """Convolutions with the planned kernel modulated to each frequency,
     k(s) exp(i omega s), as a (count, len(omegas), channels) array.
 
-    An overlap-save FFT correlation.  With g = gcd(row, col) of the view
-    strides, R = row/g and D = col/g, let x be the padded record on the
-    lattice of spacing g dt.  Output k is sum_c x[kR + cD] b_c, where
+    One FFT correlation.  With g = gcd(row, col) of the view strides,
+    R = row/g and D = col/g, let x be the padded record on the lattice of
+    spacing g dt.  Output k is sum_c x[kR + cD] b_c, where
     b_c = a_c exp(i omega s_c) are the modulated weights (a =
     ``weights_rev``; s_c = s_rev[0] - c D q with q = step/R, from the
-    tables of a ``FactoredLattice``).  The outputs are cut
-    into segments of K, each reading a record slice of length
-    L = (K-1)R + (taps-1)D + 1; K is the whole count unless that slice
-    would outgrow ``BLOCK_BYTES``.  Every slice is transformed once per
-    channel at length N = R M with M >= L/R, so no lag wraps.  Per
-    frequency, b spread to stride D is transformed once; per segment and
-    channel, the product of the two spectra is folded to length M (the
-    sum of its R blocks keeps just the lags kR) and inverted at length M.
+    tables of a ``FactoredLattice``).  The record slice the outputs
+    read, of length L = (count-1)R + (taps-1)D + 1, is transformed once
+    per channel at length N = R M with M >= L/R, so no lag wraps.  Per
+    frequency, b spread to stride D is transformed once; per channel,
+    the product of the two spectra is folded to length M (the sum of its
+    R blocks keeps just the lags kR) and inverted at length M.
 
     Frequencies are taken in groups whose buffers, N-wide transforms and
     taps-wide phases, fit ``WORK_BYTES`` together.  Every step acts on
@@ -608,24 +579,15 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
     g = math.gcd(row, col)
     R, D = row // g, col // g
     span = (taps - 1) * D + 1
-    # a slice of at least twice the kernel span keeps most lags useful
-    cap = max(BLOCK_BYTES // item, 2 * span)
-    K = count if (count - 1) * R + span <= cap else (cap - span) // R + 1
-    M = _next_fast_len(-(-((K - 1) * R + span) // R))
+    n_x = (count - 1) * R + span
+    M = _next_fast_len(-(-n_x // R))
     N = R * M
-    starts = range(0, count, K)
-    records = [np.lib.stride_tricks.as_strided(
-        v, shape=((count - 1) * R + span,), strides=(g * item,))
-        for v in plan.views]
-    seg_spectra = []               # per segment: (channels, N), scaled 1/N
-    for k0 in starts:
-        n_x = (min(K, count - k0) - 1) * R + span
-        seg = np.zeros((len(records), N), complex)
-        for c, x in enumerate(records):
-            seg[c, :n_x] = x[k0 * R:k0 * R + n_x]
-        np.fft.fft(seg, axis=1, out=seg)
-        seg /= N
-        seg_spectra.append(seg)
+    X = np.zeros((len(plan.views), N), complex)     # scaled 1/N
+    for c, v in enumerate(plan.views):
+        X[c, :n_x] = np.lib.stride_tricks.as_strided(
+            v, shape=(n_x,), strides=(g * item,))
+    np.fft.fft(X, axis=1, out=X)
+    X /= N
 
     group = max(1, WORK_BYTES // (item * (N + taps)))
     lattice = FactoredLattice(taps, plan.step * D / R)
@@ -640,15 +602,13 @@ def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
         # sum_c b_c exp(+2 pi i cD f / N): the correlating spectrum of b
         np.fft.ifft(kern, axis=1, norm="forward", out=kern)
         kern = kern.reshape(len(w), R, M)
-        for k0, seg in zip(starts, seg_spectra):
-            k1 = min(count, k0 + K)
-            for c, X in enumerate(seg.reshape(-1, R, M)):
-                # fold while multiplying: the sum of the R blocks of M
-                folded = kern[:, 0] * X[0]
-                for r in range(1, R):
-                    folded += kern[:, r] * X[r]
-                np.fft.ifft(folded, axis=1, norm="forward", out=folded)
-                out[k0:k1, j:j + group, c] = folded[:, :k1 - k0].T
+        for c, Xc in enumerate(X.reshape(-1, R, M)):
+            # fold while multiplying: the sum of the R blocks of M
+            folded = kern[:, 0] * Xc[0]
+            for r in range(1, R):
+                folded += kern[:, r] * Xc[r]
+            np.fft.ifft(folded, axis=1, norm="forward", out=folded)
+            out[:, j:j + group, c] = folded[:, :count].T
     return out
 
 

@@ -214,7 +214,9 @@ class ReducedScanner:
     # -- batched band-pass convolutions ---------------------------------
     def _band_geometry(self, delta: float):
         """Convolution plan of the centred band-pass kernel for one
-        bandwidth; every frequency reuses it through modulated weights."""
+        bandwidth; every frequency reuses it through modulated weights.
+        The base kernel's |k^(0)|, which each modulated copy has at its
+        own frequency, is cached beside it as ``("ft_abs", delta)``."""
         key = ("geom", round(delta, 12))
         if key in self._band_cache:
             return self._band_cache[key]
@@ -223,13 +225,14 @@ class ReducedScanner:
         # drops the rest); full-line data: wherever the budget admits
         lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
             else -np.inf
+        kern = bandpass_kernel(0.0, delta)
         plan = plan_convolution(
-            H, bandpass_kernel(0.0, delta),
-            max(1, round(cfg.conv_out_step / H.dt)) * H.dt, (lo, np.inf),
-            TRUNC_BUDGET, _quad_step_for(delta, cfg, H.dt))
+            H, kern, max(1, round(cfg.conv_out_step / H.dt)) * H.dt,
+            (lo, np.inf), TRUNC_BUDGET, _quad_step_for(delta, cfg, H.dt))
         if len(plan.views[0]) < max(3, int(cfg.min_window / cfg.conv_out_step)):
             raise TruncationError(f"band {delta}: usable window too short")
         self._band_cache[key] = plan
+        self._band_cache[("ft_abs", key[1])] = float(abs(kern.ft(0.0)))
         return plan
 
     def _band_columns(self, delta: float, idx) -> list:
@@ -361,7 +364,8 @@ class ReducedScanner:
         kid = f"bandpass(w0={p.omega:g},delta={delta:g})"
         if rep.member is Tri.YES:
             p.cert = RegularityCertificate(
-                p.omega, RegStatus.REGULAR, kid, 1.0,
+                p.omega, RegStatus.REGULAR, kid,
+                self._band_cache[("ft_abs", round(delta, 12))],
                 {"class_report": rep.to_dict(),
                  "metric": rep.evidence.get("tail_sups", [0.0])[-1]})
         elif rep.member is Tri.NO:

@@ -1,9 +1,11 @@
 """The paper's identities and reference oracles that only the tests run,
 none of them on a path of ``synth``, ``analyze`` or ``verify``: record
-restriction, reflection and finite differences; the box kernel s_h, the
-exponential kernel f_lambda, kernel reflection and a quadrature check of
-a kernel's transform; the Carleman transform at a point and its
-convolution form; the two extension conventions of the reduced spectrum.
+restriction, reflection and finite differences, and the indefinite
+integral PF; the box kernel s_h, the exponential kernel f_lambda, kernel
+reflection and a quadrature check of a kernel's transform; the dilates
+psi_n of the approximate identity and the Wiener division lemma; the
+Carleman transform at a point and its convolution form; the two
+extension conventions of the reduced spectrum.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import numpy as np
 
 from redspectra.classes import FunctionClass
 from redspectra.config import Config, DEFAULT
-from redspectra.errors import DomainError, GridError, HorizonError
-from redspectra.kernels import TestKernel
+from redspectra.errors import (DomainError, GridError, HorizonError,
+                               RedSpectraError)
+from redspectra.kernels import (SUPPORT_CUT, TestKernel, _plateau,
+                                _table_tail, bump_kernel)
 from redspectra.signals import (_LATTICE_RTOL, Domain, SampledSignal,
-                                convolve, extend_by_zero, trapezoid_weights)
+                                _cumulative, convolve, extend_by_zero,
+                                trapezoid_weights)
 from redspectra.spectra import FrequencyGrid, RegStatus, reduced_spectrum
 from redspectra.transforms import _check_tail, trapezoid_transform
 
@@ -59,6 +64,21 @@ def difference(F: SampledSignal, s: float) -> SampledSignal:
                              F.growth_exponent, trusted=True)
     return SampledSignal(Domain.FULL_LINE, F.t0, F.dt, vals,
                          F.growth_exponent, trusted=True)
+
+
+def indefinite_integral(F: SampledSignal) -> SampledSignal:
+    """PF(t) = integral of F from 0 to t, by cumulative trapezoid.
+
+    t = 0 must lie on the record (always true on the half line).
+    """
+    if F.domain is Domain.FULL_LINE and (F.t0 > _LATTICE_RTOL or F.t_end < -_LATTICE_RTOL):
+        raise DomainError("indefinite integral is anchored at 0, which is "
+                          "outside the record")
+    cum = _cumulative(F.values, F.dt)
+    i0 = F.index_of(0.0)
+    cum = cum - cum[i0]
+    return SampledSignal(F.domain, F.t0, F.dt, cum, F.growth_exponent + 1,
+                         trusted=True)
 
 
 def box_kernel(h: float) -> TestKernel:
@@ -142,6 +162,108 @@ def fourier_consistency_error(kernel, dt: float = 0.01,
     probes = np.linspace(lo - 0.5, hi + 0.5, n_check)
     quad = np.exp(-1j * np.outer(probes, s)) @ (vals * w)
     return float(np.abs(quad - np.asarray(kernel.ft(probes), complex)).max())
+
+
+def approximate_identity(n: int) -> TestKernel:
+    """psi_n(t) = n psi(n t): unit mass, transform psi^(w/n) supported in
+    [-2n, 2n]; an approximate identity for uniformly continuous functions."""
+    if n < 1 or n != int(n):
+        raise ValueError("n must be a positive integer")
+    base = bump_kernel()
+    if n == 1:
+        return base
+    bt, bf, tail = base.time_fn, base.ft_fn, base.tail_mass
+    return replace(
+        base, kernel_id=f"bump_n{n}",
+        time_fn=lambda t: n * np.asarray(bt(n * np.asarray(t, float)), complex),
+        ft_fn=lambda w: np.asarray(bf(np.asarray(w, float) / n), complex),
+        s_lo=base.s_lo / n, s_hi=base.s_hi / n, ft_support=(-2.0 * n, 2.0 * n),
+        tail_mass=lambda x: tail(n * x))
+
+
+#: minimum |f^| that ``wiener_divide`` divides by
+EPS_DIV = 1e-6
+
+
+class DivisionError_(RedSpectraError):
+    """Frequency-domain division attempted where the divisor transform
+    drops below the safety threshold on the target interval."""
+
+
+def wiener_divide(f, K: tuple) -> TestKernel:
+    """g with g^ f^ = 1 on the compact interval K and g^ compactly supported.
+
+    g^ is a smooth plateau (1 on K, Gaussian edges, zero past a slight
+    enlargement) divided pointwise by f^; f^ must stay above ``EPS_DIV``
+    in modulus over the enlarged interval.  The time samples come from
+    inverse-transform quadrature over a frequency grid covering the
+    plateau.  The postcondition
+    sup_K |g^ f^ - 1| <= 1e-8 is asserted on every call.
+    """
+    lo, hi = float(K[0]), float(K[1])
+    if hi <= lo:
+        raise ValueError("K must be a nondegenerate interval")
+    e = max(0.1, 0.15 * (hi - lo))
+    sigma = e / 13.0
+    b = 0.5 * (hi - lo) + 0.5 * e
+    mid = 0.5 * (hi + lo)
+
+    dw = min(e / 40.0, 0.02)
+    half = int(np.ceil((b + 7 * sigma) / dw)) + 1
+    grid = mid + dw * np.arange(-half, half + 1)
+
+    fhat = np.asarray(f.ft(grid), complex)
+    core = (grid >= lo - e) & (grid <= hi + e)
+    if np.abs(fhat[core]).min() < EPS_DIV:
+        raise DivisionError_(
+            f"|f^| drops to {np.abs(fhat[core]).min():.3g} on the enlarged "
+            f"interval around K={K}; the division hypothesis needs the "
+            f"transform nonzero on a compact neighbourhood of K "
+            f"(threshold EPS_DIV={EPS_DIV:g})")
+
+    chi = _plateau(grid - mid, b, sigma)
+    ghat = np.where(chi > 1e-15, chi / fhat, 0.0)
+
+    wts = trapezoid_weights(len(grid), dw)
+    gw = ghat * wts
+
+    def time_fn(t):
+        t = np.atleast_1d(np.asarray(t, float))
+        out = np.empty(len(t), complex)
+        for i in range(0, len(t), 512):
+            tt = t[i:i + 512]
+            out[i:i + 512] = (np.exp(1j * np.outer(tt, grid)) * gw).sum(axis=1) / (2 * np.pi)
+        return out
+
+    def ft_fn(w, f=f):
+        w = np.atleast_1d(np.asarray(w, float))
+        chi = _plateau(w - mid, b, sigma)
+        fh = np.asarray(f.ft(w), complex)
+        safe = (chi > 1e-15) & (np.abs(fh) > 1e-300)
+        return np.where(safe, chi / np.where(safe, fh, 1.0), 0.0)
+
+    # empirical support cut on the time side
+    period = 2 * np.pi / dw
+    tt = np.linspace(0.0, 0.45 * period, 3000)
+    vals = np.abs(time_fn(tt)) + np.abs(time_fn(-tt))
+    peak = vals.max()
+    above = np.where(vals >= max(SUPPORT_CUT * peak, 1e-300))[0]
+    L = float(tt[min(above[-1] + 1, len(tt) - 1)])
+    cut = float(vals[tt >= L].sum() * (tt[1] - tt[0])) if (tt >= L).any() else 0.0
+
+    mass = float(np.trapezoid(np.abs(time_fn(np.linspace(-L, L, 4001))),
+                              dx=2 * L / 4000))
+    g = TestKernel(f"wiener({f.kernel_id},K=[{lo:g},{hi:g}])", "S",
+                   time_fn, ft_fn, -L, L,
+                   (mid - b - 7 * sigma, mid + b + 7 * sigma),
+                   mass, _table_tail(time_fn, L, cut), cut)
+
+    ksel = (grid >= lo) & (grid <= hi)
+    err = np.abs(ghat[ksel] * fhat[ksel] - 1.0).max()
+    if err > 1e-8:
+        raise DivisionError_(f"division postcondition failed: "
+                             f"sup_K |g^ f^ - 1| = {err:.3g} > 1e-8")
+    return g
 
 
 def carleman_transform(F: SampledSignal, lam: complex) -> np.ndarray:

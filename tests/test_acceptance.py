@@ -10,15 +10,16 @@ from scipy.integrate import quad
 from redspectra.classes import FunctionClass, Tri, ap_decompose, ergodic_mean, is_c0
 from redspectra.config import Config
 from redspectra.corpus import CHAIN_NAMES, build_corpus
-from redspectra.kernels import (annihilator_kernel, approximate_identity,
-                                bandpass_kernel, bump_kernel, d_bump,
-                                wiener_divide)
+from redspectra.kernels import (annihilator_kernel, bandpass_kernel,
+                                bump_kernel, d_bump)
 from redspectra.signals import (Domain, SampledSignal, convolve,
                                 extend_by_zero, mollify)
 from redspectra.spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus,
                                ReducedScanner)
 from redspectra.theorems import (CheckStatus, analysis_of,
                                  random_evolution_problems)
+
+from oracles import approximate_identity, wiener_divide
 
 CFG = Config()
 GRID = FrequencyGrid.from_config(CFG)

@@ -344,6 +344,29 @@ def test_weak_laplace_rejects_windows_below_one_grid_step(
     assert not (tmp_path / "r.json").exists()
 
 
+def test_out_naming_a_directory_is_refused_before_any_work(
+        tmp_path, tone_csv, capsys, monkeypatch):
+    # an --out that is an existing directory could never be written: both
+    # commands refuse it, naming it, before an engine runs
+    import redspectra.spectra
+    import redspectra.theorems
+
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the --out check")
+    monkeypatch.setattr(redspectra.spectra, "SignalAnalysis", engine)
+    monkeypatch.setattr(redspectra.theorems, "run_all", engine)
+    out = tmp_path / "reports"
+    out.mkdir()
+    for argv in (["analyze", str(tone_csv), "--kind", "reduced",
+                  "--class", "c0"],
+                 ["verify", "--builtin", "--only", "regular-ft"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert "is a directory" in err
+    assert list(out.iterdir()) == []
+
+
 def test_main_turns_every_package_error_into_exit_2(tmp_path, capsys):
     # one second of so_composite contradicts its declared growth: the
     # GrowthError is bad input, not a traceback

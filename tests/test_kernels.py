@@ -10,13 +10,13 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 import redspectra
-from redspectra.errors import DivisionError_, DomainError, GridError
-from redspectra.kernels import (_erf, annihilator_kernel, approximate_identity,
-                                bandpass_kernel, bump_kernel, d_bump,
-                                wiener_divide)
+from redspectra.errors import DomainError, GridError
+from redspectra.kernels import (_erf, annihilator_kernel, bandpass_kernel,
+                                bump_kernel, d_bump)
 
-from oracles import (box_kernel, exp_kernel, fourier_consistency_error,
-                     reflected)
+from oracles import (DivisionError_, approximate_identity, box_kernel,
+                     exp_kernel, fourier_consistency_error, reflected,
+                     wiener_divide)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,6 @@ ALLOWED = {
     "spectra.ReducedScanner.test_regular":
         "patched by the span tracer; goes once the engine times its own "
         "stages",
-    "signals.indefinite_integral":
-        "the indefinite integral PF of the paper, named in README's layout",
-    "kernels.approximate_identity":
-        "the dilates psi_n of the paper's approximate identity, run by "
-        "acceptance criterion 09",
-    "kernels.wiener_divide":
-        "the paper's Wiener division lemma, run by acceptance criterion 08",
 }
 
 _DEFS = (ast.FunctionDef, ast.ClassDef)

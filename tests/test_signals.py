@@ -9,12 +9,13 @@ from redspectra.errors import (DomainError, GridError, GrowthError,
 from redspectra.kernels import bandpass_kernel, bump_kernel
 from redspectra import signals
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
-                                convolve, extend_by_zero, indefinite_integral,
-                                modulate, modulated_product, mollify,
-                                plan_convolution, plan_product, translate)
+                                convolve, extend_by_zero, modulate,
+                                modulated_product, mollify, plan_convolution,
+                                plan_product, translate)
 
 from conftest import make_full, make_half
-from oracles import box_kernel, difference, reflect, reflected, restrict
+from oracles import (box_kernel, difference, indefinite_integral, reflect,
+                     reflected, restrict)
 
 DT = 0.01
 
@@ -237,46 +238,41 @@ def _check_plan_product(kernel, domain, dim, q, out_step):
         assert any(np.any(v[:, c] != 0) for v in plan.views)
 
 
-@pytest.mark.parametrize("block_bytes", [None, 1 << 16])
+@pytest.mark.parametrize("work_bytes", [None, 1 << 16])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("domain", ["half", "full"])
 @pytest.mark.parametrize("kernel", ["bandpass", "box-left", "box-right"])
 def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
-                                                dim, block_bytes):
-    # the ladder's product: trimmed plan times modulated weights, with
-    # small blocks as well (several overlap-save segments, frequency
-    # groups and tap and row blocks of convolve)
-    if block_bytes:
-        monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(signals, "WORK_BYTES", block_bytes)
+                                                dim, work_bytes):
+    # the ladder's product: trimmed plan times modulated weights, with a
+    # small work budget as well (frequency groups and row blocks of
+    # convolve)
+    if work_bytes:
+        monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
     _check_plan_product(kernel, domain, dim, 0.04, 0.2)
 
 
-@pytest.mark.parametrize("block_bytes", [None, 1 << 12])
+@pytest.mark.parametrize("work_bytes", [None, 1 << 12])
 @pytest.mark.parametrize("domain", ["half", "full"])
 @pytest.mark.parametrize("kernel", ["bandpass", "box-left", "box-right"])
 @pytest.mark.parametrize("q, out_step", [(0.03, 0.2), (0.06, 0.04)])
 def test_plan_product_matches_naive_sum_off_stride(monkeypatch, q, out_step,
                                                    kernel, domain,
-                                                   block_bytes):
+                                                   work_bytes):
     # output steps that are no multiple of the tap step: the correlation
     # runs on the gcd lattice (0.01 and 0.02) with R = 20, D = 3 and
-    # R = 2, D = 3; the small block bound cuts the outputs into
-    # overlap-save segments, and the small work budget takes one frequency
-    # per group and copies rows two at a time
-    if block_bytes:
-        monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(signals, "WORK_BYTES", block_bytes)
+    # R = 2, D = 3; the small work budget takes one frequency per group
+    # and copies rows two at a time
+    if work_bytes:
+        monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
     _check_plan_product(kernel, domain, 2, q, out_step)
 
 
 @pytest.mark.parametrize("q, out_step", [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
-def test_overlap_save_segments_match_naive_sum(monkeypatch, q, out_step):
+def test_overlap_save_segments_match_naive_sum(q, out_step):
     # data on the whole record and outputs wherever the window fits: the
-    # small block bound splits the outputs into several overlap-save
-    # segments, and every segment's first and last samples meet nonzero
-    # taps, so a slice one sample short shows
-    monkeypatch.setattr(signals, "BLOCK_BYTES", 1 << 12)
+    # one record slice's first and last samples meet nonzero taps, so a
+    # slice one sample short shows
     F = make_full(lambda t: np.stack([np.exp(1j * t), np.cos(0.5 * t)],
                                      axis=1), t_end=100.0)
     H, kern = extend_by_zero(F), box_kernel(60.0)
@@ -288,17 +284,16 @@ def test_overlap_save_segments_match_naive_sum(monkeypatch, q, out_step):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("block_bytes", [None, 1 << 12])
+@pytest.mark.parametrize("work_bytes", [None, 1 << 12])
 @pytest.mark.parametrize("q, out_step", [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
 def test_modulated_product_column_independent_of_its_batch(monkeypatch, q,
                                                            out_step,
-                                                           block_bytes):
+                                                           work_bytes):
     # a verdict must not depend on which frequencies share a call: each
     # column equals, bit for bit, the same frequency computed alone (also
-    # with overlap-save segments and one frequency per group)
-    if block_bytes:
-        monkeypatch.setattr(signals, "BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(signals, "WORK_BYTES", block_bytes)
+    # with one frequency per group)
+    if work_bytes:
+        monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
     _, _, plan = _plan_case("bandpass", "full", 2, q, out_step)
     omegas = np.linspace(-2.0, 2.0, 21)
     full = modulated_product(plan, omegas)
@@ -317,6 +312,67 @@ def test_products_independent_of_the_work_budget(monkeypatch, q, out_step):
     monkeypatch.setattr(signals, "WORK_BYTES", 1 << 10)
     assert np.array_equal(plan_product(plan), conv)
     assert np.array_equal(modulated_product(plan, omegas), mod)
+
+
+def _vstack_views(H, plan):
+    """The oracle of the padding: the plan's views as they were built by
+    stacking the zero pads and the record slice into one (rows, d) array
+    with ``np.vstack`` and copying each channel out of it."""
+    count, taps = plan.views[0].shape
+    row = round(plan.step / H.dt)
+    col = round((plan.s_rev[0] - plan.s_rev[1]) / H.dt)
+    r_lo = round((plan.t0 - plan.s_rev[0] - H.t0) / H.dt)
+    r_hi = r_lo + (count - 1) * row + (taps - 1) * col
+    pad_l, pad_r = max(0, -r_lo), max(0, r_hi - (H.n - 1))
+    padded = np.vstack([np.zeros((pad_l, H.dim), complex),
+                        H.values[max(0, r_lo):min(H.n, r_hi + 1)],
+                        np.zeros((pad_r, H.dim), complex)])
+    views = []
+    for c in range(H.dim):
+        base_c = np.ascontiguousarray(padded[:, c])
+        views.append(np.lib.stride_tricks.as_strided(
+            base_c, shape=(count, taps),
+            strides=(row * base_c.strides[0], col * base_c.strides[0])))
+    return views
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("domain", ["half", "full"])
+@pytest.mark.parametrize("kernel, q, out_step",
+                         [("bandpass", 0.04, 0.2), ("box-left", 0.03, 0.2),
+                          ("box-right", 0.06, 0.04)])
+def test_channel_padding_matches_the_stacked_record(kernel, q, out_step,
+                                                    domain, dim):
+    # each channel is padded in place; the views read the same samples,
+    # zero pads included, as the stacked record did
+    def fn(t):
+        vals = np.stack([np.exp(1j * t), np.cos(0.5 * t), t / 30.0],
+                        axis=1)[:, :dim]
+        return vals * (np.abs(t) <= 30.0)[:, None]
+    F = (make_half if domain == "half" else make_full)(fn, t_end=100.0)
+    H = extend_by_zero(F)
+    kern = {"bandpass": bandpass_kernel(0.0, 1.0),
+            "box-left": box_kernel(60.0),
+            "box-right": reflected(box_kernel(60.0))}[kernel]
+    plan = plan_convolution(H, kern, out_step, (-0.4, np.inf), 1e-3, q)
+    ref = _vstack_views(H, plan)
+    assert len(plan.views) == dim
+    for got, want in zip(plan.views, ref):
+        assert got.strides == want.strides
+        assert np.array_equal(got, want)
+
+
+def test_products_of_a_plan_with_no_taps_are_zero():
+    # a zero record meets no tap: both products are zeros of the plan's
+    # output shape, with no row block sized by a zero-tap row
+    F = make_half(lambda t: 0.0 * t, t_end=100.0)
+    plan = plan_convolution(extend_by_zero(F), bandpass_kernel(0.0, 1.0),
+                            0.2, (-0.4, np.inf), 1e-3)
+    count, taps = plan.views[0].shape
+    assert taps == 0 and count > 0
+    assert np.array_equal(plan_product(plan), np.zeros((count, 1)))
+    assert np.array_equal(modulated_product(plan, [0.0, 1.0]),
+                          np.zeros((count, 2, 1)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 10, 100])

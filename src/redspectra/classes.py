@@ -167,10 +167,11 @@ def is_zero(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = N
                     lambda: _peak(F))
 
 
-def is_bounded(F: SampledSignal, cfg: Config = DEFAULT,
-               scale_ref: float | None = None, trunc_bound: float = 0.0) -> ClassReport:
-    """Trend test: segment sups along the record must not keep growing."""
-    norms, at = F.norms, np.abs(F.times)
+def is_bounded(norms: np.ndarray, times: np.ndarray, cfg: Config = DEFAULT,
+               scale_ref: float | None = None) -> ClassReport:
+    """Trend test on a record's row norms at its sample times: segment sups
+    along the record must not keep growing."""
+    at = np.abs(times)
     scale = float(norms.max()) if scale_ref is None else scale_ref
     qs = np.quantile(at, [0.5, 0.65, 0.8, 0.95])
     s_in = float(norms[at < qs[0]].max())
@@ -185,7 +186,7 @@ def is_bounded(F: SampledSignal, cfg: Config = DEFAULT,
     if segs[-1] >= 1.4 * max(segs[0], cfg.tol_zero_abs) and segs[-1] >= 1.4 * s_in:
         outer = at >= qs[-1]
         idx = np.where(outer)[0][np.argmax(norms[outer])]
-        ev["witness"] = {"t": float(F.times[idx]), "norm": float(norms[idx])}
+        ev["witness"] = {"t": float(times[idx]), "norm": float(norms[idx])}
         return ClassReport(FunctionClass.BOUNDED, Tri.NO, ev, tols)
     return ClassReport(FunctionClass.BOUNDED, Tri.UNDECIDED, ev, tols)
 
@@ -544,7 +545,7 @@ def detect(cls: FunctionClass, F: SampledSignal, cfg: Config = DEFAULT,
     if cls is FunctionClass.C0:
         return is_c0(F, cfg, scale_ref, trunc_bound)
     if cls is FunctionClass.BOUNDED:
-        return is_bounded(F, cfg, scale_ref, trunc_bound)
+        return is_bounded(F.norms, F.times, cfg, scale_ref)
     if cls is FunctionClass.UC:
         return is_uc(F, scale_ref, trunc_bound)
     if cls is FunctionClass.ERGODIC:

@@ -27,7 +27,7 @@ import numpy as np
 from .classes import (TOL_ERG, FunctionClass, Tri, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
 from .config import Config, DEFAULT
-from .corpus import CHAIN_NAMES, CorpusSignal, build_corpus
+from .corpus import CHAIN_NAMES, CorpusSignal, build_signal
 from .errors import ConfigError, GridError, RedSpectraError
 from .kernels import bump_kernel, d_bump
 from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
@@ -224,7 +224,7 @@ def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
     if F is None:
         return CheckResult("ergodic-theorem", entry.name, CheckStatus.VACUOUS,
                            {"reason": "no half-line record"})
-    bd = is_bounded(F, cfg)
+    bd = is_bounded(F.norms, F.times, cfg)
     if bd.member is not Tri.YES:
         so = detect(FunctionClass.SLOWLY_OSCILLATING, F, cfg)
         if so.member is not Tri.YES:
@@ -309,9 +309,10 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
     if not clusters:
         # the alternative hypothesis route needs M_h F bounded for all h;
         # sample it at a few h (the horizon limits what "all h" can mean)
-        details["mollified_bounded_probe"] = {
-            f"h={h:g}": is_bounded(mollify(F, h), cfg).member.value
-            for h in _H_SEQ}
+        probe = details["mollified_bounded_probe"] = {}
+        for h in _H_SEQ:
+            M = mollify(F, h)
+            probe[f"h={h:g}"] = is_bounded(M.norms, M.times, cfg).member.value
         uc_rep = is_uc(restricted, scale_ref, conv.trunc_bound)
         if uc_rep.member is not Tri.YES:
             details["reason"] = "smoothed signal not verifiably uniformly continuous"
@@ -435,21 +436,20 @@ def _phi_values(p: EvolutionProblem, t: np.ndarray) -> np.ndarray:
 
 
 def solve_evolution(p: EvolutionProblem, dt: float | None = None,
-                    t_end: float | None = None,
-                    cfg: Config = DEFAULT) -> SampledSignal:
+                    t_end: float | None = None, cfg: Config = DEFAULT):
     """Mild solution u(t) = e^{tA} u0 + int_0^t e^{(t-s)A} phi(s) ds of
-    u' = A u + phi with phi(t) = sum_j c_j exp(i nu_j t).
+    u' = A u + phi with phi(t) = sum_j c_j exp(i nu_j t), sampled at
+    t = k dt from 0 to t_end and yielded as fresh (rows, d) blocks in
+    order, so no caller need hold u whole.
 
     One formula for every A, defective and resonant ones included: the
     forcing modes join the state (Van Loan, IEEE TAC 1978).  z = (u,
     exp(i nu_1 t), ...) solves z' = B z with B = [[A, C], [0, diag(i nu)]]
     and C = (c_1, ...), so u(t) is the first d entries of exp(tB) z(0).
     On the split k = b m + c of the ``signals.FactoredLattice`` of the
-    samples t = k dt, exp(k dt B) = exp(m dt B)^b exp(dt B)^c: two tables
-    of about sqrt(n) powers, and one product per outer power, written
-    into u one block of m rows at a time.  The growth exponent is 0 when
-    B is diagonalisable (eigenvector condition below 1e8) with no
-    eigenvalue right of the axis, else 1.
+    samples, exp(k dt B) = exp(m dt B)^b exp(dt B)^c: two tables of about
+    sqrt(n) powers, and one product per outer power, which gives the
+    block of the m rows b m, ..., b m + m - 1.
     """
     dt = cfg.evolution_dt if dt is None else dt
     t_end = cfg.t_end if t_end is None else t_end
@@ -461,13 +461,17 @@ def solve_evolution(p: EvolutionProblem, dt: float | None = None,
     outer = _powers(_expm(lattice.m * dt * B), lattice.n_b)
     inner = _powers(_expm(dt * B), lattice.m)
     states = (inner @ z0).T                   # exp(c dt B) z(0), (d + r, m)
-    u = np.empty((n, d), complex)
     for b in range(lattice.n_b):
-        rows = u[b * lattice.m:(b + 1) * lattice.m]
-        rows[:] = (outer[b, :d] @ states)[:, :len(rows)].T
-    lam, V = np.linalg.eig(B)
-    k = 0 if np.linalg.cond(V) < 1e8 and np.all(lam.real <= 1e-9) else 1
-    return SampledSignal(Domain.HALF_LINE, 0.0, dt, u, k, trusted=True)
+        count = min(lattice.m, n - b * lattice.m)
+        yield (outer[b, :d] @ states)[:, :count].T.copy()
+
+
+def growth_exponent(p: EvolutionProblem) -> int:
+    """The k of the solution's declared bound C (1 + t^2)^k: 0 when the
+    ``solve_evolution`` matrix B is diagonalisable (eigenvector condition
+    below 1e8) with no eigenvalue right of the axis, else 1."""
+    lam, V = np.linalg.eig(_augmented(p))
+    return 0 if np.linalg.cond(V) < 1e8 and np.all(lam.real <= 1e-9) else 1
 
 
 # degree m: (theta_m, the largest 1-norm at which the [m/m] Pade
@@ -534,30 +538,52 @@ def _powers(E: np.ndarray, count: int) -> np.ndarray:
     return out[:count]
 
 
-def evolution_residual(p: EvolutionProblem, u: SampledSignal) -> float:
+def evolution_residual(p: EvolutionProblem, blocks, dt: float) -> float:
     """sup_t || u - u0 - A P u - P phi || with P the cumulative trapezoid
-    integral from t = 0, where u's record starts.
+    integral from t = 0, for u sampled at spacing dt from t = 0 and given
+    as (rows, d) blocks in order, of any sizes.
 
-    The record is walked in blocks of ``_RESIDUAL_BLOCK`` rows, so the
-    temporaries are (block, d) rather than (n, d).  Each block reads one
+    The rows are walked in windows of ``_RESIDUAL_BLOCK``, so the
+    temporaries are (window, d) rather than (n, d).  Each window reads one
     row past its end, and the integrals of u and phi up to its first row
     enter as the first term of its cumulative sums: the sums run left to
     right in the same order as over the whole record, and the residual is
     the same to the bit.
     """
-    u0 = u.values[0][None, :]
     carry_u = carry_phi = 0j
     worst = 0.0
-    for i0 in range(0, u.n, _RESIDUAL_BLOCK):
-        i1 = min(i0 + _RESIDUAL_BLOCK, u.n)
-        v = u.values[i0:i1 + 1]
-        phi = _phi_values(p, u.t0 + u.dt * np.arange(i0, i0 + len(v)))
-        Pu = _cumulative(v, u.dt, carry_u)
-        Pphi = _cumulative(phi, u.dt, carry_phi)
-        R = v[:i1 - i0] - u0 - Pu[:i1 - i0] @ p.A.T - Pphi[:i1 - i0]
+    for i0, v, count in _windows(blocks, _RESIDUAL_BLOCK):
+        if i0 == 0:
+            u0 = v[:1].copy()
+        phi = _phi_values(p, dt * np.arange(i0, i0 + len(v)))
+        Pu = _cumulative(v, dt, carry_u)
+        Pphi = _cumulative(phi, dt, carry_phi)
+        R = v[:count] - u0 - Pu[:count] @ p.A.T - Pphi[:count]
         worst = max(worst, float(np.linalg.norm(R, axis=1).max()))
         carry_u, carry_phi = Pu[-1:], Pphi[-1:]
     return worst
+
+
+def _windows(blocks, size: int):
+    """The rows of (rows, d) blocks regrouped into windows of ``size``
+    rows, the last one shorter: (index of the window's first row, its rows
+    and the row after it when there is one, its row count).  The windows
+    share one buffer, valid until the next is asked for."""
+    buf = None
+    start = filled = 0
+    for rows in blocks:
+        if buf is None:
+            buf = np.empty((size + 1, rows.shape[1]), complex)
+        while len(rows):
+            take = min(len(rows), size + 1 - filled)
+            buf[filled:filled + take] = rows[:take]
+            filled += take
+            rows = rows[take:]
+            if filled == size + 1:
+                yield start, buf, size
+                buf[0] = buf[size]
+                start, filled = start + size, 1
+    yield start, buf[:filled], filled
 
 
 def random_evolution_problems(n: int, cfg: Config = DEFAULT) -> list:
@@ -602,6 +628,33 @@ def jordan_vacuous_problem() -> EvolutionProblem:
                             np.array([0.0, 1.0], complex))
 
 
+def evolution_pass(p: EvolutionProblem, cfg: Config = DEFAULT) -> tuple:
+    """One walk over the solution's blocks at ``cfg.evolution_dt``, none
+    kept: (ODE residual, sup of the row norms, ``is_bounded`` report of
+    the norms, the solution decimated to the spectral grid's ``cfg.dt``).
+    Each block feeds the streamed residual, its row norms and a fresh
+    copy of its rows on the decimated lattice."""
+    dt = cfg.evolution_dt
+    step = max(1, round(cfg.dt / dt))
+    norms, kept = [], []
+
+    def observed(blocks):
+        start = 0
+        for rows in blocks:
+            norms.append(np.linalg.norm(rows, axis=1))
+            kept.append(rows[-start % step::step].copy())
+            start += len(rows)
+            yield rows
+
+    res = evolution_residual(p, observed(solve_evolution(p, cfg=cfg)), dt)
+    norms = np.concatenate(norms)
+    sup = float(norms.max())
+    bd = is_bounded(norms, dt * np.arange(len(norms)), cfg, scale_ref=sup)
+    u_c = SampledSignal(Domain.HALF_LINE, 0.0, dt * step, np.concatenate(kept),
+                        growth_exponent(p), trusted=True)
+    return res, sup, bd, u_c
+
+
 def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
                              class_A: FunctionClass | None = None) -> CheckResult:
     """Singular points of the solution's Laplace spectrum must lie near the
@@ -611,23 +664,16 @@ def check_evolution_spectrum(p: EvolutionProblem, cfg: Config = DEFAULT,
     class empty (e.g. zero forcing), additionally require the solution's
     reduced spectrum to sit inside the neutral eigenvalue set alone.
     """
-    u = solve_evolution(p, cfg=cfg)
-    res = evolution_residual(p, u)
-    sup = u.sup_norm()
+    res, sup, bd, u_c = evolution_pass(p, cfg)
     tol_ode = TOL_ODE_COEFF * (1.0 + sup)
     details = {"dim": p.dim, "residual": res, "tol_ode": tol_ode,
                "n_modes": len(p.phi_modes)}
-    bd = is_bounded(u, cfg, scale_ref=sup)
     if bd.member is not Tri.YES:
         details["reason"] = "solution not verifiably bounded"
         return CheckResult("evolution", p.name, CheckStatus.VACUOUS, details)
     if res > tol_ode:
         details["reason"] = "solver residual above tolerance"
         return CheckResult("evolution", p.name, CheckStatus.FAIL, details)
-    # decimate for the spectral analysis grid
-    step = max(1, round(cfg.dt / u.dt))
-    u_c = SampledSignal(Domain.HALF_LINE, 0.0, u.dt * step, u.values[::step],
-                        u.growth_exponent, trusted=True)
     grid = FrequencyGrid.from_config(cfg)
     su = laplace_spectrum(u_c, grid, cfg).singular_set()
     neutral = [l.imag for l in np.linalg.eigvals(p.A) if abs(l.real) < 1e-9]
@@ -718,14 +764,16 @@ def _lattice_spans(cfg: Config) -> list:
 def run_all(cfg: Config = DEFAULT, only: str | None = None,
             corpus: dict | None = None) -> list:
     """Run every check; any engine exception becomes a FAIL with context.
-    Each shared analysis is built on first use and freed after its
-    subject's last job."""
+    Without ``corpus`` each built-in entry is built before its first job
+    and dropped after its last; each shared analysis is built on first use
+    and freed after its subject's last shared job."""
     if only is not None and only not in CHECK_IDS:
         raise ConfigError(f"unknown check id {only!r}; choose from: "
                           f"{', '.join(CHECK_IDS)}")
     # bad input, refused before any engine runs: an unbuildable grid,
     # weak-Laplace windows holding no grid step, too few abscissae for a
-    # half-plane scan and a span off the lattice of some record
+    # half-plane scan and a span off the lattice of some record (every
+    # built-in record is sampled at cfg.dt)
     grid = FrequencyGrid.from_config(cfg)
     wl_window_steps(cfg.wl_eps_seq, grid)
     if len(cfg.a_seq) < MIN_ABSCISSAE:
@@ -735,9 +783,8 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     spans = _lattice_spans(cfg)
     for what, span in spans:
         span_steps(span, cfg.dt, what)
-    corpus = build_corpus(cfg) if corpus is None else corpus
     record_of_dt = {}       # each distinct record dt: the first record with it
-    for name, entry in corpus.items():
+    for name, entry in (corpus or {}).items():
         for tag, rec in (("", entry.half), ("_full", entry.full)):
             if rec is not None:
                 record_of_dt.setdefault(rec.dt, name + tag)
@@ -747,35 +794,46 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
                 span_steps(span, dt, what)
         except GridError as exc:
             raise GridError(f"record {record}: {exc}") from None
+    entry_of = (corpus.__getitem__ if corpus is not None
+                else lambda name: build_signal(name, cfg))
     jobs = []       # (check id, subject, check function, arguments, shared)
     for check_id, fn_name, shared, subjects in CORPUS_ROSTER:
         if only not in (None, check_id):
             continue
         for subject in subjects:
             name, *param = (subject,) if isinstance(subject, str) else subject
-            jobs.append((check_id, name, fn_name,
-                         (corpus[name], *param, cfg), shared))
+            jobs.append((check_id, name, fn_name, (*param, cfg), shared))
+    n_corpus = len(jobs)        # the corpus jobs, which read their entry
     if only in (None, "evolution"):
         jobs += [("evolution", p.name, "check_evolution_spectrum",
                   (p, cfg, cls), False) for p, cls in evolution_roster(cfg)]
-    # each shared subject's last job: its analysis is freed after it, and
-    # after an earlier job loses the work objects but keeps its estimates
-    last = {subject: i for i, (_, subject, _, _, shared) in enumerate(jobs)
-            if shared}
+    # each subject's last job, after which its entry is dropped, and its
+    # last shared job, after which its analysis is freed; after an earlier
+    # job the analysis loses the work objects but keeps its estimates
+    last = {subject: i for i, (_, subject, *_) in enumerate(jobs[:n_corpus])}
+    last_shared = {subject: i for i, (_, subject, _, _, shared)
+                   in enumerate(jobs) if shared}
 
+    entries = {}    # the corpus entries a later job reads
     analyses = {}   # one per corpus signal that a later job reads
     results = []
     for i, (check_id, subject, fn_name, args, shared) in enumerate(jobs):
+        if i < n_corpus:
+            if subject not in entries:      # a builder error is a refusal
+                entries[subject] = entry_of(subject)
+            args = (entries[subject], *args)
         try:
             if shared and subject not in analyses:
-                analyses[subject] = analysis_of(corpus[subject], cfg)
+                analyses[subject] = analysis_of(entries[subject], cfg)
             kw = {"analysis": analyses[subject]} if shared else {}
             results.append(globals()[fn_name](*args, **kw))
         except Exception as exc:            # engine panic -> FAIL with context
             results.append(CheckResult(check_id, subject, CheckStatus.FAIL,
                                        {"exception": repr(exc)}))
-        if shared and last[subject] == i:
+        if shared and last_shared[subject] == i:
             analyses.pop(subject, None)
         elif shared and subject in analyses:
             analyses[subject].release_work()
+        if i < n_corpus and last[subject] == i:
+            del entries[subject]
     return results

@@ -9,7 +9,8 @@ from redspectra.classes import ClassReport, FunctionClass, Tri
 from redspectra.cli import main
 from redspectra.io_utils import (canonical_json, read_signal_csv,
                                  write_kernel, write_signal_csv)
-from redspectra.errors import ParseError
+from redspectra.corpus import BUILDERS
+from redspectra.errors import GridError, ParseError
 from redspectra.signals import Domain, SampledSignal
 
 
@@ -503,6 +504,21 @@ def test_verify_refuses_a_corpus_record_off_the_lattice_of_its_spans(
     err = capsys.readouterr().err
     assert err == "error: record exp_iw1: shift 1.0 is not a multiple of " \
                   "dt=0.3\n"
+    assert not out.exists()
+
+
+def test_verify_refuses_a_corpus_entry_its_builder_rejects(
+        tmp_path, capsys, monkeypatch):
+    # an entry is built when its first job comes; a builder's package
+    # error still ends the run with exit 2, never as a FAIL row
+    def rejected(*args):
+        raise GridError("sinc_sq cannot be built")
+
+    monkeypatch.setitem(BUILDERS, "sinc_sq", rejected)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--builtin", "--only", "regular-ft",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sinc_sq cannot be built\n"
     assert not out.exists()
 
 

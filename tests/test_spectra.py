@@ -4,7 +4,8 @@ import pytest
 from redspectra import spectra
 from redspectra.classes import FunctionClass
 from redspectra.config import Config
-from redspectra.errors import ConfigError, GridError, RedSpectraError
+from redspectra.errors import (ConfigError, DomainError, GridError,
+                               RedSpectraError)
 from redspectra.io_utils import canonical_json
 from redspectra.kernels import annihilator_kernel
 from redspectra.signals import Domain, SampledSignal, extend_by_zero, modulate
@@ -95,6 +96,59 @@ def test_detector_error_makes_only_its_point_undecided(monkeypatch):
             assert b.status is RegStatus.UNDECIDED
             assert b.evidence == {"reasons": ["detector failed"]}
         else:
+            assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+
+
+def test_package_error_at_one_point_is_its_only_reason(monkeypatch):
+    # a package error that is neither a truncation nor a horizon refusal,
+    # raised while rung 0 restricts the sixth grid point's band output,
+    # ends that point's test; the others keep an unpatched scan's
+    # certificates
+    F = make_half(lambda t: np.exp(1j * t))
+    plain = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    exc = DomainError("restriction failed at one point")
+    restricted, calls = ReducedScanner._restricted, []
+
+    def flaky(self, plan, vals):
+        calls.append(None)
+        if len(calls) == 6:
+            raise exc
+        return restricted(self, plan, vals)
+
+    monkeypatch.setattr(ReducedScanner, "_restricted", flaky)
+    est = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    for j, (a, b) in enumerate(zip(plain.certificates, est.certificates)):
+        if j == 5:
+            assert b.status is RegStatus.UNDECIDED
+            assert b.evidence == {"reasons": [str(exc)]}
+        else:
+            assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+
+
+def test_package_error_of_a_rung_fails_its_open_points(monkeypatch):
+    # the band columns of rung delta = 0.5 raise: every point still open
+    # there is UNDECIDED with the error as its only reason, and the points
+    # rung 1.0 decided keep their certificates
+    F = make_half(lambda t: np.exp(1j * t))
+    plain = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    exc = DomainError("band columns failed")
+    real, open_at = ReducedScanner._band_columns, []
+
+    def flaky(self, delta, idx):
+        if delta == 0.5:
+            open_at.extend(idx)
+            raise exc
+        return real(self, delta, idx)
+
+    monkeypatch.setattr(ReducedScanner, "_band_columns", flaky)
+    est = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    assert 0 < len(open_at) < SMALL.n
+    for j, (a, b) in enumerate(zip(plain.certificates, est.certificates)):
+        if j in open_at:
+            assert b.status is RegStatus.UNDECIDED
+            assert b.evidence == {"reasons": [str(exc)]}
+        else:
+            assert a.status is RegStatus.REGULAR
             assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
 
 

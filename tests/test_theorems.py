@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from redspectra import corpus as corpus_module
 from redspectra import signals, spectra, theorems
-from redspectra.classes import FunctionClass, is_bounded
+from redspectra.classes import FunctionClass
 from redspectra.config import Config
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
                                 _cumulative)
-from redspectra.theorems import (CORPUS_ROSTER, TOL_ODE_COEFF, CheckStatus,
-                                 EvolutionProblem, check_ergodic_theorem,
+from redspectra.theorems import (CORPUS_ROSTER, TOL_ODE_COEFF, CheckResult,
+                                 CheckStatus, EvolutionProblem,
+                                 check_ergodic_theorem,
                                  check_evolution_spectrum,
                                  check_inclusion_chain, check_regular_ft,
-                                 check_tauberian, evolution_residual,
-                                 evolution_roster, jordan_vacuous_problem,
+                                 check_tauberian, evolution_pass,
+                                 evolution_residual, evolution_roster,
+                                 growth_exponent, jordan_vacuous_problem,
                                  random_evolution_problems, run_all,
                                  solve_evolution)
 
@@ -27,14 +30,22 @@ CFG = Config()
 # evolution solver oracles
 # ---------------------------------------------------------------------------
 
+def _solution(p, dt, t_end):
+    """The solver's blocks joined into one record, which the check itself
+    never forms."""
+    vals = np.concatenate(list(solve_evolution(p, dt=dt, t_end=t_end, cfg=CFG)))
+    return SampledSignal(Domain.HALF_LINE, 0.0, dt, vals, growth_exponent(p),
+                         trusted=True)
+
+
 def test_solver_trivial_and_scalar_exponential():
     p = EvolutionProblem("stationary", np.zeros((1, 1)),
                          np.array([2.0 + 1.0j]))
-    u = solve_evolution(p, dt=0.01, t_end=20.0, cfg=CFG)
+    u = _solution(p, dt=0.01, t_end=20.0)
     assert np.abs(u.values - (2.0 + 1.0j)).max() < 1e-12
 
     p2 = EvolutionProblem("rotator", np.array([[1j]]), np.array([1.0 + 0j]))
-    u2 = solve_evolution(p2, dt=0.01, t_end=50.0, cfg=CFG)
+    u2 = _solution(p2, dt=0.01, t_end=50.0)
     assert np.abs(u2.values[:, 0] - np.exp(1j * u2.times)).max() < 1e-6
 
 
@@ -43,7 +54,7 @@ def test_solver_variation_of_constants_closed_form():
     p = EvolutionProblem("forced", np.array([[-1.0 + 0j]]),
                          np.array([0.0 + 0j]),
                          ((np.array([1.0 + 0j]), 1.0),))
-    u = solve_evolution(p, dt=0.001, t_end=50.0, cfg=CFG)
+    u = _solution(p, dt=0.001, t_end=50.0)
     t = u.times
     expect = (np.exp(1j * t) - np.exp(-t)) / (1.0 + 1.0j)
     assert np.abs(u.values[:, 0] - expect).max() < 1e-6
@@ -53,7 +64,7 @@ def test_solver_resonant_forcing_closed_form():
     # u' = i u + exp(i t), u(0) = 1  =>  u = (1 + t) exp(i t), unbounded
     p = EvolutionProblem("resonant", np.array([[1j]]), np.array([1.0 + 0j]),
                          ((np.array([1.0 + 0j]), 1.0),))
-    u = solve_evolution(p, dt=0.01, t_end=50.0, cfg=CFG)
+    u = _solution(p, dt=0.01, t_end=50.0)
     t = u.times
     assert len(t) == 5001
     assert np.abs(u.values[:, 0] - (1.0 + t) * np.exp(1j * t)).max() < 1e-10
@@ -68,7 +79,7 @@ def test_solver_forced_jordan_block_closed_form():
     c1, c2, nu = 0.7 + 0.4j, -0.6 + 0.9j, 1.3
     p = EvolutionProblem("jordan-forced", np.array([[0.0, 1.0], [0.0, 0.0]]),
                          np.array([a, b]), ((np.array([c1, c2]), nu),))
-    u = solve_evolution(p, dt=0.01, t_end=50.0, cfg=CFG)
+    u = _solution(p, dt=0.01, t_end=50.0)
     t = u.times
     e = (np.exp(1j * nu * t) - 1.0) / (1j * nu)
     assert np.abs(u.values[:, 1] - (b + c2 * e)).max() < 1e-10
@@ -83,14 +94,15 @@ def test_solver_residual_bound():
     problems = [p for p, _cls in evolution_roster(CFG)]
     assert len(problems) == 24
     for p in problems:
-        u = solve_evolution(p, cfg=CFG)
-        assert evolution_residual(p, u) <= TOL_ODE_COEFF * (1 + u.sup_norm())
-        assert u.growth_exponent == (1 if p.name == "evolution[jordan]" else 0)
+        res, sup, _bd, u_c = evolution_pass(p, CFG)
+        assert res <= TOL_ODE_COEFF * (1 + sup)
+        assert growth_exponent(p) == u_c.growth_exponent == \
+            (1 if p.name == "evolution[jordan]" else 0)
 
 
 def _solve_by_batched_product(p, dt, t_end):
     """u from one batched (n_b, d, m) product and its transposed copy: the
-    formula the solver, which writes u one outer block at a time, must
+    formula the solver, which yields u one outer block at a time, must
     reproduce."""
     n = len(np.arange(0.0, t_end + dt / 2, dt))
     d, r = p.dim, len(p.phi_modes)
@@ -102,41 +114,57 @@ def _solve_by_batched_product(p, dt, t_end):
     return (outer[:, :d] @ (inner @ z0).T).transpose(0, 2, 1).reshape(-1, d)[:n]
 
 
+def _blocks(p, dt, t_end):
+    """The solver's blocks, each checked to hold the m rows of its outer
+    power (the last one the rest), none of them a view."""
+    n = len(np.arange(0.0, t_end + dt / 2, dt))
+    m = FactoredLattice(n, dt).m
+    blocks = list(solve_evolution(p, dt=dt, t_end=t_end, cfg=CFG))
+    assert [len(b) for b in blocks] == [min(m, n - i) for i in range(0, n, m)]
+    assert all(b.flags.c_contiguous and b.base is None for b in blocks)
+    return blocks
+
+
 def test_blocked_solver_equals_the_batched_product():
+    # the default lattice has m = 448 rows per block, which does not
+    # divide the residual's window
+    n = round(CFG.t_end / CFG.evolution_dt) + 1
+    assert theorems._RESIDUAL_BLOCK % FactoredLattice(n, CFG.evolution_dt).m
     for p, _cls in evolution_roster(CFG):
-        u = solve_evolution(p, cfg=CFG)
+        u = np.concatenate(_blocks(p, CFG.evolution_dt, CFG.t_end))
         ref = _solve_by_batched_product(p, CFG.evolution_dt, CFG.t_end)
-        assert np.array_equal(u.values, ref), p.name
+        assert np.array_equal(u, ref), p.name
     # one sample, a last block of one row, a full last block
     p = random_evolution_problems(20, CFG)[5]
     for dt, t_end in [(0.01, 0.0), (0.01, 0.06), (0.01, 0.08), (0.5, 50.0)]:
-        u = solve_evolution(p, dt=dt, t_end=t_end, cfg=CFG)
-        assert np.array_equal(u.values, _solve_by_batched_product(p, dt, t_end))
+        u = np.concatenate(_blocks(p, dt, t_end))
+        assert np.array_equal(u, _solve_by_batched_product(p, dt, t_end))
 
 
 def test_evolution_working_set_stays_within_the_work_budget():
-    # beyond u itself, solving, the streamed residual, sup_norm and
-    # is_bounded hold block buffers and a few (n,) float vectors (norms,
-    # |t|, the quantiles' copy): under four work budgets on the dim-4
-    # problem, where u is 12.8 MB.  Whole-record (n, d) temporaries would
-    # not fit.
+    # the pass over the solution keeps the decimated copy and the (n,)
+    # row norms and times; beyond them it holds blocks, residual windows
+    # and is_bounded's few (n,) float vectors (|t|, the quantiles' copy):
+    # under three work budgets on the dim-4 problem.  u itself, 12.8 MB,
+    # does not fit, nor would any whole-record (n, d) temporary.
     p = random_evolution_problems(20, CFG)[5]
     assert p.dim == 4
+    n = round(CFG.t_end / CFG.evolution_dt) + 1
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        u = solve_evolution(p, cfg=CFG)
-        evolution_residual(p, u)
-        is_bounded(u, CFG, scale_ref=u.sup_norm())
+        _res, _sup, _bd, u_c = evolution_pass(p, CFG)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert u.values.nbytes == 16 * 4 * 200_001
-    assert peak < u.values.nbytes + 4 * signals.WORK_BYTES
+    assert u_c.values.nbytes == 16 * 4 * 20_001
+    bound = u_c.values.nbytes + 2 * 8 * n + 3 * signals.WORK_BYTES
+    assert bound < 16 * 4 * n
+    assert peak < bound
 
 
 def _expm_matrices():
@@ -184,7 +212,12 @@ def test_streamed_residual_equals_the_full_array_formula(n):
     rng = np.random.default_rng(n)
     vals = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     u = SampledSignal(Domain.HALF_LINE, 0.0, 0.001, vals, 0, trusted=True)
-    assert evolution_residual(p, u) == _residual_by_full_arrays(p, u)
+    ref = _residual_by_full_arrays(p, u)
+    # blocks of sizes that do not divide the residual's window
+    for size in (7, 448, 3000, theorems._RESIDUAL_BLOCK + 5):
+        assert theorems._RESIDUAL_BLOCK % size
+        blocks = (vals[i:i + size] for i in range(0, n, size))
+        assert evolution_residual(p, blocks, u.dt) == ref, size
 
 
 def test_evolution_roster_pairs_classes_with_forcing_free_problems():
@@ -330,3 +363,80 @@ def test_cached_reads_build_no_scanner(monkeypatch, corpus):
                if "singular_clusters" in r.details]
     assert reached and built == reached
     assert results[len(row[3]):] == results[:len(row[3])]
+
+
+def _stub_checks(monkeypatch, probe):
+    """Replace every check ``run_all`` looks up by name with ``probe(name,
+    subject)`` returning a PASS, so a run does no engine work."""
+    def stub(fn_name):
+        def check(subject, *args, analysis=None):
+            probe(fn_name, subject.name)
+            return CheckResult(fn_name, subject.name, CheckStatus.PASS)
+        return check
+    for fn_name in {row[1] for row in CORPUS_ROSTER} | \
+            {"check_evolution_spectrum"}:
+        monkeypatch.setattr(theorems, fn_name, stub(fn_name))
+
+
+def _refuse_builds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a corpus entry was built")
+
+    for name in corpus_module.BUILDERS:
+        monkeypatch.setitem(corpus_module.BUILDERS, name, refuse)
+
+
+def test_run_all_builds_no_corpus_entry_for_the_evolution_checks(monkeypatch):
+    _refuse_builds(monkeypatch)
+    _stub_checks(monkeypatch, lambda fn_name, subject: None)
+    results = run_all(Config(), only="evolution")
+    assert [r.subject for r in results] == \
+        [p.name for p, _cls in evolution_roster(CFG)]
+
+
+def test_run_all_frees_each_entry_after_its_last_job(monkeypatch):
+    # each built-in entry is built before its subject's first job and
+    # freed after its last: at every job, the live entries are those whose
+    # subjects have a job before it and one after it
+    refs = {}
+
+    def recording(name, build):
+        def builder(*args):
+            entry = build(*args)
+            refs[name] = weakref.ref(entry)
+            return entry
+        return builder
+
+    for name, build in corpus_module.BUILDERS.items():
+        monkeypatch.setitem(corpus_module.BUILDERS, name,
+                            recording(name, build))
+    jobs, alive = [], []
+
+    def probe(fn_name, subject):
+        gc.collect()
+        jobs.append(subject)
+        alive.append({s for s, r in refs.items()
+                      if s != subject and r() is not None})
+
+    _stub_checks(monkeypatch, probe)
+    run_all(Config())
+    corpus_jobs = jobs[:-len(evolution_roster(CFG))]
+    assert list(refs) == list(dict.fromkeys(corpus_jobs))
+    for i, live in enumerate(alive):
+        assert live == {s for s in refs if s != jobs[i]
+                        and s in corpus_jobs[:i] and s in corpus_jobs[i + 1:]}
+    gc.collect()
+    assert all(r() is None for r in refs.values())
+
+
+def test_run_all_leaves_a_caller_corpus_as_it_was(monkeypatch, corpus):
+    # a corpus the caller passes is read, never emptied or rebuilt, and
+    # gives the results of the built-in entries it holds
+    before = dict(corpus)
+    _refuse_builds(monkeypatch)
+    passed = run_all(Config(), only="transform-identities", corpus=corpus)
+    assert list(corpus) == list(before)
+    assert all(corpus[k] is v for k, v in before.items())
+    monkeypatch.undo()
+    built = run_all(Config(), only="transform-identities")
+    assert passed == built

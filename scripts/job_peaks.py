@@ -7,8 +7,10 @@ Usage:
 Runs ``theorems.run_all`` at the default configuration in this process,
 with every check function of the roster wrapped by name (``run_all``
 looks each one up in ``theorems`` when it runs it).  The first line is
-the process's ``ru_maxrss`` after the imports; then one line per job:
-its index, check function, subject, wall time in seconds and the
+the process's ``ru_maxrss`` after the imports; then one line per job,
+in the order ``run_all`` runs them: one subject at a time, subjects in
+order of their first job in the report.  Each line gives the job's index
+in that order, its check function, subject, wall time in seconds and the
 process's ``ru_maxrss`` in MB once it has returned.  ``ru_maxrss`` is a
 high-water mark, so a job whose figure rises above the line before it
 set a new peak.  The last line names the first job that reached the

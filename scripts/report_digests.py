@@ -9,7 +9,9 @@ The first line names the BLAS thread environment: the
 the number of CPUs the process may run on.  The bytes of the verify
 report depend on the BLAS thread count, so compare only outputs whose
 first lines agree.  Then one line per file: first the ``results.json``
-of ``redspectra verify --builtin``, then every ``redspectra analyze``
+of ``redspectra verify --builtin``, then that of ``redspectra verify DIR
+--only transform-identities`` on a directory holding a 100 s ``exp_iw1``
+from ``redspectra synth``, then every ``redspectra analyze``
 report of the case roster in ``scripts/make_golden.py``, then every file
 that ``redspectra synth`` writes for each corpus signal at the default
 configuration (records, sidecars, and the CSV and sidecar of each
@@ -57,6 +59,14 @@ def main():
         results = os.path.join(work, "results.json")
         rc = quiet(cli_main, ["verify", "--builtin", "--out", results])
         print(f"{sha256_of(results)}  verify --builtin (exit {rc})", flush=True)
+        corpus = os.path.join(work, "corpus")
+        if quiet(cli_main, ["synth", "exp_iw1", "--tmax", "100",
+                            "--out", corpus]) != 0:
+            raise RuntimeError("synth exp_iw1 --tmax 100 failed")
+        rc = quiet(cli_main, ["verify", corpus, "--only",
+                              "transform-identities", "--out", results])
+        print(f"{sha256_of(results)}  verify DIR --only transform-identities "
+              f"(exit {rc})", flush=True)
         for name in dict.fromkeys(corpus_name(r) for r, _, _ in CASES):
             if quiet(cli_main, ["synth", name, "--out", work]) != 0:
                 raise RuntimeError(f"synth {name} failed")

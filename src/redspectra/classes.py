@@ -195,14 +195,10 @@ def is_bounded(norms: np.ndarray, times: np.ndarray, cfg: Config = DEFAULT,
 # ergodic means
 # ---------------------------------------------------------------------------
 
-def default_horizons(F: SampledSignal):
-    span = F.t_end - F.t0
-    return [round(f * span, 6) for f in (0.125, 0.25, 0.5)]
-
-
-def ergodic_mean(F: SampledSignal, T_list=None, scale_ref: float | None = None,
+def ergodic_mean(F: SampledSignal, scale_ref: float | None = None,
                  trunc_bound: float = 0.0):
-    """Mean and sup-deviation curve of the windowed averages.
+    """Mean and sup-deviation curve of the windowed averages at the
+    horizons T of 1/8, 1/4 and 1/2 of the record's span.
 
     deviation(T) = sup over window start points t of ||(1/T) int_t^{t+T} F
     - m||, with the sup taken over a declared compact window (a documented
@@ -212,8 +208,7 @@ def ergodic_mean(F: SampledSignal, T_list=None, scale_ref: float | None = None,
     class.
     """
     span = F.t_end - F.t0
-    if T_list is None:
-        T_list = default_horizons(F)
+    T_list = [round(f * span, 6) for f in (0.125, 0.25, 0.5)]
     T_max = max(T_list)
     if T_max >= span:
         raise HorizonError(f"horizon {T_max} exceeds the record span {span:.1f}")
@@ -227,11 +222,11 @@ def ergodic_mean(F: SampledSignal, T_list=None, scale_ref: float | None = None,
     # read from one cumulative trapezoid
     cum = _cumulative(F.values, F.dt)
     means = [(cum[k:k + n_w] - cum[:n_w]) / (k * F.dt) for k in ks]
-    m = means[int(np.argmax(T_list))].mean(axis=0)
+    m = means[-1].mean(axis=0)
     curves = [np.linalg.norm(A - m, axis=1) for A in means]
     devs = [float(c.max()) for c in curves]
     tol = TOL_ERG * scale + 2.0 * trunc_bound
-    ev = {"T_list": list(T_list), "deviations": devs,
+    ev = {"T_list": T_list, "deviations": devs,
           "sup_window": [float(F.t0), float(F.t0 + n_w * F.dt)],
           "mean_norm": float(np.linalg.norm(m))}
     tols = {"tol_erg": TOL_ERG, "scale_ref": scale, "trunc_bound": trunc_bound}
@@ -245,7 +240,7 @@ def ergodic_mean(F: SampledSignal, T_list=None, scale_ref: float | None = None,
 
 def is_ergodic(F, scale_ref=None, trunc_bound=0.0,
                mean_zero: bool = False) -> ClassReport:
-    m, devs, rep = ergodic_mean(F, None, scale_ref, trunc_bound)
+    m, devs, rep = ergodic_mean(F, scale_ref, trunc_bound)
     if not mean_zero:
         return rep
     scale = F.sup_norm() if scale_ref is None else scale_ref

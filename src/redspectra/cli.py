@@ -18,7 +18,7 @@ import sys
 
 from .classes import FunctionClass
 from .config import Config, DEFAULT
-from .corpus import BUILDERS, build_corpus, build_signal
+from .corpus import BUILDERS, build_signal
 from .errors import ConfigError, RedSpectraError
 from .io_utils import (canonical_json, read_signal_csv, sidecar_path,
                        write_kernel, write_plot_csv, write_signal_csv)
@@ -128,15 +128,15 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT_ERROR
     cfg = _load_config(args)
-    corpus = None
+    records = None
     if args.out:
         _check_out_dir(args.out)
     if not args.builtin:
         if not args.corpus:
             print("error: give a corpus directory or --builtin", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        corpus = _load_corpus_dir(args.corpus, cfg)
-    results = run_all(cfg, only=args.only, corpus=corpus)
+        records = _load_corpus_dir(args.corpus)
+    results = run_all(cfg, only=args.only, records=records)
     payload = [r.to_dict() for r in results]
     text = canonical_json(payload) + "\n"
     if args.out:
@@ -151,21 +151,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
-def _load_corpus_dir(path, cfg):
-    """Rebuild the built-in corpus but override records present as CSV
-    files in the directory (synthesized or user-edited)."""
-    import dataclasses
+def _load_corpus_dir(path) -> dict:
+    """The records of a corpus directory (synthesized or user-edited) by
+    file stem: ``NAME.csv`` and ``NAME_full.csv`` for each corpus signal
+    NAME, in corpus order.  They replace the built-in records of those
+    names; any other file is ignored."""
     if not os.path.isdir(path):
         raise NotADirectoryError(f"corpus directory {path} does not exist")
-    corpus = build_corpus(cfg)
-    out = dict(corpus)
-    for name, entry in corpus.items():
-        csv = os.path.join(path, f"{name}.csv")
-        full_csv = os.path.join(path, f"{name}_full.csv")
-        half = read_signal_csv(csv) if os.path.exists(csv) else entry.half
-        full = read_signal_csv(full_csv) if os.path.exists(full_csv) else entry.full
-        out[name] = dataclasses.replace(entry, half=half, full=full)
-    return out
+    records = {}
+    for stem in (name + tag for name in BUILDERS for tag in ("", "_full")):
+        csv = os.path.join(path, f"{stem}.csv")
+        if os.path.exists(csv):
+            records[stem] = read_signal_csv(csv)
+    return records
 
 
 def main(argv=None) -> int:

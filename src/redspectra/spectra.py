@@ -675,10 +675,6 @@ class SignalAnalysis:
       which refuse it or return the trivial estimate.
     * Carleman reads the full-line record ``full`` when there is one,
       otherwise the zero extension of a half-line ``F``.
-
-    The finished estimates outlive the scanner and the half-plane scan:
-    ``release_work`` drops those two and a later estimate rebuilds what
-    it reads.
     """
 
     def __init__(self, F: SampledSignal, cfg: Config = DEFAULT,
@@ -688,20 +684,12 @@ class SignalAnalysis:
         self.extra = tuple(extra_kernels)
         self.full = full
         self.grid = FrequencyGrid.from_config(cfg)
-        self._cache: dict = {}      # finished estimates
-        self._work: dict = {}       # the scanner and the half-plane scan
+        self._cache: dict = {}
 
-    def _get(self, key, fn, store=None):
-        store = self._cache if store is None else store
-        if key not in store:
-            store[key] = fn()
-        return store[key]
-
-    def release_work(self) -> None:
-        """Drop the scanner and the half-plane scan, keeping every
-        estimate.  The scanner computes each band column on its own, so
-        an estimate first asked for after the drop is the same."""
-        self._work.clear()
+    def _get(self, key, fn):
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
 
     def reduced(self, cls: FunctionClass) -> SpectrumEstimate:
         def run():
@@ -709,7 +697,7 @@ class SignalAnalysis:
             if cls in (FunctionClass.AP, FunctionClass.AAP):
                 candidates = self.reduced(FunctionClass.C0).singular_clusters()
             scanner = self._get("scanner", lambda: ReducedScanner(
-                self.F, self.grid.values(), self.cfg, self.extra), self._work)
+                self.F, self.grid.values(), self.cfg, self.extra))
             return reduced_spectrum(self.F, cls, self.grid, self.cfg,
                                     candidates=candidates, scanner=scanner)
         return self._get(cls, run)
@@ -727,7 +715,7 @@ class SignalAnalysis:
                     F.sup_norm() <= self.cfg.tol_zero_abs:
                 return None
             return half_plane_scan(F, self.grid.values(), self.cfg)
-        return self._get("half-plane", run, self._work)
+        return self._get("half-plane", run)
 
     def laplace(self) -> SpectrumEstimate:
         return self._get("laplace", lambda: laplace_spectrum(

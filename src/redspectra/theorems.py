@@ -28,7 +28,7 @@ from .classes import (TOL_ERG, FunctionClass, Tri, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
 from .config import Config, DEFAULT
 from .corpus import CHAIN_NAMES, CorpusSignal, build_signal
-from .errors import ConfigError, GridError, RedSpectraError
+from .errors import ConfigError, GridError, HorizonError, RedSpectraError
 from .kernels import bump_kernel, d_bump
 from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
                       convolve, extend_by_zero, modulate, mollify, span_steps,
@@ -761,19 +761,51 @@ def _lattice_spans(cfg: Config) -> list:
             + [("shift", _ID_SHIFT), ("output step", cfg.conv_out_step)])
 
 
+def _entry(name: str, cfg: Config, records: dict) -> CorpusSignal:
+    """The built-in corpus entry ``name``, each of its records replaced by
+    the one ``records`` holds under its file stem (``name`` for the half
+    line, ``name_full`` for the full line)."""
+    entry = build_signal(name, cfg)
+    return replace(entry, half=records.get(name, entry.half),
+                   full=records.get(name + "_full", entry.full))
+
+
+def _run_subject(jobs, entry: CorpusSignal | None, cfg: Config) -> list:
+    """The results of one subject's jobs, in order.  ``entry`` (None for an
+    evolution subject) is passed first to each check; the subject's
+    shared analysis is built on first use and goes when this returns."""
+    analysis = None
+    results = []
+    for check_id, subject, fn_name, args, shared in jobs:
+        if entry is not None:
+            args = (entry, *args)
+        try:
+            if shared and analysis is None:
+                analysis = analysis_of(entry, cfg)
+            kw = {"analysis": analysis} if shared else {}
+            results.append(globals()[fn_name](*args, **kw))
+        except Exception as exc:            # engine panic -> FAIL with context
+            results.append(CheckResult(check_id, subject, CheckStatus.FAIL,
+                                       {"exception": repr(exc)}))
+    return results
+
+
 def run_all(cfg: Config = DEFAULT, only: str | None = None,
-            corpus: dict | None = None) -> list:
+            records: dict | None = None) -> list:
     """Run every check; any engine exception becomes a FAIL with context.
-    Without ``corpus`` each built-in entry is built before its first job
-    and dropped after its last; each shared analysis is built on first use
-    and freed after its subject's last shared job."""
+    ``records`` maps a file stem (``exp_iw1``, ``exp_iw1_full``) to the
+    record that replaces that built-in record.  The jobs run one subject
+    at a time, subjects in order of first appearance, and each result
+    keeps its place in report order."""
+    records = records or {}
     if only is not None and only not in CHECK_IDS:
         raise ConfigError(f"unknown check id {only!r}; choose from: "
                           f"{', '.join(CHECK_IDS)}")
-    # bad input, refused before any engine runs: an unbuildable grid,
+    # bad input, refused before any entry is built: an unbuildable grid,
     # weak-Laplace windows holding no grid step, too few abscissae for a
-    # half-plane scan and a span off the lattice of some record (every
-    # built-in record is sampled at cfg.dt)
+    # half-plane scan, a span off the lattice of some record (every
+    # built-in record is sampled at cfg.dt) and a horizon shorter than
+    # the class detectors' window ``min_window``
     grid = FrequencyGrid.from_config(cfg)
     wl_window_steps(cfg.wl_eps_seq, grid)
     if len(cfg.a_seq) < MIN_ABSCISSAE:
@@ -783,19 +815,21 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     spans = _lattice_spans(cfg)
     for what, span in spans:
         span_steps(span, cfg.dt, what)
-    record_of_dt = {}       # each distinct record dt: the first record with it
-    for name, entry in (corpus or {}).items():
-        for tag, rec in (("", entry.half), ("_full", entry.full)):
-            if rec is not None:
-                record_of_dt.setdefault(rec.dt, name + tag)
-    for dt, record in record_of_dt.items():
+    for stem, rec in records.items():
         try:
             for what, span in spans:
-                span_steps(span, dt, what)
+                span_steps(span, rec.dt, what)
         except GridError as exc:
-            raise GridError(f"record {record}: {exc}") from None
-    entry_of = (corpus.__getitem__ if corpus is not None
-                else lambda name: build_signal(name, cfg))
+            raise GridError(f"record {stem}: {exc}") from None
+    # only half-line records: a full-line one may keep a fixed window, as
+    # expgrow's [-5, 10] does at every t_end
+    horizons = [("t_end", cfg.t_end)] + [
+        (f"record {stem}", rec.t_end) for stem, rec in records.items()
+        if rec.domain is Domain.HALF_LINE]
+    for what, horizon in horizons:
+        if horizon < cfg.min_window:
+            raise HorizonError(f"{what}: horizon {horizon:g}s is below the "
+                               f"minimum analysis window {cfg.min_window:g}s")
     jobs = []       # (check id, subject, check function, arguments, shared)
     for check_id, fn_name, shared, subjects in CORPUS_ROSTER:
         if only not in (None, check_id):
@@ -807,33 +841,16 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     if only in (None, "evolution"):
         jobs += [("evolution", p.name, "check_evolution_spectrum",
                   (p, cfg, cls), False) for p, cls in evolution_roster(cfg)]
-    # each subject's last job, after which its entry is dropped, and its
-    # last shared job, after which its analysis is freed; after an earlier
-    # job the analysis loses the work objects but keeps its estimates
-    last = {subject: i for i, (_, subject, *_) in enumerate(jobs[:n_corpus])}
-    last_shared = {subject: i for i, (_, subject, _, _, shared)
-                   in enumerate(jobs) if shared}
 
-    entries = {}    # the corpus entries a later job reads
-    analyses = {}   # one per corpus signal that a later job reads
-    results = []
-    for i, (check_id, subject, fn_name, args, shared) in enumerate(jobs):
-        if i < n_corpus:
-            if subject not in entries:      # a builder error is a refusal
-                entries[subject] = entry_of(subject)
-            args = (entries[subject], *args)
-        try:
-            if shared and subject not in analyses:
-                analyses[subject] = analysis_of(entries[subject], cfg)
-            kw = {"analysis": analyses[subject]} if shared else {}
-            results.append(globals()[fn_name](*args, **kw))
-        except Exception as exc:            # engine panic -> FAIL with context
-            results.append(CheckResult(check_id, subject, CheckStatus.FAIL,
-                                       {"exception": repr(exc)}))
-        if shared and last_shared[subject] == i:
-            analyses.pop(subject, None)
-        elif shared and subject in analyses:
-            analyses[subject].release_work()
-        if i < n_corpus and last[subject] == i:
-            del entries[subject]
+    by_subject = {}     # subject -> the indices of its jobs
+    for i, job in enumerate(jobs):
+        by_subject.setdefault(job[1], []).append(i)
+    results = [None] * len(jobs)
+    for subject, indices in by_subject.items():
+        entry = None    # the last subject's goes before this one's is built
+        if indices[0] < n_corpus:       # a builder error is a refusal
+            entry = _entry(subject, cfg, records)
+        done = _run_subject([jobs[i] for i in indices], entry, cfg)
+        for i, result in zip(indices, done):
+            results[i] = result
     return results

@@ -216,7 +216,7 @@ def test_criterion_09_approximate_identity():
 # -------------------------------------------------------------------------
 
 def test_criterion_10_chirp_ergodic(corpus):
-    m, devs, rep = ergodic_mean(corpus["chirp"].half, [25.0, 50.0, 100.0])
+    m, devs, rep = ergodic_mean(corpus["chirp"].half)
     ok = np.linalg.norm(m) <= 1e-2 and devs[0] > devs[1] > devs[2]
     report(10, ok, f"mean {np.linalg.norm(m):.2e}, deviations "
                    f"{[round(d, 4) for d in devs]}")

@@ -54,22 +54,23 @@ def test_tail_sup_is_nested_monotone():
 
 def test_ergodic_mean_constant():
     F = make_half(lambda t: np.full(len(t), 2.0 - 1.0j))
-    m, devs, rep = ergodic_mean(F, [25, 50, 100])
+    m, devs, rep = ergodic_mean(F)
     assert rep.member is Tri.YES
     assert abs(m[0] - (2.0 - 1.0j)) < 1e-10
     assert max(devs) < 1e-9
 
 
 def test_ergodic_mean_rejects_a_horizon_below_one_step():
-    with pytest.raises(HorizonError):
-        ergodic_mean(make_half(np.sin), [0.004, 50])
+    # a 0.03 s record: its shortest horizon, 0.00375 s, rounds to no step
+    with pytest.raises(HorizonError, match="shorter than dt=0.01"):
+        ergodic_mean(make_half(np.cos, t_end=0.03))
 
 
 def test_ergodic_mean_oscillation_rate():
     # windowed means of exp(i w t) decay like 2/(w T)
     w = 0.7
     F = make_half(lambda t: np.exp(1j * w * t))
-    m, devs, rep = ergodic_mean(F, [25, 50, 100])
+    m, devs, rep = ergodic_mean(F)
     assert np.linalg.norm(m) < 5e-3
     for T, d in zip((25, 50, 100), devs):
         assert d <= 2.0 / (w * T) + 1e-9
@@ -77,14 +78,14 @@ def test_ergodic_mean_oscillation_rate():
 
 def test_ergodic_chirp_fresnel():
     F = make_half(lambda t: np.exp(1j * t * t))
-    m, devs, rep = ergodic_mean(F, [25, 50, 100])
+    m, devs, rep = ergodic_mean(F)
     assert rep.member is Tri.YES and np.linalg.norm(m) <= 1e-2
     assert devs[0] > devs[1] > devs[2]
 
 
 def test_ergodic_no_for_drifting_signal():
     F = make_half(lambda t: np.exp(1j * np.sqrt(1 + t)), k=0)
-    m, devs, rep = ergodic_mean(F, [25, 50, 100])
+    m, devs, rep = ergodic_mean(F)
     assert rep.member in (Tri.NO, Tri.UNDECIDED)
 
 
@@ -302,11 +303,11 @@ def test_ergodic_closure_under_mollification(w, h):
     # ergodic with the same mean
     F = make_half(lambda t: np.exp(1j * t))
     G = modulate(F, w)
-    m0, _, rep0 = ergodic_mean(G, None)
+    m0, _, rep0 = ergodic_mean(G)
     assert rep0.member is Tri.YES
-    m1, _, rep1 = ergodic_mean(modulate(mollify(F, h), w), None)
+    m1, _, rep1 = ergodic_mean(modulate(mollify(F, h), w))
     assert rep1.member is Tri.YES
-    m2, _, rep2 = ergodic_mean(mollify(G, h), None)
+    m2, _, rep2 = ergodic_mean(mollify(G, h))
     assert rep2.member is Tri.YES
     assert np.linalg.norm(m2 - m0) < 2 * TOL_ERG
 
@@ -316,7 +317,7 @@ def test_ergodic_closure_under_convolution():
     # ergodic and uniformly continuous
     F = make_half(lambda t: np.exp(1j * 0.5 * t))
     conv = convolve(extend_by_zero(F, -5.0), box_kernel(1.0)).restrict_to_origin()
-    m, devs, rep = ergodic_mean(conv, None)
+    m, devs, rep = ergodic_mean(conv)
     assert rep.member is Tri.YES
     assert is_uc(conv).member is Tri.YES
 
@@ -327,7 +328,7 @@ def test_c0_closure_2_9_2_10():
     for h in (0.5, 1.0):
         M = mollify(F, h)
         assert is_c0(M, CFG).member is Tri.YES
-        m, _, rep = ergodic_mean(M, None)
+        m, _, rep = ergodic_mean(M)
         assert rep.member is Tri.YES and np.linalg.norm(m) < TOL_ERG
 
 
@@ -335,7 +336,7 @@ def test_uc_and_ergodic_implies_bounded_on_corpus():
     for f in (np.sin, lambda t: np.exp(1j * t * 0.5)):
         F = make_half(f)
         if is_uc(F).member is Tri.YES and \
-                ergodic_mean(F, None)[2].member is Tri.YES:
+                ergodic_mean(F)[2].member is Tri.YES:
             assert detect(FunctionClass.BOUNDED, F, CFG).member is Tri.YES
 
 

@@ -522,6 +522,38 @@ def test_verify_refuses_a_corpus_entry_its_builder_rejects(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end", ["0.5", "20"])
+def test_verify_refuses_a_horizon_below_the_minimum_window(
+        tmp_path, capsys, monkeypatch, t_end):
+    # at t_end 20 the run gave 1 pass, 46 fail, 16 vacuous and exit 1; at
+    # 0.5 it met tchirp's GrowthError only once tchirp's first job came
+    def unbuilt(*args):
+        raise AssertionError("a corpus entry was built")
+
+    for name in BUILDERS:
+        monkeypatch.setitem(BUILDERS, name, unbuilt)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(f'{{"t_end": {t_end}}}')
+    assert main(["verify", "--builtin", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: t_end: horizon {t_end}s is below the minimum analysis " \
+        f"window 30s\n"
+    assert not out.exists()
+
+
+def test_verify_refuses_a_corpus_record_below_the_minimum_window(
+        tmp_path, capsys):
+    corpus, out = tmp_path / "corpus", tmp_path / "r.json"
+    assert main(["synth", "exp_iw1", "--tmax", "10",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: record exp_iw1: horizon 10s " \
+        "is below the minimum analysis window 30s\n"
+    assert not out.exists()
+
+
 def test_synth_refuses_a_mollifier_width_off_the_lattice(tmp_path, capsys):
     # round(1 / 0.3) = 3 steps wrote M_0.9 samples labelled M_1
     assert main(["synth", "chirp_mollified", "--dt", "0.3",

@@ -75,7 +75,7 @@ def test_single_builds_equal_corpus_entries(seed):
 def test_synth_builds_only_its_signal(tmp_path, monkeypatch):
     def whole_corpus(*args, **kwargs):
         raise AssertionError("synth built the whole corpus")
-    monkeypatch.setattr(cli, "build_corpus", whole_corpus)
+    monkeypatch.setattr(corpus, "build_corpus", whole_corpus)
     assert cli.main(["synth", "so_composite", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "so_composite.csv").exists()
 

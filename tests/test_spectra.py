@@ -315,29 +315,6 @@ def test_shared_scan_gives_the_standalone_estimates(fn):
             assert canonical_json(s.to_dict()) == canonical_json(e.to_dict())
 
 
-def test_release_work_keeps_estimates_and_gives_the_same_verdicts():
-    # 200 s, so that C0 is singular near 1 and AAP scans that candidate
-    cfg = Config(grid_min=-2.5, grid_max=2.5, grid_step=0.25)
-    F = make_half(lambda t: np.exp(1j * t) + np.exp(-t))
-    an = spectra.SignalAnalysis(F, cfg)
-    c0 = an.reduced(FunctionClass.C0)
-    assert c0.singular_clusters()
-    an.laplace()
-    an.release_work()
-    # estimates first asked for after the drop, against a fresh analysis
-    # that asks for them with the work objects still in place
-    after = [an.reduced(FunctionClass.AAP), an.reduced(FunctionClass.ZERO),
-             an.weak_laplace()]
-    fresh = spectra.SignalAnalysis(F, cfg)
-    fresh.reduced(FunctionClass.C0)
-    fresh.laplace()
-    before = [fresh.reduced(FunctionClass.AAP),
-              fresh.reduced(FunctionClass.ZERO), fresh.weak_laplace()]
-    for a, b in zip(after, before):
-        assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
-    assert an.reduced(FunctionClass.C0) is c0
-
-
 def test_zero_records_give_the_trivial_estimate():
     half = make_half(lambda t: np.zeros_like(t), t_end=60.0)
     full = make_full(lambda t: np.zeros_like(t), t_end=60.0)

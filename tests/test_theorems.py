@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import make_half
+
 from redspectra import corpus as corpus_module
 from redspectra import signals, spectra, theorems
 from redspectra.classes import FunctionClass
 from redspectra.config import Config
+from redspectra.io_utils import canonical_json
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
                                 _cumulative)
 from redspectra.theorems import (CORPUS_ROSTER, TOL_ODE_COEFF, CheckResult,
@@ -344,25 +347,50 @@ def test_run_all_frees_the_analysis_of_a_failing_check(monkeypatch):
 
 
 def test_cached_reads_build_no_scanner(monkeypatch, corpus):
-    # every tauberian subject goes through two jobs: the first one drops
-    # the analysis' scanner, the second reads the cached C0 estimate
+    # every tauberian subject goes through two jobs, back to back: the
+    # second reads the cached C0 estimate of the first
     [row] = [row for row in CORPUS_ROSTER if row[0] == "tauberian"]
     monkeypatch.setattr(theorems, "CORPUS_ROSTER", CORPUS_ROSTER + (row,))
+    # the records of the session corpus, so that a scanner's record names
+    # its subject
+    records = {name: corpus[name].half for name in row[3]
+               if corpus[name].half is not None}
     built = []
     init = spectra.ReducedScanner.__init__
 
     def counting(self, F, *args, **kw):
-        built.append(next(name for name in row[3] if corpus[name].half is F))
+        built.append(next(name for name in records if records[name] is F))
         init(self, F, *args, **kw)
 
     monkeypatch.setattr(spectra.ReducedScanner, "__init__", counting)
-    results = run_all(Config(), only="tauberian", corpus=corpus)
+    results = run_all(Config(), only="tauberian", records=records)
     assert [r.subject for r in results] == list(row[3]) * 2
     # a subject reaches its analysis when it has a reduced C0 estimate
     reached = [r.subject for r in results[:len(row[3])]
                if "singular_clusters" in r.details]
     assert reached and built == reached
     assert results[len(row[3]):] == results[:len(row[3])]
+
+
+def test_run_all_accepts_the_fixed_window_of_expgrow(monkeypatch, corpus):
+    # expgrow's full-line record spans [-5, 10] at every t_end, below
+    # min_window; only half-line records are held to that window
+    _stub_checks(monkeypatch, lambda fn_name, subject: None)
+    records = {"expgrow_full": corpus["expgrow"].full}
+    results = run_all(Config(), only="tauberian", records=records)
+    assert "expgrow" in [r.subject for r in results]
+
+
+def test_results_do_not_depend_on_the_order_of_calls(corpus):
+    # run_all groups the jobs by subject; the checks called one by one in
+    # roster order give the same report
+    results = run_all(CFG, only="spectral-algebra")
+    alone = [getattr(theorems, fn_name)(corpus[name], param, CFG)
+             for check_id, fn_name, _shared, subjects in CORPUS_ROSTER
+             if check_id == "spectral-algebra"
+             for name, param in subjects]
+    assert canonical_json([r.to_dict() for r in results]) == \
+        canonical_json([r.to_dict() for r in alone])
 
 
 def _stub_checks(monkeypatch, probe):
@@ -395,9 +423,8 @@ def test_run_all_builds_no_corpus_entry_for_the_evolution_checks(monkeypatch):
 
 
 def test_run_all_frees_each_entry_after_its_last_job(monkeypatch):
-    # each built-in entry is built before its subject's first job and
-    # freed after its last: at every job, the live entries are those whose
-    # subjects have a job before it and one after it
+    # the jobs run one subject at a time: at every job no other subject's
+    # entry or analysis is alive, and none is once the run returns
     refs = {}
 
     def recording(name, build):
@@ -410,33 +437,58 @@ def test_run_all_frees_each_entry_after_its_last_job(monkeypatch):
     for name, build in corpus_module.BUILDERS.items():
         monkeypatch.setitem(corpus_module.BUILDERS, name,
                             recording(name, build))
+    analyses = {}
+    build_analysis = theorems.analysis_of
+
+    def recording_analysis(entry, cfg):
+        an = build_analysis(entry, cfg)
+        analyses[entry.name] = weakref.ref(an)
+        return an
+
+    monkeypatch.setattr(theorems, "analysis_of", recording_analysis)
     jobs, alive = [], []
 
     def probe(fn_name, subject):
         gc.collect()
         jobs.append(subject)
-        alive.append({s for s, r in refs.items()
+        alive.append({s for held in (refs, analyses)
+                      for s, r in held.items()
                       if s != subject and r() is not None})
 
     _stub_checks(monkeypatch, probe)
-    run_all(Config())
-    corpus_jobs = jobs[:-len(evolution_roster(CFG))]
-    assert list(refs) == list(dict.fromkeys(corpus_jobs))
-    for i, live in enumerate(alive):
-        assert live == {s for s in refs if s != jobs[i]
-                        and s in corpus_jobs[:i] and s in corpus_jobs[i + 1:]}
+    results = run_all(Config())
+    # the jobs ran grouped by subject, in order of first appearance, and
+    # the report keeps roster order
+    order = [r.subject for r in results]
+    assert jobs == [s for s in dict.fromkeys(order)
+                    for _ in range(order.count(s))]
+    assert alive == [set()] * len(jobs)
+    assert set(analyses) == {name for row in CORPUS_ROSTER if row[2]
+                             for name in row[3]}
     gc.collect()
-    assert all(r() is None for r in refs.values())
+    assert all(r() is None for held in (refs, analyses)
+               for r in held.values())
 
 
-def test_run_all_leaves_a_caller_corpus_as_it_was(monkeypatch, corpus):
-    # a corpus the caller passes is read, never emptied or rebuilt, and
-    # gives the results of the built-in entries it holds
-    before = dict(corpus)
-    _refuse_builds(monkeypatch)
-    passed = run_all(Config(), only="transform-identities", corpus=corpus)
-    assert list(corpus) == list(before)
-    assert all(corpus[k] is v for k, v in before.items())
-    monkeypatch.undo()
-    built = run_all(Config(), only="transform-identities")
-    assert passed == built
+def test_run_all_reads_the_records_it_is_passed(monkeypatch, corpus):
+    # a passed record replaces the built-in one of its stem, every other
+    # record comes from the builders, and the caller's dict is only read
+    records = {"exp_iw1": make_half(lambda t: np.exp(1j * t), t_end=100.0)}
+    before = dict(records)
+    seen = {}
+
+    def recording(entry, cfg):
+        seen[entry.name] = entry
+        return CheckResult("transform-identities", entry.name,
+                           CheckStatus.PASS)
+
+    monkeypatch.setattr(theorems, "check_transform_identities", recording)
+    run_all(Config(), only="transform-identities", records=records)
+    assert list(records) == list(before)
+    assert records["exp_iw1"] is before["exp_iw1"]
+    assert list(seen) == ["decay_exp", "exp_iw1", "chirp"]
+    assert seen["exp_iw1"].half is records["exp_iw1"]
+    for name, rec in (("exp_iw1", "full"), ("decay_exp", "half"),
+                      ("chirp", "half"), ("chirp", "full")):
+        built = getattr(corpus[name], rec)
+        assert np.array_equal(getattr(seen[name], rec).values, built.values)

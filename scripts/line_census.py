@@ -14,7 +14,10 @@ this roster of CLI calls runs in-process, in a temporary directory:
   of every class on ``exp_iw1``, ``so_composite`` and ``chirp`` (one call
   with ``--grid``);
 * ``analyze`` of carleman and beurling on ``exp_iw1_full``, ``sinc_full``
-  and ``tchirp_full``.
+  and ``tchirp_full``;
+* ``analyze`` of laplace on a CSV with a malformed row and on one with a
+  ``nan`` sample, each refused with exit 2, so the reader's re-read of a
+  bad file runs.
 
 A definition (function or method, nested ones included) ran when a line
 of one of its own simple statements ran: a loop or ``if`` header alone
@@ -133,7 +136,7 @@ def _package():
 
 
 def roster(work: str, classes, names) -> list:
-    """The argv lists of the census, in order."""
+    """(argv, expected exit code) of each call of the census, in order."""
     data = os.path.join(work, "data")
     cfg = os.path.join(work, "config.json")
     with open(cfg, "w") as fh:
@@ -158,18 +161,25 @@ def roster(work: str, classes, names) -> list:
             calls.append(["analyze", os.path.join(data, f"{record}.csv"),
                           "--kind", kind, "--out",
                           os.path.join(work, f"{record}-{kind}.json")])
-    return calls
+    bad = []
+    for name, row in (("malformed", "0.01,oops,0"), ("nan", "0.01,nan,0")):
+        path = os.path.join(work, f"{name}.csv")
+        with open(path, "w") as fh:
+            fh.write(f"t,re0,im0\n0,1,0\n{row}\n0.02,1,0\n")
+        bad.append(["analyze", path, "--kind", "laplace", "--out",
+                    os.path.join(work, f"{name}.json")])
+    return [(argv, 0) for argv in calls] + [(argv, 2) for argv in bad]
 
 
 def main():
     census = Census()
     cli_main, classes, names = census.run(_package)
     with tempfile.TemporaryDirectory() as work:
-        for argv in roster(work, classes, names):
+        for argv, expected in roster(work, classes, names):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 rc = census.run(cli_main, argv)
-            if rc != 0:
+            if rc != expected:
                 print(f"exit {rc}: {' '.join(argv)}", file=sys.stderr)
     for name in census.never_ran():
         print(name)

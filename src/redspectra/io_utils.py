@@ -51,32 +51,29 @@ def write_signal_csv(path, sig: SampledSignal):
 def read_signal_csv(path) -> SampledSignal:
     """The record in a signal CSV.  Domain and growth exponent come from
     the JSON sidecar; without one, a record starting at t = 0 is taken
-    as half-line, and the growth exponent is 0."""
+    as half-line, and the growth exponent is 0.
+
+    One ``np.loadtxt`` parses the rows straight from the open file; its
+    values equal ``float()``'s bitwise.  Only when it rejects them, or
+    they fail a check of ``_fault``, is the file read again by
+    ``_scan_rows``, which names the offending file line."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty signal file", line=1)
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[0] != "t" or (len(header) - 1) % 2 != 0 or len(header) < 3:
-        raise ParseError("header must be t,re0,im0[,re1,im1,...]", line=1)
-    arr = _parse_rows(lines, len(header))
-    if len(arr) < 2:
-        raise ParseError("need at least 2 samples", line=len(lines))
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
-        row_lines = [ln for ln, line in enumerate(lines[1:], start=2)
-                     if line.strip()]
-        raise ParseError("non-finite value (nan or inf)",
-                         line=row_lines[int(np.argmin(finite))])
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty signal file", line=1)
+        header = [h.strip() for h in first.split(",")]
+        if header[0] != "t" or (len(header) - 1) % 2 != 0 or len(header) < 3:
+            raise ParseError("header must be t,re0,im0[,re1,im1,...]", line=1)
+        try:
+            with warnings.catch_warnings():     # "input contained no data"
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            arr = None
+    if arr is None or arr.shape[1] != len(header) or _fault(arr):
+        arr = _scan_rows(path, len(header))
     t = arr[:, 0]
     dt = t[1] - t[0]
-    if dt <= 0:
-        raise ParseError("time column must increase", line=3)
-    rel = np.abs(np.diff(t) - dt) / dt
-    if rel.max() > _UNIFORM_RTOL:
-        bad = int(np.argmax(rel)) + 3
-        raise ParseError(f"non-uniform time spacing (relative deviation "
-                         f"{rel.max():.2e} > {_UNIFORM_RTOL})", line=bad)
     vals = arr[:, 1::2] + 1j * arr[:, 2::2]
 
     meta = _read_sidecar(sidecar_path(path))
@@ -88,36 +85,53 @@ def read_signal_csv(path) -> SampledSignal:
                          meta.get("growth_exponent", 0))
 
 
-def _parse_rows(lines, n_cols: int) -> np.ndarray:
-    """Sample rows below the header as an (n, n_cols) float array, blank
-    lines skipped.
+def _fault(arr):
+    """The first check that the (n, n_cols) rows fail, as (message, row
+    index or None for the file's last line); None when all pass."""
+    if len(arr) < 2:
+        return "need at least 2 samples", None
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        return "non-finite value (nan or inf)", int(np.argmin(finite))
+    t = arr[:, 0]
+    dt = t[1] - t[0]
+    if dt <= 0:
+        return "time column must increase", 1
+    rel = np.abs(np.diff(t) - dt) / dt
+    if rel.max() > _UNIFORM_RTOL:
+        return (f"non-uniform time spacing (relative deviation "
+                f"{rel.max():.2e} > {_UNIFORM_RTOL})", int(np.argmax(rel)) + 1)
+    return None
 
-    One ``np.loadtxt`` parses the usual file; its values equal
-    ``float()``'s bitwise.  When it rejects the rows, the per-line scan
-    runs instead: it names the offending file line, and it also takes
+
+def _scan_rows(path, n_cols: int) -> np.ndarray:
+    """The rows below the header, read line by line with ``float()``,
+    blank lines skipped.  Raises the first fault with its file line: a
+    row that does not parse, else what ``_fault`` finds.  It also takes
     what ``float()`` takes beyond ``loadtxt`` (whitespace-only lines,
     digit underscores)."""
-    try:
-        with warnings.catch_warnings():     # "input contained no data"
-            warnings.simplefilter("ignore", UserWarning)
-            arr = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-        if arr.shape[1] == n_cols:
-            return arr
-    except ValueError:
-        pass
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ParseError(f"expected {n_cols} columns, got {len(parts)}",
-                             line=ln)
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=ln) from exc
-    return np.asarray(rows, float).reshape(len(rows), n_cols)
+    rows, row_lines = [], []
+    with open(path) as fh:
+        fh.readline()
+        ln = 1
+        for ln, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != n_cols:
+                raise ParseError(f"expected {n_cols} columns, got "
+                                 f"{len(parts)}", line=ln)
+            try:
+                rows.append([float(x) for x in parts])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=ln) from exc
+            row_lines.append(ln)
+    arr = np.asarray(rows, float).reshape(len(rows), n_cols)
+    fault = _fault(arr)
+    if fault:
+        message, row = fault
+        raise ParseError(message, line=ln if row is None else row_lines[row])
+    return arr
 
 
 def _read_sidecar(side) -> dict:

@@ -1,17 +1,22 @@
+import io
 import json
+import math
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from redspectra.classes import ClassReport, FunctionClass, Tri
 from redspectra.cli import main
 from redspectra.io_utils import (canonical_json, read_signal_csv,
                                  write_kernel, write_signal_csv)
 from redspectra.corpus import BUILDERS
-from redspectra.errors import GridError, ParseError
-from redspectra.signals import Domain, SampledSignal
+from redspectra.errors import GridError, GrowthError, ParseError
+from redspectra.signals import WORK_BYTES, Domain, SampledSignal
 
 
 def test_signal_csv_round_trip(tmp_path):
@@ -50,37 +55,48 @@ def test_reader_rejects_an_extra_column_on_every_row(tmp_path):
 
 
 def _per_line_scan(text):
-    """The row-by-row reader: float() per field, whitespace-only lines
-    skipped; returns the rows or the file line of the first error."""
+    """The row-by-row reader: the lines a text-mode read gives (ended by
+    \\n, \\r\\n or \\r), float() per field, whitespace-only lines skipped.
+    Returns the rows, or the file line of the first fault: the header, a
+    row's column count or number, fewer than 2 rows (the last line), a
+    non-finite value, then the time spacing."""
+    lines = [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+    if not lines:
+        return 1
+    header = lines[0].split(",")
+    if header[0].strip() != "t" or len(header) < 3 or len(header) % 2 == 0:
+        return 1
     rows, row_lines = [], []
-    lines = text.splitlines()
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 3:
+        if len(parts) != len(header):
             return ln
         try:
             rows.append([float(x) for x in parts])
         except ValueError:
             return ln
         row_lines.append(ln)
-    finite = np.isfinite(rows).all(axis=1)
-    return row_lines[int(np.argmin(finite))] if not finite.all() else \
-        np.asarray(rows)
+    if len(rows) < 2:
+        return len(lines)
+    for row, ln in zip(rows, row_lines):
+        if not all(math.isfinite(x) for x in row):
+            return ln
+    t = [row[0] for row in rows]
+    dt = t[1] - t[0]
+    if dt <= 0:
+        return row_lines[1]
+    rel = [abs((b - a) - dt) / dt for a, b in zip(t, t[1:])]
+    worst = max(range(len(rel)), key=rel.__getitem__)
+    if rel[worst] > 1e-9:
+        return row_lines[worst + 1]
+    return np.asarray(rows)
 
 
-@pytest.mark.parametrize("row", [
-    "0.02,1_0,0", "0.02, 1 ,0", "0.02,0x1,0", "0.02,1e,0",
-    "0.02,infinity,0", "0.02,nan,0", "   ", "", "0.02,1,0,"])
-def test_reader_odd_tokens_match_per_line_scan(tmp_path, row):
-    """The vectorised reader gives the per-line scan's values, or its
-    error at the same file line."""
-    rows = [f"{0.01 * i:.2f},{(-1) ** i * 1.25},0.5" for i in range(6)]
-    # an odd sample replaces the t = 0.02 row; a blank line goes before it
-    rows[2:2 + row.startswith("0.02")] = [row]
-    text = "t,re0,im0\n" + "\n".join(rows) + "\n"
-    path = tmp_path / "odd.csv"
+def _assert_reads_as_scan(path, text):
+    """The streamed reader gives the per-line scan's record, its values
+    bitwise, or its error at the same file line."""
     path.write_text(text)
     ref = _per_line_scan(text)
     if isinstance(ref, int):
@@ -89,9 +105,110 @@ def test_reader_odd_tokens_match_per_line_scan(tmp_path, row):
         assert exc.value.line == ref
     else:
         sig = read_signal_csv(path)
-        assert np.array_equal(sig.times, ref[:, 0])
-        assert sig.values.tobytes() == (ref[:, 1] + 1j * ref[:, 2])[:, None] \
-            .tobytes()
+        assert (sig.t0, sig.dt, sig.n) == \
+            (ref[0, 0], ref[1, 0] - ref[0, 0], len(ref))
+        assert sig.values.tobytes() == \
+            (ref[:, 1::2] + 1j * ref[:, 2::2]).tobytes()
+
+
+@pytest.mark.parametrize("row", [
+    "0.02,1_0,0", "0.02, 1 ,0", "0.02,0x1,0", "0.02,1e,0",
+    "0.02,infinity,0", "0.02,nan,0", "   ", "", "0.02,1,0,"])
+def test_reader_odd_tokens_match_per_line_scan(tmp_path, row):
+    rows = [f"{0.01 * i:.2f},{(-1) ** i * 1.25},0.5" for i in range(6)]
+    # an odd sample replaces the t = 0.02 row; a blank line goes before it
+    rows[2:2 + row.startswith("0.02")] = [row]
+    _assert_reads_as_scan(tmp_path / "odd.csv",
+                          "t,re0,im0\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    "t,re0,im0\r\n0,1.5,0\r\n0.01,1,-0.0\r\n0.02,1,0\r\n",
+    "t,re0,im0\r0,1.5,0\r\r0.01,1,0\r0.02,oops,0\r",
+    "t,re0,im0\n0,1.5,0\n0.01,1,0\n0.02,1,0",
+    # a form feed or NEL ends no line: str.splitlines() breaks there
+    "t,re0,im0\n0,1\x0c,0\n0.01,1,0\n0.02,1\x85,0\n",
+    "t,re0,im0\n0,1\x0c,0\n\x85\n0.01,1,0\n0.02,oops,0\n",
+    "t,re0,im0\n", "t,re0,im0", "t,re0,im0\n0,1,0\n",
+    "t,re0,im0\n0,1,0\n\n\n", "t,re0,im0\n\n\n", "t,re0,im0\n \n\t\n"],
+    ids=["crlf", "cr", "no-final-newline", "ff-nel", "ff-nel-bad-row",
+         "header-only", "header-only-no-newline", "one-row",
+         "one-row-blank-tail", "blank-rows-only", "whitespace-rows-only"])
+def test_reader_line_ends_match_per_line_scan(tmp_path, text):
+    _assert_reads_as_scan(tmp_path / "ends.csv", text)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("t,re0,im0\n0,1,0\n\n\n0.01,1,0\n0.025,1,0\n", "non-uniform", 6),
+    ("t,re0,im0\n\n0.01,1,0\n0,1,0\n", "time column must increase", 4)],
+    ids=["non-uniform", "decreasing"])
+def test_reader_names_the_file_line_of_a_bad_spacing(tmp_path, text, message,
+                                                      line):
+    # blank lines before the bad row: the error still names its file line
+    path = tmp_path / "spacing.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as exc:
+        read_signal_csv(path)
+    assert exc.value.line == line
+
+
+def test_reader_holds_no_text_of_the_whole_file(tmp_path):
+    # 40 001 rows (1.5 MB of text): the read holds the parsed rows, the
+    # values and work buffers, never the text or a list of its lines
+    n = 40001
+    path = tmp_path / "long.csv"
+    write_signal_csv(path, SampledSignal(
+        Domain.FULL_LINE, -200.0, 0.01,
+        np.exp(0.01j * np.arange(-20000, 20001)), trusted=True))
+    tracemalloc.start()
+    try:
+        sig = read_signal_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sig.n == n
+    assert peak <= n * 3 * 8 + n * 16 + 2 * WORK_BYTES
+
+
+def _outgrows(rows) -> bool:
+    """Whether the record of these rows fails its growth check (k = 0)."""
+    try:
+        SampledSignal(Domain.FULL_LINE, rows[0, 0], rows[1, 0] - rows[0, 0],
+                      rows[:, 1::2] + 1j * rows[:, 2::2])
+    except GrowthError:
+        return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(line=st.integers(0, 6), field=st.none() | st.integers(0, 2),
+       text=st.text("0123456789.-+eE_ ,\t\r\n\x0c\x85tnaifx", max_size=6))
+@example(line=2, field=None, text="")   # a blank line before a bad spacing
+def test_reader_fuzz_matches_per_line_scan(tmp_path_factory, line, field,
+                                           text):
+    """One field or line of a valid 6-row file replaced: the reader gives
+    the per-line scan's record or its line (or, for rows the scan takes,
+    the record's own growth refusal), and analyze exits 0 or 2."""
+    lines = ["t,re0,im0"] + [f"{0.01 * i:.2f},{(-1) ** i * 1.25},0.5"
+                             for i in range(6)]
+    if field is None:
+        lines[line] = text
+    else:
+        parts = lines[line].split(",")
+        parts[field] = text
+        lines[line] = ",".join(parts)
+    csv = "\n".join(lines) + "\n"
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    ref = _per_line_scan(csv)
+    if isinstance(ref, np.ndarray) and _outgrows(ref):
+        path.write_text(csv)
+        with pytest.raises(GrowthError):
+            read_signal_csv(path)
+    else:
+        _assert_reads_as_scan(path, csv)
+    out = tmp_path_factory.getbasetemp() / "fuzz.json"
+    assert main(["analyze", str(path), "--kind", "laplace",
+                 "--out", str(out)]) in (0, 2)
 
 
 def test_reader_values_are_float_bitwise(tmp_path):

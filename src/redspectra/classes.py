@@ -10,9 +10,13 @@ is UNDECIDED.  ``_verdict`` holds that rule once; each detector supplies
 its statistic, any extra condition on YES or NO, and its witness.
 UNDECIDED is a first-class answer on finite records and is never coerced.
 
-The AP split forms the Bohr sum of a record once (``_bohr_sum``) and
-refines every candidate window on it; each pass of its peel loop forms
-one sum of that pass's residual.
+The AP split forms the Bohr sum of a record once (``_BohrSum``), and
+each pass of its peel loop forms one sum of that pass's residual.  One
+zero-padded FFT per sum gives |a| on a grid of a quarter of the main
+lobe; every candidate window reads its bins there, and only a window
+whose coarse maximum is interior is refined, by Brent between that
+maximum's neighbouring bins (search coarsely, then refine inside the
+peak found, as in Rife & Boorstyn's single-tone estimator, 1974).
 
 Tolerances are relative to a reference scale.  For a detector applied to
 a convolution output the reference is the *input* signal's sup norm (the
@@ -27,13 +31,14 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import Config, DEFAULT
 from .errors import HorizonError
-from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
-                      mollify)
+from .signals import (WORK_BYTES, Domain, FactoredLattice, SampledSignal,
+                      _cumulative, _next_fast_len, mollify)
 
 TAIL_FRACTIONS = (0.45, 0.65, 0.85)
 # membership thresholds, relative to the reference scale
@@ -277,19 +282,56 @@ def _bohr_weights(F: SampledSignal, T: float | None) -> np.ndarray:
     return (c[np.minimum(idx, k) + 1] - c[np.maximum(idx - n_w + 1, 0)]) / (n_w * k)
 
 
-def _bohr_sum(F: SampledSignal, T: float | None = None):
-    """omega -> a(omega), the weighted sum of ``_bohr_weights``: the rows
-    w_l F_l are laid out once on a ``signals.FactoredLattice`` and each
-    evaluation is exp(-i omega t0) times one contraction at z = i omega."""
-    w = _bohr_weights(F, T)
-    lattice = FactoredLattice(len(w), F.dt)
-    Y = lattice.blocks(w[:, None] * F.values[:len(w)])
-    t0 = F.t0
+class _BohrSum:
+    """nu -> a(nu), the weighted sum of ``_bohr_weights`` over the rows
+    w_l F_l, read two ways.  A call evaluates one nu: exp(-i nu t0) times
+    one contraction at z = i nu of a ``signals.FactoredLattice``, whose
+    blocks are laid out on the first call.  ``peak`` reads |a|^2 at the
+    bins j delta, delta = 2 pi / (L dt), from one zero-padded FFT of
+    length L >= 2 span / dt, so delta <= pi / span, a quarter of the
+    weights' main-lobe half-width 4 pi / span; the FFT runs on the first
+    ``peak``."""
 
-    def a(omega):
-        return cmath.exp(-1j * omega * t0) * lattice.contract(
+    def __init__(self, F: SampledSignal, T: float | None = None):
+        w = _bohr_weights(F, T)
+        self.rows = w[:, None] * F.values[:len(w)]
+        self.t0, self.dt = F.t0, F.dt
+        self.n_fft = _next_fast_len(2 * (F.n - 1))
+        self.delta = 2.0 * math.pi / (self.n_fft * F.dt)
+
+    @cached_property
+    def _lattice(self):
+        lattice = FactoredLattice(len(self.rows), self.dt)
+        return lattice, lattice.blocks(self.rows)
+
+    def __call__(self, omega: float) -> np.ndarray:
+        lattice, Y = self._lattice
+        return cmath.exp(-1j * omega * self.t0) * lattice.contract(
             lattice.exp(1j * omega), Y)
-    return a
+
+    @cached_property
+    def _power(self) -> np.ndarray:
+        """|a|^2 at bin j, j mod L; channels go through the FFT in groups
+        whose (L, g) transform fits ``WORK_BYTES``."""
+        L, d = self.n_fft, self.rows.shape[1]
+        g = max(1, WORK_BYTES // (16 * L))
+        power = np.zeros(L)
+        for j in range(0, d, g):
+            X = np.fft.fft(self.rows[:, j:j + g], L, axis=0)
+            power += (X.real ** 2 + X.imag ** 2).sum(axis=1)
+        return power
+
+    def peak(self, center: float, halfwidth: float):
+        """The bin of the largest coarse |a| in [center - halfwidth,
+        center + halfwidth], or None when that maximum is the window's
+        first or last bin (|a| may still rise past the window's edge) or
+        the window holds fewer than three bins."""
+        j0 = math.ceil((center - halfwidth) / self.delta)
+        j1 = math.floor((center + halfwidth) / self.delta)
+        if j1 - j0 < 2:
+            return None
+        i = int(np.argmax(self._power[np.arange(j0, j1 + 1) % self.n_fft]))
+        return None if i in (0, j1 - j0) else (j0 + i) * self.delta
 
 
 def bohr_coefficient(F: SampledSignal, omega: float,
@@ -299,7 +341,7 @@ def bohr_coefficient(F: SampledSignal, omega: float,
     start points is sanctioned by the uniform-in-t convergence in the
     ergodic-mean definition and suppresses transients like 1/(T W).
     Returns the coefficient vector, one entry per channel."""
-    return _bohr_sum(F, T)(omega)
+    return _BohrSum(F, T)(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +428,8 @@ def _refine_frequency(a, center: float, halfwidth: float) -> float:
     bounded Brent to within ``XATOL``, and round the maximizer onto the
     XATOL lattice: digits below the certified resolution would otherwise
     carry the evaluator's rounding into the report.  ``a`` is a
-    ``_bohr_sum`` evaluator."""
-    if halfwidth <= 0:
-        return center
-
+    ``_BohrSum``; ``ap_decompose`` passes an interior coarse peak and one
+    bin on either side of it."""
     def objective(w):   # -np.linalg.norm(a(w)), its sums without its checks
         v = a(w)
         return -math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
@@ -403,20 +443,31 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     """Split F into a trigonometric polynomial over the candidate
     frequencies plus a remainder; report AAP membership.
 
-    Candidates are floats or (center, halfwidth) pairs; each is refined by
-    maximizing the Bohr-coefficient magnitude on the record's one Bohr
-    sum, then the coefficients are solved jointly by least squares on the
-    record (which reduces to the windowed means for well-separated
-    frequencies).  AAP = YES iff the remainder passes the C0 detector.
+    Candidates are floats or (center, halfwidth) pairs.  Each pass forms
+    one Bohr sum (``_BohrSum``), whose one FFT gives |a| on a coarse grid
+    that every window reads: a window whose coarse maximum is interior is
+    refined between that maximum's neighbouring bins
+    (``_refine_frequency``), and a window whose maximum is its first or
+    last bin gives no frequency.  The coefficients are solved jointly by
+    least squares on the record (which reduces to the windowed means for
+    well-separated frequencies).  AAP = YES iff the remainder passes the
+    C0 detector.
     """
     scale = F.sup_norm() if scale_ref is None else scale_ref
     windows = [(c if isinstance(c, (tuple, list)) else (c, cfg.grid_step))
                for c in candidate_freqs]
     sep = 0.5 * np.pi / max(F.t_end - F.t0, 1.0)
     freqs: list = []
-    a = _bohr_sum(F) if windows else None
-    for center, hw in windows:
-        nu = _refine_frequency(a, center, hw)
+
+    def refined(a):
+        """The refined frequency of each window with an interior coarse
+        maximum of |a|, in window order."""
+        for center, hw in windows:
+            peak = a.peak(center, hw)
+            if peak is not None:
+                yield _refine_frequency(a, peak, a.delta)
+
+    for nu in (refined(_BohrSum(F)) if windows else ()):
         if all(abs(nu - f) > sep for f in freqs):
             freqs.append(nu)
 
@@ -435,11 +486,10 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
     # peel residual tones: one candidate window can hide several close
     # frequencies, which a single refinement pass cannot separate
     for _ in range(3 if windows else 0):
-        a = _bohr_sum(SampledSignal(F.domain, F.t0, F.dt, F.values - ap_vals,
-                                    F.growth_exponent, trusted=True))
+        a = _BohrSum(SampledSignal(F.domain, F.t0, F.dt, F.values - ap_vals,
+                                   F.growth_exponent, trusted=True))
         best, best_norm = None, 3.0 * TOL_BOHR * scale
-        for center, hw in windows:
-            nu = _refine_frequency(a, center, hw)
+        for nu in refined(a):
             bn = np.linalg.norm(a(nu))
             if bn > best_norm and all(abs(nu - f) > sep for f in freqs):
                 best, best_norm = nu, bn

@@ -23,6 +23,7 @@ may be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -98,10 +99,16 @@ def _check_growth(times: np.ndarray, norms: np.ndarray, k: int):
     record confirms it.  For k = 0 the tail test alone flags |t|^p on
     [0, T] from p ~ 0.46; the fit asks for order k + 1/4 (p >= 2k + 1/2),
     so power-law growth is still caught, while a bounded record whose
-    envelope happens to rise at the end fits an order near k.
+    envelope happens to rise at the end fits an order near k.  A row
+    whose norm is not finite (a sample near the float range squares to
+    inf) is refused first: no bound holds for it.
     """
     if k < 0 or k != int(k):
         raise GrowthError(f"growth_exponent must be a nonnegative integer, got {k}")
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if len(bad):
+        raise GrowthError(f"the norm of the row at t={times[bad[0]]:.10g} "
+                          f"is not finite")
     with np.errstate(over="ignore"):   # an inf envelope gives ratio 0
         ratio = norms / (1.0 + times * times) ** k
     peak = ratio.max()
@@ -169,7 +176,9 @@ class SampledSignal:
         if self.domain is Domain.HALF_LINE and abs(self.t0) > _LATTICE_RTOL * self.dt:
             raise DomainError("half-line signals must start at t0 = 0")
         if not self.trusted:
-            _check_growth(self.times, self.norms, self.growth_exponent)
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = self.norms
+            _check_growth(self.times, norms, self.growth_exponent)
 
     # ---- geometry -----------------------------------------------------
     @property
@@ -525,10 +534,12 @@ class FactoredLattice:
                 @ E[:, :self.m]).reshape(-1)[:self.n]
 
 
+@functools.cache
 def _next_fast_len(n: int) -> int:
     """The least 11-smooth integer >= n, n >= 1: a length whose complex
     FFT splits into radices pocketfft handles directly (the value of
-    ``scipy.fft.next_fast_len`` for complex input)."""
+    ``scipy.fft.next_fast_len`` for complex input).  Cached: each Bohr
+    sum asks for one, and a scan's records share a few lengths."""
     best = 1 << (n - 1).bit_length()       # the least power of two >= n
     p11 = 1
     while p11 < best:

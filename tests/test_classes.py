@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from redspectra import classes
 from redspectra.classes import (TOL_ERG, XATOL, FunctionClass, Tri,
-                                _bohr_sum, _refine_frequency, ap_decompose,
+                                _BohrSum, _refine_frequency, ap_decompose,
                                 bohr_coefficient, detect, ergodic_mean, is_c0,
                                 is_slowly_oscillating, is_uc, tail_sup,
                                 uc_modulus)
@@ -144,13 +144,94 @@ def test_refined_frequency_is_the_snapped_brent_maximizer(domain, n):
     # the snap hides how the weighted sum is ordered
     F = _random_record(domain, n, 7 * n)
     for center, hw in ((1.25, 0.2), (-0.5, 0.3), (0.3, 0.1)):
-        nu = _refine_frequency(_bohr_sum(F), center, hw)
+        nu = _refine_frequency(_BohrSum(F), center, hw)
         assert nu == XATOL * round(nu / XATOL)
         res = minimize_scalar(
             lambda x: -np.linalg.norm(_bohr_by_definition(F, x)),
             bounds=(center - hw, center + hw), method="bounded",
             options={"xatol": XATOL})
         assert XATOL * round(res.x / XATOL) == nu
+
+
+def test_coarse_power_is_a_at_the_bins():
+    # four channels of a 200 s record take two FFT groups within
+    # WORK_BYTES; bins on both sides of zero read |a|^2 of the lattice sum
+    rng = np.random.default_rng(5)
+    t = 0.01 * np.arange(20001)
+    vals = (rng.standard_normal((t.size, 4))
+            + np.exp(1j * np.outer(t, [1.0, -2.0, 0.5, 3.0])))
+    a = _BohrSum(SampledSignal(Domain.HALF_LINE, 0.0, 0.01, vals, 0,
+                               trusted=True))
+    assert a.delta <= np.pi / 200.0 and a.n_fft >= 40000
+    assert 16 * a.n_fft * 4 > classes.WORK_BYTES
+    for j in (-637, -1, 0, 1, 64, 955):
+        ref = np.linalg.norm(a(j * a.delta)) ** 2
+        assert abs(a._power[j % a.n_fft] - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def _whole_window_brent(a, center, hw):
+    """The refinement of every window before the coarse scan: bounded
+    Brent over the whole window, snapped onto the XATOL lattice."""
+    nu = classes._bounded_brent(lambda w: -np.linalg.norm(a(w)),
+                                center - hw, center + hw, XATOL)
+    return XATOL * round(nu / XATOL)
+
+
+@pytest.mark.parametrize("domain, n", [(Domain.HALF_LINE, 836),
+                                       (Domain.FULL_LINE, 1001)])
+def test_an_interior_peak_is_the_whole_window_maximizer(domain, n):
+    # windows that hold at most one of the record's two tones: whole-window
+    # Brent then finds the same peak, and its snapped frequency differs by
+    # at most one XATOL step from the refinement between the peak's bins
+    F = _random_record(domain, n, 7 * n)
+    a = _BohrSum(F)
+    peaks = 0
+    for hw in (0.6, 0.8, 1.0):
+        for center in np.arange(-3.0, 3.01, 0.25):
+            if abs(center - 1.3) <= hw and abs(center + 0.6) <= hw:
+                continue
+            peak = a.peak(center, hw)
+            if peak is None:
+                continue
+            peaks += 1
+            nu = _refine_frequency(a, peak, a.delta)
+            assert abs(nu - _whole_window_brent(a, center, hw)) <= 1.5 * XATOL
+    assert peaks >= 20
+
+
+@pytest.mark.parametrize("domain, n", [(Domain.HALF_LINE, 836),
+                                       (Domain.FULL_LINE, 1001)])
+def test_a_window_of_fewer_than_three_bins_gives_no_frequency(domain, n):
+    # an 8-10 s record has bins 0.31-0.37 apart: no window of
+    # test_refined_frequency_is_the_snapped_brent_maximizer holds an
+    # interior bin, nor does a window of no width
+    a = _BohrSum(_random_record(domain, n, 7 * n))
+    for center, hw in ((1.25, 0.2), (-0.5, 0.3), (0.3, 0.1), (1.3, 0.0)):
+        assert hw < a.delta
+        assert a.peak(center, hw) is None
+
+
+def test_a_window_on_one_flank_of_a_tone_gives_no_frequency(monkeypatch):
+    # [1.02, 1.06] lies on the falling flank of exp(it)'s main lobe (half
+    # width 4 pi / 200): its coarse maximum is its first bin, so it gives
+    # no frequency and no objective call (whole-window Brent stops at the
+    # edge 1.0200001, which is no maximum, and peels 1.0501793)
+    calls = []
+    brent = classes._bounded_brent
+
+    def counting_brent(f, lo, hi, xatol, maxfun=500):
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        return brent(counted, lo, hi, xatol, maxfun)
+    monkeypatch.setattr(classes, "_bounded_brent", counting_brent)
+    F = make_half(lambda t: np.exp(1j * t))
+    assert _BohrSum(F).peak(1.04, 0.02) is None
+    ap, rem, rep = ap_decompose(F, [(1.04, 0.02)], CFG)
+    assert rep.evidence["frequencies"] == [] and calls == []
+    # the window that holds the lobe's top refines it
+    ap, rem, rep = ap_decompose(F, [(1.0, 0.04)], CFG)
+    assert rep.evidence["frequencies"] == [1.0] and 0 < len(calls) < 40
 
 
 def _brent_objectives(rng, lo, hi, bohr):
@@ -182,7 +263,7 @@ def test_bounded_brent_matches_scipy_bounded_minimizer():
     # scipy serves only as the oracle: the port must stop on the same x,
     # bit for bit, over widths 1e-8 to 10 and both tolerances in use
     rng = np.random.default_rng(2105)
-    bohr = _bohr_sum(_random_record(Domain.HALF_LINE, 836, 11))
+    bohr = _BohrSum(_random_record(Domain.HALF_LINE, 836, 11))
     n = 0
     for width in np.geomspace(1e-8, 10.0, 10):
         for xatol in (1e-7, 1e-5):
@@ -248,12 +329,12 @@ def test_ap_decompose_forms_one_bohr_sum_per_pass(monkeypatch):
 
     def counting_sum(F, T=None):
         built.append(F)
-        return _bohr_sum(F, T)
+        return _BohrSum(F, T)
 
     def counting_refine(a, center, hw):
         refined.append(center)
         return _refine_frequency(a, center, hw)
-    monkeypatch.setattr(classes, "_bohr_sum", counting_sum)
+    monkeypatch.setattr(classes, "_BohrSum", counting_sum)
     monkeypatch.setattr(classes, "_refine_frequency", counting_refine)
     F = build_signal("aap_mix", CFG).half
     ap, rem, rep = ap_decompose(F, [(1.0, 0.2)], CFG)

@@ -328,6 +328,26 @@ def test_analyze_rejects_non_finite_samples(tmp_path, capsys):
     assert main(["analyze", str(bad), "--kind", "laplace"]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_refuses_a_row_whose_norm_overflows(tmp_path, capsys):
+    # |1e200|^2 is past the float range: no growth bound holds for the
+    # record, and the engines would sum inf and nan
+    t = np.arange(0.0, 200.0 + 0.005, 0.01)
+    vals = np.exp(1j * t)
+    vals[10000] = 1e200
+    csv = tmp_path / "big.csv"
+    write_signal_csv(csv, SampledSignal(Domain.HALF_LINE, 0.0, 0.01, vals,
+                                        trusted=True))
+    with pytest.raises(GrowthError, match="t=100 is not finite"):
+        read_signal_csv(csv)
+    out = tmp_path / "r.json"
+    rc = main(["analyze", str(csv), "--kind", "laplace", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "t=100 is not finite" in err
+
+
 @pytest.fixture(scope="module")
 def tone_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("tone")

@@ -216,12 +216,31 @@ def bump_kernel() -> TestKernel:
 # band-pass plateau kernels
 # ---------------------------------------------------------------------------
 
-_erf = np.vectorize(math.erf, otypes=[float])   # the standard library's erf
+_math_erf = np.vectorize(math.erf, otypes=[float])
+#: the plateau's edges, in sigma: within b - EDGE sigma it is exactly 1.0
+#: and beyond b + EDGE sigma exactly 0.0 (erf(EDGE / sqrt 2) == 1.0); the
+#: true plateau there differs by at most 0.5 erfc(EDGE / sqrt 2) < 1e-19
+PLATEAU_EDGE = 9.0
+
+
+def _erf(x):
+    """The standard library's erf of an array, called only where it is
+    not +-1.0 (it rounds to +-1.0 from |x| = 5.93 on)."""
+    x = np.asarray(x, float)
+    out = np.sign(x, out=np.empty_like(x))
+    near = np.abs(x) < 6.0
+    out[near] = _math_erf(x[near])
+    return out
 
 
 def _plateau(u, b, sigma):
     """box[-b, b] smoothed by N(0, sigma): 1 on the core, Gaussian edges."""
     return 0.5 * (_erf((u + b) / (sigma * _SQRT2)) - _erf((u - b) / (sigma * _SQRT2)))
+
+
+def bandpass_shape(delta: float) -> tuple:
+    """(b, sigma) of the plateau of ``bandpass_kernel(., delta)``."""
+    return 1.5 * delta, delta / 12.0
 
 
 def bandpass_kernel(omega0: float, delta: float) -> TestKernel:
@@ -233,8 +252,7 @@ def bandpass_kernel(omega0: float, delta: float) -> TestKernel:
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    b = 1.5 * delta
-    sigma = delta / 12.0
+    b, sigma = bandpass_shape(delta)
 
     def env(t):
         t = np.asarray(t, float)

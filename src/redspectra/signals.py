@@ -8,13 +8,15 @@ uses the declared zero extension (half-line signals vanish for t < 0) or
 accounts for the omission through an explicit truncation bound; nothing is
 periodized or silently zero-filled beyond the stated budget.
 
-Every convolution is planned by ``plan_convolution`` (window admission,
-padding, strided views trimmed to the taps that meet data, and the
-truncation bound).  ``convolve`` sums the plan against the kernel's
-weights in tap order (``plan_product``); the band-pass ladder of
-``spectra.ReducedScanner`` takes one plan to many modulated kernels at
-once with ``modulated_product``, one FFT correlation of the same
-trapezoid sums.
+Every convolution's output window and truncation bound come from one
+admission, ``_admit``.  ``convolve`` plans the padding and the strided
+views trimmed to the taps that meet data (``plan_convolution``) and sums
+them against the kernel's weights in tap order (``plan_product``).  The
+band-pass ladder of ``spectra.ReducedScanner`` reads many modulated
+kernels at once from one record DFT (``plan_band``): by Poisson
+summation, each frequency's dt-lattice trapezoid sums are a short sum
+over the bins where the kernel's closed-form transform is not zero
+(``band_product``).
 
 All types are immutable and all operations are pure functions, so signals
 may be shared freely across threads.
@@ -31,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, GridError, GrowthError, HorizonError, TruncationError
+from .kernels import PLATEAU_EDGE, _plateau, bandpass_shape
 
 #: relative slack in the on-lattice test for times and lags
 _LATTICE_RTOL = 1e-9
@@ -365,6 +368,55 @@ def _tail_crossing(tail_mass, thr: float, width: float) -> float:
     return hi
 
 
+def _admit(H: ExtendedSignal, kernel, width: float, out_step: float,
+           out_range, budget: float) -> tuple:
+    """The output window of a convolution of H with a kernel of half-width
+    ``width``, shared by ``plan_convolution`` and ``plan_band``: outputs
+    at rows ``i_lo + k*row`` of H, k < ``count``, as ``(i_lo, row, count,
+    env, trunc)``, with ``env`` the growth envelope over the record and
+    the kernel's reach and ``trunc`` the worst admitted omission.
+
+    Output points are restricted to where the quadrature window either
+    stays inside the sampled range of H or runs only over regions that are
+    known (the zero left tail of a half-line origin) or negligible (kernel
+    mass beyond the record, weighted by the declared growth envelope,
+    below ``budget`` relative to sup||H||).  A window that would exceed
+    the budget is not planned at all.
+    """
+    dt = H.dt
+    row = H.lattice_steps(out_step, "output step")
+    edge = max(abs(H.t0), abs(H.t_end))
+    env = max(H.envelope_constant() * (1.0 + (edge + width) ** 2)
+              ** H.growth_exponent, 1e-300)
+    allowance = budget * max(H.sup_norm(), 1e-300)
+
+    # an output at t omits kernel mass at |s| >= t_end - t (right edge) or
+    # |s| >= t - t0 (left edge, full-line data); admit while the omission,
+    # weighted by the growth envelope, stays within the allowance
+    x_star = _tail_crossing(kernel.tail_mass, allowance / env, width)
+    t_hi = H.t_end - x_star
+    t_lo = H.t0 if H.origin_domain is Domain.HALF_LINE else H.t0 + x_star
+    if out_range is not None:
+        t_lo, t_hi = max(t_lo, out_range[0]), min(t_hi, out_range[1])
+
+    i_lo = int(np.ceil((t_lo - H.t0) / dt - _LATTICE_RTOL))
+    i_hi = int(np.floor((t_hi - H.t0) / dt + _LATTICE_RTOL))
+    count = (i_hi - i_lo) // row + 1 if i_hi >= i_lo else 0
+    if count < 1:
+        raise TruncationError("no output points satisfy the truncation budget")
+    i_hi = i_lo + (count - 1) * row
+    omit = kernel.tail_mass(max(0.0, H.t_end - (H.t0 + i_hi * dt)))
+    if H.origin_domain is not Domain.HALF_LINE:
+        omit += kernel.tail_mass(max(0.0, i_lo * dt))
+    return i_lo, row, count, env, float(min(omit * env, allowance))
+
+
+def _data_rows(H: ExtendedSignal):
+    """First and last row of H that is not zero, or None."""
+    nz = np.flatnonzero(np.any(H.values != 0, axis=1))
+    return (int(nz[0]), int(nz[-1])) if len(nz) else None
+
+
 class ConvPlan(NamedTuple):
     """Output grid and operands of one trapezoid convolution.
 
@@ -387,19 +439,10 @@ class ConvPlan(NamedTuple):
 def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
                      out_range: tuple | None = None, budget: float = 1e-12,
                      quad_step: float | None = None) -> ConvPlan:
-    """Window admission, padding and strided views for ``convolve``.
-
-    Output points are restricted to where the quadrature window either
-    stays inside the sampled range of H or runs only over regions that are
-    known (the zero left tail of a half-line origin) or negligible (kernel
-    mass beyond the record, weighted by the declared growth envelope,
-    below ``budget`` relative to sup||H||).  A window that would exceed
-    the budget is not planned at all.  The taps are then trimmed to those
-    that meet a nonzero row of H for some output.  Multiplying the views
-    by a modulated copy of ``weights_rev`` convolves with the modulated
-    kernel on the same grid, which is how the band-pass ladder reuses one
-    plan for every frequency.
-    """
+    """Output window (``_admit``), padding and strided views for
+    ``convolve``: the taps, on the quadrature lattice (the record's
+    unless ``quad_step`` is given), are trimmed to those that meet a
+    nonzero row of H for some output."""
     dt = H.dt
     qstep = dt if quad_step is None else quad_step
     col = H.lattice_steps(qstep, "quadrature step")
@@ -410,40 +453,19 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
     i_s0 = H.lattice_steps(s0, "kernel start")
     s = s0 + qstep * np.arange(m)
     w = trapezoid_weights(m, qstep)
-
-    row = col if out_step is None else H.lattice_steps(out_step, "output step")
-
-    width = max(abs(s[0]), abs(s[-1]))
-    edge = max(abs(H.t0), abs(H.t_end))
-    env = max(H.envelope_constant() * (1.0 + (edge + width) ** 2)
-              ** H.growth_exponent, 1e-300)
-    allowance = budget * max(H.sup_norm(), 1e-300)
-
-    # an output at t omits kernel mass at |s| >= t_end - t (right edge) or
-    # |s| >= t - t0 (left edge, full-line data); admit while the omission,
-    # weighted by the growth envelope, stays within the allowance
-    x_star = _tail_crossing(kernel.tail_mass, allowance / env, width)
-    t_hi = H.t_end - x_star
-    t_lo = H.t0 if H.origin_domain is Domain.HALF_LINE else H.t0 + x_star
-    if out_range is not None:
-        t_lo, t_hi = max(t_lo, out_range[0]), min(t_hi, out_range[1])
-
-    i_lo = int(np.ceil((t_lo - H.t0) / dt - _LATTICE_RTOL))
-    i_hi = int(np.floor((t_hi - H.t0) / dt + _LATTICE_RTOL))
-    count = (i_hi - i_lo) // row + 1 if i_hi >= i_lo else 0
-    if count < 1:
-        raise TruncationError("no output points satisfy the truncation budget")
-    i_hi = i_lo + (count - 1) * row
+    i_lo, row, count, _, trunc = _admit(
+        H, kernel, max(abs(s[0]), abs(s[-1])),
+        col * dt if out_step is None else out_step, out_range, budget)
 
     # reversed tap c of output k reads row base + k*row + c*col of H (rows
     # outside the record are zero padding); keep the taps c_lo..c_hi whose
-    # rows meet the nonzero rows nz[0]..nz[-1] for some output
+    # rows meet the nonzero rows lo..hi for some output
     base = i_lo - i_s0 - (m - 1) * col
     span = (count - 1) * row
-    nz = np.flatnonzero(np.any(H.values != 0, axis=1))
-    if len(nz):
-        c_lo = max(0, -((base + span - int(nz[0])) // col))
-        c_hi = min(m - 1, (int(nz[-1]) - base) // col)
+    data = _data_rows(H)
+    if data:
+        c_lo = max(0, -((base + span - data[0]) // col))
+        c_hi = min(m - 1, (data[1] - base) // col)
     else:
         c_lo, c_hi = 0, -1
     taps = max(0, c_hi - c_lo + 1)
@@ -460,12 +482,9 @@ def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
             strides=(row * base_c.strides[0], col * base_c.strides[0]),
             writeable=False))
 
-    omit = kernel.tail_mass(max(0.0, H.t_end - (H.t0 + i_hi * dt)))
-    if H.origin_domain is not Domain.HALF_LINE:
-        omit += kernel.tail_mass(max(0.0, i_lo * dt))
     keep = slice(m - 1 - c_hi, m - c_lo)
     return ConvPlan(H.t0 + i_lo * dt, row * dt, views, s[keep][::-1],
-                    (samples * w)[keep][::-1], float(min(omit * env, allowance)))
+                    (samples * w)[keep][::-1], trunc)
 
 
 def plan_product(plan: ConvPlan) -> np.ndarray:
@@ -558,68 +577,98 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def modulated_product(plan: ConvPlan, omegas) -> np.ndarray:
-    """Convolutions with the planned kernel modulated to each frequency,
-    k(s) exp(i omega s), as a (count, len(omegas), channels) array.
+class BandPlan(NamedTuple):
+    """Output grid and record spectrum of the band-pass ladder.
 
-    One FFT correlation.  With g = gcd(row, col) of the view strides,
-    R = row/g and D = col/g, let x be the padded record on the lattice of
-    spacing g dt.  Output k is sum_c x[kR + cD] b_c, where
-    b_c = a_c exp(i omega s_c) are the modulated weights (a =
-    ``weights_rev``; s_c = s_rev[0] - c D q with q = step/R, from the
-    tables of a ``FactoredLattice``).  The record slice the outputs
-    read, of length L = (count-1)R + (taps-1)D + 1, is transformed once
-    per channel at length N = R M with M >= L/R, so no lag wraps.  Per
-    frequency, b spread to stride D is transformed once; per channel,
-    the product of the two spectra is folded to length M (the sum of its
-    R blocks keeps just the lags kR) and inverted at length M.
-
-    Frequencies are taken in groups whose buffers, N-wide transforms and
-    taps-wide phases, fit ``WORK_BYTES`` together.  Every step acts on
-    each frequency alone, so a column's value does not depend on which
-    others share the call.
+    ``spectrum[c, f]`` is the DFT, divided by N, of channel c of H's
+    rows on the dt lattice, laid out circularly with the first output's
+    row at index 0; bin f has frequency f * ``dnu``, dnu = 2 pi / (N dt),
+    and N is ``row`` times a fast FFT length.  ``b`` and ``sigma`` shape
+    the plateau of the centred kernel's transform, and ``trunc`` bounds
+    what the sums of ``band_product`` omit.
     """
-    omegas = np.asarray(omegas, float)
-    view = plan.views[0]
-    count, taps = view.shape
-    out = np.zeros((count, len(omegas), len(plan.views)), complex)
-    if taps == 0 or len(omegas) == 0:
-        return out
-    item = view.itemsize
-    row, col = view.strides[0] // item, view.strides[1] // item
-    g = math.gcd(row, col)
-    R, D = row // g, col // g
-    span = (taps - 1) * D + 1
-    n_x = (count - 1) * R + span
-    M = _next_fast_len(-(-n_x // R))
-    N = R * M
-    X = np.zeros((len(plan.views), N), complex)     # scaled 1/N
-    for c, v in enumerate(plan.views):
-        X[c, :n_x] = np.lib.stride_tricks.as_strided(
-            v, shape=(n_x,), strides=(g * item,))
+
+    t0: float
+    step: float
+    count: int
+    row: int
+    dnu: float
+    spectrum: np.ndarray
+    b: float
+    sigma: float
+    trunc: float
+
+
+def plan_band(H: ExtendedSignal, kernel, delta: float, out_step: float,
+              out_range: tuple, budget: float) -> BandPlan:
+    """The output window of ``_admit`` for the centred band-pass kernel
+    ``kernel`` = ``bandpass_kernel(0, delta)``, and the one record DFT
+    that every frequency's band output reads.
+
+    Output p reads record row n at lag p - n, and the circular DFT adds
+    the lags p - n +- N.  N exceeds the largest |p - n| by the kernel's
+    reach (its cut support, in rows), so every added lag falls where the
+    kernel's mass is ``tail_mass`` of the reach: with the growth
+    envelope, the wrap term of ``trunc``.
+    """
+    dt = H.dt
+    reach = math.ceil(max(-kernel.s_lo, kernel.s_hi) / dt - _LATTICE_RTOL)
+    first, row, count, env, trunc = _admit(H, kernel, reach * dt, out_step,
+                                           out_range, budget)
+    last = first + (count - 1) * row
+    lo, hi = _data_rows(H) or (first, first)      # a zero record: one zero row
+    n_min = max(hi - lo, last - first, max(last - lo, hi - first) + reach) + 1
+    N = row * _next_fast_len(-(-n_min // row))
+    X = np.zeros((H.dim, N), complex)
+    X[:, (np.arange(lo, hi + 1) - first) % N] = H.values[lo:hi + 1].T
     np.fft.fft(X, axis=1, out=X)
     X /= N
+    b, sigma = bandpass_shape(delta)
+    dnu = 2.0 * np.pi / (N * dt)
+    # the plateau beyond b + EDGE sigma that the bins omit, summed over
+    # both sides: 0.5 erfc((EDGE sigma + v) / (sigma sqrt 2)) <=
+    # 0.5 exp(-EDGE^2 / 2 - EDGE v / sigma) at the bins v = i dnu
+    cut = math.exp(-0.5 * PLATEAU_EDGE ** 2) / -math.expm1(
+        -PLATEAU_EDGE * dnu / sigma)
+    wrap = kernel.tail_mass(reach * dt)
+    return BandPlan(H.t0 + first * dt, row * dt, count, row, dnu, X, b, sigma,
+                    trunc + (wrap + cut) * env)
 
-    group = max(1, WORK_BYTES // (item * (N + taps)))
-    lattice = FactoredLattice(taps, plan.step * D / R)
+
+def band_product(plan: BandPlan, omegas) -> np.ndarray:
+    """Convolutions of H with the band-pass kernel modulated to each
+    frequency, k(s) exp(i omega s), as a (count, len(omegas), channels)
+    array: the dt-lattice trapezoid sums with the uncut kernel.
+
+    By Poisson summation the sum at output row p is sum_f X_f K(nu_f -
+    omega) exp(2 pi i f p / N), K the kernel's plateau, which is exactly
+    0.0 off omega +- (b + EDGE sigma): only those bins are read.  Output
+    k sits at p = k * row, and N = row * M, so the phase depends on f mod
+    M alone: the bins are added into M slots (one each, as long as the
+    band is narrower than M bins) and one inverse FFT of length M gives
+    every output.
+
+    Frequencies are taken in groups whose buffers fit ``WORK_BYTES``.
+    Every step acts on each frequency alone, so a column's value does not
+    depend on which others share the call.
+    """
+    omegas = np.asarray(omegas, float)
+    dim, N = plan.spectrum.shape
+    M = N // plan.row
+    band = plan.b + PLATEAU_EDGE * plan.sigma       # half-width read
+    nb = int(2.0 * band / plan.dnu) + 2
+    out = np.zeros((plan.count, len(omegas), dim), complex)
+    group = max(1, WORK_BYTES // (16 * (M + 3 * nb)))
     for j in range(0, len(omegas), group):
-        w = omegas[j:j + group]
-        inner, outer = np.hsplit(lattice.exp(1j * w[:, None]), [lattice.m])
-        outer *= np.exp(1j * w * plan.s_rev[0])[:, None]
-        phase = (outer[:, :, None] * inner[:, None, :]).reshape(len(w), -1)
-        kern = np.zeros((len(w), N), complex)
-        np.multiply(phase[:, :taps], plan.weights_rev, out=kern[:, :span:D])
-        del phase
-        # sum_c b_c exp(+2 pi i cD f / N): the correlating spectrum of b
-        np.fft.ifft(kern, axis=1, norm="forward", out=kern)
-        kern = kern.reshape(len(w), R, M)
-        for c, Xc in enumerate(X.reshape(-1, R, M)):
-            # fold while multiplying: the sum of the R blocks of M
-            folded = kern[:, 0] * Xc[0]
-            for r in range(1, R):
-                folded += kern[:, r] * Xc[r]
-            np.fft.ifft(folded, axis=1, norm="forward", out=folded)
-            out[:, j:j + group, c] = folded[:, :count].T
+        w = omegas[j:j + group, None]
+        f = np.ceil((w - band) / plan.dnu).astype(np.int64) + np.arange(nb)
+        K = _plateau(f * plan.dnu - w, plan.b, plan.sigma)
+        at = (np.arange(len(w))[:, None], f % M)
+        for c in range(dim):
+            Z = np.zeros((len(w), M), complex)
+            np.add.at(Z, at, plan.spectrum[c, f % N] * K)
+            np.fft.ifft(Z, axis=1, norm="forward", out=Z)
+            out[:, j:j + group, c] = Z[:, :plan.count].T
     return out
 
 

@@ -37,8 +37,8 @@ from .config import Config, DEFAULT
 from .errors import (ConfigError, HorizonError, RedSpectraError,
                      TruncationError)
 from .kernels import bandpass_kernel
-from .signals import (Domain, ExtendedSignal, SampledSignal, convolve,
-                      extend_by_zero, modulated_product, plan_convolution)
+from .signals import (Domain, ExtendedSignal, SampledSignal, band_product,
+                      convolve, extend_by_zero, plan_band)
 from .transforms import HalfPlaneGrid, TransformScanner, half_plane_scan
 
 #: the Laplace engine's analytic-continuation test: nodes on the Cauchy
@@ -179,26 +179,15 @@ class SpectrumEstimate:
 # reduced spectrum
 # ---------------------------------------------------------------------------
 
-def _quad_step_for(delta: float, cfg: Config, dt: float) -> float:
-    """Coarsest s-lattice whose aliasing the kernel envelope suppresses.
-
-    The Gaussian envelope exp(-(sigma t)^2/2), sigma = delta/12, must be
-    ~1e-6 at the first alias distance pi/h - (band edge); solve for h.
-    """
-    target = np.pi / (5.2 * 12.0 / delta + abs(cfg.grid_max) + 2 * delta)
-    m = max(1, int(np.floor(target / dt)))
-    return m * dt
-
-
 class ReducedScanner:
     """Regular-point tester for one signal.
 
     ``scan`` classifies a set of grid frequencies rung by rung: each
-    band-pass bandwidth is one ``modulated_product`` (an FFT correlation
-    of the bandwidth's plan) over the frequencies that have no Yes yet.
-    Band outputs are cached per (bandwidth, frequency), so scanning
-    several classes, or single points with ``test_regular``, reuses
-    them.
+    band-pass bandwidth is one ``band_product`` (a short sum over the
+    record's DFT bins near each frequency) over the frequencies that have
+    no Yes yet.  Band outputs are cached per (bandwidth, frequency), so
+    scanning several classes, or single points with ``test_regular``,
+    reuses them.
     """
 
     def __init__(self, F: SampledSignal, omegas, cfg: Config = DEFAULT,
@@ -213,10 +202,11 @@ class ReducedScanner:
 
     # -- batched band-pass convolutions ---------------------------------
     def _band_geometry(self, delta: float):
-        """Convolution plan of the centred band-pass kernel for one
-        bandwidth; every frequency reuses it through modulated weights.
-        The base kernel's |k^(0)|, which each modulated copy has at its
-        own frequency, is cached beside it as ``("ft_abs", delta)``."""
+        """``plan_band`` of the centred band-pass kernel for one
+        bandwidth: the output window that ``convolve``'s admission gives
+        it, and the record DFT every frequency reads.  The base kernel's
+        |k^(0)|, which each modulated copy has at its own frequency, is
+        cached beside it as ``("ft_abs", delta)``."""
         key = ("geom", round(delta, 12))
         if key in self._band_cache:
             return self._band_cache[key]
@@ -226,10 +216,10 @@ class ReducedScanner:
         lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
             else -np.inf
         kern = bandpass_kernel(0.0, delta)
-        plan = plan_convolution(
-            H, kern, max(1, round(cfg.conv_out_step / H.dt)) * H.dt,
-            (lo, np.inf), TRUNC_BUDGET, _quad_step_for(delta, cfg, H.dt))
-        if len(plan.views[0]) < max(3, int(cfg.min_window / cfg.conv_out_step)):
+        plan = plan_band(H, kern, delta,
+                         max(1, round(cfg.conv_out_step / H.dt)) * H.dt,
+                         (lo, np.inf), TRUNC_BUDGET)
+        if plan.count < max(3, int(cfg.min_window / cfg.conv_out_step)):
             raise TruncationError(f"band {delta}: usable window too short")
         self._band_cache[key] = plan
         self._band_cache[("ft_abs", key[1])] = float(abs(kern.ft(0.0)))
@@ -239,7 +229,7 @@ class ReducedScanner:
         """Outputs of F * bandpass(omega_j, delta), one (count, d) array
         per grid index j in ``idx``.
 
-        Uncached outputs come from one ``modulated_product`` of the
+        Uncached outputs come from one ``band_product`` of the
         bandwidth's plan over just those frequencies.  Each column is
         computed on its own there, so verdicts do not depend on the order
         of calls.
@@ -248,7 +238,7 @@ class ReducedScanner:
         d = round(delta, 12)
         todo = [j for j in idx if ("col", d, j) not in self._band_cache]
         if todo:
-            out = modulated_product(plan, self.omegas[todo])
+            out = band_product(plan, self.omegas[todo])
             for k, j in enumerate(todo):
                 self._band_cache[("col", d, j)] = out[:, k, :]
         return [self._band_cache[("col", d, j)] for j in idx]

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -107,6 +108,8 @@ def test_plateau_erf_matches_scipy():
     # the plateau's erf is the standard library's; scipy is only the oracle
     x = np.linspace(-12.0, 12.0, 480001)
     assert np.abs(_erf(x) - erf(x)).max() <= 2 * np.finfo(float).eps
+    # called only where it is not +-1.0, it is still math.erf bit for bit
+    assert np.array_equal(_erf(x), [math.erf(v) for v in x])
 
 
 def test_bandpass_fourier_consistency_and_modulation():

@@ -9,9 +9,9 @@ from redspectra.errors import (DomainError, GridError, GrowthError,
 from redspectra.kernels import bandpass_kernel, bump_kernel
 from redspectra import signals
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
-                                convolve, extend_by_zero, modulate,
-                                modulated_product, mollify, plan_convolution,
-                                plan_product, translate)
+                                band_product, convolve, extend_by_zero,
+                                modulate, mollify, plan_band,
+                                plan_convolution, plan_product, translate)
 
 from conftest import make_full, make_half
 from oracles import (box_kernel, difference, indefinite_integral, reflect,
@@ -204,38 +204,57 @@ def _naive_trapezoid(H, kernel, quad_step, t_out, omegas):
     return out
 
 
-def _plan_case(kernel, domain, dim, q, out_step):
-    """(H, kernel, plan) of the ladder-product tests.  The data vanish
-    for |t| > 30, so taps are trimmed at both ends, and the wide boxes on
-    [-60, 0] and [0, 60] weigh their edge taps fully: a trim one tap off
-    shows."""
+def _case_record(domain, dim):
+    """The data of the product tests: zero for |t| > 30, so taps are
+    trimmed at both ends, and the wide boxes on [-60, 0] and [0, 60]
+    weigh their edge taps fully: a trim one tap off shows."""
     def fn(t):
         vals = np.stack([np.exp(1j * t), np.cos(0.5 * t) / (1 + 0.01 * t * t)],
                         axis=1)[:, :dim]
         return vals * (np.abs(t) <= 30.0)[:, None]
-    F = (make_half if domain == "half" else make_full)(fn, t_end=100.0)
-    H = extend_by_zero(F)
+    return extend_by_zero((make_half if domain == "half" else make_full)(
+        fn, t_end=100.0))
+
+
+def _plan_case(kernel, domain, dim, q, out_step):
+    """(H, kernel, plan) of the plan-product tests."""
+    H = _case_record(domain, dim)
     kern = {"bandpass": bandpass_kernel(0.0, 1.0),
             "box-left": box_kernel(60.0),
             "box-right": reflected(box_kernel(60.0))}[kernel]
     return H, kern, plan_convolution(H, kern, out_step, (-0.4, np.inf), 1e-3, q)
 
 
+def _band_case(H, out_step, delta=1.0, out_range=(-0.4, np.inf)):
+    """The band-pass ladder's plan of H, with its centred kernel."""
+    kern = bandpass_kernel(0.0, delta)
+    return kern, plan_band(H, kern, delta, out_step, out_range, 1e-3)
+
+
+def _check_band_product(H, out_step, out_range=(-0.4, np.inf)):
+    # the ladder's sums are the dt-lattice trapezoid sums of the kernel,
+    # whose cut (below 1e-14 of its peak) the bound absorbs
+    kern, plan = _band_case(H, out_step, out_range=out_range)
+    omegas = np.linspace(-2.0, 2.0, 21)
+    got = band_product(plan, omegas)
+    t_out = plan.t0 + plan.step * np.arange(plan.count)
+    ref = _naive_trapezoid(H, kern, H.dt, t_out, omegas)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def _check_plan_product(kernel, domain, dim, q, out_step):
     H, kern, plan = _plan_case(kernel, domain, dim, q, out_step)
-    omegas = np.linspace(-2.0, 2.0, 21)
-    got = modulated_product(plan, omegas)
-    t_out = plan.t0 + plan.step * np.arange(len(got))
-    ref = _naive_trapezoid(H, kern, q, t_out, omegas)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    # convolve's product is the same sum with the unmodulated weights
     conv = plan_product(plan)
-    j0 = int(np.argmin(np.abs(omegas)))
-    assert conv.shape == got[:, j0].shape
-    assert np.abs(conv - ref[:, j0]).max() <= 1e-12 * np.abs(ref).max()
+    t_out = plan.t0 + plan.step * np.arange(len(conv))
+    ref = _naive_trapezoid(H, kern, q, t_out, [0.0])[:, 0]
+    assert conv.shape == ref.shape
+    assert np.abs(conv - ref).max() <= 1e-12 * np.abs(ref).max()
     # the trim is tight: the first and last kept taps meet data
     for c in (0, -1):
         assert any(np.any(v[:, c] != 0) for v in plan.views)
+    if kernel == "bandpass":
+        _check_band_product(H, out_step)
 
 
 @pytest.mark.parametrize("work_bytes", [None, 1 << 16])
@@ -244,9 +263,9 @@ def _check_plan_product(kernel, domain, dim, q, out_step):
 @pytest.mark.parametrize("kernel", ["bandpass", "box-left", "box-right"])
 def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
                                                 dim, work_bytes):
-    # the ladder's product: trimmed plan times modulated weights, with a
-    # small work budget as well (frequency groups and row blocks of
-    # convolve)
+    # convolve's product (trimmed plan times the weights) and the band
+    # ladder's, with a small work budget as well (row blocks of convolve,
+    # frequency groups of the ladder)
     if work_bytes:
         monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
     _check_plan_product(kernel, domain, dim, 0.04, 0.2)
@@ -259,10 +278,9 @@ def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
 def test_plan_product_matches_naive_sum_off_stride(monkeypatch, q, out_step,
                                                    kernel, domain,
                                                    work_bytes):
-    # output steps that are no multiple of the tap step: the correlation
-    # runs on the gcd lattice (0.01 and 0.02) with R = 20, D = 3 and
-    # R = 2, D = 3; the small work budget takes one frequency per group
-    # and copies rows two at a time
+    # output steps that are no multiple of the tap step (0.2 over taps
+    # 0.03 apart, 0.04 over taps 0.06 apart); the small work budget copies
+    # rows two at a time and takes one ladder frequency per group
     if work_bytes:
         monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
     _check_plan_product(kernel, domain, 2, q, out_step)
@@ -271,47 +289,52 @@ def test_plan_product_matches_naive_sum_off_stride(monkeypatch, q, out_step,
 @pytest.mark.parametrize("q, out_step", [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
 def test_overlap_save_segments_match_naive_sum(q, out_step):
     # data on the whole record and outputs wherever the window fits: the
-    # one record slice's first and last samples meet nonzero taps, so a
-    # slice one sample short shows
+    # record's first and last samples meet nonzero taps, so a slice (of
+    # convolve's views, or of the ladder's DFT input) one sample short
+    # shows
     F = make_full(lambda t: np.stack([np.exp(1j * t), np.cos(0.5 * t)],
                                      axis=1), t_end=100.0)
     H, kern = extend_by_zero(F), box_kernel(60.0)
     plan = plan_convolution(H, kern, out_step, None, 1e-3, q)
-    omegas = np.linspace(-2.0, 2.0, 5)
-    got = modulated_product(plan, omegas)
+    got = plan_product(plan)
     t_out = plan.t0 + plan.step * np.arange(len(got))
-    ref = _naive_trapezoid(H, kern, q, t_out, omegas)
+    ref = _naive_trapezoid(H, kern, q, t_out, [0.0])[:, 0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    _check_band_product(H, out_step, None)
 
 
 @pytest.mark.parametrize("work_bytes", [None, 1 << 12])
-@pytest.mark.parametrize("q, out_step", [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
-def test_modulated_product_column_independent_of_its_batch(monkeypatch, q,
-                                                           out_step,
+@pytest.mark.parametrize("d_omega, out_step",
+                         [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
+def test_modulated_product_column_independent_of_its_batch(monkeypatch,
+                                                           d_omega, out_step,
                                                            work_bytes):
     # a verdict must not depend on which frequencies share a call: each
-    # column equals, bit for bit, the same frequency computed alone (also
-    # with one frequency per group)
+    # column of the band ladder's modulated-kernel product equals, bit for
+    # bit, the same frequency computed alone (also with one frequency per
+    # group); frequency grids of three spacings put neighbouring bands on
+    # overlapping bins and split the groups at different columns
     if work_bytes:
         monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
-    _, _, plan = _plan_case("bandpass", "full", 2, q, out_step)
-    omegas = np.linspace(-2.0, 2.0, 21)
-    full = modulated_product(plan, omegas)
+    _, plan = _band_case(_case_record("full", 2), out_step)
+    omegas = np.arange(-2.0, 2.0 + d_omega / 2, d_omega)
+    full = band_product(plan, omegas)
     for j in range(len(omegas)):
-        assert np.array_equal(full[:, j], modulated_product(plan, omegas[j:j + 1])[:, 0])
-    assert np.array_equal(full[:, 5:9], modulated_product(plan, omegas[5:9]))
+        assert np.array_equal(full[:, j], band_product(plan, omegas[j:j + 1])[:, 0])
+    assert np.array_equal(full[:, 5:9], band_product(plan, omegas[5:9]))
 
 
 @pytest.mark.parametrize("q, out_step", [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
 def test_products_independent_of_the_work_budget(monkeypatch, q, out_step):
-    # the work budget bounds buffers, never a sum: frequency groups and
-    # row copies of any size give the same bits
-    _, _, plan = _plan_case("bandpass", "full", 2, q, out_step)
+    # the work budget bounds buffers, never a sum: row copies and
+    # frequency groups of any size give the same bits
+    H, _, plan = _plan_case("bandpass", "full", 2, q, out_step)
+    _, band = _band_case(H, out_step)
     omegas = np.linspace(-2.0, 2.0, 21)
-    conv, mod = plan_product(plan), modulated_product(plan, omegas)
+    conv, mod = plan_product(plan), band_product(band, omegas)
     monkeypatch.setattr(signals, "WORK_BYTES", 1 << 10)
     assert np.array_equal(plan_product(plan), conv)
-    assert np.array_equal(modulated_product(plan, omegas), mod)
+    assert np.array_equal(band_product(band, omegas), mod)
 
 
 def _vstack_views(H, plan):
@@ -366,12 +389,15 @@ def test_products_of_a_plan_with_no_taps_are_zero():
     # a zero record meets no tap: both products are zeros of the plan's
     # output shape, with no row block sized by a zero-tap row
     F = make_half(lambda t: 0.0 * t, t_end=100.0)
-    plan = plan_convolution(extend_by_zero(F), bandpass_kernel(0.0, 1.0),
+    H = extend_by_zero(F)
+    plan = plan_convolution(H, bandpass_kernel(0.0, 1.0),
                             0.2, (-0.4, np.inf), 1e-3)
     count, taps = plan.views[0].shape
     assert taps == 0 and count > 0
     assert np.array_equal(plan_product(plan), np.zeros((count, 1)))
-    assert np.array_equal(modulated_product(plan, [0.0, 1.0]),
+    _, band = _band_case(H, 0.2)
+    assert band.count == count
+    assert np.array_equal(band_product(band, [0.0, 1.0]),
                           np.zeros((count, 2, 1)))
 
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from redspectra import spectra
-from redspectra.classes import FunctionClass
+from redspectra.classes import FunctionClass, Tri, detect
 from redspectra.config import Config
 from redspectra.errors import (ConfigError, DomainError, GridError,
                                RedSpectraError)
 from redspectra.io_utils import canonical_json
-from redspectra.kernels import annihilator_kernel
+from redspectra.kernels import annihilator_kernel, bandpass_kernel
 from redspectra.signals import Domain, SampledSignal, extend_by_zero, modulate
 from redspectra.spectra import (FrequencyGrid, RegStatus, ReducedScanner,
                                 carleman_spectrum, laplace_spectrum,
@@ -75,6 +75,47 @@ def test_scan_equals_per_point_test_regular(corpus, name):
         loop = [sc.test_regular(w, cls, cands) for w in grid.values()]
         assert [canonical_json(c.to_dict()) for c in est.certificates] == \
             [canonical_json(c.to_dict()) for c in loop]
+
+
+def test_chirp_band_output_has_no_alias_no(corpus):
+    # exp(i t^2) has instantaneous frequency 2t: it crosses 157 rad/s
+    # (2 pi / 0.04) at t = 78.5, where a quadrature lattice of step 0.04
+    # would fold it into the band around omega = 1; the dt-lattice sum
+    # decays there, so the C0 detector finds no NO
+    sc = ReducedScanner(corpus["chirp"].half, GRID.values(), CFG)
+    sig, trunc = sc.band_output(1.0, sc.index_of(1.0))
+    rep = detect(FunctionClass.C0, sig, CFG, sc.scale_ref, trunc)
+    assert rep.member is not Tri.NO, rep.evidence
+
+
+def _broadband(t):
+    """A tone in the band, one at 157.1 rad/s (near 2 pi / 0.04) and
+    seeded white noise up to the Nyquist frequency 314 rad/s."""
+    noise = np.random.default_rng(7).standard_normal((len(t), 2))
+    return np.stack([np.exp(1j * t) + np.exp(157.1j * t),
+                     noise[:, 0] + 1j * noise[:, 1]], axis=1)
+
+
+@pytest.mark.parametrize("domain", ["half", "full"])
+def test_band_columns_are_the_dt_lattice_sums(domain):
+    # every rung's columns against the direct trapezoid sum at step dt of
+    # the uncut modulated kernel over the whole record, zero beyond it
+    F = (make_half(_broadband, t_end=240.0) if domain == "half"
+         else make_full(_broadband, t_end=200.0))
+    omegas = np.array([-4.0, 1.0, 4.9])
+    sc = ReducedScanner(F, omegas, CFG)
+    sup = F.sup_norm()
+    for delta in CFG.delta_seq:
+        plan = sc._band_geometry(delta)
+        cols = sc._band_columns(delta, range(len(omegas)))
+        kern = bandpass_kernel(0.0, delta)
+        rows = np.arange(0, len(cols[0]), 37)
+        for j, w in enumerate(omegas):
+            t_out = plan.t0 + plan.step * rows
+            lags = t_out[:, None] - F.times[None, :]
+            want = F.dt * (kern.time_fn(lags) * np.exp(1j * w * lags)) @ F.values
+            err = np.abs(cols[j][rows] - want).max()
+            assert err <= plan.trunc + 1e-12 * sup, (delta, w, err)
 
 
 def test_detector_error_makes_only_its_point_undecided(monkeypatch):

@@ -17,7 +17,10 @@ this roster of CLI calls runs in-process, in a temporary directory:
   and ``tchirp_full``;
 * ``analyze`` of laplace on a CSV with a malformed row and on one with a
   ``nan`` sample, each refused with exit 2, so the reader's re-read of a
-  bad file runs.
+  bad file runs;
+* ``analyze`` of laplace with a config whose grid step (1e-300) asks for
+  more points than numpy allocates, and ``synth exp_iw1 --tmax 1e300``,
+  each refused with exit 2.
 
 A definition (function or method, nested ones included) ran when a line
 of one of its own simple statements ran: a loop or ``if`` header alone
@@ -168,6 +171,14 @@ def roster(work: str, classes, names) -> list:
             fh.write(f"t,re0,im0\n0,1,0\n{row}\n0.02,1,0\n")
         bad.append(["analyze", path, "--kind", "laplace", "--out",
                     os.path.join(work, f"{name}.json")])
+    huge = os.path.join(work, "huge-grid.json")
+    with open(huge, "w") as fh:
+        json.dump({"grid_step": 1e-300}, fh)
+    bad.append(["analyze", os.path.join(data, "exp_iw1.csv"), "--kind",
+                "laplace", "--config", huge, "--out",
+                os.path.join(work, "huge-grid-report.json")])
+    bad.append(["synth", "exp_iw1", "--tmax", "1e300", "--out",
+                os.path.join(work, "huge")])
     return [(argv, 0) for argv in calls] + [(argv, 2) for argv in bad]
 
 

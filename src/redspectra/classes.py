@@ -261,19 +261,18 @@ def is_ergodic(F, scale_ref=None, trunc_bound=0.0,
                        rep.tolerances)
 
 
-def _bohr_weights(F: SampledSignal, T: float | None) -> np.ndarray:
+def _bohr_weights(F: SampledSignal) -> np.ndarray:
     """w with a(omega) = sum_l w_l exp(-i omega t_l) F_l.
 
     The T-windowed means A_j = (1/k) sum_i trap_i G_(j+i) (trapezoid of
-    k+1 taps, k = T/dt) averaged over n_w start points give w = (box of
-    n_w) * trap / (n_w k), a plateau with linear ramps of length n_w + k.
-    Its partial sums are multiples of 1/2, so w is exact up to the one
-    division."""
+    k+1 taps, k = T/dt, T half the record's span) averaged over n_w start
+    points give w = (box of n_w) * trap / (n_w k), a plateau with linear
+    ramps of length n_w + k.  Its partial sums are multiples of 1/2, so w
+    is exact up to the one division."""
     span = F.t_end - F.t0
-    T = 0.5 * span if T is None else T
-    k = F.lattice_steps(F.dt * round(min(T, 0.9 * span) / F.dt), "T")
+    k = round(0.5 * span / F.dt)
     if k < 1:
-        raise HorizonError(f"Bohr window {T} is shorter than dt={F.dt}")
+        raise HorizonError(f"Bohr window {span / 2} is shorter than dt={F.dt}")
     n_w = max(1, min(F.n - k, int(0.45 * span / F.dt)))
     trap = np.ones(k + 1)
     trap[[0, -1]] = 0.5
@@ -292,8 +291,8 @@ class _BohrSum:
     weights' main-lobe half-width 4 pi / span; the FFT runs on the first
     ``peak``."""
 
-    def __init__(self, F: SampledSignal, T: float | None = None):
-        w = _bohr_weights(F, T)
+    def __init__(self, F: SampledSignal):
+        w = _bohr_weights(F)
         self.rows = w[:, None] * F.values[:len(w)]
         self.t0, self.dt = F.t0, F.dt
         self.n_fft = _next_fast_len(2 * (F.n - 1))
@@ -334,14 +333,13 @@ class _BohrSum:
         return None if i in (0, j1 - j0) else (j0 + i) * self.delta
 
 
-def bohr_coefficient(F: SampledSignal, omega: float,
-                     T: float | None = None) -> np.ndarray:
+def bohr_coefficient(F: SampledSignal, omega: float) -> np.ndarray:
     """a(omega) = mean of gamma_{-omega} F, estimated by averaging the
     T-windowed means over their admissible start points.  Averaging over
     start points is sanctioned by the uniform-in-t convergence in the
     ergodic-mean definition and suppresses transients like 1/(T W).
     Returns the coefficient vector, one entry per channel."""
-    return _BohrSum(F, T)(omega)
+    return _BohrSum(F)(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +529,10 @@ def _jumps(F: SampledSignal, s: float) -> np.ndarray:
     return np.linalg.norm(F.values[k:] - F.values[:-k], axis=1)
 
 
-def uc_modulus(F: SampledSignal, lags=None):
-    """modulus(s) = sup_t ||F(t+s) - F(t)|| for each lattice lag."""
-    if lags is None:
-        lags = [F.dt * m for m in (1, 2, 5, 10)]
-    return list(lags), [float(_jumps(F, s).max()) for s in lags]
+def uc_modulus(F: SampledSignal):
+    """modulus(s) = sup_t ||F(t+s) - F(t)|| at lags of 1, 2, 5 and 10 dt."""
+    lags = [F.dt * m for m in (1, 2, 5, 10)]
+    return lags, [float(_jumps(F, s).max()) for s in lags]
 
 
 def is_uc(F: SampledSignal, scale_ref: float | None = None,

@@ -4,7 +4,9 @@ A frozen dataclass holds what the record and its grid decide: steps,
 horizons and widths, the zero amplitude and the corpus seed.  The
 dimensionless thresholds are constants of the modules that read them.
 Values can be loaded from a flat JSON file; unknown keys are rejected so
-typos never silently fall back to defaults.
+typos never silently fall back to defaults.  ``lattice_size`` refuses a
+lattice of more samples than numpy allocates: a grid, a record or an
+evolution solve that a config asks for.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -119,6 +123,17 @@ def _check_type(name: str, annotation: str, v):
         raise TypeError(f"{name}: unsupported annotation {annotation!r}")
     if not ok:
         raise ConfigError(f"{name} must be {want}, got {v!r}")
+
+
+def lattice_size(span: float, dt: float, what: str) -> int:
+    """len(np.arange(0, span + dt / 2, dt)); ConfigError when numpy would
+    not allocate that many complex samples (the probe touches no memory)."""
+    n = (span + dt / 2) / dt
+    try:
+        return len(np.empty(math.ceil(n), complex))
+    except (OverflowError, MemoryError, ValueError):
+        raise ConfigError(f"{what}: {n:.6g} samples of step {dt:g} over "
+                          f"{span:g}, more than memory holds") from None
 
 
 DEFAULT = Config()

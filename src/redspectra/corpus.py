@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import Config, DEFAULT
+from .config import Config, DEFAULT, lattice_size
 from .kernels import annihilator_kernel, d_bump
 from .signals import Domain, SampledSignal, row_slices, span_steps
 
@@ -84,6 +84,7 @@ def _lattices(cfg: Config) -> tuple:
     """(dt, T, half-line times [0, T], full-line times [-T, T]): the
     arguments every builder takes after ``cfg``."""
     dt, T = cfg.dt, cfg.t_end
+    lattice_size(2 * T, dt, "the full-line records")
     return (dt, T, np.arange(0.0, T + dt / 2, dt),
             np.arange(-T, T + dt / 2, dt))
 

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GridError
-
 _SQRT2 = np.sqrt(2.0)
 #: kernel tails are cut where |k| falls below this fraction of its peak
 SUPPORT_CUT = 1e-14
@@ -87,22 +85,18 @@ class TestKernel:
                          repr=False)
 
     # -- sampling -------------------------------------------------------
-    def time_samples(self, dt: float, quad_step: float | None = None):
-        """Samples on the quadrature lattice covering the cut support.
+    def time_samples(self, dt: float):
+        """Samples on the record lattice covering the cut support.
 
-        Returns ``(s0, values)`` with s_j = s0 + j*step; s0 is an integer
+        Returns ``(s0, values)`` with s_j = s0 + j*dt; s0 is an integer
         multiple of dt so convolution windows stay on the signal lattice.
         """
-        step = dt if quad_step is None else quad_step
-        m = round(step / dt)
-        if abs(step - m * dt) > 1e-9 * dt or m < 1:
-            raise GridError("quadrature step must be a positive multiple of dt")
-        key = (round(dt, 12), m)
+        key = round(dt, 12)
         if key not in self._cache:
-            n_lo = int(np.ceil(-self.s_lo / step - 1e-9))
-            n_hi = int(np.ceil(self.s_hi / step - 1e-9))
-            s = step * np.arange(-n_lo, n_hi + 1)
-            self._cache[key] = (-n_lo * step, np.asarray(self.time_fn(s), complex))
+            n_lo = int(np.ceil(-self.s_lo / dt - 1e-9))
+            n_hi = int(np.ceil(self.s_hi / dt - 1e-9))
+            s = dt * np.arange(-n_lo, n_hi + 1)
+            self._cache[key] = (-n_lo * dt, np.asarray(self.time_fn(s), complex))
         return self._cache[key]
 
     def ft(self, omega):

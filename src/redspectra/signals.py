@@ -9,9 +9,9 @@ accounts for the omission through an explicit truncation bound; nothing is
 periodized or silently zero-filled beyond the stated budget.
 
 Every convolution's output window and truncation bound come from one
-admission, ``_admit``.  ``convolve`` plans the padding and the strided
-views trimmed to the taps that meet data (``plan_convolution``) and sums
-them against the kernel's weights in tap order (``plan_product``).  The
+admission, ``_admit``.  ``convolve`` samples the kernel on the record's
+lattice, plans the padding and windows trimmed to the taps that meet
+data (``plan_convolution``) and sums them in tap order (``plan_product``).  The
 band-pass ladder of ``spectra.ReducedScanner`` reads many modulated
 kernels at once from one record DFT (``plan_band``): by Poisson
 summation, each frequency's dt-lattice trapezoid sums are a short sum
@@ -265,25 +265,18 @@ class ExtendedSignal(SampledSignal):
 # elementary operations
 # ---------------------------------------------------------------------------
 
-def extend_by_zero(F: SampledSignal, t_min: float | None = None) -> ExtendedSignal:
+def extend_by_zero(F: SampledSignal) -> ExtendedSignal:
     """Zero extension of F to the full line.
 
     For a half-line signal the result agrees with F on [0, t_end] and is 0
-    on [t_min, 0); a full-line signal is returned as is (its values to the
-    left are unknown, not zero, so no padding is permitted).
+    for min(50, t_end / 4) seconds before; a full-line signal is returned
+    as is (its values to the left are unknown, not zero, so no padding).
     """
     if F.domain is Domain.FULL_LINE:
-        if t_min is not None and t_min < F.t0 - _LATTICE_RTOL * F.dt:
-            raise TruncationError("cannot extend a full-line record leftward: "
-                                  "values there are unknown, not zero")
         return ExtendedSignal(Domain.FULL_LINE, F.t0, F.dt, F.values,
                               F.growth_exponent, trusted=True,
                               origin_domain=Domain.FULL_LINE)
-    if t_min is None:
-        t_min = -F.dt * round(min(50.0, 0.25 * max(F.t_end, F.dt)) / F.dt)
-    if t_min > F.t0 + _LATTICE_RTOL * F.dt:
-        raise GridError("t_min must not exceed the record start")
-    pad = F.lattice_steps(F.t0 - t_min, "t_min offset")
+    pad = round(min(50.0, 0.25 * max(F.t_end, F.dt)) / F.dt)
     vals = np.vstack([np.zeros((pad, F.dim), complex), F.values])
     return ExtendedSignal(Domain.FULL_LINE, F.t0 - pad * F.dt, F.dt, vals,
                           F.growth_exponent, trusted=True,
@@ -436,55 +429,47 @@ class ConvPlan(NamedTuple):
     trunc: float
 
 
-def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None = None,
-                     out_range: tuple | None = None, budget: float = 1e-12,
-                     quad_step: float | None = None) -> ConvPlan:
+def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None,
+                     budget: float) -> ConvPlan:
     """Output window (``_admit``), padding and strided views for
-    ``convolve``: the taps, on the quadrature lattice (the record's
-    unless ``quad_step`` is given), are trimmed to those that meet a
-    nonzero row of H for some output."""
+    ``convolve``: the taps, on the record's lattice, are trimmed to those
+    that meet a nonzero row of H for some output."""
     dt = H.dt
-    qstep = dt if quad_step is None else quad_step
-    col = H.lattice_steps(qstep, "quadrature step")
-    s0, samples = kernel.time_samples(dt, quad_step=qstep)
+    s0, samples = kernel.time_samples(dt)
     m = len(samples)
-    if m < 2:
-        raise GridError("kernel sampling too coarse for its support")
     i_s0 = H.lattice_steps(s0, "kernel start")
-    s = s0 + qstep * np.arange(m)
-    w = trapezoid_weights(m, qstep)
+    s = s0 + dt * np.arange(m)
     i_lo, row, count, _, trunc = _admit(
         H, kernel, max(abs(s[0]), abs(s[-1])),
-        col * dt if out_step is None else out_step, out_range, budget)
+        dt if out_step is None else out_step, None, budget)
 
-    # reversed tap c of output k reads row base + k*row + c*col of H (rows
+    # reversed tap c of output k reads row base + k*row + c of H (rows
     # outside the record are zero padding); keep the taps c_lo..c_hi whose
     # rows meet the nonzero rows lo..hi for some output
-    base = i_lo - i_s0 - (m - 1) * col
+    base = i_lo - i_s0 - (m - 1)
     span = (count - 1) * row
     data = _data_rows(H)
     if data:
-        c_lo = max(0, -((base + span - data[0]) // col))
-        c_hi = min(m - 1, (data[1] - base) // col)
+        c_lo = max(0, data[0] - base - span)
+        c_hi = min(m - 1, data[1] - base)
     else:
         c_lo, c_hi = 0, -1
     taps = max(0, c_hi - c_lo + 1)
-    r_lo = base + c_lo * col
-    r_hi = r_lo + span + max(0, taps - 1) * col
+    r_lo = base + c_lo
+    r_hi = r_lo + span + max(0, taps - 1)
     pad_l, pad_r = max(0, -r_lo), max(0, r_hi - (H.n - 1))
     rows = H.values[max(0, r_lo):min(H.n, r_hi + 1)]
     views = []
     for c in range(H.dim):
         base_c = np.zeros(pad_l + len(rows) + pad_r, complex)
         base_c[pad_l:pad_l + len(rows)] = rows[:, c]
-        views.append(np.lib.stride_tricks.as_strided(
-            base_c, shape=(count, taps),
-            strides=(row * base_c.strides[0], col * base_c.strides[0]),
-            writeable=False))
+        # each output's window (with no taps there is one window more)
+        views.append(np.lib.stride_tricks.sliding_window_view(
+            base_c, taps)[:span + 1:row])
 
     keep = slice(m - 1 - c_hi, m - c_lo)
     return ConvPlan(H.t0 + i_lo * dt, row * dt, views, s[keep][::-1],
-                    (samples * w)[keep][::-1], trunc)
+                    (samples * trapezoid_weights(m, dt))[keep][::-1], trunc)
 
 
 def plan_product(plan: ConvPlan) -> np.ndarray:
@@ -673,7 +658,6 @@ def band_product(plan: BandPlan, omegas) -> np.ndarray:
 
 
 def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
-             out_range: tuple | None = None,
              budget: float = 1e-12) -> ExtendedSignal:
     """Trapezoid quadrature of (H * k)(t) = integral H(t - s) k(s) ds.
 
@@ -684,7 +668,7 @@ def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
     ``out_step`` decimates the output grid; the s-quadrature runs on the
     record lattice.
     """
-    plan = plan_convolution(H, kernel, out_step, out_range, budget)
+    plan = plan_convolution(H, kernel, out_step, budget)
     out = plan_product(plan)
     return ExtendedSignal(Domain.FULL_LINE, plan.t0, plan.step, out,
                           H.growth_exponent, trusted=True,

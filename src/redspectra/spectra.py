@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classes import ClassReport, FunctionClass, Tri, detect
-from .config import Config, DEFAULT
+from .config import Config, DEFAULT, lattice_size
 from .errors import (ConfigError, HorizonError, RedSpectraError,
                      TruncationError)
-from .kernels import bandpass_kernel
+from .kernels import PLATEAU_EDGE, bandpass_kernel, bandpass_shape
 from .signals import (Domain, ExtendedSignal, SampledSignal, band_product,
                       convolve, extend_by_zero, plan_band)
 from .transforms import HalfPlaneGrid, TransformScanner, half_plane_scan
@@ -80,13 +80,8 @@ class FrequencyGrid:
                 f"{self.omega_max:g}]: the span holds {q:.6g} steps")
         if self.n < 3:
             raise ConfigError("grid must cover at least 3 points")
-        try:
-            self.values()
-        except MemoryError:
-            raise ConfigError(
-                f"frequency grid [{self.omega_min:g}, {self.omega_max:g}] in "
-                f"steps of {self.step:g} has {self.n} points, more than "
-                f"memory holds") from None
+        lattice_size(self.omega_max - self.omega_min, self.step,
+                     f"frequency grid [{self.omega_min:g}, {self.omega_max:g}]")
 
     @property
     def n(self) -> int:
@@ -211,15 +206,27 @@ class ReducedScanner:
         if key in self._band_cache:
             return self._band_cache[key]
         cfg, H = self.cfg, self.ext
+        row = max(1, round(cfg.conv_out_step / H.dt))
+        need = max(3, int(cfg.min_window / cfg.conv_out_step))
+        # refused before the kernel or DFT is built: an aliased plateau, a
+        # band the record cannot resolve (nor the budget admit), too few rows
+        b, sigma = bandpass_shape(delta)
+        if b + PLATEAU_EDGE * sigma >= np.pi / H.dt:
+            raise TruncationError(f"band {delta}: its plateau reaches the "
+                                  f"Nyquist frequency {np.pi / H.dt:g}")
+        if delta * (H.t_end - H.t0) < 2.0 * np.pi:
+            raise TruncationError(f"band {delta}: 2 pi/delta exceeds the "
+                                  f"record's span {H.t_end - H.t0:g}")
+        if (H.n - 1) // row + 1 < need:
+            raise TruncationError(f"band {delta}: usable window too short")
         # half-line data: outputs from just left of 0 (the restriction to J
         # drops the rest); full-line data: wherever the budget admits
         lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
             else -np.inf
         kern = bandpass_kernel(0.0, delta)
-        plan = plan_band(H, kern, delta,
-                         max(1, round(cfg.conv_out_step / H.dt)) * H.dt,
-                         (lo, np.inf), TRUNC_BUDGET)
-        if plan.count < max(3, int(cfg.min_window / cfg.conv_out_step)):
+        plan = plan_band(H, kern, delta, row * H.dt, (lo, np.inf),
+                         TRUNC_BUDGET)
+        if plan.count < need:
             raise TruncationError(f"band {delta}: usable window too short")
         self._band_cache[key] = plan
         self._band_cache[("ft_abs", key[1])] = float(abs(kern.ft(0.0)))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .classes import (TOL_ERG, FunctionClass, Tri, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
-from .config import Config, DEFAULT
+from .config import Config, DEFAULT, lattice_size
 from .corpus import CHAIN_NAMES, CorpusSignal, build_signal
 from .errors import ConfigError, GridError, HorizonError, RedSpectraError
 from .kernels import bump_kernel, d_bump
@@ -435,12 +435,11 @@ def _phi_values(p: EvolutionProblem, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_evolution(p: EvolutionProblem, dt: float | None = None,
-                    t_end: float | None = None, cfg: Config = DEFAULT):
+def solve_evolution(p: EvolutionProblem, cfg: Config = DEFAULT):
     """Mild solution u(t) = e^{tA} u0 + int_0^t e^{(t-s)A} phi(s) ds of
     u' = A u + phi with phi(t) = sum_j c_j exp(i nu_j t), sampled at
-    t = k dt from 0 to t_end and yielded as fresh (rows, d) blocks in
-    order, so no caller need hold u whole.
+    t = k ``cfg.evolution_dt`` from 0 to ``cfg.t_end`` and yielded as
+    fresh (rows, d) blocks in order, so no caller need hold u whole.
 
     One formula for every A, defective and resonant ones included: the
     forcing modes join the state (Van Loan, IEEE TAC 1978).  z = (u,
@@ -451,9 +450,8 @@ def solve_evolution(p: EvolutionProblem, dt: float | None = None,
     sqrt(n) powers, and one product per outer power, which gives the
     block of the m rows b m, ..., b m + m - 1.
     """
-    dt = cfg.evolution_dt if dt is None else dt
-    t_end = cfg.t_end if t_end is None else t_end
-    n = len(np.arange(0.0, t_end + dt / 2, dt))
+    dt = cfg.evolution_dt
+    n = lattice_size(cfg.t_end, dt, "the evolution solve")
     d, r = p.dim, len(p.phi_modes)
     B = _augmented(p)
     z0 = np.concatenate([p.u0, np.ones(r, complex)])
@@ -803,15 +801,17 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
                           f"{', '.join(CHECK_IDS)}")
     # bad input, refused before any entry is built: an unbuildable grid,
     # weak-Laplace windows holding no grid step, too few abscissae for a
-    # half-plane scan, a span off the lattice of some record (every
-    # built-in record is sampled at cfg.dt) and a horizon shorter than
-    # the class detectors' window ``min_window``
+    # half-plane scan, an evolution solve numpy cannot allocate (a corpus
+    # lattice is refused with the first entry), a span off the lattice of
+    # some record (each built-in one is sampled at cfg.dt) and a horizon
+    # shorter than the class detectors' window ``min_window``
     grid = FrequencyGrid.from_config(cfg)
     wl_window_steps(cfg.wl_eps_seq, grid)
     if len(cfg.a_seq) < MIN_ABSCISSAE:
         raise ConfigError(f"a_seq {list(cfg.a_seq)} holds fewer than "
                           f"{MIN_ABSCISSAE} abscissae, too few for any "
                           f"half-plane scan")
+    lattice_size(cfg.t_end, cfg.evolution_dt, "the evolution solve")
     spans = _lattice_spans(cfg)
     for what, span in spans:
         span_steps(span, cfg.dt, what)

@@ -200,9 +200,10 @@ def test_criterion_09_approximate_identity():
     errs = []
     for n in (1, 2, 4, 8):
         kn = approximate_identity(n)
-        C = convolve(EU, kn, out_step=0.2, out_range=(-25.0, 25.0),
-                     budget=1e-8)
-        errs.append(float(np.abs(C.values[:, 0] - np.exp(1j * C.times)).max()))
+        C = convolve(EU, kn, out_step=0.2, budget=1e-8)
+        mid = np.abs(C.times) <= 25.0
+        errs.append(float(np.abs(C.values[mid, 0]
+                                 - np.exp(1j * C.times[mid])).max()))
     mono = all(a > b for a, b in zip(errs, errs[1:]))
     M = mollify(U, 0.01)
     lim = float(np.abs(M.values[:, 0] - np.exp(1j * M.times)).max())

@@ -99,7 +99,7 @@ def test_bohr_coefficients_of_cosine():
         assert abs(bohr_coefficient(F, w)[0] - 1.0) < 1e-2
     assert np.linalg.norm(bohr_coefficient(F, 0.35)) < 5e-2
     with pytest.raises(HorizonError):       # a window of no whole step
-        bohr_coefficient(F, 1.0, T=0.004)
+        bohr_coefficient(make_half(np.cos, t_end=0.01), 1.0)
 
 
 def _bohr_by_definition(F, omega):
@@ -327,9 +327,9 @@ def test_ap_decompose_forms_one_bohr_sum_per_pass(monkeypatch):
     # refinements count 1 + the passes
     built, refined = [], []
 
-    def counting_sum(F, T=None):
+    def counting_sum(F):
         built.append(F)
-        return _BohrSum(F, T)
+        return _BohrSum(F)
 
     def counting_refine(a, center, hw):
         refined.append(center)
@@ -350,8 +350,8 @@ def test_ap_decompose_forms_one_bohr_sum_per_pass(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_uc_modulus_and_verdicts():
-    lags, mods = uc_modulus(make_half(np.sin), [0.01, 0.02])
-    assert mods[0] <= 0.011
+    lags, mods = uc_modulus(make_half(np.sin))
+    assert lags[:2] == [0.01, 0.02] and mods[0] <= 0.011
     assert is_uc(make_half(np.sin)).member is Tri.YES
     chirp = make_half(lambda t: np.exp(1j * t * t))
     rep = is_uc(chirp)
@@ -397,7 +397,7 @@ def test_ergodic_closure_under_convolution():
     # bounded F with gamma_w F ergodic: the smoothed extension stays
     # ergodic and uniformly continuous
     F = make_half(lambda t: np.exp(1j * 0.5 * t))
-    conv = convolve(extend_by_zero(F, -5.0), box_kernel(1.0)).restrict_to_origin()
+    conv = convolve(extend_by_zero(F), box_kernel(1.0)).restrict_to_origin()
     m, devs, rep = ergodic_mean(conv)
     assert rep.member is Tri.YES
     assert is_uc(conv).member is Tri.YES

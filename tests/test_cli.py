@@ -458,6 +458,48 @@ def test_bad_input_exits_2_without_traceback(tmp_path, tone_csv, capsys,
     assert not (tmp_path / "r.json").exists()
 
 
+_REDUCED = ["analyze", "{csv}", "--kind", "reduced", "--class", "c0"]
+
+
+@pytest.mark.parametrize("argv, cfg_text, says", [
+    pytest.param(["analyze", "{csv}", "--kind", "laplace"],
+                 '{"grid_step": 1e-300}', "1e+301 samples", id="grid_step"),
+    pytest.param(["synth", "exp_iw1", "--tmax", "1e300"], None,
+                 "2e+302 samples", id="synth-tmax"),
+    pytest.param(["synth", "exp_iw1", "--dt", "1e-300"], None,
+                 "4e+302 samples", id="synth-dt"),
+    pytest.param(["verify", "--builtin"], '{"t_end": 1e300}',
+                 "1e+303 samples", id="verify-t_end"),
+    pytest.param(["verify", "--builtin", "--only", "evolution"],
+                 '{"evolution_dt": 1e-300}', "2e+302 samples",
+                 id="verify-evolution_dt"),
+    pytest.param(_REDUCED, '{"delta_seq": [1e-300]}', "no band-pass window",
+                 id="delta=1e-300"),
+    pytest.param(_REDUCED, '{"delta_seq": [1e300]}', "no band-pass window",
+                 id="delta=1e300"),
+    pytest.param(_REDUCED, '{"conv_out_step": 1e300}', "no band-pass window",
+                 id="conv_out_step=1e300"),
+])
+def test_an_unbuildable_lattice_or_rung_exits_2(tmp_path, tone_csv, capsys,
+                                                argv, cfg_text, says):
+    # a grid or record lattice of more samples than numpy allocates, and
+    # band-pass rungs that cannot be built (a band narrower than the
+    # record resolves, one past the Nyquist frequency, a stride longer
+    # than the record), are refused before any work with one line naming
+    # why; numpy refuses these magnitudes at once, so nothing is allocated
+    argv = [str(tone_csv) if a == "{csv}" else a for a in argv]
+    argv += ["--out", str(tmp_path / ("out" if argv[0] == "synth"
+                                      else "r.json"))]
+    if cfg_text is not None:
+        (tmp_path / "cfg.json").write_text(cfg_text)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert says in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "r.json")
+
+
 def test_analyze_rejects_a_grid_step_that_does_not_divide_the_span(
         tmp_path, tone_csv, capsys):
     # 10 / 0.3 steps is no whole number: the grid would space its points

@@ -19,8 +19,10 @@ this roster of CLI calls runs in-process, in a temporary directory:
   ``nan`` sample, each refused with exit 2, so the reader's re-read of a
   bad file runs;
 * ``analyze`` of laplace with a config whose grid step (1e-300) asks for
-  more points than numpy allocates, and ``synth exp_iw1 --tmax 1e300``,
-  each refused with exit 2.
+  more points than numpy allocates, ``synth exp_iw1 --tmax 1e300``, and
+  ``verify --builtin`` with an output step (1e300) longer than the
+  record, on which no band-pass rung can be built, each refused with
+  exit 2.
 
 A definition (function or method, nested ones included) ran when a line
 of one of its own simple statements ran: a loop or ``if`` header alone
@@ -179,6 +181,11 @@ def roster(work: str, classes, names) -> list:
                 os.path.join(work, "huge-grid-report.json")])
     bad.append(["synth", "exp_iw1", "--tmax", "1e300", "--out",
                 os.path.join(work, "huge")])
+    stride = os.path.join(work, "huge-stride.json")
+    with open(stride, "w") as fh:
+        json.dump({"conv_out_step": 1e300}, fh)
+    bad.append(["verify", "--builtin", "--config", stride, "--out",
+                os.path.join(work, "huge-stride-report.json")])
     return [(argv, 0) for argv in calls] + [(argv, 2) for argv in bad]
 
 

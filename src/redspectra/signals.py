@@ -276,11 +276,16 @@ def extend_by_zero(F: SampledSignal) -> ExtendedSignal:
         return ExtendedSignal(Domain.FULL_LINE, F.t0, F.dt, F.values,
                               F.growth_exponent, trusted=True,
                               origin_domain=Domain.FULL_LINE)
-    pad = round(min(50.0, 0.25 * max(F.t_end, F.dt)) / F.dt)
+    pad = zero_pad(F.t_end, F.dt)
     vals = np.vstack([np.zeros((pad, F.dim), complex), F.values])
     return ExtendedSignal(Domain.FULL_LINE, F.t0 - pad * F.dt, F.dt, vals,
                           F.growth_exponent, trusted=True,
                           origin_domain=Domain.HALF_LINE)
+
+
+def zero_pad(t_end: float, dt: float) -> int:
+    """The rows of zeros ``extend_by_zero`` puts before a half-line record."""
+    return round(min(50.0, 0.25 * max(t_end, dt)) / dt)
 
 
 def translate(F: SampledSignal, s: float) -> SampledSignal:

@@ -174,6 +174,23 @@ class SpectrumEstimate:
 # reduced spectrum
 # ---------------------------------------------------------------------------
 
+def band_rung(n: int, dt: float, delta: float, cfg: Config) -> tuple:
+    """(record steps per output, outputs needed, why it cannot be built or
+    None) of band-pass rung ``delta`` on n zero-extended rows at dt."""
+    b, sigma = bandpass_shape(delta)
+    row = max(1, round(cfg.conv_out_step / dt))
+    need = max(3, int(cfg.min_window / cfg.conv_out_step))
+    if b + PLATEAU_EDGE * sigma >= np.pi / dt:
+        return row, need, (f"band {delta}: its plateau reaches the Nyquist "
+                           f"frequency {np.pi / dt:g}")
+    if delta * (n - 1) * dt < 2.0 * np.pi:
+        return row, need, (f"band {delta}: 2 pi/delta exceeds the record's "
+                           f"span {(n - 1) * dt:g}")
+    if (n - 1) // row + 1 < need:
+        return row, need, f"band {delta}: usable window too short"
+    return row, need, None
+
+
 class ReducedScanner:
     """Regular-point tester for one signal.
 
@@ -206,19 +223,9 @@ class ReducedScanner:
         if key in self._band_cache:
             return self._band_cache[key]
         cfg, H = self.cfg, self.ext
-        row = max(1, round(cfg.conv_out_step / H.dt))
-        need = max(3, int(cfg.min_window / cfg.conv_out_step))
-        # refused before the kernel or DFT is built: an aliased plateau, a
-        # band the record cannot resolve (nor the budget admit), too few rows
-        b, sigma = bandpass_shape(delta)
-        if b + PLATEAU_EDGE * sigma >= np.pi / H.dt:
-            raise TruncationError(f"band {delta}: its plateau reaches the "
-                                  f"Nyquist frequency {np.pi / H.dt:g}")
-        if delta * (H.t_end - H.t0) < 2.0 * np.pi:
-            raise TruncationError(f"band {delta}: 2 pi/delta exceeds the "
-                                  f"record's span {H.t_end - H.t0:g}")
-        if (H.n - 1) // row + 1 < need:
-            raise TruncationError(f"band {delta}: usable window too short")
+        row, need, why = band_rung(H.n, H.dt, delta, cfg)
+        if why:                     # refused before its kernel and DFT
+            raise TruncationError(why)
         # half-line data: outputs from just left of 0 (the restriction to J
         # drops the rest); full-line data: wherever the budget admits
         lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \

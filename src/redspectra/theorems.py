@@ -28,13 +28,15 @@ from .classes import (TOL_ERG, FunctionClass, Tri, ap_decompose, detect,
                       ergodic_mean, is_bounded, is_c0, is_uc)
 from .config import Config, DEFAULT, lattice_size
 from .corpus import CHAIN_NAMES, CorpusSignal, build_signal
-from .errors import ConfigError, GridError, HorizonError, RedSpectraError
+from .errors import (ConfigError, GridError, HorizonError, RedSpectraError,
+                     TruncationError)
 from .kernels import bump_kernel, d_bump
 from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
                       convolve, extend_by_zero, modulate, mollify, span_steps,
-                      translate, trapezoid_weights)
+                      translate, trapezoid_weights, zero_pad)
 from .spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus, SignalAnalysis,
-                      laplace_spectrum, reduced_spectrum, wl_window_steps)
+                      band_rung, laplace_spectrum, reduced_spectrum,
+                      wl_window_steps)
 from .transforms import (MIN_ABSCISSAE, laplace_transform,
                          mollify_identity_residual, shift_identity_residual,
                          trapezoid_transform)
@@ -42,7 +44,7 @@ from .transforms import (MIN_ABSCISSAE, laplace_transform,
 TRUNC_BUDGET_STRICT = 1e-8   # kernel-mass budget of the regular-ft smoothing
 TOL_TRANSFORM_COEFF = 1e-4   # transform residuals / signal or transform scale
 TOL_ODE_COEFF = 1e-5         # ODE residual / (1 + sup |u|)
-_RESIDUAL_BLOCK = 8192       # rows per block of the streamed ODE residual
+_BLOCK_ROWS = 8192           # rows per block of the evolution solution
 
 
 class CheckStatus(enum.Enum):
@@ -447,8 +449,8 @@ def solve_evolution(p: EvolutionProblem, cfg: Config = DEFAULT):
     and C = (c_1, ...), so u(t) is the first d entries of exp(tB) z(0).
     On the split k = b m + c of the ``signals.FactoredLattice`` of the
     samples, exp(k dt B) = exp(m dt B)^b exp(dt B)^c: two tables of about
-    sqrt(n) powers, and one product per outer power, which gives the
-    block of the m rows b m, ..., b m + m - 1.
+    sqrt(n) powers.  A block stacks g = max(1, ``_BLOCK_ROWS`` // m) of
+    the per-outer-power products (m rows each): g m rows, the last the rest.
     """
     dt = cfg.evolution_dt
     n = lattice_size(cfg.t_end, dt, "the evolution solve")
@@ -459,9 +461,10 @@ def solve_evolution(p: EvolutionProblem, cfg: Config = DEFAULT):
     outer = _powers(_expm(lattice.m * dt * B), lattice.n_b)
     inner = _powers(_expm(dt * B), lattice.m)
     states = (inner @ z0).T                   # exp(c dt B) z(0), (d + r, m)
-    for b in range(lattice.n_b):
-        count = min(lattice.m, n - b * lattice.m)
-        yield (outer[b, :d] @ states)[:, :count].T.copy()
+    g = max(1, _BLOCK_ROWS // lattice.m)
+    for b in range(0, lattice.n_b, g):
+        rows = (outer[b:b + g, :d] @ states).transpose(0, 2, 1)
+        yield rows.reshape(-1, d)[:n - b * lattice.m].copy()
 
 
 def growth_exponent(p: EvolutionProblem) -> int:
@@ -541,47 +544,25 @@ def evolution_residual(p: EvolutionProblem, blocks, dt: float) -> float:
     integral from t = 0, for u sampled at spacing dt from t = 0 and given
     as (rows, d) blocks in order, of any sizes.
 
-    The rows are walked in windows of ``_RESIDUAL_BLOCK``, so the
-    temporaries are (window, d) rather than (n, d).  Each window reads one
-    row past its end, and the integrals of u and phi up to its first row
-    enter as the first term of its cumulative sums: the sums run left to
-    right in the same order as over the whole record, and the residual is
-    the same to the bit.
+    The temporaries are one block's (rows, d), not (n, d).  A block's
+    cumulative sums start from the integrals at the previous block's last
+    row plus one trapezoid step, the one add the sums over the whole
+    record make there, so the residual is the same to the bit.
     """
-    carry_u = carry_phi = 0j
-    worst = 0.0
-    for i0, v, count in _windows(blocks, _RESIDUAL_BLOCK):
-        if i0 == 0:
-            u0 = v[:1].copy()
+    worst, i0 = 0.0, 0
+    for v in blocks:
         phi = _phi_values(p, dt * np.arange(i0, i0 + len(v)))
+        if i0 == 0:
+            u0, carry_u, carry_phi = v[:1].copy(), 0j, 0j
+        else:
+            carry_u = Pu[-1:] + 0.5 * dt * (last_u + v[:1])
+            carry_phi = Pphi[-1:] + 0.5 * dt * (last_phi + phi[:1])
         Pu = _cumulative(v, dt, carry_u)
         Pphi = _cumulative(phi, dt, carry_phi)
-        R = v[:count] - u0 - Pu[:count] @ p.A.T - Pphi[:count]
+        R = v - u0 - Pu @ p.A.T - Pphi
         worst = max(worst, float(np.linalg.norm(R, axis=1).max()))
-        carry_u, carry_phi = Pu[-1:], Pphi[-1:]
+        last_u, last_phi, i0 = v[-1:].copy(), phi[-1:], i0 + len(v)
     return worst
-
-
-def _windows(blocks, size: int):
-    """The rows of (rows, d) blocks regrouped into windows of ``size``
-    rows, the last one shorter: (index of the window's first row, its rows
-    and the row after it when there is one, its row count).  The windows
-    share one buffer, valid until the next is asked for."""
-    buf = None
-    start = filled = 0
-    for rows in blocks:
-        if buf is None:
-            buf = np.empty((size + 1, rows.shape[1]), complex)
-        while len(rows):
-            take = min(len(rows), size + 1 - filled)
-            buf[filled:filled + take] = rows[:take]
-            filled += take
-            rows = rows[take:]
-            if filled == size + 1:
-                yield start, buf, size
-                buf[0] = buf[size]
-                start, filled = start + size, 1
-    yield start, buf[:filled], filled
 
 
 def random_evolution_problems(n: int, cfg: Config = DEFAULT) -> list:
@@ -801,10 +782,9 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
                           f"{', '.join(CHECK_IDS)}")
     # bad input, refused before any entry is built: an unbuildable grid,
     # weak-Laplace windows holding no grid step, too few abscissae for a
-    # half-plane scan, an evolution solve numpy cannot allocate (a corpus
-    # lattice is refused with the first entry), a span off the lattice of
-    # some record (each built-in one is sampled at cfg.dt) and a horizon
-    # shorter than the class detectors' window ``min_window``
+    # half-plane scan, an evolution solve or half-line lattice numpy cannot
+    # allocate, a span off some record's lattice, and a half-line record
+    # shorter than ``min_window`` or admitting no band-pass rung
     grid = FrequencyGrid.from_config(cfg)
     wl_window_steps(cfg.wl_eps_seq, grid)
     if len(cfg.a_seq) < MIN_ABSCISSAE:
@@ -823,13 +803,20 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
             raise GridError(f"record {stem}: {exc}") from None
     # only half-line records: a full-line one may keep a fixed window, as
     # expgrow's [-5, 10] does at every t_end
-    horizons = [("t_end", cfg.t_end)] + [
-        (f"record {stem}", rec.t_end) for stem, rec in records.items()
-        if rec.domain is Domain.HALF_LINE]
-    for what, horizon in horizons:
+    n = lattice_size(cfg.t_end, cfg.dt, "the half-line records")
+    halves = [("t_end", cfg.t_end, (n - 1) * cfg.dt, n, cfg.dt)] + [
+        (f"record {stem}", rec.t_end, rec.t_end, rec.n, rec.dt)
+        for stem, rec in records.items() if rec.domain is Domain.HALF_LINE]
+    for what, horizon, t_end, n, dt in halves:
         if horizon < cfg.min_window:
             raise HorizonError(f"{what}: horizon {horizon:g}s is below the "
                                f"minimum analysis window {cfg.min_window:g}s")
+        n += zero_pad(t_end, dt)            # the reduced scanner's extension
+        refused = [why for delta in cfg.delta_seq
+                   if (why := band_rung(n, dt, delta, cfg)[2])]
+        if len(refused) == len(cfg.delta_seq):
+            raise TruncationError(f"{what}: no band-pass window: "
+                                  + "; ".join(refused))
     jobs = []       # (check id, subject, check function, arguments, shared)
     for check_id, fn_name, shared, subjects in CORPUS_ROSTER:
         if only not in (None, check_id):

@@ -479,13 +479,20 @@ _REDUCED = ["analyze", "{csv}", "--kind", "reduced", "--class", "c0"]
                  id="delta=1e300"),
     pytest.param(_REDUCED, '{"conv_out_step": 1e300}', "no band-pass window",
                  id="conv_out_step=1e300"),
+    pytest.param(["verify", "--builtin"], '{"delta_seq": [1e-300]}',
+                 "no band-pass window", id="verify-delta=1e-300"),
+    pytest.param(["verify", "--builtin"], '{"delta_seq": [1e300]}',
+                 "no band-pass window", id="verify-delta=1e300"),
+    pytest.param(["verify", "--builtin"], '{"conv_out_step": 1e300}',
+                 "no band-pass window", id="verify-conv_out_step=1e300"),
 ])
 def test_an_unbuildable_lattice_or_rung_exits_2(tmp_path, tone_csv, capsys,
                                                 argv, cfg_text, says):
     # a grid or record lattice of more samples than numpy allocates, and
     # band-pass rungs that cannot be built (a band narrower than the
     # record resolves, one past the Nyquist frequency, a stride longer
-    # than the record), are refused before any work with one line naming
+    # than the record; ``verify`` when every rung is refused on the
+    # half-line lattice), are refused before any work with one line naming
     # why; numpy refuses these magnitudes at once, so nothing is allocated
     argv = [str(tone_csv) if a == "{csv}" else a for a in argv]
     argv += ["--out", str(tmp_path / ("out" if argv[0] == "synth"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redspectra import spectra
+from redspectra import spectra, theorems
 from redspectra.classes import FunctionClass, Tri, detect
 from redspectra.config import Config
 from redspectra.errors import (ConfigError, DomainError, GridError,
@@ -277,6 +279,51 @@ def test_modulation_shift_relation():
     mod = reduced_spectrum(modulate(F, 1.0), FunctionClass.C0, SMALL, CFG)
     for w, c in zip(SMALL.values(), mod.certificates):
         assert base.status_at(w - 1.0) is c.status
+
+
+#: 200 s half-line records: up to two tones (frequency, modulus, phase)
+#: and an optional decaying exp(-a t)
+_TONE_RECORDS = st.tuples(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 2.0),
+                       st.floats(0.0, 2.0 * np.pi)), max_size=2),
+    st.none() | st.floats(0.05, 2.0))
+
+
+def _tone_record(tones, decay):
+    def fn(t):
+        x = np.zeros(len(t), complex)
+        for nu, modulus, phase in tones:
+            x += modulus * np.exp(1j * (nu * t + phase))
+        if decay is not None:
+            x += np.exp(-decay * t)
+        return x
+    return make_half(fn)
+
+
+def _small_grid_c0_statuses(F):
+    return reduced_spectrum(F, FunctionClass.C0, theorems._SMALL_GRID,
+                            CFG).statuses()
+
+
+@settings(max_examples=10, deadline=None)
+@given(_TONE_RECORDS, st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * np.pi))
+def test_scaling_by_a_complex_constant_keeps_every_status(record, log_c, arg):
+    # sp(c F) = sp(F) for c != 0, |c| from 1e-3 to 1e3
+    F = _tone_record(*record)
+    c = 10.0 ** log_c * np.exp(1j * arg)
+    cF = SampledSignal(Domain.HALF_LINE, 0.0, F.dt, c * F.values)
+    assert _small_grid_c0_statuses(cF) == _small_grid_c0_statuses(F)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_TONE_RECORDS)
+def test_conjugation_mirrors_the_statuses(record):
+    # sp(conj F) = -sp(F); the grid is symmetric about 0
+    grid = theorems._SMALL_GRID.values()
+    assert np.array_equal(grid, -grid[::-1])
+    F = _tone_record(*record)
+    conj = SampledSignal(Domain.HALF_LINE, 0.0, F.dt, F.values.conj())
+    assert _small_grid_c0_statuses(conj) == _small_grid_c0_statuses(F)[::-1]
 
 
 def test_extension_comparison_agrees_up_to_undecided():

@@ -106,7 +106,7 @@ def test_solver_residual_bound():
 
 def _solve_by_batched_product(p, dt, t_end):
     """u from one batched (n_b, d, m) product and its transposed copy: the
-    formula the solver, which yields u one outer block at a time, must
+    formula the solver, which yields u a few outer powers at a time, must
     reproduce."""
     n = len(np.arange(0.0, t_end + dt / 2, dt))
     d, r = p.dim, len(p.phi_modes)
@@ -119,40 +119,43 @@ def _solve_by_batched_product(p, dt, t_end):
 
 
 def _blocks(p, dt, t_end):
-    """The solver's blocks, each checked to hold the m rows of its outer
-    power (the last one the rest), none of them a view."""
+    """The solver's blocks, each checked to hold the g m rows of its g =
+    max(1, _BLOCK_ROWS // m) outer powers (the last one the rest), none of
+    them a view."""
     n = len(np.arange(0.0, t_end + dt / 2, dt))
     m = FactoredLattice(n, dt).m
+    rows = max(1, theorems._BLOCK_ROWS // m) * m
     blocks = list(solve_evolution(p, CFG.replace(evolution_dt=dt,
                                                  t_end=t_end)))
-    assert [len(b) for b in blocks] == [min(m, n - i) for i in range(0, n, m)]
+    assert [len(b) for b in blocks] == [min(rows, n - i)
+                                        for i in range(0, n, rows)]
     assert all(b.flags.c_contiguous and b.base is None for b in blocks)
     return blocks
 
 
 def test_blocked_solver_equals_the_batched_product():
-    # the default lattice has m = 448 rows per block, which does not
-    # divide the residual's window
-    n = round(CFG.t_end / CFG.evolution_dt) + 1
-    assert theorems._RESIDUAL_BLOCK % FactoredLattice(n, CFG.evolution_dt).m
     for p, _cls in evolution_roster(CFG):
         u = np.concatenate(_blocks(p, CFG.evolution_dt, CFG.t_end))
         ref = _solve_by_batched_product(p, CFG.evolution_dt, CFG.t_end)
         assert np.array_equal(u, ref), p.name
     # one sample (a horizon below half a step: the config refuses 0), a
-    # last block of one row, a full last block
+    # last outer power of one row, a full last outer power (each lattice
+    # one block), a last block of one row (n = 8191: m = 91, g = 90) and
+    # two full blocks (n = 16384: m = 128, g = 64)
     p = random_evolution_problems(20, CFG)[5]
-    for dt, t_end in [(0.01, 0.004), (0.01, 0.06), (0.01, 0.08), (0.5, 50.0)]:
+    for dt, t_end in [(0.01, 0.004), (0.01, 0.06), (0.01, 0.08), (0.5, 50.0),
+                      (0.01, 81.9), (0.01, 163.83)]:
         u = np.concatenate(_blocks(p, dt, t_end))
         assert np.array_equal(u, _solve_by_batched_product(p, dt, t_end))
 
 
 def test_evolution_working_set_stays_within_the_work_budget():
     # the pass over the solution keeps the decimated copy and the (n,)
-    # row norms and times; beyond them it holds blocks, residual windows
-    # and is_bounded's few (n,) float vectors (|t|, the quantiles' copy):
-    # under three work budgets on the dim-4 problem.  u itself, 12.8 MB,
-    # does not fit, nor would any whole-record (n, d) temporary.
+    # row norms and times; beyond them it holds blocks, their residual
+    # temporaries and is_bounded's few (n,) float vectors (|t|, the
+    # quantiles' copy): under three work budgets on the dim-4 problem.
+    # u itself, 12.8 MB, does not fit, nor would any whole-record (n, d)
+    # temporary.
     p = random_evolution_problems(20, CFG)[5]
     assert p.dim == 4
     n = round(CFG.t_end / CFG.evolution_dt) + 1
@@ -209,9 +212,9 @@ def _residual_by_full_arrays(p, u):
     return float(np.linalg.norm(R, axis=1).max())
 
 
-@pytest.mark.parametrize("n", [1, 1000, theorems._RESIDUAL_BLOCK,
-                               theorems._RESIDUAL_BLOCK + 1,
-                               2 * theorems._RESIDUAL_BLOCK + 37])
+@pytest.mark.parametrize("n", [1, 1000, theorems._BLOCK_ROWS,
+                               theorems._BLOCK_ROWS + 1,
+                               2 * theorems._BLOCK_ROWS + 37])
 def test_streamed_residual_equals_the_full_array_formula(n):
     p = random_evolution_problems(20, CFG)[5]            # dim 4, forced
     assert p.dim == 4 and p.phi_modes
@@ -219,9 +222,9 @@ def test_streamed_residual_equals_the_full_array_formula(n):
     vals = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     u = SampledSignal(Domain.HALF_LINE, 0.0, 0.001, vals, 0, trusted=True)
     ref = _residual_by_full_arrays(p, u)
-    # blocks of sizes that do not divide the residual's window
-    for size in (7, 448, 3000, theorems._RESIDUAL_BLOCK + 5):
-        assert theorems._RESIDUAL_BLOCK % size
+    # one-row blocks, so the carry crosses blocks of a single row, and
+    # sizes that divide neither n nor the solver's block
+    for size in (1, 2, 3, 5, 7, 448, 3000, theorems._BLOCK_ROWS + 5):
         blocks = (vals[i:i + size] for i in range(0, n, size))
         assert evolution_residual(p, blocks, u.dt) == ref, size
 

@@ -19,10 +19,11 @@ this roster of CLI calls runs in-process, in a temporary directory:
   ``nan`` sample, each refused with exit 2, so the reader's re-read of a
   bad file runs;
 * ``analyze`` of laplace with a config whose grid step (1e-300) asks for
-  more points than numpy allocates, ``synth exp_iw1 --tmax 1e300``, and
+  more points than numpy allocates, ``synth exp_iw1 --tmax 1e300``,
   ``verify --builtin`` with an output step (1e300) longer than the
-  record, on which no band-pass rung can be built, each refused with
-  exit 2.
+  record, on which no band-pass rung can be built, and ``analyze
+  exp_iw1.csv --out exp_iw1.json``, whose report would overwrite the
+  record's sidecar, each refused with exit 2.
 
 A definition (function or method, nested ones included) ran when a line
 of one of its own simple statements ran: a loop or ``if`` header alone
@@ -172,7 +173,7 @@ def roster(work: str, classes, names) -> list:
         with open(path, "w") as fh:
             fh.write(f"t,re0,im0\n0,1,0\n{row}\n0.02,1,0\n")
         bad.append(["analyze", path, "--kind", "laplace", "--out",
-                    os.path.join(work, f"{name}.json")])
+                    os.path.join(work, f"{name}-laplace.json")])
     huge = os.path.join(work, "huge-grid.json")
     with open(huge, "w") as fh:
         json.dump({"grid_step": 1e-300}, fh)
@@ -186,6 +187,8 @@ def roster(work: str, classes, names) -> list:
         json.dump({"conv_out_step": 1e300}, fh)
     bad.append(["verify", "--builtin", "--config", stride, "--out",
                 os.path.join(work, "huge-stride-report.json")])
+    bad.append(["analyze", os.path.join(data, "exp_iw1.csv"), "--kind",
+                "laplace", "--out", os.path.join(data, "exp_iw1.json")])
     return [(argv, 0) for argv in calls] + [(argv, 2) for argv in bad]
 
 

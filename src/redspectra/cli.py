@@ -105,7 +105,16 @@ def cmd_analyze(args) -> int:
     from .spectra import SignalAnalysis
     cfg = _load_config(args)
     out = args.out or (os.path.splitext(args.signal)[0] + f".{kind}.json")
+    plot = os.path.splitext(out)[0] + ".csv"
     _check_out_dir(out)
+    # neither output may land on the record, its sidecar or the other
+    taken = {os.path.realpath(args.signal): "the input record",
+             os.path.realpath(sidecar_path(args.signal)): "its sidecar"}
+    for what, path in (("report", out), ("plot CSV", plot)):
+        if (real := os.path.realpath(path)) in taken:
+            raise FileExistsError(f"the {what} {path} would overwrite "
+                                  f"{taken[real]}")
+        taken[real] = "the report"
     sig = read_signal_csv(args.signal)
     an = SignalAnalysis(sig, cfg)
     if kind == "reduced":
@@ -116,7 +125,7 @@ def cmd_analyze(args) -> int:
                "weak-laplace": an.weak_laplace}[kind]()
     with open(out, "w") as fh:
         fh.write(canonical_json(est.to_dict()) + "\n")
-    write_plot_csv(os.path.splitext(out)[0] + ".csv", est)
+    write_plot_csv(plot, est)
     print(out)
     return EXIT_OK
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -547,24 +548,17 @@ class FactoredLattice:
 def _next_fast_len(n: int) -> int:
     """The least 11-smooth integer >= n, n >= 1: a length whose complex
     FFT splits into radices pocketfft handles directly (the value of
-    ``scipy.fft.next_fast_len`` for complex input).  Cached: each Bohr
-    sum asks for one, and a scan's records share a few lengths."""
-    best = 1 << (n - 1).bit_length()       # the least power of two >= n
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p3 = p5
-                while p3 < best:
-                    # the least p3 * 2^j >= n
-                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
-                    p3 *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
+    ``scipy.fft.next_fast_len`` for complex input).  Found by stepping up
+    from n until the factors 2, 3, 5, 7 and 11 divide a length out.
+    Cached: each Bohr sum asks for one, and a scan's records share a few
+    lengths."""
+    for m in itertools.count(n):
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
 
 
 class BandPlan(NamedTuple):

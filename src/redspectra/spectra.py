@@ -122,16 +122,6 @@ class SpectrumEstimate:
     certificates: tuple
     meta: dict = field(default_factory=dict)
 
-    def statuses(self):
-        return [c.status for c in self.certificates]
-
-    def status_at(self, omega: float) -> RegStatus:
-        vals = self.grid.values()
-        j = int(np.argmin(np.abs(vals - omega)))
-        if abs(vals[j] - omega) > 0.5 * self.grid.step + 1e-12:
-            raise ValueError(f"omega {omega} off the analysis grid")
-        return self.certificates[j].status
-
     def singular_set(self) -> np.ndarray:
         vals = self.grid.values()
         return vals[[c.status is RegStatus.SINGULAR for c in self.certificates]]

@@ -21,11 +21,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from operator import is_not
 
 import numpy as np
 
-from .classes import (TOL_ERG, FunctionClass, Tri, ap_decompose, detect,
-                      ergodic_mean, is_bounded, is_c0, is_uc)
+from .classes import (FunctionClass, Tri, ap_decompose, detect, is_bounded,
+                      is_c0, is_ergodic, is_uc)
 from .config import Config, DEFAULT, lattice_size
 from .corpus import CHAIN_NAMES, CorpusSignal, build_signal
 from .errors import (ConfigError, GridError, HorizonError, RedSpectraError,
@@ -75,20 +76,37 @@ def analysis_of(entry: CorpusSignal, cfg: Config = DEFAULT) -> SignalAnalysis:
 # inclusion chain
 # ---------------------------------------------------------------------------
 
+def status_breaks(base, image, broken, shift=0.0) -> list:
+    """The points omega of ``image``'s grid where ``broken(status of
+    base at omega - shift, status of image at omega)`` holds, as
+    ``{omega, base, image}`` records.  ``base``'s grid has the same step
+    and holds every omega - shift; with shift 0 it is ``image``'s grid.
+    The relations: containment breaks where ``_escapes`` holds, equality
+    where ``operator.is_not`` does."""
+    first = round((image.grid.omega_min - shift - base.grid.omega_min)
+                  / base.grid.step)
+    if first < 0 or first + image.grid.n > base.grid.n:
+        raise ValueError(f"shift {shift:g} moves the grid off the base grid")
+    return [{"omega": float(w), "base": b.status.value,
+             "image": c.status.value}
+            for w, b, c in zip(image.grid.values(), base.certificates[first:],
+                               image.certificates)
+            if broken(b.status, c.status)]
+
+
+def _escapes(base, image):
+    """The image is singular where the base is regular: an UNDECIDED
+    status is evidence in neither direction."""
+    return image is RegStatus.SINGULAR and base is RegStatus.REGULAR
+
+
 def chain_violations(estimates) -> list:
     """Pairs (i, j, omega) where a smaller spectrum is singular and a
     larger one regular at the same grid point."""
-    out = []
-    for i in range(len(estimates)):
-        for j in range(i + 1, len(estimates)):
-            small, large = estimates[i], estimates[j]
-            for w, cs, cl in zip(small.grid.values(), small.certificates,
-                                 large.certificates):
-                if cs.status is RegStatus.SINGULAR and \
-                        cl.status is RegStatus.REGULAR:
-                    out.append({"smaller": small.kind, "larger": large.kind,
-                                "omega": float(w)})
-    return out
+    return [{"smaller": small.kind, "larger": large.kind, "omega": b["omega"]}
+            for i, small in enumerate(estimates)
+            for large in estimates[i + 1:]
+            for b in status_breaks(large, small, _escapes)]
 
 
 def check_inclusion_chain(entry: CorpusSignal, cfg: Config = DEFAULT,
@@ -124,8 +142,12 @@ _SMALL_GRID = FrequencyGrid(-2.5, 2.5, 0.25)
 _H_SEQ = (0.5, 1.0, 2.0)
 
 
-def _statuses(F, cfg, grid):
-    return reduced_spectrum(F, FunctionClass.C0, grid, cfg).statuses()
+def _c0(F, cfg, widen=0.0):
+    """The reduced C0 spectrum of F on ``_SMALL_GRID`` widened by
+    ``widen`` at both ends."""
+    g = _SMALL_GRID
+    return reduced_spectrum(F, FunctionClass.C0, FrequencyGrid(
+        g.omega_min - widen, g.omega_max + widen, g.step), cfg)
 
 
 def check_modulation_shift(entry: CorpusSignal, lam: float,
@@ -133,20 +155,11 @@ def check_modulation_shift(entry: CorpusSignal, lam: float,
     """status(omega, gamma_lam F) must equal status(omega - lam, F) for
     grid-aligned lam: the test kernel modulates along."""
     F = entry.half if entry.half is not None else entry.full
-    grid = _SMALL_GRID
-    k = round(lam / grid.step)
-    if abs(lam - k * grid.step) > 1e-12:
+    k = round(lam / _SMALL_GRID.step)
+    if abs(lam - k * _SMALL_GRID.step) > 1e-12:
         raise ValueError("lam must be grid-aligned")
-    big = FrequencyGrid(grid.omega_min - abs(lam), grid.omega_max + abs(lam),
-                        grid.step)
-    base = reduced_spectrum(F, FunctionClass.C0, big, cfg)
-    mod = reduced_spectrum(modulate(F, lam), FunctionClass.C0, grid, cfg)
-    mism = []
-    for w, c in zip(grid.values(), mod.certificates):
-        ref = base.status_at(w - lam)
-        if ref is not c.status:
-            mism.append({"omega": float(w), "modulated": c.status.value,
-                         "reference": ref.value})
+    mism = status_breaks(_c0(F, cfg, abs(lam)), _c0(modulate(F, lam), cfg),
+                         is_not, lam)
     st = CheckStatus.PASS if not mism else CheckStatus.FAIL
     return CheckResult("spectral-algebra", f"{entry.name}:modulation({lam:g})",
                        st, {"mismatches": mism})
@@ -155,11 +168,7 @@ def check_modulation_shift(entry: CorpusSignal, lam: float,
 def check_translation_invariance(entry: CorpusSignal, s: float,
                                  cfg: Config = DEFAULT) -> CheckResult:
     F = entry.half if entry.half is not None else entry.full
-    grid = _SMALL_GRID
-    a = _statuses(F, cfg, grid)
-    b = _statuses(translate(F, s), cfg, grid)
-    mism = [{"omega": float(w), "base": x.value, "translated": y.value}
-            for w, x, y in zip(grid.values(), a, b) if x is not y]
+    mism = status_breaks(_c0(F, cfg), _c0(translate(F, s), cfg), is_not)
     st = CheckStatus.PASS if not mism else CheckStatus.FAIL
     return CheckResult("spectral-algebra", f"{entry.name}:translation({s:g})",
                        st, {"mismatches": mism})
@@ -170,13 +179,9 @@ def check_convolution_shrinking(entry: CorpusSignal, h: float,
     """Singular set of M_h F must sit inside the singular-or-undecided set
     of F (box transform has no zeros on the analysis band for these h)."""
     F = entry.half if entry.half is not None else entry.full
-    grid = _SMALL_GRID
-    base = reduced_spectrum(F, FunctionClass.C0, grid, cfg)
-    conv = reduced_spectrum(mollify(F, h), FunctionClass.C0, grid, cfg)
-    bad = []
-    for w, cb, cc in zip(grid.values(), base.certificates, conv.certificates):
-        if cc.status is RegStatus.SINGULAR and cb.status is RegStatus.REGULAR:
-            bad.append({"omega": float(w)})
+    base = _c0(F, cfg)
+    conv = _c0(mollify(F, h), cfg)
+    bad = status_breaks(base, conv, _escapes)
     st = CheckStatus.PASS if not bad else CheckStatus.FAIL
     return CheckResult("spectral-algebra", f"{entry.name}:conv-shrink(h={h:g})",
                        st, {"violations": bad,
@@ -190,20 +195,15 @@ def check_mollifier_union(entry: CorpusSignal,
     M_h F, and each singular point of an M_h F must be singular-or-
     undecided for F."""
     F = entry.half if entry.half is not None else entry.full
-    grid = _SMALL_GRID
-    base = reduced_spectrum(F, FunctionClass.C0, grid, cfg)
-    mols = {h: reduced_spectrum(mollify(F, h), FunctionClass.C0, grid, cfg)
-            for h in _H_SEQ}
-    bad = []
-    for idx, (w, cb) in enumerate(zip(grid.values(), base.certificates)):
-        if cb.status is RegStatus.SINGULAR:
-            if all(mols[h].certificates[idx].status is RegStatus.REGULAR
-                   for h in _H_SEQ):
-                bad.append({"omega": float(w), "direction": "F->M_h"})
-        for h in _H_SEQ:
-            cm = mols[h].certificates[idx]
-            if cm.status is RegStatus.SINGULAR and cb.status is RegStatus.REGULAR:
-                bad.append({"omega": float(w), "direction": f"M_{h}->F"})
+    base = _c0(F, cfg)
+    mols = {h: _c0(mollify(F, h), cfg) for h in _H_SEQ}
+    bad = [{"omega": float(w), "direction": "F->M_h"}
+           for w, cb, *cms in zip(base.grid.values(), base.certificates,
+                                  *(m.certificates for m in mols.values()))
+           if cb.status is RegStatus.SINGULAR
+           and all(c.status is RegStatus.REGULAR for c in cms)]
+    bad += [dict(b, direction=f"M_{h}->F") for h, mol in mols.items()
+            for b in status_breaks(base, mol, _escapes)]
     st = CheckStatus.PASS if not bad else CheckStatus.FAIL
     return CheckResult("mollifier-union", entry.name, st, {"violations": bad})
 
@@ -238,21 +238,15 @@ def check_ergodic_theorem(entry: CorpusSignal, cfg: Config = DEFAULT,
     est = an.reduced(FunctionClass.C0)
     regular = [w for w, c in zip(est.grid.values(), est.certificates)
                if c.status is RegStatus.REGULAR]
-    step = max(1, len(regular) // _ERGODIC_POINTS)
+    points = regular[::max(1, len(regular) // _ERGODIC_POINTS)]
     failures = []
-    checked = 0
-    for w in regular[::step]:
-        G = modulate(F, -w)
-        m, devs, rep = ergodic_mean(G)
-        checked += 1
-        m_norm = float(np.linalg.norm(m))
-        ok = rep.member is Tri.YES and m_norm <= TOL_ERG * max(F.sup_norm(), 1e-300)
-        if not ok:
-            failures.append({"omega": float(w), "mean_norm": m_norm,
-                             "deviations": devs, "member": rep.member.value})
+    for w in points:
+        rep = is_ergodic(modulate(F, -w), F.sup_norm(), mean_zero=True)
+        if rep.member is not Tri.YES:
+            failures.append({"omega": float(w), "report": rep.to_dict()})
     st = CheckStatus.PASS if not failures else CheckStatus.FAIL
     return CheckResult("ergodic-theorem", entry.name, st,
-                       {"regular_points_checked": checked,
+                       {"regular_points_checked": len(points),
                         "failures": failures})
 
 
@@ -328,9 +322,7 @@ def check_tauberian(entry: CorpusSignal, cfg: Config = DEFAULT,
 
     # nonempty spectrum: need every modulated signal ergodic
     for center, _hw in clusters:
-        G = modulate(F, -center)
-        m, devs, rep = ergodic_mean(G)
-        if rep.member is Tri.NO:
+        if is_ergodic(modulate(F, -center)).member is Tri.NO:
             details["reason"] = f"modulation at {center:g} not ergodic"
             return CheckResult("tauberian", entry.name, CheckStatus.VACUOUS,
                                details)

@@ -554,6 +554,31 @@ def test_out_naming_a_directory_is_refused_before_any_work(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("out, clash", [
+    ("exp_iw1.json", "the report {out} would overwrite its sidecar"),
+    ("exp_iw1", "the plot CSV {out}.csv would overwrite the input record"),
+    ("r.csv", "the plot CSV {out} would overwrite the report"),
+], ids=["report-is-the-sidecar", "plot-is-the-record", "plot-is-the-report"])
+def test_analyze_refuses_an_out_that_overwrites_its_input(tmp_path, capsys,
+                                                          out, clash):
+    # the plot CSV goes beside the report with the extension .csv: these
+    # paths used to overwrite the record, its sidecar or the report itself
+    # and still exit 0
+    assert main(["synth", "exp_iw1", "--tmax", "60", "--out",
+                 str(tmp_path)]) == 0
+    capsys.readouterr()
+    record, sidecar = tmp_path / "exp_iw1.csv", tmp_path / "exp_iw1.json"
+    before = sorted(tmp_path.iterdir()), record.read_bytes(), \
+        sidecar.read_bytes()
+    out = tmp_path / out
+    assert main(["analyze", str(record), "--kind", "laplace",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: " + clash.format(out=out) + "\n"
+    assert (sorted(tmp_path.iterdir()), record.read_bytes(),
+            sidecar.read_bytes()) == before
+
+
 def test_main_turns_every_package_error_into_exit_2(tmp_path, capsys):
     # one second of so_composite contradicts its declared growth: the
     # GrowthError is bad input, not a traceback

@@ -1,3 +1,5 @@
+from operator import is_not
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,7 +209,7 @@ def test_grid_step_must_divide_the_span():
 def test_lp_signal_has_empty_c0_spectrum():
     F = make_half(lambda t: np.exp(1j * t) / (1.0 + t))
     est = reduced_spectrum(F, FunctionClass.C0, GRID, CFG)
-    assert all(s is RegStatus.REGULAR for s in est.statuses())
+    assert all(c.status is RegStatus.REGULAR for c in est.certificates)
 
 
 def test_zero_signal_trivially_regular():
@@ -277,8 +279,7 @@ def test_modulation_shift_relation():
     base = reduced_spectrum(F, FunctionClass.C0,
                             FrequencyGrid(-3.0, 3.0, 0.25), CFG)
     mod = reduced_spectrum(modulate(F, 1.0), FunctionClass.C0, SMALL, CFG)
-    for w, c in zip(SMALL.values(), mod.certificates):
-        assert base.status_at(w - 1.0) is c.status
+    assert theorems.status_breaks(base, mod, is_not, 1.0) == []
 
 
 #: 200 s half-line records: up to two tones (frequency, modulus, phase)
@@ -300,9 +301,9 @@ def _tone_record(tones, decay):
     return make_half(fn)
 
 
-def _small_grid_c0_statuses(F):
-    return reduced_spectrum(F, FunctionClass.C0, theorems._SMALL_GRID,
-                            CFG).statuses()
+def _flips(a, b):
+    """One status REGULAR, the other SINGULAR."""
+    return {a, b} == {RegStatus.REGULAR, RegStatus.SINGULAR}
 
 
 @settings(max_examples=10, deadline=None)
@@ -312,7 +313,20 @@ def test_scaling_by_a_complex_constant_keeps_every_status(record, log_c, arg):
     F = _tone_record(*record)
     c = 10.0 ** log_c * np.exp(1j * arg)
     cF = SampledSignal(Domain.HALF_LINE, 0.0, F.dt, c * F.values)
-    assert _small_grid_c0_statuses(cF) == _small_grid_c0_statuses(F)
+    assert theorems.status_breaks(theorems._c0(F, CFG),
+                                  theorems._c0(cF, CFG), is_not) == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(_TONE_RECORDS, st.integers(-8, 8))
+def test_modulation_shifts_the_spectrum(record, k):
+    # sp(gamma_lam F) = sp(F) + lam for grid-aligned lam; a status may
+    # turn UNDECIDED but never flip between REGULAR and SINGULAR
+    F = _tone_record(*record)
+    lam = 0.25 * k
+    assert theorems.status_breaks(theorems._c0(F, CFG, abs(lam)),
+                                  theorems._c0(modulate(F, lam), CFG),
+                                  _flips, lam) == []
 
 
 @settings(max_examples=10, deadline=None)
@@ -323,7 +337,8 @@ def test_conjugation_mirrors_the_statuses(record):
     assert np.array_equal(grid, -grid[::-1])
     F = _tone_record(*record)
     conj = SampledSignal(Domain.HALF_LINE, 0.0, F.dt, F.values.conj())
-    assert _small_grid_c0_statuses(conj) == _small_grid_c0_statuses(F)[::-1]
+    assert [c.status for c in theorems._c0(conj, CFG).certificates] == \
+        [c.status for c in theorems._c0(F, CFG).certificates][::-1]
 
 
 def test_extension_comparison_agrees_up_to_undecided():
@@ -332,8 +347,8 @@ def test_extension_comparison_agrees_up_to_undecided():
     assert out["definite_disagreements"] == []
     # "restricted" is the half-line record, zero-extended by the engine
     half = make_half(lambda t: np.exp(1j * t), t_end=120.0)
-    assert out["restricted"].statuses() == reduced_spectrum(
-        half, FunctionClass.C0, SMALL, CFG).statuses()
+    assert theorems.status_breaks(out["restricted"], reduced_spectrum(
+        half, FunctionClass.C0, SMALL, CFG), is_not) == []
     # a record whose lattice misses t = 0 has no half-line restriction
     off = SampledSignal(Domain.FULL_LINE, -10.005, 0.01,
                         np.exp(1j * np.arange(-10.005, 10.0, 0.01)))
@@ -354,11 +369,12 @@ def test_estimate_serialization_and_clusters():
     assert len(rows) == GRID.n and all(len(r) == 3 for r in rows)
 
 
-def test_status_at_rejects_off_grid():
+def test_status_breaks_rejects_a_shift_off_the_base_grid():
     F = make_half(lambda t: np.exp(-t), t_end=60.0)
     est = laplace_spectrum(F, SMALL, CFG)
-    with pytest.raises(ValueError):
-        est.status_at(3.2)
+    for shift in (0.25, -1.0, 5.0):
+        with pytest.raises(ValueError):
+            theorems.status_breaks(est, est, is_not, shift)
 
 
 def test_box_augmented_search_only_adds_regularity():

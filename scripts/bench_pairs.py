@@ -21,19 +21,26 @@ output gets one JSON object: ``summary`` holds, for each end-to-end
 metric of the change's ``BENCHMARK.json``, the pair count, the pairs the
 change won (its value better than the parent's in the same pair), both
 medians, both quartiles (``statistics.quantiles``, ``method='inclusive'``),
-both interquartile ranges, the ratio of the medians and both ranges;
-``operations`` holds each run's attempted, failed and correct counts;
-``runs`` holds every run's whole result line.
+both interquartile ranges, the ratio of the medians and both ranges,
+and under ``round_walls`` per side the median wall time of the first
+round of each run and the median over every later round (a cold-start
+cost shows in the first alone); ``operations`` holds each run's
+attempted, failed and correct counts; ``runs`` holds every run's whole
+result line and, as ``round_walls``, the wall time of each of its rounds
+in order, parsed from the ``round k: X s wall`` lines that
+``perfbench/run.py`` writes on standard error.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
 CACHE_ROOTS = ("src", "perfbench", "scripts")
+ROUND_LINE = re.compile(r"^round (\d+): ([0-9.]+) s wall", re.M)
 
 
 def parse_args(argv):
@@ -62,7 +69,8 @@ def bytecode_caches(root) -> list:
     return found
 
 
-def run_once(root, workload, seed, seconds) -> dict:
+def run_once(root, workload, seed, seconds) -> tuple:
+    """(result line, wall time of each round) of one fresh run."""
     caches = bytecode_caches(root)
     if caches:
         sys.exit(f"error: remove the bytecode caches first: {' '.join(caches)}")
@@ -74,7 +82,12 @@ def run_once(root, workload, seed, seconds) -> dict:
     if res.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} in {root} exited "
                  f"{res.returncode}: {res.stderr.strip()[-500:]}")
-    return json.loads(res.stdout.strip().splitlines()[-1])
+    rounds = [(int(k), float(v)) for k, v in ROUND_LINE.findall(res.stderr)]
+    if [k for k, _ in rounds] != list(range(1, len(rounds) + 1)):
+        sys.exit(f"error: {' '.join(cmd)} in {root} reported rounds "
+                 f"{[k for k, _ in rounds]}")
+    return (json.loads(res.stdout.strip().splitlines()[-1]),
+            [v for _, v in rounds])
 
 
 def spread(values) -> dict:
@@ -106,6 +119,14 @@ def summarize(metrics, runs) -> dict:
             "median_change_over_parent": round(sc["median"] / sp["median"], 4),
             "parent_range": [round(v, 4) for v in sp["range"]],
             "change_range": [round(v, 4) for v in sc["range"]]}
+    out["round_walls"] = {}
+    for side in ("parent", "change"):
+        walls = [r["round_walls"] for r in runs if r["side"] == side]
+        later = [w for ws in walls for w in ws[1:]]
+        out["round_walls"][side] = {
+            "first_median": round(statistics.median(ws[0] for ws in walls), 4),
+            "later_median": round(statistics.median(later), 4) if later else None,
+            "later_rounds": len(later)}
     return out
 
 
@@ -119,9 +140,11 @@ def main(argv=None) -> int:
         seed = args.first_seed + pair - 1
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            line = run_once(roots[side], args.workload, seed, args.seconds)
+            line, walls = run_once(roots[side], args.workload, seed,
+                                   args.seconds)
             runs.append({"pair": pair, "seed": seed, "workload": args.workload,
-                         "side": side, "first": order[0], "line": line})
+                         "side": side, "first": order[0], "line": line,
+                         "round_walls": walls})
             print(json.dumps(runs[-1]), file=sys.stderr, flush=True)
     ops = {side: [{k: r["line"][k] for k in ("attempted", "failed", "correct")}
                   for r in runs if r["side"] == side] for side in roots}

@@ -23,7 +23,11 @@ this roster of CLI calls runs in-process, in a temporary directory:
   ``verify --builtin`` with an output step (1e300) longer than the
   record, on which no band-pass rung can be built, and ``analyze
   exp_iw1.csv --out exp_iw1.json``, whose report would overwrite the
-  record's sidecar, each refused with exit 2.
+  record's sidecar, each refused with exit 2;
+* ``analyze --kind beurling`` of ``exp_iw1`` under a sidecar that
+  declares growth exponent 57 (a link to the record beside its own
+  sidecar), whose envelope at the band-pass kernels' reach is past the
+  float range, refused with exit 2.
 
 A definition (function or method, nested ones included) ran when a line
 of one of its own simple statements ran: a loop or ``if`` header alone
@@ -189,6 +193,12 @@ def roster(work: str, classes, names) -> list:
                 os.path.join(work, "huge-stride-report.json")])
     bad.append(["analyze", os.path.join(data, "exp_iw1.csv"), "--kind",
                 "laplace", "--out", os.path.join(data, "exp_iw1.json")])
+    grow = os.path.join(work, "grow57.csv")
+    os.symlink(os.path.join(data, "exp_iw1.csv"), grow)    # synth writes it
+    with open(os.path.join(work, "grow57.json"), "w") as fh:
+        json.dump({"domain": "half_line", "growth_exponent": 57}, fh)
+    bad.append(["analyze", grow, "--kind", "beurling", "--out",
+                os.path.join(work, "grow57-beurling.json")])
     return [(argv, 0) for argv in calls] + [(argv, 2) for argv in bad]
 
 
@@ -199,7 +209,10 @@ def main():
         for argv, expected in roster(work, classes, names):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                rc = census.run(cli_main, argv)
+                try:
+                    rc = census.run(cli_main, argv)
+                except Exception as exc:    # a traceback: the process exits 1
+                    rc = f"1 ({exc!r})"
             if rc != expected:
                 print(f"exit {rc}: {' '.join(argv)}", file=sys.stderr)
     for name in census.never_ran():

@@ -9,8 +9,10 @@ Fourier convention, shared by every module:
 Every kernel is a ``TestKernel``: time and transform functions, the
 retained support, the mass of |k| and a tail-mass function given at
 construction (a sample table, ``_table_tail``, or one rescaled).
-``TestKernel.scaled`` is the one scaling path.  Kernels are immutable;
-sample tables are cached per grid.  The central constructions:
+``TestKernel.scaled`` is the one scaling path.  A kernel whose transform
+vanishes off a known band also declares it (``Band``), and convolutions
+with it read the record's DFT instead of its time samples.  Kernels are
+immutable; sample tables are cached per grid.  The central constructions:
 
 * ``bump_kernel`` builds psi = (phi^)^2 for the scaled bump
   phi(x) = a exp(1/(x^2-1)) on [-1, 1], with a chosen so psi^(0) = 1.
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,17 +61,34 @@ def _bump_raw(x):
 # the kernel object
 # ---------------------------------------------------------------------------
 
+class Band(NamedTuple):
+    """The band-limited member of the kernel interface (``signals.plan_band``
+    and ``band_product`` read it with the kernel's ``ft_fn``): the
+    transform is exactly 0.0 in double at |w| >= ``half_width``, and
+    ``omitted(dnu)`` bounds the transform mass that a sum over the bins
+    of spacing dnu within the band leaves out."""
+
+    half_width: float
+    omitted: object
+
+
 @dataclass(frozen=True)
 class TestKernel:
     """A sampled test kernel together with its transform.
 
     ``time_fn`` / ``ft_fn`` evaluate the kernel and its transform at
-    arbitrary points.  ``s_lo`` / ``s_hi`` bound the retained time support
+    arbitrary points (a real transform, as of psi or a plateau, as a real
+    array).  ``s_lo`` / ``s_hi`` bound the retained time support
     (cut where the samples fall below the support-cut threshold); the
     discarded ``cut_mass`` is propagated into convolution error bounds
     through ``tail_mass``, the function x -> mass of |k| at distance >= x
     from the origin (cut included), given in closed form or as a table
     closure (``_table_tail``).
+
+    ``band`` is the kernel's ``Band``, or None for a kernel compact in
+    time only.  It is given as the init-only ``band_limit``, which
+    ``dataclasses.replace`` does not copy: a kernel derived with a new
+    transform declares its own band or has none.
     """
 
     kernel_id: str
@@ -81,8 +101,14 @@ class TestKernel:
     mass: float                  # integral of |k|
     tail_mass: object
     cut_mass: float = 0.0
+    band_limit: InitVar[Band | None] = None
+    band: Band | None = field(default=None, init=False, compare=False,
+                              repr=False)
     _cache: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
+
+    def __post_init__(self, band_limit):
+        object.__setattr__(self, "band", band_limit)
 
     # -- sampling -------------------------------------------------------
     def time_samples(self, dt: float):
@@ -159,21 +185,33 @@ def _phi_hat_factory(a):
     return phi_hat
 
 
+#: points of psi^ per block of its Gauss sums (a block's buffers hold
+#: this many rows of the 400 nodes)
+_PSI_BLOCK = 32
+
+
 def _psi_hat_factory(a):
     xs, ws = _leggauss()
 
     def psi_hat(w):
+        """2 pi (phi conv phi)(w), of w's shape: the Gauss rule on the
+        overlap [max(-1, w-1), min(1, w+1)] of the two supports, and 0.0
+        where it is empty (|w| >= 2).  The points in support go in blocks
+        of rows, one row of nodes each and summed along its row alone, so
+        each value has the bits of that point taken by itself."""
         w = np.atleast_1d(np.asarray(w, float))
-        out = np.zeros(len(w))
-        for i, wi in enumerate(w):
-            lo, hi = max(-1.0, wi - 1.0), min(1.0, wi + 1.0)
-            if hi <= lo:
-                continue
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            s = mid + half * xs
-            out[i] = 2 * np.pi * half * (
-                a * _bump_raw(wi - s) * a * _bump_raw(s) * ws).sum()
-        return out
+        flat = w.ravel()
+        lo, hi = np.maximum(-1.0, flat - 1.0), np.minimum(1.0, flat + 1.0)
+        out = np.zeros(len(flat))
+        keep = np.flatnonzero(hi > lo)
+        for i in range(0, len(keep), _PSI_BLOCK):
+            k = keep[i:i + _PSI_BLOCK]
+            mid, half = 0.5 * (lo[k] + hi[k]), 0.5 * (hi[k] - lo[k])
+            s = mid[:, None] + half[:, None] * xs
+            out[k] = 2 * np.pi * half * (
+                a * _bump_raw(flat[k, None] - s) * a * _bump_raw(s)
+                * ws).sum(axis=1)
+        return out.reshape(w.shape)
 
     return psi_hat
 
@@ -182,7 +220,8 @@ def _psi_hat_factory(a):
 def bump_kernel() -> TestKernel:
     """The smooth non-negative kernel psi with psi^(0) = 1 and transform
     supported in [-2, 2]: psi = (phi^)^2, phi(x) = a exp(1/(x^2-1)).
-    Built once; every call returns the same kernel.
+    It declares that band, which no bin beyond it misses.  Built once;
+    every call returns the same kernel.
     """
     a = _bump_normalizer()
     phi_hat = _phi_hat_factory(a)
@@ -202,8 +241,9 @@ def bump_kernel() -> TestKernel:
     mass = 2.0 * float(np.trapezoid(vals[tt <= L], dx=0.25))
 
     return TestKernel(
-        "bump", "S", time_fn, lambda w: psi_hat(w).astype(complex), -L, L,
-        (-2.0, 2.0), mass, _table_tail(time_fn, L, cut_mass), cut_mass)
+        "bump", "S", time_fn, psi_hat, -L, L,
+        (-2.0, 2.0), mass, _table_tail(time_fn, L, cut_mass), cut_mass,
+        Band(2.0, lambda dnu: 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +307,22 @@ def bandpass_kernel(omega0: float, delta: float) -> TestKernel:
         return env(t) * np.exp(1j * w0 * t)
 
     def ft_fn(w, w0=omega0):
-        return _plateau(np.asarray(w, float) - w0, b, sigma).astype(complex)
+        return _plateau(np.asarray(w, float) - w0, b, sigma)
+
+    def omitted(dnu):
+        # the plateau beyond b + EDGE sigma that the bins omit, summed over
+        # both sides: 0.5 erfc((EDGE sigma + v) / (sigma sqrt 2)) <=
+        # 0.5 exp(-EDGE^2 / 2 - EDGE v / sigma) at the bins v = i dnu
+        return math.exp(-0.5 * PLATEAU_EDGE ** 2) / -math.expm1(
+            -PLATEAU_EDGE * dnu / sigma)
 
     cut_tail = float(np.exp(-0.5 * (sigma * L) ** 2) * 2.0 / (np.pi * L * sigma * L))
     return TestKernel(f"bandpass(w0={omega0:g},delta={delta:g})", "S",
                       time_fn, ft_fn, -L, L,
                       (omega0 - 2 * delta, omega0 + 2 * delta),
                       _env_abs_mass(env, L), _table_tail(time_fn, L, cut_tail),
-                      cut_tail)
+                      cut_tail,
+                      Band(abs(omega0) + b + PLATEAU_EDGE * sigma, omitted))
 
 
 def _env_abs_mass(env, L):

@@ -9,14 +9,16 @@ accounts for the omission through an explicit truncation bound; nothing is
 periodized or silently zero-filled beyond the stated budget.
 
 Every convolution's output window and truncation bound come from one
-admission, ``_admit``.  ``convolve`` samples the kernel on the record's
-lattice, plans the padding and windows trimmed to the taps that meet
-data (``plan_convolution``) and sums them in tap order (``plan_product``).  The
-band-pass ladder of ``spectra.ReducedScanner`` reads many modulated
-kernels at once from one record DFT (``plan_band``): by Poisson
-summation, each frequency's dt-lattice trapezoid sums are a short sum
-over the bins where the kernel's closed-form transform is not zero
-(``band_product``).
+admission, ``_admit``.  A kernel that declares a band (``kernels.Band``)
+is read through one record DFT (``plan_band``): by Poisson summation,
+the dt-lattice trapezoid sums of the kernel, modulated to any
+frequency, are a short sum over the bins where its closed-form
+transform is not zero (``band_product``).  ``convolve`` takes that route
+at frequency 0, and the band-pass ladder of ``spectra.ReducedScanner``
+at many frequencies at once.  ``convolve`` samples any other kernel,
+compact in time, on the record's lattice, plans the padding and windows
+trimmed to the taps that meet data (``plan_convolution``) and sums them
+in tap order (``plan_product``).
 
 All types are immutable and all operations are pure functions, so signals
 may be shared freely across threads.
@@ -34,7 +36,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, GridError, GrowthError, HorizonError, TruncationError
-from .kernels import PLATEAU_EDGE, _plateau, bandpass_shape
 
 #: relative slack in the on-lattice test for times and lags
 _LATTICE_RTOL = 1e-9
@@ -385,8 +386,15 @@ def _admit(H: ExtendedSignal, kernel, width: float, out_step: float,
     dt = H.dt
     row = H.lattice_steps(out_step, "output step")
     edge = max(abs(H.t0), abs(H.t_end))
-    env = max(H.envelope_constant() * (1.0 + (edge + width) ** 2)
-              ** H.growth_exponent, 1e-300)
+    try:
+        grow = (1.0 + (edge + width) ** 2) ** H.growth_exponent
+    except OverflowError:           # beyond the float range: infinite
+        grow = math.inf
+    env = max(H.envelope_constant() * grow, 1e-300)
+    if not math.isfinite(env):      # nan when C = 0: no bound holds either
+        raise TruncationError(
+            f"growth envelope C (1+t^2)^{H.growth_exponent:g} is not finite "
+            f"at the kernel's reach |t| = {edge + width:g}")
     allowance = budget * max(H.sup_norm(), 1e-300)
 
     # an output at t omits kernel mass at |s| >= t_end - t (right edge) or
@@ -562,14 +570,16 @@ def _next_fast_len(n: int) -> int:
 
 
 class BandPlan(NamedTuple):
-    """Output grid and record spectrum of the band-pass ladder.
+    """Output grid and record spectrum of a convolution with a band-limited
+    kernel.
 
     ``spectrum[c, f]`` is the DFT, divided by N, of channel c of H's
     rows on the dt lattice, laid out circularly with the first output's
     row at index 0; bin f has frequency f * ``dnu``, dnu = 2 pi / (N dt),
-    and N is ``row`` times a fast FFT length.  ``b`` and ``sigma`` shape
-    the plateau of the centred kernel's transform, and ``trunc`` bounds
-    what the sums of ``band_product`` omit.
+    and N is ``row`` times a fast FFT length.  ``ft`` and ``band`` are
+    the kernel's transform function and ``Band``, the two parts of it that
+    ``band_product`` reads (the plan keeps no tail table alive), and
+    ``trunc`` bounds what its sums omit.
     """
 
     t0: float
@@ -578,22 +588,23 @@ class BandPlan(NamedTuple):
     row: int
     dnu: float
     spectrum: np.ndarray
-    b: float
-    sigma: float
+    ft: object
+    band: object
     trunc: float
 
 
-def plan_band(H: ExtendedSignal, kernel, delta: float, out_step: float,
-              out_range: tuple, budget: float) -> BandPlan:
-    """The output window of ``_admit`` for the centred band-pass kernel
-    ``kernel`` = ``bandpass_kernel(0, delta)``, and the one record DFT
-    that every frequency's band output reads.
+def plan_band(H: ExtendedSignal, kernel, out_step: float, out_range,
+              budget: float) -> BandPlan:
+    """The output window of ``_admit`` for the band-limited ``kernel``
+    (its ``band`` declared), and the one record DFT that the sums of
+    ``band_product`` read at every frequency.
 
     Output p reads record row n at lag p - n, and the circular DFT adds
     the lags p - n +- N.  N exceeds the largest |p - n| by the kernel's
     reach (its cut support, in rows), so every added lag falls where the
     kernel's mass is ``tail_mass`` of the reach: with the growth
-    envelope, the wrap term of ``trunc``.
+    envelope, the wrap term of ``trunc``.  The band's ``omitted`` mass
+    at this bin spacing, with the envelope, is the other.
     """
     dt = H.dt
     reach = math.ceil(max(-kernel.s_lo, kernel.s_hi) / dt - _LATTICE_RTOL)
@@ -607,30 +618,25 @@ def plan_band(H: ExtendedSignal, kernel, delta: float, out_step: float,
     X[:, (np.arange(lo, hi + 1) - first) % N] = H.values[lo:hi + 1].T
     np.fft.fft(X, axis=1, out=X)
     X /= N
-    b, sigma = bandpass_shape(delta)
     dnu = 2.0 * np.pi / (N * dt)
-    # the plateau beyond b + EDGE sigma that the bins omit, summed over
-    # both sides: 0.5 erfc((EDGE sigma + v) / (sigma sqrt 2)) <=
-    # 0.5 exp(-EDGE^2 / 2 - EDGE v / sigma) at the bins v = i dnu
-    cut = math.exp(-0.5 * PLATEAU_EDGE ** 2) / -math.expm1(
-        -PLATEAU_EDGE * dnu / sigma)
     wrap = kernel.tail_mass(reach * dt)
-    return BandPlan(H.t0 + first * dt, row * dt, count, row, dnu, X, b, sigma,
-                    trunc + (wrap + cut) * env)
+    return BandPlan(H.t0 + first * dt, row * dt, count, row, dnu, X,
+                    kernel.ft_fn, kernel.band,
+                    trunc + (wrap + kernel.band.omitted(dnu)) * env)
 
 
 def band_product(plan: BandPlan, omegas) -> np.ndarray:
-    """Convolutions of H with the band-pass kernel modulated to each
+    """Convolutions of H with the plan's kernel modulated to each
     frequency, k(s) exp(i omega s), as a (count, len(omegas), channels)
     array: the dt-lattice trapezoid sums with the uncut kernel.
 
     By Poisson summation the sum at output row p is sum_f X_f K(nu_f -
-    omega) exp(2 pi i f p / N), K the kernel's plateau, which is exactly
-    0.0 off omega +- (b + EDGE sigma): only those bins are read.  Output
-    k sits at p = k * row, and N = row * M, so the phase depends on f mod
-    M alone: the bins are added into M slots (one each, as long as the
-    band is narrower than M bins) and one inverse FFT of length M gives
-    every output.
+    omega) exp(2 pi i f p / N), K the kernel's transform, which is
+    exactly 0.0 off omega +- its band's half-width: only those bins are
+    read.  Output k sits at p = k * row, and N = row * M, so the phase
+    depends on f mod M alone: the bins are added into M slots (one each,
+    as long as the band is narrower than M bins) and one inverse FFT of
+    length M gives every output.
 
     Frequencies are taken in groups whose buffers fit ``WORK_BYTES``.
     Every step acts on each frequency alone, so a column's value does not
@@ -639,14 +645,14 @@ def band_product(plan: BandPlan, omegas) -> np.ndarray:
     omegas = np.asarray(omegas, float)
     dim, N = plan.spectrum.shape
     M = N // plan.row
-    band = plan.b + PLATEAU_EDGE * plan.sigma       # half-width read
+    band = plan.band.half_width
     nb = int(2.0 * band / plan.dnu) + 2
     out = np.zeros((plan.count, len(omegas), dim), complex)
     group = max(1, WORK_BYTES // (16 * (M + 3 * nb)))
     for j in range(0, len(omegas), group):
         w = omegas[j:j + group, None]
         f = np.ceil((w - band) / plan.dnu).astype(np.int64) + np.arange(nb)
-        K = _plateau(f * plan.dnu - w, plan.b, plan.sigma)
+        K = plan.ft(f * plan.dnu - w)
         at = (np.arange(len(w))[:, None], f % M)
         for c in range(dim):
             Z = np.zeros((len(w), M), complex)
@@ -658,17 +664,25 @@ def band_product(plan: BandPlan, omegas) -> np.ndarray:
 
 def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
              budget: float = 1e-12) -> ExtendedSignal:
-    """Trapezoid quadrature of (H * k)(t) = integral H(t - s) k(s) ds.
+    """Trapezoid quadrature of (H * k)(t) = integral H(t - s) k(s) ds on
+    the record lattice, at outputs ``out_step`` apart (the lattice step
+    when None).
 
-    The output grid and its truncation bound come from
-    ``plan_convolution``; the worst admitted omission is recorded on the
-    result as ``trunc_bound``.
-
-    ``out_step`` decimates the output grid; the s-quadrature runs on the
-    record lattice.
+    A kernel with a declared band is summed from the record's DFT
+    (``plan_band`` and ``band_product`` at frequency 0); any other, compact
+    in time, by the direct tap-order sum (``plan_convolution`` and
+    ``plan_product``), so that a box-smoothed zero extension reads exactly
+    0 left of -h.  The output grid and its truncation bound come from
+    ``_admit``; the worst admitted omission is recorded on the result as
+    ``trunc_bound``.
     """
-    plan = plan_convolution(H, kernel, out_step, budget)
-    out = plan_product(plan)
+    if kernel.band is not None:
+        plan = plan_band(H, kernel, H.dt if out_step is None else out_step,
+                         None, budget)
+        out = band_product(plan, [0.0])[:, 0]
+    else:
+        plan = plan_convolution(H, kernel, out_step, budget)
+        out = plan_product(plan)
     return ExtendedSignal(Domain.FULL_LINE, plan.t0, plan.step, out,
                           H.growth_exponent, trusted=True,
                           origin_domain=H.origin_domain,

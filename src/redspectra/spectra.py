@@ -221,8 +221,7 @@ class ReducedScanner:
         lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
             else -np.inf
         kern = bandpass_kernel(0.0, delta)
-        plan = plan_band(H, kern, delta, row * H.dt, (lo, np.inf),
-                         TRUNC_BUDGET)
+        plan = plan_band(H, kern, row * H.dt, (lo, np.inf), TRUNC_BUDGET)
         if plan.count < need:
             raise TruncationError(f"band {delta}: usable window too short")
         self._band_cache[key] = plan

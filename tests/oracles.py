@@ -2,10 +2,11 @@
 none of them on a path of ``synth``, ``analyze`` or ``verify``: record
 restriction, reflection and finite differences, and the indefinite
 integral PF; the box kernel s_h, the exponential kernel f_lambda, kernel
-reflection and a quadrature check of a kernel's transform; the dilates
-psi_n of the approximate identity and the Wiener division lemma; the
-Carleman transform at a point and its convolution form; the two
-extension conventions of the reduced spectrum.
+reflection and a quadrature check of a kernel's transform; the per-point
+Gauss sums of psi^ and the direct dt-lattice trapezoid sum of a
+convolution; the dilates psi_n of the approximate identity and the
+Wiener division lemma; the Carleman transform at a point and its
+convolution form; the two extension conventions of the reduced spectrum.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from redspectra.classes import FunctionClass
 from redspectra.config import Config, DEFAULT
 from redspectra.errors import (DomainError, GridError, HorizonError,
                                RedSpectraError)
-from redspectra.kernels import (SUPPORT_CUT, TestKernel, _plateau,
-                                _table_tail, bump_kernel)
+from redspectra.kernels import (SUPPORT_CUT, TestKernel, _bump_normalizer,
+                                _bump_raw, _leggauss, _plateau, _table_tail,
+                                bump_kernel)
 from redspectra.signals import (_LATTICE_RTOL, Domain, SampledSignal,
                                 _cumulative, convolve, extend_by_zero,
                                 trapezoid_weights)
@@ -162,6 +164,44 @@ def fourier_consistency_error(kernel, dt: float = 0.01,
     probes = np.linspace(lo - 0.5, hi + 0.5, n_check)
     quad = np.exp(-1j * np.outer(probes, s)) @ (vals * w)
     return float(np.abs(quad - np.asarray(kernel.ft(probes), complex)).max())
+
+
+def psi_hat_by_point(w) -> np.ndarray:
+    """psi^ at the points w, one Gauss sum at a time: the reference for
+    ``bump_kernel().ft``, which evaluates the same sums in blocks."""
+    a = _bump_normalizer()
+    xs, ws = _leggauss()
+    w = np.atleast_1d(np.asarray(w, float))
+    out = np.zeros(len(w))
+    for i, wi in enumerate(w):
+        lo, hi = max(-1.0, wi - 1.0), min(1.0, wi + 1.0)
+        if hi <= lo:
+            continue
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        s = mid + half * xs
+        out[i] = 2 * np.pi * half * (
+            a * _bump_raw(wi - s) * a * _bump_raw(s) * ws).sum()
+    return out
+
+
+def lattice_trapezoid(H, kernel, t_out, omegas) -> np.ndarray:
+    """sum_i H(t - s_i) k(s_i) w_i exp(i omega s_i) over every kernel tap
+    s_i on H's lattice, with H zero off its record: (len(t_out),
+    len(omegas), channels)."""
+    s0, samples = kernel.time_samples(H.dt)
+    s = s0 + H.dt * np.arange(len(samples))
+    w = np.full(len(s), H.dt)
+    w[0] = w[-1] = H.dt / 2
+    taps = (samples * w)[:, None] * np.exp(1j * np.outer(s, omegas))
+    # H's rows between len(s) zero rows on each side: tap j of the output
+    # at t reads row i - j, i the padded row of t - s0
+    m = len(s)
+    rows = np.vstack([np.zeros((m, H.dim)), H.values, np.zeros((m, H.dim))])
+    out = np.zeros((len(t_out), len(omegas), H.dim), complex)
+    for k, t in enumerate(t_out):
+        i = round((t - s0 - H.t0) / H.dt) + m
+        out[k] = taps.T @ rows[i - m + 1:i + 1][::-1]
+    return out
 
 
 def approximate_identity(n: int) -> TestKernel:

@@ -790,6 +790,27 @@ def test_reduced_kinds_refuse_a_record_too_short_for_every_rung(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["57", "1e30"])
+@pytest.mark.parametrize("kind", [["reduced", "--class", "c0"], ["beurling"]])
+def test_reduced_kinds_refuse_a_growth_envelope_past_the_float_range(
+        tmp_path, default_records, capsys, kind, k):
+    # (1 + t^2)^k at a band-pass kernel's reach is past the float range on
+    # the 200 s tone; the Python-float power used to end in an
+    # OverflowError traceback (exit 1) instead of refusing the rung
+    csv = tmp_path / "sig.csv"
+    csv.write_text((default_records / "exp_iw1.csv").read_text())
+    (tmp_path / "sig.json").write_text(
+        f'{{"domain": "half_line", "growth_exponent": {k}}}')
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(csv), "--kind", *kind,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no band-pass window: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "growth envelope" in err and "is not finite" in err
+    assert not out.exists()
+
+
 def test_synth_unknown_name(tmp_path):
     assert main(["synth", "not_a_signal", "--out", str(tmp_path)]) == 2
 

@@ -14,10 +14,12 @@ import redspectra
 from redspectra.errors import DomainError, GridError
 from redspectra.kernels import (_erf, annihilator_kernel, bandpass_kernel,
                                 bump_kernel, d_bump)
+from redspectra.signals import extend_by_zero, plan_band
 
+from conftest import make_half
 from oracles import (DivisionError_, approximate_identity, box_kernel,
-                     exp_kernel, fourier_consistency_error, reflected,
-                     wiener_divide)
+                     exp_kernel, fourier_consistency_error, psi_hat_by_point,
+                     reflected, wiener_divide)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +45,47 @@ def test_bump_nonnegative_and_band_limited():
     assert vals.real.min() >= -1e-15 and np.abs(vals.imag).max() < 1e-15
     w = np.array([-2.4, -2.1, 2.1, 2.4, 3.0])
     assert np.abs(psi.ft(w)).max() < 1e-8 * (1 + psi.mass)
+
+
+def test_psi_hat_in_blocks_has_the_bits_of_the_per_point_sums():
+    # psi^ evaluates its Gauss sums in blocks; every value must have the
+    # bits of the same sum taken alone: on regular-ft's eta grid, on the
+    # DFT bins that convolve reads, and on a random draw across the
+    # support's ends
+    psi = bump_kernel()
+    plan = plan_band(extend_by_zero(make_half(lambda t: np.exp(1j * t))),
+                     psi, 0.2, None, 1e-3)
+    band = psi.band.half_width
+    f = np.ceil(-band / plan.dnu) + np.arange(int(2.0 * band / plan.dnu) + 2)
+    draws = (np.linspace(-2.2, 2.2, 2201), f * plan.dnu - 0.0,
+             np.random.default_rng(7).uniform(-2.5, 2.5, 5000))
+    for w in draws:
+        got = np.asarray(psi.ft(w))
+        assert got.shape == w.shape and not got.imag.any()
+        assert np.array_equal(got.real.view(np.int64),
+                              psi_hat_by_point(w).view(np.int64))
+    assert len(draws[1]) > 200
+
+
+@pytest.mark.parametrize("kernel", ["bump", "bandpass", "bandpass-shifted"])
+def test_a_declared_band_is_exact(kernel):
+    # the transform is exactly 0.0 from the declared half-width on, so the
+    # bins beyond it add nothing
+    k = {"bump": bump_kernel, "bandpass": lambda: bandpass_kernel(0.0, 0.5),
+         "bandpass-shifted": lambda: bandpass_kernel(-0.75, 1.0)}[kernel]()
+    hw = k.band.half_width
+    w = hw + np.concatenate([[0.0], np.geomspace(1e-12, 10.0, 200)])
+    assert not np.asarray(k.ft(np.concatenate([w, -w]))).any()
+
+
+def test_a_derived_kernel_declares_its_own_band_or_none():
+    # dataclasses.replace does not copy the band: psi_n, a reflection or a
+    # scaled copy takes the direct sum unless it declares its own band
+    psi = bump_kernel()
+    assert psi.band.half_width == 2.0 and psi.band.omitted(0.01) == 0.0
+    for k in (approximate_identity(2), reflected(psi), psi.scaled(2.0),
+              d_bump(), annihilator_kernel(2.0), box_kernel(0.5)):
+        assert k.band is None
 
 
 def test_bump_fourier_consistency():

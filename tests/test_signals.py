@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from redspectra.errors import DomainError, GridError, GrowthError
-from redspectra.kernels import bandpass_kernel, bump_kernel
+from redspectra.kernels import bandpass_kernel, bump_kernel, d_bump
 from redspectra import signals
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
                                 band_product, convolve, extend_by_zero,
@@ -13,8 +13,8 @@ from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
                                 plan_convolution, plan_product, translate)
 
 from conftest import make_full, make_half
-from oracles import (box_kernel, difference, indefinite_integral, reflect,
-                     reflected, restrict)
+from oracles import (box_kernel, difference, indefinite_integral,
+                     lattice_trapezoid, reflect, reflected, restrict)
 
 DT = 0.01
 
@@ -166,6 +166,47 @@ def test_decay_at_minus_infinity():
     assert vals[2] < 1e-3 * F.sup_norm()
 
 
+def _psi_record(case):
+    """(zero-extended record, output step) of the psi route tests."""
+    if case == "half-tone":
+        return extend_by_zero(make_half(lambda t: np.exp(1j * t))), 0.2
+    if case == "full-two-channel":
+        return extend_by_zero(make_full(lambda t: np.stack(
+            [np.exp(0.5j * t), np.cos(1.5 * t) / (1 + 0.01 * t * t)], axis=1),
+            t_end=150.0)), 0.2
+    # every output row (M = N), at a tap step that keeps the sum short
+    return extend_by_zero(make_half(lambda t: np.exp(-0.05 * t), t_end=150.0,
+                                    dt=0.05)), None
+
+
+@pytest.mark.parametrize("case", ["half-tone", "full-two-channel",
+                                  "decay-every-row"])
+def test_psi_convolution_from_the_record_dft_matches_the_direct_sum(case):
+    # psi declares its band, so convolve reads the record's DFT; the
+    # direct dt-lattice trapezoid sum of its taps still checks the result
+    H, out_step = _psi_record(case)
+    psi = bump_kernel()
+    conv = convolve(H, psi, out_step=out_step, budget=1e-3)
+    assert conv.dt == (H.dt if out_step is None else out_step)
+    ref = lattice_trapezoid(H, psi, conv.times, [0.0])[:, 0]
+    assert conv.values.shape == ref.shape == (conv.n, H.dim)
+    assert np.abs(conv.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kernel", ["box", "d_bump"])
+def test_kernels_compact_in_time_keep_the_direct_sum(kernel):
+    # no band declared: convolve returns the tap-order sums themselves
+    H = extend_by_zero(make_half(lambda t: np.exp(1j * t) / (1 + 0.1 * t),
+                                 t_end=60.0))
+    k = box_kernel(0.5) if kernel == "box" else d_bump()
+    for out_step in (None, 0.2):
+        conv = convolve(H, k, out_step=out_step, budget=1e-9)
+        plan = plan_convolution(H, k, out_step, 1e-9)
+        assert np.array_equal(conv.values, plan_product(plan))
+        assert (conv.t0, conv.dt, conv.trunc_bound) == \
+            (plan.t0, plan.step, plan.trunc)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 @example(seed=18536)
@@ -182,25 +223,6 @@ def test_convolution_linearity(seed):
     lhs = convolve(mk(al * a + be * b), k).values
     rhs = al * convolve(mk(a), k).values + be * convolve(mk(b), k).values
     assert np.abs(lhs - rhs).max() < 1e-10 * (1 + np.abs(rhs).max())
-
-
-def _naive_trapezoid(H, kernel, t_out, omegas):
-    """sum_i H(t - s_i) k(s_i) w_i exp(i omega s_i) over every kernel tap
-    s_i on H's lattice, with H zero off its record."""
-    s0, samples = kernel.time_samples(H.dt)
-    s = s0 + H.dt * np.arange(len(samples))
-    w = np.full(len(s), H.dt)
-    w[0] = w[-1] = H.dt / 2
-    taps = (samples * w)[:, None] * np.exp(1j * np.outer(s, omegas))
-    # H's rows between len(s) zero rows on each side: tap j of the output
-    # at t reads row i - j, i the padded row of t - s0
-    m = len(s)
-    rows = np.vstack([np.zeros((m, H.dim)), H.values, np.zeros((m, H.dim))])
-    out = np.zeros((len(t_out), len(omegas), H.dim), complex)
-    for k, t in enumerate(t_out):
-        i = round((t - s0 - H.t0) / H.dt) + m
-        out[k] = taps.T @ rows[i - m + 1:i + 1][::-1]
-    return out
 
 
 def _case_record(domain, dim, dt=DT):
@@ -228,7 +250,7 @@ def _plan_case(kernel, domain, dim, out_step, dt=DT):
 def _band_case(H, out_step, delta=1.0, out_range=(-0.4, np.inf)):
     """The band-pass ladder's plan of H, with its centred kernel."""
     kern = bandpass_kernel(0.0, delta)
-    return kern, plan_band(H, kern, delta, out_step, out_range, 1e-3)
+    return kern, plan_band(H, kern, out_step, out_range, 1e-3)
 
 
 def _check_band_product(H, out_step, out_range=(-0.4, np.inf)):
@@ -238,7 +260,7 @@ def _check_band_product(H, out_step, out_range=(-0.4, np.inf)):
     omegas = np.linspace(-2.0, 2.0, 21)
     got = band_product(plan, omegas)
     t_out = plan.t0 + plan.step * np.arange(plan.count)
-    ref = _naive_trapezoid(H, kern, t_out, omegas)
+    ref = lattice_trapezoid(H, kern, t_out, omegas)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -247,7 +269,7 @@ def _check_plan_product(kernel, domain, dim, out_step):
     H, kern, plan = _plan_case(kernel, domain, dim, out_step)
     conv = plan_product(plan)
     t_out = plan.t0 + plan.step * np.arange(len(conv))
-    ref = _naive_trapezoid(H, kern, t_out, [0.0])[:, 0]
+    ref = lattice_trapezoid(H, kern, t_out, [0.0])[:, 0]
     assert conv.shape == ref.shape
     assert np.abs(conv - ref).max() <= 1e-12 * np.abs(ref).max()
     # the trim is tight: the first and last kept taps meet data
@@ -302,7 +324,7 @@ def test_overlap_save_segments_match_naive_sum(dt, out_step):
     plan = plan_convolution(H, kern, out_step, 1e-3)
     got = plan_product(plan)
     t_out = plan.t0 + plan.step * np.arange(len(got))
-    ref = _naive_trapezoid(H, kern, t_out, [0.0])[:, 0]
+    ref = lattice_trapezoid(H, kern, t_out, [0.0])[:, 0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     _check_band_product(H, out_step, None)
 

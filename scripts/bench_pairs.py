@@ -14,7 +14,10 @@ refuses to start a run while a ``__pycache__`` directory exists under
 either checkout's ``src/``, ``perfbench/`` or ``scripts/``, so no run
 reads bytecode that another wrote.  It writes nothing in either checkout
 itself (``perfbench/run.py`` keeps its work files under its own
-``perfbench/out/``).
+``perfbench/out/``).  It refuses to start when the absolute paths of the
+two checkouts differ in length: ``peak_rss_mb`` moves by up to 1.5 MB
+with the name of the checkout directory alone, so only equal lengths
+compare like with like.
 
 Each run's result line goes to standard error as it finishes.  Standard
 output gets one JSON object: ``summary`` holds, for each end-to-end
@@ -55,6 +58,12 @@ def parse_args(argv):
     for path in (args.parent, args.change):
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             ap.error(f"{path} holds no perfbench/run.py")
+    parent, change = (len(os.path.abspath(p))
+                      for p in (args.parent, args.change))
+    if parent != change:
+        ap.error(f"the absolute paths of PARENT and CHANGE differ in length "
+                 f"({parent} and {change} characters); peak_rss_mb moves "
+                 f"with the length of the checkout's path alone")
     if args.pairs < 2 or args.first_seed < 0 or args.seconds <= 0:
         ap.error("need PAIRS >= 2, FIRST_SEED >= 0 and --seconds > 0")
     return args

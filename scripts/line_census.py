@@ -27,7 +27,11 @@ this roster of CLI calls runs in-process, in a temporary directory:
 * ``analyze --kind beurling`` of ``exp_iw1`` under a sidecar that
   declares growth exponent 57 (a link to the record beside its own
   sidecar), whose envelope at the band-pass kernels' reach is past the
-  float range, refused with exit 2.
+  float range, refused with exit 2;
+* ``verify DIR`` of a directory holding only ``exp_iw1`` under a sidecar
+  that declares growth exponent 56, on which the truncation-budget
+  admission refuses every band-pass rung, and ``synth`` of an unknown
+  name, each refused with exit 2.
 
 A definition (function or method, nested ones included) ran when a line
 of one of its own simple statements ran: a loop or ``if`` header alone
@@ -199,6 +203,15 @@ def roster(work: str, classes, names) -> list:
         json.dump({"domain": "half_line", "growth_exponent": 57}, fh)
     bad.append(["analyze", grow, "--kind", "beurling", "--out",
                 os.path.join(work, "grow57-beurling.json")])
+    grow56 = os.path.join(work, "grow56")
+    os.mkdir(grow56)
+    os.symlink(os.path.join(data, "exp_iw1.csv"),
+               os.path.join(grow56, "exp_iw1.csv"))
+    with open(os.path.join(grow56, "exp_iw1.json"), "w") as fh:
+        json.dump({"domain": "half_line", "growth_exponent": 56}, fh)
+    bad.append(["verify", grow56, "--out",
+                os.path.join(work, "grow56-report.json")])
+    bad.append(["synth", "nope", "--out", os.path.join(work, "nope")])
     return [(argv, 0) for argv in calls] + [(argv, 2) for argv in bad]
 
 

@@ -22,6 +22,8 @@ from .corpus import BUILDERS, build_signal
 from .errors import ConfigError, RedSpectraError
 from .io_utils import (canonical_json, read_signal_csv, sidecar_path,
                        write_kernel, write_plot_csv, write_signal_csv)
+from .spectra import SignalAnalysis
+from .theorems import CheckStatus, run_all
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR = 0, 1, 2
 
@@ -30,7 +32,7 @@ _CLASSES = {c.value: c for c in FunctionClass}
 
 
 def _load_config(args) -> Config:
-    cfg = Config.from_json(args.config) if getattr(args, "config", None) else DEFAULT
+    cfg = Config.from_json(args.config) if args.config else DEFAULT
     overrides = {}
     grid = getattr(args, "grid", None)
     if grid:
@@ -39,19 +41,17 @@ def _load_config(args) -> Config:
         except ValueError as exc:
             raise ConfigError(f"--grid wants min:max:step, got {grid!r}") from exc
         overrides.update(grid_min=lo, grid_max=hi, grid_step=step)
-    if getattr(args, "tmax", None) is not None:
-        overrides["t_end"] = args.tmax
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
+    for key, flag in (("t_end", "tmax"), ("dt", "dt")):
+        if getattr(args, flag, None) is not None:
+            overrides[key] = getattr(args, flag)
     return cfg.replace(**overrides) if overrides else cfg
 
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
     if args.name not in BUILDERS:
-        print(f"unknown corpus signal {args.name!r}; choose from: "
-              f"{', '.join(sorted(BUILDERS))}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ConfigError(f"unknown corpus signal {args.name!r}; choose "
+                          f"from: {', '.join(sorted(BUILDERS))}")
     entry = build_signal(args.name, cfg)
     os.makedirs(args.out, exist_ok=True)
     written = []
@@ -72,16 +72,12 @@ def cmd_synth(args) -> int:
             fh.write(canonical_json(meta) + "\n")
         written.append(path)
     for k in entry.extra_kernels:
-        kp = os.path.join(args.out, f"{args.name}_{_slug(k.kernel_id)}.csv")
+        slug = "".join(ch if ch.isalnum() else "_" for ch in k.kernel_id)
+        kp = os.path.join(args.out, f"{args.name}_{slug.strip('_')}.csv")
         write_kernel(kp, k, cfg.dt)
         written.append(kp)
-    for p in written:
-        print(p)
+    print("\n".join(written))
     return EXIT_OK
-
-
-def _slug(s: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in s).strip("_")
 
 
 def _check_out_dir(path):
@@ -97,12 +93,9 @@ def _check_out_dir(path):
 def cmd_analyze(args) -> int:
     kind = args.kind
     if kind == "reduced" and args.cls is None:
-        print("error: --class is required for --kind reduced", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ConfigError("--class is required for --kind reduced")
     if kind != "reduced" and args.cls is not None:
-        print("error: --class applies only to --kind reduced", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    from .spectra import SignalAnalysis
+        raise ConfigError("--class applies only to --kind reduced")
     cfg = _load_config(args)
     out = args.out or (os.path.splitext(args.signal)[0] + f".{kind}.json")
     plot = os.path.splitext(out)[0] + ".csv"
@@ -131,33 +124,24 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .theorems import CheckStatus, run_all
     if args.builtin and args.corpus:
-        print("error: give a corpus directory or --builtin, not both",
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ConfigError("give a corpus directory or --builtin, not both")
     cfg = _load_config(args)
-    records = None
     if args.out:
         _check_out_dir(args.out)
-    if not args.builtin:
-        if not args.corpus:
-            print("error: give a corpus directory or --builtin", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        records = _load_corpus_dir(args.corpus)
+    if not (args.builtin or args.corpus):
+        raise ConfigError("give a corpus directory or --builtin")
+    records = None if args.builtin else _load_corpus_dir(args.corpus)
     results = run_all(cfg, only=args.only, records=records)
-    payload = [r.to_dict() for r in results]
-    text = canonical_json(payload) + "\n"
+    text = canonical_json([r.to_dict() for r in results]) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    n_fail = sum(1 for r in results if r.status is CheckStatus.FAIL)
-    n_pass = sum(1 for r in results if r.status is CheckStatus.PASS)
-    n_vac = len(results) - n_fail - n_pass
-    print(f"{n_pass} pass, {n_fail} fail, {n_vac} vacuous", file=sys.stderr)
-    return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
+    n = {s: sum(r.status is s for r in results) for s in CheckStatus}
+    print(", ".join(f"{k} {s.value}" for s, k in n.items()), file=sys.stderr)
+    return EXIT_CHECK_FAILED if n[CheckStatus.FAIL] else EXIT_OK
 
 
 def _load_corpus_dir(path) -> dict:

@@ -273,8 +273,9 @@ def _plateau(u, b, sigma):
 
 
 def bandpass_shape(delta: float) -> tuple:
-    """(b, sigma) of the plateau of ``bandpass_kernel(., delta)``."""
-    return 1.5 * delta, delta / 12.0
+    """(b, sigma, reach = b + EDGE sigma) of ``bandpass_kernel(., delta)``."""
+    b, sigma = 1.5 * delta, delta / 12.0
+    return b, sigma, b + PLATEAU_EDGE * sigma
 
 
 def bandpass_kernel(omega0: float, delta: float) -> TestKernel:
@@ -286,7 +287,7 @@ def bandpass_kernel(omega0: float, delta: float) -> TestKernel:
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    b, sigma = bandpass_shape(delta)
+    b, sigma, reach = bandpass_shape(delta)
 
     def env(t):
         t = np.asarray(t, float)
@@ -322,7 +323,7 @@ def bandpass_kernel(omega0: float, delta: float) -> TestKernel:
                       (omega0 - 2 * delta, omega0 + 2 * delta),
                       _env_abs_mass(env, L), _table_tail(time_fn, L, cut_tail),
                       cut_tail,
-                      Band(abs(omega0) + b + PLATEAU_EDGE * sigma, omitted))
+                      Band(abs(omega0) + reach, omitted))
 
 
 def _env_abs_mass(env, L):

@@ -36,7 +36,7 @@ from .classes import ClassReport, FunctionClass, Tri, detect
 from .config import Config, DEFAULT, lattice_size
 from .errors import (ConfigError, HorizonError, RedSpectraError,
                      TruncationError)
-from .kernels import PLATEAU_EDGE, bandpass_kernel, bandpass_shape
+from .kernels import bandpass_kernel, bandpass_shape
 from .signals import (Domain, ExtendedSignal, SampledSignal, band_product,
                       convolve, extend_by_zero, plan_band)
 from .transforms import HalfPlaneGrid, TransformScanner, half_plane_scan
@@ -167,10 +167,9 @@ class SpectrumEstimate:
 def band_rung(n: int, dt: float, delta: float, cfg: Config) -> tuple:
     """(record steps per output, outputs needed, why it cannot be built or
     None) of band-pass rung ``delta`` on n zero-extended rows at dt."""
-    b, sigma = bandpass_shape(delta)
     row = max(1, round(cfg.conv_out_step / dt))
     need = max(3, int(cfg.min_window / cfg.conv_out_step))
-    if b + PLATEAU_EDGE * sigma >= np.pi / dt:
+    if bandpass_shape(delta)[2] >= np.pi / dt:
         return row, need, (f"band {delta}: its plateau reaches the Nyquist "
                            f"frequency {np.pi / dt:g}")
     if delta * (n - 1) * dt < 2.0 * np.pi:
@@ -179,6 +178,36 @@ def band_rung(n: int, dt: float, delta: float, cfg: Config) -> tuple:
     if (n - 1) // row + 1 < need:
         return row, need, f"band {delta}: usable window too short"
     return row, need, None
+
+
+def plan_rung(H: ExtendedSignal, delta: float, cfg: Config):
+    """``plan_band`` of rung ``delta``'s centred band-pass kernel on the
+    zero extension H: its admitted output window and the record DFT every
+    frequency reads; TruncationError when the rung is refused."""
+    row, need, why = band_rung(H.n, H.dt, delta, cfg)
+    if why:                     # refused before its kernel and DFT
+        raise TruncationError(why)
+    # half-line data: outputs from just left of 0 (the restriction to J
+    # drops the rest); full-line data: wherever the budget admits
+    lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
+        else -np.inf
+    plan = plan_band(H, bandpass_kernel(0.0, delta), row * H.dt,
+                     (lo, np.inf), TRUNC_BUDGET)
+    if plan.count < need:
+        raise TruncationError(f"band {delta}: usable window too short")
+    return plan
+
+
+def refused_rungs(F: SampledSignal, cfg: Config) -> list:
+    """``ReducedScanner.scan``'s reason for each rung of ``delta_seq`` that
+    record F refuses, found without computing a band output."""
+    H, refused = extend_by_zero(F), []
+    for delta in cfg.delta_seq:
+        try:
+            plan_rung(H, delta, cfg)
+        except (TruncationError, HorizonError) as exc:
+            refused.append(f"delta={delta}: {exc}")
+    return refused
 
 
 class ReducedScanner:
@@ -204,29 +233,11 @@ class ReducedScanner:
 
     # -- batched band-pass convolutions ---------------------------------
     def _band_geometry(self, delta: float):
-        """``plan_band`` of the centred band-pass kernel for one
-        bandwidth: the output window that ``convolve``'s admission gives
-        it, and the record DFT every frequency reads.  The base kernel's
-        |k^(0)|, which each modulated copy has at its own frequency, is
-        cached beside it as ``("ft_abs", delta)``."""
+        """``plan_rung`` of one bandwidth, cached."""
         key = ("geom", round(delta, 12))
-        if key in self._band_cache:
-            return self._band_cache[key]
-        cfg, H = self.cfg, self.ext
-        row, need, why = band_rung(H.n, H.dt, delta, cfg)
-        if why:                     # refused before its kernel and DFT
-            raise TruncationError(why)
-        # half-line data: outputs from just left of 0 (the restriction to J
-        # drops the rest); full-line data: wherever the budget admits
-        lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
-            else -np.inf
-        kern = bandpass_kernel(0.0, delta)
-        plan = plan_band(H, kern, row * H.dt, (lo, np.inf), TRUNC_BUDGET)
-        if plan.count < need:
-            raise TruncationError(f"band {delta}: usable window too short")
-        self._band_cache[key] = plan
-        self._band_cache[("ft_abs", key[1])] = float(abs(kern.ft(0.0)))
-        return plan
+        if key not in self._band_cache:
+            self._band_cache[key] = plan_rung(self.ext, delta, self.cfg)
+        return self._band_cache[key]
 
     def _band_columns(self, delta: float, idx) -> list:
         """Outputs of F * bandpass(omega_j, delta), one (count, d) array
@@ -311,9 +322,11 @@ class ReducedScanner:
                 for j in open_:
                     pts[j].fail(exc)
                 continue
+            # |k^(0)| of the base kernel: each modulated copy's at its omega
+            ft0 = float(abs(plan.ft(0.0)))
             for j, vals in zip(open_, cols):
                 try:
-                    self._rung(pts[j], cls, delta, plan, vals, candidates)
+                    self._rung(pts[j], cls, delta, plan, ft0, vals, candidates)
                 except RedSpectraError as exc:
                     pts[j].fail(exc)
 
@@ -346,7 +359,7 @@ class ReducedScanner:
             else:
                 p.reasons.append(f"{kern.kernel_id}: undecided")
 
-    def _rung(self, p, cls, delta, plan, vals, candidates):
+    def _rung(self, p, cls, delta, plan, ft0, vals, candidates):
         try:
             restricted = self._restricted(plan, vals)
             rep = detect(cls, restricted, self.cfg, self.scale_ref,
@@ -357,8 +370,7 @@ class ReducedScanner:
         kid = f"bandpass(w0={p.omega:g},delta={delta:g})"
         if rep.member is Tri.YES:
             p.cert = RegularityCertificate(
-                p.omega, RegStatus.REGULAR, kid,
-                self._band_cache[("ft_abs", round(delta, 12))],
+                p.omega, RegStatus.REGULAR, kid, ft0,
                 {"class_report": rep.to_dict(),
                  "metric": rep.evidence.get("tail_sups", [0.0])[-1]})
         elif rep.member is Tri.NO:

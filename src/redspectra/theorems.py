@@ -37,7 +37,7 @@ from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
                       translate, trapezoid_weights, zero_pad)
 from .spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus, SignalAnalysis,
                       band_rung, laplace_spectrum, reduced_spectrum,
-                      wl_window_steps)
+                      refused_rungs, wl_window_steps)
 from .transforms import (MIN_ABSCISSAE, laplace_transform,
                          mollify_identity_residual, shift_identity_residual,
                          trapezoid_transform)
@@ -775,8 +775,8 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     # bad input, refused before any entry is built: an unbuildable grid,
     # weak-Laplace windows holding no grid step, too few abscissae for a
     # half-plane scan, an evolution solve or half-line lattice numpy cannot
-    # allocate, a span off some record's lattice, and a half-line record
-    # shorter than ``min_window`` or admitting no band-pass rung
+    # allocate, a span off some record's lattice, and a half-line lattice
+    # or record shorter than ``min_window`` or admitting no band-pass rung
     grid = FrequencyGrid.from_config(cfg)
     wl_window_steps(cfg.wl_eps_seq, grid)
     if len(cfg.a_seq) < MIN_ABSCISSAE:
@@ -796,16 +796,18 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     # only half-line records: a full-line one may keep a fixed window, as
     # expgrow's [-5, 10] does at every t_end
     n = lattice_size(cfg.t_end, cfg.dt, "the half-line records")
-    halves = [("t_end", cfg.t_end, (n - 1) * cfg.dt, n, cfg.dt)] + [
-        (f"record {stem}", rec.t_end, rec.t_end, rec.n, rec.dt)
-        for stem, rec in records.items() if rec.domain is Domain.HALF_LINE]
-    for what, horizon, t_end, n, dt in halves:
+    n += zero_pad((n - 1) * cfg.dt, cfg.dt)   # the reduced scanner's extension
+    halves = [("t_end", cfg.t_end, None)] + [
+        (f"record {stem}", rec.t_end, rec) for stem, rec in records.items()
+        if rec.domain is Domain.HALF_LINE]
+    for what, horizon, rec in halves:
         if horizon < cfg.min_window:
             raise HorizonError(f"{what}: horizon {horizon:g}s is below the "
                                f"minimum analysis window {cfg.min_window:g}s")
-        n += zero_pad(t_end, dt)            # the reduced scanner's extension
-        refused = [why for delta in cfg.delta_seq
-                   if (why := band_rung(n, dt, delta, cfg)[2])]
+        # the configured lattice by its size, a record by its rungs' plans
+        refused = refused_rungs(rec, cfg) if rec else [
+            why for delta in cfg.delta_seq
+            if (why := band_rung(n, cfg.dt, delta, cfg)[2])]
         if len(refused) == len(cfg.delta_seq):
             raise TruncationError(f"{what}: no band-pass window: "
                                   + "; ".join(refused))

@@ -811,8 +811,57 @@ def test_reduced_kinds_refuse_a_growth_envelope_past_the_float_range(
     assert not out.exists()
 
 
-def test_synth_unknown_name(tmp_path):
-    assert main(["synth", "not_a_signal", "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("argv, says", [
+    pytest.param(["synth", "not_a_signal", "--out", "{tmp}/s"],
+                 "error: unknown corpus signal 'not_a_signal'; choose from: ",
+                 id="synth-unknown-name"),
+    pytest.param(["analyze", "{csv}", "--kind", "reduced",
+                  "--out", "{tmp}/r.json"],
+                 "error: --class is required for --kind reduced",
+                 id="analyze-reduced-without-class"),
+    pytest.param(["analyze", "{csv}", "--kind", "laplace", "--class", "c0",
+                  "--out", "{tmp}/r.json"],
+                 "error: --class applies only to --kind reduced",
+                 id="analyze-class-with-laplace"),
+    pytest.param(["verify", "{tmp}", "--builtin", "--out", "{tmp}/r.json"],
+                 "error: give a corpus directory or --builtin, not both",
+                 id="verify-both"),
+    pytest.param(["verify", "--out", "{tmp}/r.json"],
+                 "error: give a corpus directory or --builtin",
+                 id="verify-neither"),
+])
+def test_cli_refusals_are_one_error_line(tmp_path, tone_csv, capsys, argv,
+                                         says):
+    # the CLI's own refusals leave through main's handler like every other
+    # input error; synth's unknown name used to print without "error:"
+    argv = [a.format(tmp=tmp_path, csv=tone_csv) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(says) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("k", [56, 60])
+def test_verify_refuses_a_record_whose_every_rung_plan_is_refused(
+        tmp_path, default_records, capsys, k):
+    # at growth exponent 56 every rung's admission refuses the 200 s tone
+    # (from 57 on the envelope at the kernel's reach is past the float
+    # range as well); verify DIR used to report 52 pass, 6 fail with
+    # TruncationError and TailError rows, and exit 1
+    corpus, out = tmp_path / "corpus", tmp_path / "r.json"
+    corpus.mkdir()
+    (corpus / "exp_iw1.csv").write_text(
+        (default_records / "exp_iw1.csv").read_text())
+    meta = json.loads((default_records / "exp_iw1.json").read_text())
+    meta["growth_exponent"] = k
+    (corpus / "exp_iw1.json").write_text(json.dumps(meta))
+    assert main(["verify", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: record exp_iw1: no band-pass window: "
+                          "delta=1.0: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_verify_only_subset_and_determinism(tmp_path):

@@ -21,7 +21,9 @@ this roster of CLI calls runs in-process, in a temporary directory:
 * ``analyze`` of laplace with a config whose grid step (1e-300) asks for
   more points than numpy allocates, ``synth exp_iw1 --tmax 1e300``,
   ``verify --builtin`` with an output step (1e300) longer than the
-  record, on which no band-pass rung can be built, and ``analyze
+  record, on which no band-pass rung can be built, ``verify --builtin
+  --only mollifier-union`` at ``t_end`` 40, on whose lattice the
+  truncation-budget admission refuses every rung, and ``analyze
   exp_iw1.csv --out exp_iw1.json``, whose report would overwrite the
   record's sidecar, each refused with exit 2;
 * ``analyze --kind beurling`` of ``exp_iw1`` under a sidecar that
@@ -195,6 +197,12 @@ def roster(work: str, classes, names) -> list:
         json.dump({"conv_out_step": 1e300}, fh)
     bad.append(["verify", "--builtin", "--config", stride, "--out",
                 os.path.join(work, "huge-stride-report.json")])
+    short = os.path.join(work, "short-horizon.json")
+    with open(short, "w") as fh:
+        json.dump({"t_end": 40}, fh)
+    bad.append(["verify", "--builtin", "--only", "mollifier-union",
+                "--config", short, "--out",
+                os.path.join(work, "short-horizon-report.json")])
     bad.append(["analyze", os.path.join(data, "exp_iw1.csv"), "--kind",
                 "laplace", "--out", os.path.join(data, "exp_iw1.json")])
     grow = os.path.join(work, "grow57.csv")

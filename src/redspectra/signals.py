@@ -16,9 +16,8 @@ frequency, are a short sum over the bins where its closed-form
 transform is not zero (``band_product``).  ``convolve`` takes that route
 at frequency 0, and the band-pass ladder of ``spectra.ReducedScanner``
 at many frequencies at once.  ``convolve`` samples any other kernel,
-compact in time, on the record's lattice, plans the padding and windows
-trimmed to the taps that meet data (``plan_convolution``) and sums them
-in tap order (``plan_product``).
+compact in time, on the record's lattice and sums its taps in tap order
+over one strided window view of the record (``_tap_sums``).
 
 All types are immutable and all operations are pure functions, so signals
 may be shared freely across threads.
@@ -278,16 +277,11 @@ def extend_by_zero(F: SampledSignal) -> ExtendedSignal:
         return ExtendedSignal(Domain.FULL_LINE, F.t0, F.dt, F.values,
                               F.growth_exponent, trusted=True,
                               origin_domain=Domain.FULL_LINE)
-    pad = zero_pad(F.t_end, F.dt)
+    pad = round(min(50.0, 0.25 * max(F.t_end, F.dt)) / F.dt)
     vals = np.vstack([np.zeros((pad, F.dim), complex), F.values])
     return ExtendedSignal(Domain.FULL_LINE, F.t0 - pad * F.dt, F.dt, vals,
                           F.growth_exponent, trusted=True,
                           origin_domain=Domain.HALF_LINE)
-
-
-def zero_pad(t_end: float, dt: float) -> int:
-    """The rows of zeros ``extend_by_zero`` puts before a half-line record."""
-    return round(min(50.0, 0.25 * max(t_end, dt)) / dt)
 
 
 def translate(F: SampledSignal, s: float) -> SampledSignal:
@@ -371,7 +365,7 @@ def _tail_crossing(tail_mass, thr: float, width: float) -> float:
 def _admit(H: ExtendedSignal, kernel, width: float, out_step: float,
            out_range, budget: float) -> tuple:
     """The output window of a convolution of H with a kernel of half-width
-    ``width``, shared by ``plan_convolution`` and ``plan_band``: outputs
+    ``width``, shared by ``_tap_sums`` and ``plan_band``: outputs
     at rows ``i_lo + k*row`` of H, k < ``count``, as ``(i_lo, row, count,
     env, trunc)``, with ``env`` the growth envelope over the record and
     the kernel's reach and ``trunc`` the worst admitted omission.
@@ -424,86 +418,32 @@ def _data_rows(H: ExtendedSignal):
     return (int(nz[0]), int(nz[-1])) if len(nz) else None
 
 
-class ConvPlan(NamedTuple):
-    """Output grid and operands of one trapezoid convolution.
+def _tap_sums(H: ExtendedSignal, kernel, out_step: float | None,
+              budget: float) -> tuple:
+    """``convolve`` of a kernel compact in time, as ``(t0, step, values,
+    trunc)``: the output window of ``_admit``, and at each output the
+    trapezoid-weighted taps on the record's lattice summed in tap order.
 
-    Row k of ``views[c]`` holds the samples of channel c under the kernel
-    taps for the output at ``t0 + k*step``, so that output is
-    ``views[c][k] @ weights_rev``.  ``s_rev`` holds the tap times (in the
-    same reversed order) and ``trunc`` the worst admitted omission.  Only
-    taps that meet a nonzero sample for some output are kept; the rest
-    would multiply zeros.
+    Reversed tap j of output k reads row ``lo + k*row + j`` of H, laid
+    out in X with zeros off the record.  The reversed weights are a
+    negative-stride vector, which numpy's matmul sums without BLAS, in
+    tap order, row by row; a tap on a zero row adds nothing to a sum.
     """
-
-    t0: float
-    step: float
-    views: list
-    s_rev: np.ndarray
-    weights_rev: np.ndarray
-    trunc: float
-
-
-def plan_convolution(H: ExtendedSignal, kernel, out_step: float | None,
-                     budget: float) -> ConvPlan:
-    """Output window (``_admit``), padding and strided views for
-    ``convolve``: the taps, on the record's lattice, are trimmed to those
-    that meet a nonzero row of H for some output."""
     dt = H.dt
     s0, samples = kernel.time_samples(dt)
     m = len(samples)
-    i_s0 = H.lattice_steps(s0, "kernel start")
-    s = s0 + dt * np.arange(m)
-    i_lo, row, count, _, trunc = _admit(
-        H, kernel, max(abs(s[0]), abs(s[-1])),
+    first, row, count, _, trunc = _admit(
+        H, kernel, max(abs(s0), abs(s0 + dt * (m - 1))),
         dt if out_step is None else out_step, None, budget)
-
-    # reversed tap c of output k reads row base + k*row + c of H (rows
-    # outside the record are zero padding); keep the taps c_lo..c_hi whose
-    # rows meet the nonzero rows lo..hi for some output
-    base = i_lo - i_s0 - (m - 1)
-    span = (count - 1) * row
-    data = _data_rows(H)
-    if data:
-        c_lo = max(0, data[0] - base - span)
-        c_hi = min(m - 1, data[1] - base)
-    else:
-        c_lo, c_hi = 0, -1
-    taps = max(0, c_hi - c_lo + 1)
-    r_lo = base + c_lo
-    r_hi = r_lo + span + max(0, taps - 1)
-    pad_l, pad_r = max(0, -r_lo), max(0, r_hi - (H.n - 1))
-    rows = H.values[max(0, r_lo):min(H.n, r_hi + 1)]
-    views = []
-    for c in range(H.dim):
-        base_c = np.zeros(pad_l + len(rows) + pad_r, complex)
-        base_c[pad_l:pad_l + len(rows)] = rows[:, c]
-        # each output's window (with no taps there is one window more)
-        views.append(np.lib.stride_tricks.sliding_window_view(
-            base_c, taps)[:span + 1:row])
-
-    keep = slice(m - 1 - c_hi, m - c_lo)
-    return ConvPlan(H.t0 + i_lo * dt, row * dt, views, s[keep][::-1],
-                    (samples * trapezoid_weights(m, dt))[keep][::-1], trunc)
-
-
-def plan_product(plan: ConvPlan) -> np.ndarray:
-    """``views[c] @ weights_rev`` for every channel c, as a (count,
-    channels) array: the trapezoid sums of ``convolve``.
-
-    The rows of a strided view overlap, so the product runs over
-    contiguous copies of row blocks bounded by ``WORK_BYTES``.  The
-    reversed weights are a strided column, which numpy sums in tap
-    order, exactly as direct trapezoid summation, row by row.
-    """
-    count, taps = plan.views[0].shape
-    K = plan.weights_rev[:, None]
-    out = np.zeros((len(plan.views), count, 1), complex)
-    if taps == 0:                   # no tap meets a nonzero sample
-        return out[:, :, 0].T
-    for c, view in enumerate(plan.views):
-        for r in row_slices(count, out.itemsize * taps):
-            out[c, r] += view[r].copy() @ K
-    return out[:, :, 0].T
+    lo = first - H.lattice_steps(s0, "kernel start") - (m - 1)
+    X = np.zeros(((count - 1) * row + m, H.dim), complex)
+    r0, r1 = max(lo, 0), min(lo + len(X), H.n)
+    if r0 < r1:
+        X[r0 - lo:r1 - lo] = H.values[r0:r1]
+    w_rev = (samples * trapezoid_weights(m, dt))[::-1]
+    out = np.stack([np.lib.stride_tricks.sliding_window_view(X[:, c], m)[::row]
+                    @ w_rev for c in range(H.dim)], axis=1)
+    return H.t0 + first * dt, row * dt, out, trunc
 
 
 class FactoredLattice:
@@ -670,20 +610,19 @@ def convolve(H: ExtendedSignal, kernel, out_step: float | None = None,
 
     A kernel with a declared band is summed from the record's DFT
     (``plan_band`` and ``band_product`` at frequency 0); any other, compact
-    in time, by the direct tap-order sum (``plan_convolution`` and
-    ``plan_product``), so that a box-smoothed zero extension reads exactly
-    0 left of -h.  The output grid and its truncation bound come from
-    ``_admit``; the worst admitted omission is recorded on the result as
-    ``trunc_bound``.
+    in time, by the direct tap-order sum (``_tap_sums``), so that a
+    box-smoothed zero extension reads exactly 0 left of -h.  The output
+    grid and its truncation bound come from ``_admit``; the worst admitted
+    omission is recorded on the result as ``trunc_bound``.
     """
     if kernel.band is not None:
         plan = plan_band(H, kernel, H.dt if out_step is None else out_step,
                          None, budget)
-        out = band_product(plan, [0.0])[:, 0]
+        t0, step, out, trunc = (plan.t0, plan.step,
+                                band_product(plan, [0.0])[:, 0], plan.trunc)
     else:
-        plan = plan_convolution(H, kernel, out_step, budget)
-        out = plan_product(plan)
-    return ExtendedSignal(Domain.FULL_LINE, plan.t0, plan.step, out,
+        t0, step, out, trunc = _tap_sums(H, kernel, out_step, budget)
+    return ExtendedSignal(Domain.FULL_LINE, t0, step, out,
                           H.growth_exponent, trusted=True,
                           origin_domain=H.origin_domain,
-                          trunc_bound=plan.trunc + H.trunc_bound * kernel.mass)
+                          trunc_bound=trunc + H.trunc_bound * kernel.mass)

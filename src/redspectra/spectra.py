@@ -164,34 +164,28 @@ class SpectrumEstimate:
 # reduced spectrum
 # ---------------------------------------------------------------------------
 
-def band_rung(n: int, dt: float, delta: float, cfg: Config) -> tuple:
-    """(record steps per output, outputs needed, why it cannot be built or
-    None) of band-pass rung ``delta`` on n zero-extended rows at dt."""
-    row = max(1, round(cfg.conv_out_step / dt))
-    need = max(3, int(cfg.min_window / cfg.conv_out_step))
-    if bandpass_shape(delta)[2] >= np.pi / dt:
-        return row, need, (f"band {delta}: its plateau reaches the Nyquist "
-                           f"frequency {np.pi / dt:g}")
-    if delta * (n - 1) * dt < 2.0 * np.pi:
-        return row, need, (f"band {delta}: 2 pi/delta exceeds the record's "
-                           f"span {(n - 1) * dt:g}")
-    if (n - 1) // row + 1 < need:
-        return row, need, f"band {delta}: usable window too short"
-    return row, need, None
-
-
 def plan_rung(H: ExtendedSignal, delta: float, cfg: Config):
     """``plan_band`` of rung ``delta``'s centred band-pass kernel on the
     zero extension H: its admitted output window and the record DFT every
     frequency reads; TruncationError when the rung is refused."""
-    row, need, why = band_rung(H.n, H.dt, delta, cfg)
-    if why:                     # refused before its kernel and DFT
-        raise TruncationError(why)
+    dt = H.dt
+    row = max(1, round(cfg.conv_out_step / dt))
+    need = max(3, int(cfg.min_window / cfg.conv_out_step))
+    # refused before its kernel and DFT: a plateau past Nyquist, a band
+    # finer than the record resolves, too few outputs on the whole record
+    if bandpass_shape(delta)[2] >= np.pi / dt:
+        raise TruncationError(f"band {delta}: its plateau reaches the "
+                              f"Nyquist frequency {np.pi / dt:g}")
+    if delta * (H.n - 1) * dt < 2.0 * np.pi:
+        raise TruncationError(f"band {delta}: 2 pi/delta exceeds the "
+                              f"record's span {(H.n - 1) * dt:g}")
+    if (H.n - 1) // row + 1 < need:
+        raise TruncationError(f"band {delta}: usable window too short")
     # half-line data: outputs from just left of 0 (the restriction to J
     # drops the rest); full-line data: wherever the budget admits
     lo = -2.0 * cfg.conv_out_step if H.origin_domain is Domain.HALF_LINE \
         else -np.inf
-    plan = plan_band(H, bandpass_kernel(0.0, delta), row * H.dt,
+    plan = plan_band(H, bandpass_kernel(0.0, delta), row * dt,
                      (lo, np.inf), TRUNC_BUDGET)
     if plan.count < need:
         raise TruncationError(f"band {delta}: usable window too short")

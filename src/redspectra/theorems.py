@@ -34,10 +34,10 @@ from .errors import (ConfigError, GridError, HorizonError, RedSpectraError,
 from .kernels import bump_kernel, d_bump
 from .signals import (Domain, FactoredLattice, SampledSignal, _cumulative,
                       convolve, extend_by_zero, modulate, mollify, span_steps,
-                      translate, trapezoid_weights, zero_pad)
+                      translate, trapezoid_weights)
 from .spectra import (TRUNC_BUDGET, FrequencyGrid, RegStatus, SignalAnalysis,
-                      band_rung, laplace_spectrum, reduced_spectrum,
-                      refused_rungs, wl_window_steps)
+                      laplace_spectrum, reduced_spectrum, refused_rungs,
+                      wl_window_steps)
 from .transforms import (MIN_ABSCISSAE, laplace_transform,
                          mollify_identity_residual, shift_identity_residual,
                          trapezoid_transform)
@@ -796,7 +796,6 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
     # only half-line records: a full-line one may keep a fixed window, as
     # expgrow's [-5, 10] does at every t_end
     n = lattice_size(cfg.t_end, cfg.dt, "the half-line records")
-    n += zero_pad((n - 1) * cfg.dt, cfg.dt)   # the reduced scanner's extension
     halves = [("t_end", cfg.t_end, None)] + [
         (f"record {stem}", rec.t_end, rec) for stem, rec in records.items()
         if rec.domain is Domain.HALF_LINE]
@@ -804,10 +803,11 @@ def run_all(cfg: Config = DEFAULT, only: str | None = None,
         if horizon < cfg.min_window:
             raise HorizonError(f"{what}: horizon {horizon:g}s is below the "
                                f"minimum analysis window {cfg.min_window:g}s")
-        # the configured lattice by its size, a record by its rungs' plans
-        refused = refused_rungs(rec, cfg) if rec else [
-            why for delta in cfg.delta_seq
-            if (why := band_rung(n, cfg.dt, delta, cfg)[2])]
+        # the configured lattice as the bounded record 1, kept no longer
+        # than the call: at k = 0 the admission asks the same of every
+        # bounded record, so the built-in records' scans refuse its rungs
+        refused = refused_rungs(rec or SampledSignal(
+            Domain.HALF_LINE, 0.0, cfg.dt, np.ones(n), trusted=True), cfg)
         if len(refused) == len(cfg.delta_seq):
             raise TruncationError(f"{what}: no band-pass window: "
                                   + "; ".join(refused))

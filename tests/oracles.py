@@ -4,9 +4,10 @@ restriction, reflection and finite differences, and the indefinite
 integral PF; the box kernel s_h, the exponential kernel f_lambda, kernel
 reflection and a quadrature check of a kernel's transform; the per-point
 Gauss sums of psi^ and the direct dt-lattice trapezoid sum of a
-convolution; the dilates psi_n of the approximate identity and the
-Wiener division lemma; the Carleman transform at a point and its
-convolution form; the two extension conventions of the reduced spectrum.
+convolution, also tap by tap in convolve's order; the dilates psi_n of
+the approximate identity and the Wiener division lemma; the Carleman
+transform at a point and its convolution form; the two extension
+conventions of the reduced spectrum.
 """
 
 from __future__ import annotations
@@ -202,6 +203,24 @@ def lattice_trapezoid(H, kernel, t_out, omegas) -> np.ndarray:
         i = round((t - s0 - H.t0) / H.dt) + m
         out[k] = taps.T @ rows[i - m + 1:i + 1][::-1]
     return out
+
+
+def tap_order_sum(H, kernel, t_out) -> np.ndarray:
+    """sum_j H(t - s_j) k(s_j) w_j at each t in t_out, with H zero off its
+    record, as (len(t_out), channels): one accumulator, starting at 0, to
+    which each tap adds its rows times its trapezoid weight, from the last
+    tap (the earliest row) to the first."""
+    s0, samples = kernel.time_samples(H.dt)
+    w = samples * trapezoid_weights(len(samples), H.dt)
+    # tap j of the output at t reads row i - j, i the row of t - s0
+    i = np.rint((np.asarray(t_out) - s0 - H.t0) / H.dt).astype(np.int64)
+    acc = np.zeros((len(i), H.dim), complex)
+    for j in range(len(w) - 1, -1, -1):
+        rows = np.zeros_like(acc)
+        on = (i - j >= 0) & (i - j < H.n)
+        rows[on] = H.values[i[on] - j]
+        acc += rows * w[j]
+    return acc
 
 
 def approximate_identity(n: int) -> TestKernel:

@@ -754,6 +754,27 @@ def test_verify_refuses_a_horizon_below_the_minimum_window(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end", ["40", "60"])
+def test_verify_refuses_a_horizon_on_which_no_rung_builds(
+        tmp_path, capsys, monkeypatch, t_end):
+    # the lattice passed a by-size rung test that the rungs' plans refuse:
+    # the run gave 24 pass, 22 fail ("no band-pass window" rows), 17
+    # vacuous and exit 1
+    def unbuilt(*args):
+        raise AssertionError("a corpus entry was built")
+
+    for name in BUILDERS:
+        monkeypatch.setitem(BUILDERS, name, unbuilt)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(f'{{"t_end": {t_end}}}')
+    assert main(["verify", "--builtin", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end: no band-pass window: delta=1.0: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_refuses_a_corpus_record_below_the_minimum_window(
         tmp_path, capsys):
     corpus, out = tmp_path / "corpus", tmp_path / "r.json"

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,16 +8,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from redspectra.errors import DomainError, GridError, GrowthError
-from redspectra.kernels import bandpass_kernel, bump_kernel, d_bump
+from redspectra.kernels import (annihilator_kernel, bandpass_kernel,
+                                bump_kernel, d_bump)
 from redspectra import signals
 from redspectra.signals import (Domain, FactoredLattice, SampledSignal,
                                 band_product, convolve, extend_by_zero,
-                                modulate, mollify, plan_band,
-                                plan_convolution, plan_product, translate)
+                                modulate, mollify, plan_band, translate)
 
 from conftest import make_full, make_half
 from oracles import (box_kernel, difference, indefinite_integral,
-                     lattice_trapezoid, reflect, reflected, restrict)
+                     lattice_trapezoid, reflect, reflected, restrict,
+                     tap_order_sum)
 
 DT = 0.01
 
@@ -193,18 +197,44 @@ def test_psi_convolution_from_the_record_dft_matches_the_direct_sum(case):
     assert np.abs(conv.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("kernel", ["box", "d_bump"])
+def _cut_record(domain, dim, dt=DT, scale=1.0):
+    """``scale`` times the data of the product tests, sampled at dt: zero
+    for |t| > 30, so the windows of the first and last outputs meet zero
+    rows, off the record too."""
+    def fn(t):
+        vals = np.stack([np.exp(1j * t), np.cos(0.5 * t) / (1 + 0.01 * t * t)],
+                        axis=1)[:, :dim]
+        return scale * vals * (np.abs(t) <= 30.0)[:, None]
+    return extend_by_zero((make_half if domain == "half" else make_full)(
+        fn, t_end=100.0, dt=dt))
+
+
+@pytest.mark.parametrize("kernel", ["box", "box-right", "d_bump",
+                                    "annihilator", "plateau"])
 def test_kernels_compact_in_time_keep_the_direct_sum(kernel):
-    # no band declared: convolve returns the tap-order sums themselves
-    H = extend_by_zero(make_half(lambda t: np.exp(1j * t) / (1 + 0.1 * t),
-                                 t_end=60.0))
-    k = box_kernel(0.5) if kernel == "box" else d_bump()
-    for out_step in (None, 0.2):
-        conv = convolve(H, k, out_step=out_step, budget=1e-9)
-        plan = plan_convolution(H, k, out_step, 1e-9)
-        assert np.array_equal(conv.values, plan_product(plan))
-        assert (conv.t0, conv.dt, conv.trunc_bound) == \
-            (plan.t0, plan.step, plan.trunc)
+    # no band declared: convolve returns the tap-order sums themselves, bit
+    # for bit (signed zeros count), for every kernel compact in time and
+    # the band-pass plateau with its band dropped (on the 0.04 lattice,
+    # which keeps the oracle's tap loop short): one and two channels on
+    # the half and full line, a record cut to |t| <= 30 and a zero one,
+    # four output strides.  At stride 1 the boxes' 51 taps leave gaps
+    # between windows, which numpy's matmul would hand to BLAS, in
+    # another order, but for the reversed weights
+    kern = {"box": box_kernel(0.5), "box-right": reflected(box_kernel(0.5)),
+            "d_bump": d_bump(), "annihilator": annihilator_kernel(2.0),
+            "plateau": replace(bandpass_kernel(0.0, 1.0))}[kernel]
+    assert kern.band is None
+    dt = 0.04 if kernel == "plateau" else DT
+    for domain, dim, scale in itertools.product(("half", "full"), (1, 2),
+                                                (1.0, 0.0)):
+        H = _cut_record(domain, dim, dt, scale)
+        for out_step in (None, 0.2, 0.04, 1.0):
+            conv = convolve(H, kern, out_step=out_step, budget=1e-3)
+            assert conv.dt == (H.dt if out_step is None else out_step)
+            ref = tap_order_sum(H, kern, conv.times)
+            assert np.array_equal(conv.values.view(np.int64),
+                                  ref.view(np.int64)), \
+                (domain, dim, scale, out_step)
 
 
 @settings(max_examples=10, deadline=None)
@@ -225,26 +255,13 @@ def test_convolution_linearity(seed):
     assert np.abs(lhs - rhs).max() < 1e-10 * (1 + np.abs(rhs).max())
 
 
-def _case_record(domain, dim, dt=DT):
-    """The data of the product tests, sampled at dt (the kernel's tap
-    step): zero for |t| > 30, so taps are trimmed at both ends, and the
-    wide boxes on [-60, 0] and [0, 60] weigh their edge taps fully: a
-    trim one tap off shows."""
-    def fn(t):
-        vals = np.stack([np.exp(1j * t), np.cos(0.5 * t) / (1 + 0.01 * t * t)],
-                        axis=1)[:, :dim]
-        return vals * (np.abs(t) <= 30.0)[:, None]
-    return extend_by_zero((make_half if domain == "half" else make_full)(
-        fn, t_end=100.0, dt=dt))
-
-
-def _plan_case(kernel, domain, dim, out_step, dt=DT):
-    """(H, kernel, plan) of the plan-product tests."""
-    H = _case_record(domain, dim, dt)
-    kern = {"bandpass": bandpass_kernel(0.0, 1.0),
+def _direct_kernel(kernel):
+    """The kernels of the direct-sum tests, the band-pass plateau with its
+    band dropped: the wide boxes on [-60, 0] and [0, 60] weigh their
+    edge taps fully, so a window one row off shows."""
+    return {"bandpass": replace(bandpass_kernel(0.0, 1.0)),
             "box-left": box_kernel(60.0),
             "box-right": reflected(box_kernel(60.0))}[kernel]
-    return H, kern, plan_convolution(H, kern, out_step, 1e-3)
 
 
 def _band_case(H, out_step, delta=1.0, out_range=(-0.4, np.inf)):
@@ -265,16 +282,12 @@ def _check_band_product(H, out_step, out_range=(-0.4, np.inf)):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _check_plan_product(kernel, domain, dim, out_step):
-    H, kern, plan = _plan_case(kernel, domain, dim, out_step)
-    conv = plan_product(plan)
-    t_out = plan.t0 + plan.step * np.arange(len(conv))
-    ref = lattice_trapezoid(H, kern, t_out, [0.0])[:, 0]
-    assert conv.shape == ref.shape
-    assert np.abs(conv - ref).max() <= 1e-12 * np.abs(ref).max()
-    # the trim is tight: the first and last kept taps meet data
-    for c in (0, -1):
-        assert any(np.any(v[:, c] != 0) for v in plan.views)
+def _check_direct_sum(kernel, domain, dim, out_step):
+    H, kern = _cut_record(domain, dim), _direct_kernel(kernel)
+    conv = convolve(H, kern, out_step=out_step, budget=1e-3)
+    ref = lattice_trapezoid(H, kern, conv.times, [0.0])[:, 0]
+    assert conv.values.shape == ref.shape
+    assert np.abs(conv.values - ref).max() <= 1e-12 * np.abs(ref).max()
     if kernel == "bandpass":
         _check_band_product(H, out_step)
 
@@ -285,12 +298,11 @@ def _check_plan_product(kernel, domain, dim, out_step):
 @pytest.mark.parametrize("kernel", ["bandpass", "box-left", "box-right"])
 def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
                                                 dim, work_bytes):
-    # convolve's product (trimmed plan times the weights) and the band
-    # ladder's, with a small work budget as well (row blocks of convolve,
-    # frequency groups of the ladder)
+    # convolve's direct sums and the band ladder's, with a small work
+    # budget as well (frequency groups of the ladder)
     if work_bytes:
         monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
-    _check_plan_product(kernel, domain, dim, 0.2)
+    _check_direct_sum(kernel, domain, dim, 0.2)
 
 
 @pytest.mark.parametrize("work_bytes", [None, 1 << 12])
@@ -300,11 +312,10 @@ def test_trimmed_plan_product_matches_naive_sum(monkeypatch, kernel, domain,
 def test_plan_product_matches_naive_sum_at_each_output_step(
         monkeypatch, out_step, kernel, domain, work_bytes):
     # a coarse and a fine output stride over the same taps; the small
-    # work budget copies rows two at a time and takes one ladder
-    # frequency per group
+    # work budget takes one ladder frequency per group
     if work_bytes:
         monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
-    _check_plan_product(kernel, domain, 2, out_step)
+    _check_direct_sum(kernel, domain, 2, out_step)
 
 
 # (record and tap step, output step): taps 0.04 apart under a 0.2 output
@@ -316,16 +327,14 @@ STEP_CASES = [(0.04, 0.2), (0.01, 0.2), (0.01, 0.04)]
 def test_overlap_save_segments_match_naive_sum(dt, out_step):
     # data on the whole record and outputs wherever the window fits: the
     # record's first and last samples meet nonzero taps, so a slice (of
-    # convolve's views, or of the ladder's DFT input) one sample short
-    # shows
+    # convolve's window view, or of the ladder's DFT input) one sample
+    # short shows
     F = make_full(lambda t: np.stack([np.exp(1j * t), np.cos(0.5 * t)],
                                      axis=1), t_end=100.0, dt=dt)
     H, kern = extend_by_zero(F), box_kernel(60.0)
-    plan = plan_convolution(H, kern, out_step, 1e-3)
-    got = plan_product(plan)
-    t_out = plan.t0 + plan.step * np.arange(len(got))
-    ref = lattice_trapezoid(H, kern, t_out, [0.0])[:, 0]
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    got = convolve(H, kern, out_step=out_step, budget=1e-3)
+    ref = lattice_trapezoid(H, kern, got.times, [0.0])[:, 0]
+    assert np.abs(got.values - ref).max() <= 1e-12 * np.abs(ref).max()
     _check_band_product(H, out_step, None)
 
 
@@ -342,7 +351,7 @@ def test_modulated_product_column_independent_of_its_batch(monkeypatch,
     # overlapping bins and split the groups at different columns
     if work_bytes:
         monkeypatch.setattr(signals, "WORK_BYTES", work_bytes)
-    _, plan = _band_case(_case_record("full", 2), out_step)
+    _, plan = _band_case(_cut_record("full", 2), out_step)
     omegas = np.arange(-2.0, 2.0 + d_omega / 2, d_omega)
     full = band_product(plan, omegas)
     for j in range(len(omegas)):
@@ -352,36 +361,13 @@ def test_modulated_product_column_independent_of_its_batch(monkeypatch,
 
 @pytest.mark.parametrize("dt, out_step", STEP_CASES)
 def test_products_independent_of_the_work_budget(monkeypatch, dt, out_step):
-    # the work budget bounds buffers, never a sum: row copies and
-    # frequency groups of any size give the same bits
-    H, _, plan = _plan_case("bandpass", "full", 2, out_step, dt)
-    _, band = _band_case(H, out_step)
+    # the work budget bounds buffers, never a sum: frequency groups of any
+    # size give the same bits
+    _, band = _band_case(_cut_record("full", 2, dt), out_step)
     omegas = np.linspace(-2.0, 2.0, 21)
-    conv, mod = plan_product(plan), band_product(band, omegas)
+    mod = band_product(band, omegas)
     monkeypatch.setattr(signals, "WORK_BYTES", 1 << 10)
-    assert np.array_equal(plan_product(plan), conv)
     assert np.array_equal(band_product(band, omegas), mod)
-
-
-def _vstack_views(H, plan):
-    """The oracle of the padding: the plan's views as they were built by
-    stacking the zero pads and the record slice into one (rows, d) array
-    with ``np.vstack`` and copying each channel out of it."""
-    count, taps = plan.views[0].shape
-    row = round(plan.step / H.dt)
-    r_lo = round((plan.t0 - plan.s_rev[0] - H.t0) / H.dt)
-    r_hi = r_lo + (count - 1) * row + taps - 1
-    pad_l, pad_r = max(0, -r_lo), max(0, r_hi - (H.n - 1))
-    padded = np.vstack([np.zeros((pad_l, H.dim), complex),
-                        H.values[max(0, r_lo):min(H.n, r_hi + 1)],
-                        np.zeros((pad_r, H.dim), complex)])
-    views = []
-    for c in range(H.dim):
-        base_c = np.ascontiguousarray(padded[:, c])
-        views.append(np.lib.stride_tricks.as_strided(
-            base_c, shape=(count, taps),
-            strides=(row * base_c.strides[0], base_c.strides[0])))
-    return views
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -391,35 +377,35 @@ def _vstack_views(H, plan):
                           ("box-right", 0.01, 0.04)])
 def test_channel_padding_matches_the_stacked_record(kernel, dt, out_step,
                                                     domain, dim):
-    # each channel is padded in place; the views read the same samples,
-    # zero pads included, as the stacked record did
+    # the channels share one zero-padded layout of the record's rows;
+    # each channel's sums are, bit for bit, those of a record holding
+    # that channel alone
     def fn(t):
         vals = np.stack([np.exp(1j * t), np.cos(0.5 * t), t / 30.0],
                         axis=1)[:, :dim]
         return vals * (np.abs(t) <= 30.0)[:, None]
     F = (make_half if domain == "half" else make_full)(fn, t_end=100.0,
                                                        dt=dt)
-    H = extend_by_zero(F)
-    kern = {"bandpass": bandpass_kernel(0.0, 1.0),
-            "box-left": box_kernel(60.0),
-            "box-right": reflected(box_kernel(60.0))}[kernel]
-    plan = plan_convolution(H, kern, out_step, 1e-3)
-    ref = _vstack_views(H, plan)
-    assert len(plan.views) == dim
-    for got, want in zip(plan.views, ref):
-        assert got.strides == want.strides
-        assert np.array_equal(got, want)
+    kern = _direct_kernel(kernel)
+    conv = convolve(extend_by_zero(F), kern, out_step=out_step, budget=1e-3)
+    assert conv.dim == dim
+    for c in range(dim):
+        alone = convolve(extend_by_zero(replace(F, values=F.values[:, c])),
+                         kern, out_step=out_step, budget=1e-3)
+        assert (alone.t0, alone.n) == (conv.t0, conv.n)
+        assert np.array_equal(alone.values.view(np.int64),
+                              conv.values[:, c:c + 1].copy().view(np.int64))
 
 
 def test_products_of_a_plan_with_no_taps_are_zero():
-    # a zero record meets no tap: both products are zeros of the plan's
-    # output shape, with no row block sized by a zero-tap row
+    # a zero record meets no tap with data: both products are zeros over
+    # the one output window that both routes admit
     F = make_half(lambda t: 0.0 * t, t_end=100.0)
     H = extend_by_zero(F)
-    plan = plan_convolution(H, bandpass_kernel(0.0, 1.0), 0.2, 1e-3)
-    count, taps = plan.views[0].shape
-    assert taps == 0 and count > 0
-    assert np.array_equal(plan_product(plan), np.zeros((count, 1)))
+    conv = convolve(H, _direct_kernel("bandpass"), out_step=0.2, budget=1e-3)
+    count = conv.n
+    assert count > 0
+    assert np.array_equal(conv.values, np.zeros((count, 1)))
     _, band = _band_case(H, 0.2, out_range=None)
     assert band.count == count
     assert np.array_equal(band_product(band, [0.0, 1.0]),

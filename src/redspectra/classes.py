@@ -14,9 +14,10 @@ The AP split forms the Bohr sum of a record once (``_BohrSum``), and
 each pass of its peel loop forms one sum of that pass's residual.  One
 zero-padded FFT per sum gives |a| on a grid of a quarter of the main
 lobe; every candidate window reads its bins there, and only a window
-whose coarse maximum is interior is refined, by Brent between that
-maximum's neighbouring bins (search coarsely, then refine inside the
-peak found, as in Rife & Boorstyn's single-tone estimator, 1974).
+whose coarse maximum is interior is refined, by safeguarded Newton on
+the derivative of |a|^2 between that maximum's neighbouring bins (search
+coarsely, then refine inside the peak found, as in Rife & Boorstyn's
+single-tone estimator, 1974).
 
 Tolerances are relative to a reference scale.  For a detector applied to
 a convolution output the reference is the *input* signal's sup norm (the
@@ -49,8 +50,8 @@ TOL_UC = 0.02            # UC: jump at the shortest lag
 TOL_ZERO = 1e-6          # zero class, floored by Config.tol_zero_abs
 DECAY_FACTOR = 0.9       # required tail-sup / deviation shrink for a Yes
 ERG_WINDOW_FRAC = 0.5    # ergodic sup-window length / usable record
-#: resolution of a refined Bohr frequency: Brent's absolute tolerance and
-#: the lattice the refined frequency is rounded onto
+#: resolution of a refined Bohr frequency: the Newton search's absolute
+#: tolerance and the lattice the refined frequency is rounded onto
 XATOL = 1e-7
 
 
@@ -283,11 +284,12 @@ def _bohr_weights(F: SampledSignal) -> np.ndarray:
 
 class _BohrSum:
     """nu -> a(nu), the weighted sum of ``_bohr_weights`` over the rows
-    w_l F_l, read two ways.  A call evaluates one nu: exp(-i nu t0) times
-    one contraction at z = i nu of a ``signals.FactoredLattice``, whose
-    blocks are laid out on the first call.  ``peak`` reads |a|^2 at the
-    bins j delta, delta = 2 pi / (L dt), from one zero-padded FFT of
-    length L >= 2 span / dt, so delta <= pi / span, a quarter of the
+    r_l = w_l F_l, read two ways.  A call evaluates a, a' and a'' at one
+    nu: exp(-i nu t0) times one contraction at z = i nu of a
+    ``signals.FactoredLattice`` whose blocks, laid out on the first call,
+    stack the rows r_l, -i t_l r_l and -t_l^2 r_l.  ``peak`` reads |a|^2
+    at the bins j delta, delta = 2 pi / (L dt), from one zero-padded FFT
+    of length L >= 2 span / dt, so delta <= pi / span, a quarter of the
     weights' main-lobe half-width 4 pi / span; the FFT runs on the first
     ``peak``."""
 
@@ -300,13 +302,16 @@ class _BohrSum:
 
     @cached_property
     def _lattice(self):
-        lattice = FactoredLattice(len(self.rows), self.dt)
-        return lattice, lattice.blocks(self.rows)
+        r = self.rows
+        t = (self.t0 + self.dt * np.arange(len(r)))[:, None]
+        lattice = FactoredLattice(len(r), self.dt)
+        return lattice, lattice.blocks(np.hstack((r, -1j * t * r, -t * t * r)))
 
     def __call__(self, omega: float) -> np.ndarray:
+        """a, a' and a'' at omega, the rows of a (3, d) array."""
         lattice, Y = self._lattice
         return cmath.exp(-1j * omega * self.t0) * lattice.contract(
-            lattice.exp(1j * omega), Y)
+            lattice.exp(1j * omega), Y).reshape(3, -1)
 
     @cached_property
     def _power(self) -> np.ndarray:
@@ -339,101 +344,44 @@ def bohr_coefficient(F: SampledSignal, omega: float) -> np.ndarray:
     start points is sanctioned by the uniform-in-t convergence in the
     ergodic-mean definition and suppresses transients like 1/(T W).
     Returns the coefficient vector, one entry per channel."""
-    return _BohrSum(F)(omega)
+    return _BohrSum(F)(omega)[0]
 
 
 # ---------------------------------------------------------------------------
 # almost periodic decomposition
 # ---------------------------------------------------------------------------
 
-def _sign(v: float) -> float:
-    """Sign of v, with a zero counted as +1."""
-    return 1.0 if v >= 0.0 else -1.0
-
-
-def _bounded_brent(f, lo: float, hi: float, xatol: float,
-                   maxfun: int = 500) -> float:
-    """A local minimizer of f on [lo, hi] to within ``xatol``: Brent's
-    golden-section search with parabolic steps (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 5), stopped after
-    ``maxfun`` evaluations.  Step for step it is the bounded method of
-    ``scipy.optimize.minimize_scalar`` (the same tolerances, sign rule and
-    bracket updates), so both return the same x."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through (xf, fx), (nfc, fnfc) and (fulc, ffulc)
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * _sign(xm - xf)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf
-
-
 def _refine_frequency(a, center: float, halfwidth: float) -> float:
-    """Maximize |a(nu)| over [center-halfwidth, center+halfwidth] by
-    bounded Brent to within ``XATOL``, and round the maximizer onto the
-    XATOL lattice: digits below the certified resolution would otherwise
-    carry the evaluator's rounding into the report.  ``a`` is a
-    ``_BohrSum``; ``ap_decompose`` passes an interior coarse peak and one
-    bin on either side of it."""
-    def objective(w):   # -np.linalg.norm(a(w)), its sums without its checks
-        v = a(w)
-        return -math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-    nu = _bounded_brent(objective, center - halfwidth, center + halfwidth,
-                        XATOL)
-    return XATOL * round(float(nu) / XATOL)
+    """The maximizer of |a(nu)| in [center - halfwidth, center +
+    halfwidth] to within ``XATOL``, rounded onto the XATOL lattice: digits
+    below the certified resolution would otherwise carry the evaluator's
+    rounding into the report.  ``a`` is a ``_BohrSum``; ``ap_decompose``
+    passes an interior coarse peak and one bin on either side of it.
+
+    Newton on P' = 2 Re(conj(a) a'), P = |a|^2, with P'' = 2 (|a'|^2 +
+    Re(conj(a) a'')), safeguarded by bisection (rtsafe; Press et al.,
+    *Numerical Recipes*, 9.4): the bracket keeps the side where P' changes
+    sign, and a step that leaves it, meets P'' >= 0 or does not halve the
+    previous step bisects instead.  A step is tested for convergence
+    before it is taken, so one that rounds onto the bracket's edge ends
+    the search instead of bisecting away from the zero of P'."""
+    lo, hi = center - halfwidth, center + halfwidth
+    nu, last = center, math.inf
+    while True:
+        v, v1, v2 = a(nu)
+        slope = np.vdot(v, v1).real
+        curve = np.vdot(v1, v1).real + np.vdot(v, v2).real
+        if slope > 0.0:
+            lo = nu
+        else:
+            hi = nu
+        step = -slope / curve if curve < 0.0 else math.inf
+        if abs(step) > 0.5 * XATOL and not (
+                lo < nu + step < hi and abs(step) <= 0.5 * abs(last)):
+            step = 0.5 * (lo + hi) - nu
+        if abs(step) <= 0.5 * XATOL:
+            return XATOL * round(nu / XATOL)
+        nu, last = nu + step, step
 
 
 def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
@@ -488,7 +436,7 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
                                    F.growth_exponent, trusted=True))
         best, best_norm = None, 3.0 * TOL_BOHR * scale
         for nu in refined(a):
-            bn = np.linalg.norm(a(nu))
+            bn = np.linalg.norm(a(nu)[0])
             if bn > best_norm and all(abs(nu - f) > sep for f in freqs):
                 best, best_norm = nu, bn
         if best is None:

@@ -212,14 +212,15 @@ def tap_order_sum(H, kernel, t_out) -> np.ndarray:
     tap (the earliest row) to the first."""
     s0, samples = kernel.time_samples(H.dt)
     w = samples * trapezoid_weights(len(samples), H.dt)
-    # tap j of the output at t reads row i - j, i the row of t - s0
+    # tap j of the output at t reads row i - j, i the row of t - s0: row
+    # i - j - lo of H's rows between zero rows, lo the earliest row read
     i = np.rint((np.asarray(t_out) - s0 - H.t0) / H.dt).astype(np.int64)
+    lo = min(0, int(i.min()) - len(w) + 1)
+    rows = np.zeros((max(H.n, int(i.max()) + 1) - lo, H.dim), complex)
+    rows[-lo:H.n - lo] = H.values
     acc = np.zeros((len(i), H.dim), complex)
     for j in range(len(w) - 1, -1, -1):
-        rows = np.zeros_like(acc)
-        on = (i - j >= 0) & (i - j < H.n)
-        rows[on] = H.values[i[on] - j]
-        acc += rows * w[j]
+        acc += rows[i - j - lo] * w[j]
     return acc
 
 

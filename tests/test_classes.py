@@ -17,7 +17,7 @@ from redspectra.errors import HorizonError
 from redspectra.signals import Domain, SampledSignal, convolve, extend_by_zero, \
     modulate, mollify
 
-from conftest import make_half
+from conftest import make_full, make_half
 from oracles import box_kernel
 
 CFG = Config()
@@ -137,20 +137,67 @@ def test_bohr_coefficient_is_the_windowed_mean(domain, n):
         assert np.linalg.norm(a - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def _interior_peaks(a):
+    """(center, hw, peak) of every window of half-width 0.6, 0.8 or 1.0
+    centred on -3, -2.75, ..., 3 whose coarse maximum of |a| is interior."""
+    for hw in (0.6, 0.8, 1.0):
+        for center in np.arange(-3.0, 3.01, 0.25):
+            peak = a.peak(center, hw)
+            if peak is not None:
+                yield center, hw, peak
+
+
+def _snapped_maximizer(F, lo, hi, xatol):
+    """scipy's bounded maximizer of the definition's |a| on [lo, hi],
+    rounded onto the XATOL lattice."""
+    res = minimize_scalar(lambda x: -np.linalg.norm(_bohr_by_definition(F, x)),
+                          bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    return XATOL * round(res.x / XATOL)
+
+
 @pytest.mark.parametrize("domain, n", [(Domain.HALF_LINE, 836),
-                                       (Domain.FULL_LINE, 1001)])
-def test_refined_frequency_is_the_snapped_brent_maximizer(domain, n):
-    # Brent on the definition's |a| lands on the same XATOL lattice point:
-    # the snap hides how the weighted sum is ordered
+                                       (Domain.FULL_LINE, 1001),
+                                       (Domain.HALF_LINE, 4001),
+                                       (Domain.FULL_LINE, 3000)])
+def test_refined_frequency_is_the_snapped_maximizer(domain, n):
+    # every interior coarse peak refines to the XATOL lattice point
+    # nearest the maximizer of the definition's |a| between the peak's
+    # neighbouring bins, found to 1e-12
     F = _random_record(domain, n, 7 * n)
-    for center, hw in ((1.25, 0.2), (-0.5, 0.3), (0.3, 0.1)):
-        nu = _refine_frequency(_BohrSum(F), center, hw)
-        assert nu == XATOL * round(nu / XATOL)
-        res = minimize_scalar(
-            lambda x: -np.linalg.norm(_bohr_by_definition(F, x)),
-            bounds=(center - hw, center + hw), method="bounded",
-            options={"xatol": XATOL})
-        assert XATOL * round(res.x / XATOL) == nu
+    a = _BohrSum(F)
+    peaks = 0
+    for _, _, peak in _interior_peaks(a):
+        peaks += 1
+        assert _refine_frequency(a, peak, a.delta) == _snapped_maximizer(
+            F, peak - a.delta, peak + a.delta, 1e-12)
+    assert peaks >= 20
+
+
+@pytest.mark.parametrize("nu0", [1.0, np.sqrt(2.0), -0.6180339887, 3.3])
+def test_a_pure_tone_refines_to_its_lattice_point(nu0):
+    # the Bohr weights are symmetric about their centre, so |a| of a pure
+    # tone is even about nu0 and its maximizer is nu0 itself; a search
+    # started on the main lobe's convex flank (0.4 and 0.5 of its
+    # half-width h = 4 pi / span from nu0, where |a|^2'' > 0) needs the
+    # bisection safeguard there, for a Newton step past the bracket's edge
+    # and for one that does not halve the previous step
+    def tone(t):
+        return 2.5 * np.exp(1j * (nu0 * t + 0.7))
+    snapped = XATOL * round(nu0 / XATOL)
+    for F in (make_half(tone), make_half(tone, t_end=83.6), make_full(tone)):
+        a = _BohrSum(F)
+        peak = a.peak(nu0, 0.2)
+        assert peak is not None
+        assert _refine_frequency(a, peak, a.delta) == snapped
+        h = 4.0 * np.pi / (F.t_end - F.t0)
+        for start, hw in ((0.5, 0.6), (0.4, 0.5)):
+            assert _refine_frequency(a, nu0 + start * h, hw * h) == snapped
+        # a window on one flank holds no maximum: the search ends at the
+        # edge nearer nu0, where a Newton step would leave the bracket
+        for side in (1.0, -1.0):
+            nu = _refine_frequency(a, nu0 + 0.3 * side * h, 0.2 * h)
+            assert abs(nu - (nu0 + 0.1 * side * h)) <= 1.5 * XATOL
 
 
 def test_coarse_power_is_a_at_the_bins():
@@ -165,46 +212,36 @@ def test_coarse_power_is_a_at_the_bins():
     assert a.delta <= np.pi / 200.0 and a.n_fft >= 40000
     assert 16 * a.n_fft * 4 > classes.WORK_BYTES
     for j in (-637, -1, 0, 1, 64, 955):
-        ref = np.linalg.norm(a(j * a.delta)) ** 2
+        ref = np.linalg.norm(a(j * a.delta)[0]) ** 2
         assert abs(a._power[j % a.n_fft] - ref) <= 1e-12 * max(ref, 1.0)
-
-
-def _whole_window_brent(a, center, hw):
-    """The refinement of every window before the coarse scan: bounded
-    Brent over the whole window, snapped onto the XATOL lattice."""
-    nu = classes._bounded_brent(lambda w: -np.linalg.norm(a(w)),
-                                center - hw, center + hw, XATOL)
-    return XATOL * round(nu / XATOL)
 
 
 @pytest.mark.parametrize("domain, n", [(Domain.HALF_LINE, 836),
                                        (Domain.FULL_LINE, 1001)])
 def test_an_interior_peak_is_the_whole_window_maximizer(domain, n):
-    # windows that hold at most one of the record's two tones: whole-window
-    # Brent then finds the same peak, and its snapped frequency differs by
-    # at most one XATOL step from the refinement between the peak's bins
+    # windows that hold at most one of the record's two tones: the bounded
+    # maximizer over the whole window (the refinement of every window
+    # before the coarse scan) then finds the same peak, and its snapped
+    # frequency differs by at most one XATOL step from the refinement
+    # between the peak's bins
     F = _random_record(domain, n, 7 * n)
     a = _BohrSum(F)
     peaks = 0
-    for hw in (0.6, 0.8, 1.0):
-        for center in np.arange(-3.0, 3.01, 0.25):
-            if abs(center - 1.3) <= hw and abs(center + 0.6) <= hw:
-                continue
-            peak = a.peak(center, hw)
-            if peak is None:
-                continue
-            peaks += 1
-            nu = _refine_frequency(a, peak, a.delta)
-            assert abs(nu - _whole_window_brent(a, center, hw)) <= 1.5 * XATOL
+    for center, hw, peak in _interior_peaks(a):
+        if abs(center - 1.3) <= hw and abs(center + 0.6) <= hw:
+            continue
+        peaks += 1
+        nu = _refine_frequency(a, peak, a.delta)
+        whole = _snapped_maximizer(F, center - hw, center + hw, XATOL)
+        assert abs(nu - whole) <= 1.5 * XATOL
     assert peaks >= 20
 
 
 @pytest.mark.parametrize("domain, n", [(Domain.HALF_LINE, 836),
                                        (Domain.FULL_LINE, 1001)])
 def test_a_window_of_fewer_than_three_bins_gives_no_frequency(domain, n):
-    # an 8-10 s record has bins 0.31-0.37 apart: no window of
-    # test_refined_frequency_is_the_snapped_brent_maximizer holds an
-    # interior bin, nor does a window of no width
+    # an 8-10 s record has bins 0.31-0.37 apart: no window of half-width
+    # 0.3 or less holds an interior bin, nor does a window of no width
     a = _BohrSum(_random_record(domain, n, 7 * n))
     for center, hw in ((1.25, 0.2), (-0.5, 0.3), (0.3, 0.1), (1.3, 0.0)):
         assert hw < a.delta
@@ -214,17 +251,15 @@ def test_a_window_of_fewer_than_three_bins_gives_no_frequency(domain, n):
 def test_a_window_on_one_flank_of_a_tone_gives_no_frequency(monkeypatch):
     # [1.02, 1.06] lies on the falling flank of exp(it)'s main lobe (half
     # width 4 pi / 200): its coarse maximum is its first bin, so it gives
-    # no frequency and no objective call (whole-window Brent stops at the
-    # edge 1.0200001, which is no maximum, and peels 1.0501793)
+    # no frequency and evaluates no Bohr sum (a whole-window search would
+    # stop at the edge 1.0200001, which is no maximum)
     calls = []
-    brent = classes._bounded_brent
 
-    def counting_brent(f, lo, hi, xatol, maxfun=500):
-        def counted(x):
-            calls.append(x)
-            return f(x)
-        return brent(counted, lo, hi, xatol, maxfun)
-    monkeypatch.setattr(classes, "_bounded_brent", counting_brent)
+    class CountingSum(_BohrSum):
+        def __call__(self, omega):
+            calls.append(omega)
+            return super().__call__(omega)
+    monkeypatch.setattr(classes, "_BohrSum", CountingSum)
     F = make_half(lambda t: np.exp(1j * t))
     assert _BohrSum(F).peak(1.04, 0.02) is None
     ap, rem, rep = ap_decompose(F, [(1.04, 0.02)], CFG)
@@ -232,66 +267,6 @@ def test_a_window_on_one_flank_of_a_tone_gives_no_frequency(monkeypatch):
     # the window that holds the lobe's top refines it
     ap, rem, rep = ap_decompose(F, [(1.0, 0.04)], CFG)
     assert rep.evidence["frequencies"] == [1.0] and 0 < len(calls) < 40
-
-
-def _brent_objectives(rng, lo, hi, bohr):
-    """One objective per kind on [lo, hi], drawn from ``rng``."""
-    w = hi - lo
-    c = lo + w * rng.uniform()
-    s = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
-    k = 2.0 * np.pi * rng.uniform(1.0, 20.0) / w
-    x0 = lo + 0.5 * (3.0 - np.sqrt(5.0)) * w          # Brent's first probe
-
-    def multimodal(x):
-        return np.sin(k * (x - lo)) + 0.3 * np.cos(2.7 * k * (x - c))
-    return {
-        "quadratic": lambda x: s * s * (x - c) ** 2,
-        # a minimum on the first probe gives zero steps, counted as +1
-        "quadratic at the first probe": lambda x: (x - x0) ** 2,
-        # the minimum at a bracket end, as where |a| still rises at the
-        # edge of a candidate window
-        "monotone": lambda x: np.arctan(s * (x - lo) / w),
-        "constant": lambda x: s,
-        "multimodal": multimodal,
-        # ties between evaluations
-        "staircase": lambda x: np.round(4.0 * multimodal(x)),
-        "bohr": lambda x: -np.linalg.norm(bohr(x)),
-    }
-
-
-def test_bounded_brent_matches_scipy_bounded_minimizer():
-    # scipy serves only as the oracle: the port must stop on the same x,
-    # bit for bit, over widths 1e-8 to 10 and both tolerances in use
-    rng = np.random.default_rng(2105)
-    bohr = _BohrSum(_random_record(Domain.HALF_LINE, 836, 11))
-    n = 0
-    for width in np.geomspace(1e-8, 10.0, 10):
-        for xatol in (1e-7, 1e-5):
-            for _ in range(4):
-                lo = rng.uniform(-5.0, 5.0)
-                hi = lo + width
-                for kind, f in _brent_objectives(rng, lo, hi, bohr).items():
-                    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                          options={"xatol": xatol})
-                    x = classes._bounded_brent(f, lo, hi, xatol)
-                    assert x == res.x, (kind, lo, hi, xatol)
-                    n += 1
-    assert n == 560
-
-
-def test_bounded_brent_stops_where_scipy_stops_when_maxfun_runs_out():
-    f = _brent_objectives(np.random.default_rng(7), -1.0, 3.0,
-                          None)["multimodal"]
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return f(x)
-    res = minimize_scalar(f, bounds=(-1.0, 3.0), method="bounded",
-                          options={"xatol": 1e-7, "maxiter": 7})
-    assert res.status == 1 and res.nfev == 7           # maxfun ran out
-    assert classes._bounded_brent(counted, -1.0, 3.0, 1e-7, maxfun=7) == res.x
-    assert len(calls) == 7
 
 
 def test_ap_decompose_mix():

@@ -10,7 +10,7 @@ from .kernels import (TestKernel, annihilator_kernel, bandpass_kernel,
                       bump_kernel, d_bump)
 from .classes import (ClassReport, FunctionClass, Tri, ap_decompose,
                       bohr_coefficient, detect, ergodic_mean, is_c0,
-                      is_slowly_oscillating, tail_sup, uc_modulus)
+                      is_slowly_oscillating, uc_modulus)
 from .transforms import HalfPlaneGrid, half_plane_scan, laplace_transform
 from .spectra import (FrequencyGrid, RegStatus, RegularityCertificate,
                       SignalAnalysis, SpectrumEstimate, carleman_spectrum,

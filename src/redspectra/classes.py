@@ -10,6 +10,12 @@ is UNDECIDED.  ``_verdict`` holds that rule once; each detector supplies
 its statistic, any extra condition on YES or NO, and its witness.
 UNDECIDED is a first-class answer on finite records and is never coerced.
 
+ZERO, C0 and BOUNDED read row norms alone: ``norm_reports`` reduces each
+column of the (rows, k) row norms of k records on one lattice (its sup,
+its tail sups, the first argmax of its witness), so one call decides a
+rung of the band-pass ladder; ``is_zero``, ``is_c0`` and ``is_bounded``
+are its one-column calls.  The other detectors take one record at a time.
+
 The AP split forms the Bohr sum of a record once (``_BohrSum``), and
 each pass of its peel loop forms one sum of that pass's residual.  One
 zero-padded FFT per sum gives |a| on a grid of a quarter of the main
@@ -98,17 +104,53 @@ def _verdict(cls: FunctionClass, stat: float, tol: float, ev: dict, tols: dict,
     return ClassReport(cls, Tri.UNDECIDED, ev, tols)
 
 
-def _peak(F: SampledSignal, mask=None) -> dict:
-    """Witness: time and norm of F's largest sample within ``mask``."""
-    norms = F.norms
+def _peak(norms: np.ndarray, times: np.ndarray, mask=None) -> dict:
+    """Witness: time and norm of the first largest of ``norms`` within
+    ``mask``."""
     idx = int(np.argmax(norms)) if mask is None \
         else np.flatnonzero(mask)[np.argmax(norms[mask])]
-    return {"t": float(F.times[idx]), "norm": float(norms[idx])}
+    return {"t": float(times[idx]), "norm": float(norms[idx])}
 
 
 # ---------------------------------------------------------------------------
-# tails and C0
+# zero, C0 and bounded: column reductions of row norms
 # ---------------------------------------------------------------------------
+
+#: the classes decided from a record's row norms alone
+NORM_CLASSES = (FunctionClass.ZERO, FunctionClass.C0, FunctionClass.BOUNDED)
+
+
+def _column_max(N: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each column's max of the row norms N over the rows selected by the
+    boolean ``rows``; 0.0 where it selects none (norms are >= 0)."""
+    return N.max(axis=0, where=rows[:, None], initial=0.0)
+
+
+def _one(reports: list) -> ClassReport:
+    """The report of a one-column ``norm_reports``; its refusal raised."""
+    rep, = reports
+    if isinstance(rep, HorizonError):
+        raise rep
+    return rep
+
+
+def norm_reports(cls: FunctionClass, F: SampledSignal, N: np.ndarray,
+                 cfg: Config = DEFAULT, scale_ref: float | None = None,
+                 trunc_bound: float = 0.0) -> list:
+    """The ZERO, C0 or BOUNDED report of each of k records on F's lattice
+    (F's values are not read), given as N, the (F.n, k) matrix of their
+    row norms.  Every statistic reduces one column, so a record's report
+    does not depend on which records share the call; with ``scale_ref``
+    None each record is its own scale.  An entry is the HorizonError
+    that refuses its record when the lattice cannot carry the test."""
+    if cls is FunctionClass.ZERO:
+        return _zero_reports(F, N, cfg, scale_ref, trunc_bound)
+    if cls is FunctionClass.C0:
+        return _c0_reports(F, N, cfg, scale_ref, trunc_bound)
+    if cls is FunctionClass.BOUNDED:
+        return _bounded_reports(N, F.times, cfg, scale_ref)
+    raise ValueError(f"{cls} is not decided from row norms")
+
 
 def _tail(F: SampledSignal, T: float) -> np.ndarray:
     """Mask of the samples with t >= T (|t| >= T on the full line)."""
@@ -116,15 +158,14 @@ def _tail(F: SampledSignal, T: float) -> np.ndarray:
     return t >= T if F.domain is Domain.HALF_LINE else np.abs(t) >= T
 
 
-def tail_sup(F: SampledSignal, checkpoints) -> list:
-    """sup ||F|| over [T, t_end] per checkpoint (both tails on the full line)."""
+def _tail_sups(F: SampledSignal, N: np.ndarray, checkpoints) -> list:
+    """Per checkpoint T, each column's sup of the row norms N over [T,
+    t_end] of F's lattice (both tails on the full line)."""
     out = []
-    norms = F.norms
     for T in checkpoints:
         if T > F.t_end + 1e-12:
             raise HorizonError(f"checkpoint {T} beyond record end {F.t_end}")
-        mask = _tail(F, T)
-        out.append(float(norms[mask].max()) if mask.any() else 0.0)
+        out.append(_column_max(N, _tail(F, T)))
     return out
 
 
@@ -141,6 +182,41 @@ def _auto_checkpoints(F: SampledSignal, cfg: Config):
     return [base + f * span for f in TAIL_FRACTIONS]
 
 
+def _c0_reports(F: SampledSignal, N: np.ndarray, cfg: Config,
+                scale_ref, trunc_bound) -> list:
+    """``is_c0`` of each column of N; a column that is not trivially small
+    takes the HorizonError of a lattice too short for the checkpoints."""
+    sups = N.max(axis=0)
+    floor = max(cfg.tol_zero_abs, 2.0 * trunc_bound)
+    checkpoints = tails = None
+    if not (sups <= floor).all():
+        try:
+            checkpoints = _auto_checkpoints(F, cfg)
+            tails = np.column_stack(_tail_sups(F, N, checkpoints)).tolist()
+        except HorizonError as exc:
+            tails = exc
+    out = []
+    for c, sup in enumerate(sups.tolist()):
+        scale = sup if scale_ref is None else scale_ref
+        tol = TOL_C0 * scale + 2.0 * trunc_bound
+        tols = {"tol_c0": TOL_C0, "scale_ref": scale, "trunc_bound": trunc_bound}
+        if sup <= floor:
+            out.append(ClassReport(FunctionClass.C0, Tri.YES,
+                                   {"sup": sup, "trivial": True}, tols))
+            continue
+        if isinstance(tails, HorizonError):
+            out.append(tails)
+            continue
+        s = tails[c]
+        ev = {"checkpoints": list(checkpoints), "tail_sups": s}
+        decayed = s[0] <= tol or s[-1] <= DECAY_FACTOR * s[0]
+        out.append(_verdict(
+            FunctionClass.C0, s[-1], tol, ev, tols,
+            lambda c=c: _peak(N[:, c], F.times, _tail(F, checkpoints[-1])),
+            yes=decayed))
+    return out
+
+
 def is_c0(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = None,
           trunc_bound: float = 0.0) -> ClassReport:
     """Does F vanish at infinity, as far as the record can tell?
@@ -149,52 +225,55 @@ def is_c0(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = Non
     genuinely decayed (or been small throughout); NO needs a sample in the
     final tail violating the bound by more than twice the tolerance.
     """
-    scale = F.sup_norm() if scale_ref is None else scale_ref
-    tol = TOL_C0 * scale + 2.0 * trunc_bound
-    tols = {"tol_c0": TOL_C0, "scale_ref": scale, "trunc_bound": trunc_bound}
-    if F.sup_norm() <= max(cfg.tol_zero_abs, 2.0 * trunc_bound):
-        return ClassReport(FunctionClass.C0, Tri.YES,
-                           {"sup": F.sup_norm(), "trivial": True}, tols)
-    checkpoints = _auto_checkpoints(F, cfg)
-    sups = tail_sup(F, checkpoints)
-    ev = {"checkpoints": list(checkpoints), "tail_sups": sups}
-    decayed = sups[0] <= tol or sups[-1] <= DECAY_FACTOR * sups[0]
-    return _verdict(FunctionClass.C0, sups[-1], tol, ev, tols,
-                    lambda: _peak(F, _tail(F, checkpoints[-1])), yes=decayed)
+    return _one(_c0_reports(F, F.norms[:, None], cfg, scale_ref, trunc_bound))
+
+
+def _zero_reports(F: SampledSignal, N: np.ndarray, cfg: Config,
+                  scale_ref, trunc_bound) -> list:
+    """``is_zero`` of each column of N."""
+    out = []
+    for c, sup in enumerate(N.max(axis=0).tolist()):
+        scale = sup if scale_ref is None else scale_ref
+        tol = max(cfg.tol_zero_abs, TOL_ZERO * scale, 2.0 * trunc_bound)
+        tols = {"tol": tol, "scale_ref": scale, "trunc_bound": trunc_bound}
+        out.append(_verdict(FunctionClass.ZERO, sup, tol, {"sup": sup}, tols,
+                            lambda c=c: _peak(N[:, c], F.times)))
+    return out
 
 
 def is_zero(F: SampledSignal, cfg: Config = DEFAULT, scale_ref: float | None = None,
             trunc_bound: float = 0.0) -> ClassReport:
-    scale = F.sup_norm() if scale_ref is None else scale_ref
-    tol = max(cfg.tol_zero_abs, TOL_ZERO * scale, 2.0 * trunc_bound)
-    sup = F.sup_norm()
-    tols = {"tol": tol, "scale_ref": scale, "trunc_bound": trunc_bound}
-    return _verdict(FunctionClass.ZERO, sup, tol, {"sup": sup}, tols,
-                    lambda: _peak(F))
+    return _one(_zero_reports(F, F.norms[:, None], cfg, scale_ref, trunc_bound))
+
+
+def _bounded_reports(N: np.ndarray, times: np.ndarray, cfg: Config,
+                     scale_ref) -> list:
+    """``is_bounded`` of each column of N, the row norms at ``times``."""
+    at = np.abs(times)
+    qs = np.quantile(at, [0.5, 0.65, 0.8, 0.95])
+    inner = N[at < qs[0]].max(axis=0)
+    segs = np.column_stack([_column_max(N, (at >= lo) & (at < hi))
+                            for lo, hi in zip(qs[:-1], qs[1:])]).tolist()
+    out = []
+    for c, (s_in, s) in enumerate(zip(inner.tolist(), segs)):
+        scale = float(N[:, c].max()) if scale_ref is None else scale_ref
+        ev = {"inner_sup": s_in, "segment_sups": s}
+        tols = {"scale_ref": scale}
+        member = Tri.UNDECIDED
+        if s[-1] <= 1.3 * s_in + cfg.tol_zero_abs:
+            member = Tri.YES
+        elif s[-1] >= 1.4 * max(s[0], cfg.tol_zero_abs) and s[-1] >= 1.4 * s_in:
+            member = Tri.NO
+            ev["witness"] = _peak(N[:, c], times, at >= qs[-1])
+        out.append(ClassReport(FunctionClass.BOUNDED, member, ev, tols))
+    return out
 
 
 def is_bounded(norms: np.ndarray, times: np.ndarray, cfg: Config = DEFAULT,
                scale_ref: float | None = None) -> ClassReport:
     """Trend test on a record's row norms at its sample times: segment sups
     along the record must not keep growing."""
-    at = np.abs(times)
-    scale = float(norms.max()) if scale_ref is None else scale_ref
-    qs = np.quantile(at, [0.5, 0.65, 0.8, 0.95])
-    s_in = float(norms[at < qs[0]].max())
-    segs = []
-    for lo, hi in zip(qs[:-1], qs[1:]):
-        sel = (at >= lo) & (at < hi)
-        segs.append(float(norms[sel].max()) if sel.any() else 0.0)
-    ev = {"inner_sup": s_in, "segment_sups": segs}
-    tols = {"scale_ref": scale}
-    if segs[-1] <= 1.3 * s_in + cfg.tol_zero_abs:
-        return ClassReport(FunctionClass.BOUNDED, Tri.YES, ev, tols)
-    if segs[-1] >= 1.4 * max(segs[0], cfg.tol_zero_abs) and segs[-1] >= 1.4 * s_in:
-        outer = at >= qs[-1]
-        idx = np.where(outer)[0][np.argmax(norms[outer])]
-        ev["witness"] = {"t": float(times[idx]), "norm": float(norms[idx])}
-        return ClassReport(FunctionClass.BOUNDED, Tri.NO, ev, tols)
-    return ClassReport(FunctionClass.BOUNDED, Tri.UNDECIDED, ev, tols)
+    return _one(_bounded_reports(norms[:, None], times, cfg, scale_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +541,8 @@ def is_ap(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
                                            trunc_bound)
     tol = TOL_C0 * scale + 2.0 * trunc_bound
     return _verdict(FunctionClass.AP, aap.evidence["remainder_sup"], tol,
-                    dict(aap.evidence), aap.tolerances, lambda: _peak(remainder))
+                    dict(aap.evidence), aap.tolerances,
+                    lambda: _peak(remainder.norms, remainder.times))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -205,7 +206,19 @@ def canonical_json(obj) -> str:
 
 
 def _emit(obj, out):
-    if obj is None or isinstance(obj, bool):
+    # the types reports hold go first, by exact type; bool, None, numpy
+    # scalars, complex and subclasses take the isinstance chain below.
+    # encode_basestring_ascii(s) is what json.dumps(s) returns for a str s
+    kind = type(obj)
+    if kind is float:
+        out.append(_fmt_float(obj))
+    elif kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is dict:
+        _emit_dict(obj, out)
+    elif kind is list or kind is tuple or kind is np.ndarray:
+        _emit_seq(obj, out)
+    elif obj is None or isinstance(obj, bool):
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(repr(int(obj)))
@@ -216,24 +229,32 @@ def _emit(obj, out):
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
+        _emit_dict(obj, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
+        _emit_seq(obj, out)
     else:
         out.append(json.dumps(str(obj)))
+
+
+def _emit_dict(obj: dict, out):
+    out.append("{")
+    for i, (k, v) in enumerate(obj.items()):
+        if i:
+            out.append(",")
+        out.append(encode_basestring_ascii(str(k)))
+        out.append(":")
+        _emit(v, out)
+    out.append("}")
+
+
+def _emit_seq(obj, out):
+    out.append("[")
+    seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+    for i, v in enumerate(seq):
+        if i:
+            out.append(",")
+        _emit(v, out)
+    out.append("]")
 
 
 def write_plot_csv(path, estimate):

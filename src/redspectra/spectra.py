@@ -32,13 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classes import ClassReport, FunctionClass, Tri, detect
+from .classes import (NORM_CLASSES, ClassReport, FunctionClass, Tri, detect,
+                      norm_reports)
 from .config import Config, DEFAULT, lattice_size
 from .errors import (ConfigError, HorizonError, RedSpectraError,
                      TruncationError)
 from .kernels import bandpass_kernel, bandpass_shape
-from .signals import (Domain, ExtendedSignal, SampledSignal, band_product,
-                      convolve, extend_by_zero, plan_band)
+from .signals import (WORK_BYTES, Domain, ExtendedSignal, SampledSignal,
+                      band_product, convolve, extend_by_zero, plan_band)
 from .transforms import HalfPlaneGrid, TransformScanner, half_plane_scan
 
 #: the Laplace engine's analytic-continuation test: nodes on the Cauchy
@@ -284,7 +285,9 @@ class ReducedScanner:
         meaningful, refuse the band-pass rungs on their own through the
         envelope-weighted truncation budget.  Any other package error at
         one point makes that point Undecided with the error as its only
-        reason.  A record too short for every rung, with no registered
+        reason; ZERO, C0 and BOUNDED decide a rung's points in one
+        reduction, so an error there does so at every point open at that
+        rung.  A record too short for every rung, with no registered
         kernel to try instead, raises TruncationError.
         """
         cfg = self.cfg
@@ -318,11 +321,9 @@ class ReducedScanner:
                 continue
             # |k^(0)| of the base kernel: each modulated copy's at its omega
             ft0 = float(abs(plan.ft(0.0)))
-            for j, vals in zip(open_, cols):
-                try:
-                    self._rung(pts[j], cls, delta, plan, ft0, vals, candidates)
-                except RedSpectraError as exc:
-                    pts[j].fail(exc)
+            reps = self._rung_reports(cls, plan, cols, candidates)
+            for j, rep in zip(open_, reps):
+                self._record(pts[j], delta, ft0, rep)
 
         if not self.extra and len(refused) == len(cfg.delta_seq):
             raise TruncationError("no band-pass window: " + "; ".join(refused))
@@ -353,13 +354,45 @@ class ReducedScanner:
             else:
                 p.reasons.append(f"{kern.kernel_id}: undecided")
 
-    def _rung(self, p, cls, delta, plan, ft0, vals, candidates):
-        try:
-            restricted = self._restricted(plan, vals)
-            rep = detect(cls, restricted, self.cfg, self.scale_ref,
-                         plan.trunc, candidates)
-        except HorizonError as exc:
-            p.refuse(f"delta={delta}: {exc}")
+    def _rung_reports(self, cls, plan, cols, candidates) -> list:
+        """One rung's report of each band column, or the package error
+        that ends the column's test there.  ZERO, C0 and BOUNDED reduce
+        the columns' row norms on the restricted lattice
+        (``classes.norm_reports``) in matrices of at most ``WORK_BYTES``,
+        filled column by column, so the block is never copied; the other
+        classes run ``detect`` on each restricted column."""
+        if cls in NORM_CLASSES:
+            try:
+                G = self._restricted(plan, cols[0])
+                rows = slice(plan.count - G.n, None)
+                step, reps = max(1, WORK_BYTES // (8 * G.n)), []
+                for g in range(0, len(cols), step):
+                    part = cols[g:g + step]
+                    N = np.empty((G.n, len(part)), order="F")
+                    for k, vals in enumerate(part):
+                        N[:, k] = np.linalg.norm(vals[rows], axis=1)
+                    reps += norm_reports(cls, G, N, self.cfg, self.scale_ref,
+                                         plan.trunc)
+                return reps
+            except RedSpectraError as exc:
+                return [exc] * len(cols)
+        reps = []
+        for vals in cols:
+            try:
+                reps.append(detect(cls, self._restricted(plan, vals), self.cfg,
+                                   self.scale_ref, plan.trunc, candidates))
+            except RedSpectraError as exc:
+                reps.append(exc)
+        return reps
+
+    def _record(self, p, delta, ft0, rep):
+        """Enter one rung's outcome at point p: a HorizonError refuses the
+        rung there, any other package error ends the point's test."""
+        if isinstance(rep, HorizonError):
+            p.refuse(f"delta={delta}: {rep}")
+            return
+        if isinstance(rep, RedSpectraError):
+            p.fail(rep)
             return
         kid = f"bandpass(w0={p.omega:g},delta={delta:g})"
         if rep.member is Tri.YES:

@@ -7,7 +7,8 @@ Gauss sums of psi^ and the direct dt-lattice trapezoid sum of a
 convolution, also tap by tap in convolve's order; the dilates psi_n of
 the approximate identity and the Wiener division lemma; the Carleman
 transform at a point and its convolution form; the two extension
-conventions of the reduced spectrum.
+conventions of the reduced spectrum; the zero, C0 and bounded detectors
+of one record, statistic by statistic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from redspectra.classes import FunctionClass
+from redspectra.classes import (DECAY_FACTOR, TOL_C0, TOL_ZERO, ClassReport,
+                                FunctionClass, Tri, _auto_checkpoints,
+                                _verdict)
 from redspectra.config import Config, DEFAULT
 from redspectra.errors import (DomainError, GridError, HorizonError,
                                RedSpectraError)
@@ -399,3 +402,68 @@ def extension_comparison(H: SampledSignal, cls: FunctionClass,
                              "restricted": b.value})
     return {"direct": direct, "restricted": restricted,
             "definite_disagreements": disagree}
+
+
+def norm_class_by_column(cls: FunctionClass, F: SampledSignal,
+                         cfg: Config = DEFAULT, scale_ref=None,
+                         trunc_bound: float = 0.0):
+    """The ZERO, C0 or BOUNDED report of the one record F, each statistic
+    taken from F's own norms and times by boolean masks: the reference
+    for ``classes.norm_reports``.  A HorizonError is returned, not
+    raised."""
+    norms, t = F.norms, F.times
+    sup = F.sup_norm()
+    scale = sup if scale_ref is None else scale_ref
+
+    def peak(mask):
+        idx = np.flatnonzero(mask)[np.argmax(norms[mask])]
+        return {"t": float(t[idx]), "norm": float(norms[idx])}
+
+    def tail(T):
+        return t >= T if F.domain is Domain.HALF_LINE else np.abs(t) >= T
+
+    if cls is FunctionClass.ZERO:
+        tol = max(cfg.tol_zero_abs, TOL_ZERO * scale, 2.0 * trunc_bound)
+        tols = {"tol": tol, "scale_ref": scale, "trunc_bound": trunc_bound}
+        return _verdict(cls, sup, tol, {"sup": sup}, tols,
+                        lambda: peak(np.ones(F.n, bool)))
+    if cls is FunctionClass.C0:
+        tol = TOL_C0 * scale + 2.0 * trunc_bound
+        tols = {"tol_c0": TOL_C0, "scale_ref": scale,
+                "trunc_bound": trunc_bound}
+        if sup <= max(cfg.tol_zero_abs, 2.0 * trunc_bound):
+            return ClassReport(cls, Tri.YES, {"sup": sup, "trivial": True},
+                               tols)
+        try:
+            checkpoints = _auto_checkpoints(F, cfg)
+            sups = []
+            for T in checkpoints:
+                if T > F.t_end + 1e-12:
+                    raise HorizonError(
+                        f"checkpoint {T} beyond record end {F.t_end}")
+                mask = tail(T)
+                sups.append(float(norms[mask].max()) if mask.any() else 0.0)
+        except HorizonError as exc:
+            return exc
+        ev = {"checkpoints": list(checkpoints), "tail_sups": sups}
+        decayed = sups[0] <= tol or sups[-1] <= DECAY_FACTOR * sups[0]
+        return _verdict(cls, sups[-1], tol, ev, tols,
+                        lambda: peak(tail(checkpoints[-1])), yes=decayed)
+    if cls is FunctionClass.BOUNDED:
+        at = np.abs(t)
+        qs = np.quantile(at, [0.5, 0.65, 0.8, 0.95])
+        s_in = float(norms[at < qs[0]].max())
+        segs = []
+        for lo, hi in zip(qs[:-1], qs[1:]):
+            sel = (at >= lo) & (at < hi)
+            segs.append(float(norms[sel].max()) if sel.any() else 0.0)
+        ev = {"inner_sup": s_in, "segment_sups": segs}
+        tols = {"scale_ref": scale}
+        if segs[-1] <= 1.3 * s_in + cfg.tol_zero_abs:
+            return ClassReport(cls, Tri.YES, ev, tols)
+        if segs[-1] >= 1.4 * max(segs[0], cfg.tol_zero_abs) and \
+                segs[-1] >= 1.4 * s_in:
+            ev["witness"] = peak(at >= qs[-1])
+            return ClassReport(cls, Tri.NO, ev, tols)
+        return ClassReport(cls, Tri.UNDECIDED, ev, tols)
+    raise ValueError(f"{cls} is not decided from row norms")

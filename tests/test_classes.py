@@ -9,16 +9,16 @@ from redspectra import classes
 from redspectra.classes import (TOL_ERG, XATOL, FunctionClass, Tri,
                                 _BohrSum, _refine_frequency, ap_decompose,
                                 bohr_coefficient, detect, ergodic_mean, is_c0,
-                                is_slowly_oscillating, is_uc, tail_sup,
-                                uc_modulus)
+                                is_slowly_oscillating, is_uc, uc_modulus)
 from redspectra.config import Config
 from redspectra.corpus import build_signal
 from redspectra.errors import HorizonError
+from redspectra.io_utils import canonical_json
 from redspectra.signals import Domain, SampledSignal, convolve, extend_by_zero, \
     modulate, mollify
 
 from conftest import make_full, make_half
-from oracles import box_kernel
+from oracles import box_kernel, norm_class_by_column
 
 CFG = Config()
 
@@ -42,10 +42,68 @@ def test_c0_mollified_chirp():
 
 def test_tail_sup_is_nested_monotone():
     F = make_half(lambda t: np.exp(-0.05 * t) * np.cos(t))
-    sups = tail_sup(F, [50.0, 100.0, 150.0])
+    sups = classes._tail_sups(F, F.norms[:, None], [50.0, 100.0, 150.0])
     assert sups[0] >= sups[1] >= sups[2]
     with pytest.raises(HorizonError):
-        tail_sup(F, [250.0])
+        classes._tail_sups(F, F.norms[:, None], [250.0])
+
+
+def _norm_block(domain, t0, n, d, seed):
+    """A (n, 6, d) block of records on the lattice t0 + 0.25 k: a decaying
+    one, a steady one, an all-zero one, one trivially small under 2 trunc
+    (1e-3), one whose last-tail maximum is a tie, and a growing one."""
+    rng = np.random.default_rng(seed)
+    t = t0 + 0.25 * np.arange(n)
+    X = rng.standard_normal((n, 6, d)) + 1j * rng.standard_normal((n, 6, d))
+    X[:, 0] *= np.exp(-np.abs(t) / 10.0)[:, None]
+    X[:, 2] = 0.0
+    X[:, 3] *= 1e-4
+    X[:, 4] *= 0.1
+    X[[-7, -3], 4] = 5.0 - 2.0j              # two equal rows, the largest
+    X[:, 5] *= (1.0 + np.abs(t) / 5.0)[:, None]
+    return X
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("domain, t0, n", [
+    (Domain.HALF_LINE, 0.0, 401),           # 100 s
+    (Domain.FULL_LINE, -50.0, 401),         # |t| <= 50
+    (Domain.FULL_LINE, -80.0, 401),         # a checkpoint past t_end
+    (Domain.HALF_LINE, 0.0, 61)])           # 15 s, below min_window
+def test_norm_reports_are_the_detectors_column_by_column(domain, t0, n, d):
+    X = _norm_block(domain, t0, n, d, seed=n + d)
+    G = SampledSignal(domain, t0, 0.25, X[:, 0], trusted=True)
+    N = np.empty((n, X.shape[1]))
+    for c in range(X.shape[1]):
+        N[:, c] = np.linalg.norm(X[:, c], axis=1)
+    seen = set()
+    for cls in classes.NORM_CLASSES:
+        for scale_ref in (None, 1.0):
+            for trunc in (0.0, 1e-3):
+                got = classes.norm_reports(cls, G, N, CFG, scale_ref, trunc)
+                for c, rep in enumerate(got):
+                    F = SampledSignal(domain, t0, 0.25, X[:, c], trusted=True)
+                    want = norm_class_by_column(cls, F, CFG, scale_ref, trunc)
+                    if isinstance(want, HorizonError):
+                        assert isinstance(rep, HorizonError)
+                        assert str(rep) == str(want)
+                        with pytest.raises(HorizonError, match=str(want)):
+                            detect(cls, F, CFG, scale_ref, trunc)
+                        seen.add("refused")
+                        continue
+                    one = detect(cls, F, CFG, scale_ref, trunc)
+                    assert canonical_json(rep.to_dict()) == \
+                        canonical_json(want.to_dict()) == \
+                        canonical_json(one.to_dict())
+                    seen.add(rep.member)
+                    seen.add("trivial" if rep.evidence.get("trivial") else "")
+                    if rep.member is Tri.NO and cls is not FunctionClass.BOUNDED \
+                            and c == 4:
+                        # the first of the two equal largest rows
+                        assert rep.evidence["witness"]["t"] == F.times[-7]
+                        seen.add("tie")
+    assert {Tri.YES, Tri.NO, "trivial", "tie"} <= seen
+    assert ("refused" in seen) == (t0 == -80.0 or n == 61)
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ STEP_CASES = [(0.04, 0.2), (0.01, 0.2), (0.01, 0.04)]
 
 
 @pytest.mark.parametrize("dt, out_step", STEP_CASES)
-def test_overlap_save_segments_match_naive_sum(dt, out_step):
+def test_whole_record_windows_match_naive_sum(dt, out_step):
     # data on the whole record and outputs wherever the window fits: the
     # record's first and last samples meet nonzero taps, so a slice (of
     # convolve's window view, or of the ladder's DFT input) one sample

@@ -123,8 +123,10 @@ def test_band_columns_are_the_dt_lattice_sums(domain):
 
 
 def test_detector_error_makes_only_its_point_undecided(monkeypatch):
+    # UC runs the detector column by column; ZERO, C0 and BOUNDED reduce
+    # a whole rung at once (test_rung_reduction_error_fails_its_open_points)
     F = make_half(lambda t: np.exp(1j * t))
-    plain = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    plain = reduced_spectrum(F, FunctionClass.UC, SMALL, CFG)
     detect, calls = spectra.detect, []
 
     def flaky(*args, **kwargs):
@@ -135,7 +137,7 @@ def test_detector_error_makes_only_its_point_undecided(monkeypatch):
         return detect(*args, **kwargs)
 
     monkeypatch.setattr(spectra, "detect", flaky)
-    est = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    est = reduced_spectrum(F, FunctionClass.UC, SMALL, CFG)
     for j, (a, b) in enumerate(zip(plain.certificates, est.certificates)):
         if j == 3:
             assert b.status is RegStatus.UNDECIDED
@@ -146,11 +148,11 @@ def test_detector_error_makes_only_its_point_undecided(monkeypatch):
 
 def test_package_error_at_one_point_is_its_only_reason(monkeypatch):
     # a package error that is neither a truncation nor a horizon refusal,
-    # raised while rung 0 restricts the sixth grid point's band output,
-    # ends that point's test; the others keep an unpatched scan's
-    # certificates
+    # raised while rung 0 restricts the sixth grid point's band output for
+    # the column-by-column UC detector, ends that point's test; the others
+    # keep an unpatched scan's certificates
     F = make_half(lambda t: np.exp(1j * t))
-    plain = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    plain = reduced_spectrum(F, FunctionClass.UC, SMALL, CFG)
     exc = DomainError("restriction failed at one point")
     restricted, calls = ReducedScanner._restricted, []
 
@@ -161,7 +163,7 @@ def test_package_error_at_one_point_is_its_only_reason(monkeypatch):
         return restricted(self, plan, vals)
 
     monkeypatch.setattr(ReducedScanner, "_restricted", flaky)
-    est = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    est = reduced_spectrum(F, FunctionClass.UC, SMALL, CFG)
     for j, (a, b) in enumerate(zip(plain.certificates, est.certificates)):
         if j == 5:
             assert b.status is RegStatus.UNDECIDED
@@ -195,6 +197,60 @@ def test_package_error_of_a_rung_fails_its_open_points(monkeypatch):
         else:
             assert a.status is RegStatus.REGULAR
             assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+
+
+def test_rung_reduction_error_fails_its_open_points(monkeypatch):
+    # the C0 twin of the test above: the rung-wide reduction of rung delta
+    # = 0.5 raises, so every point still open there is UNDECIDED with the
+    # error as its only reason, and the points rung 1.0 decided keep their
+    # certificates
+    F = make_half(lambda t: np.exp(1j * t))
+    plain = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    exc = DomainError("rung reduction failed")
+    columns, reports, open_at = (ReducedScanner._band_columns,
+                                 spectra.norm_reports, {})
+
+    def logged(self, delta, idx):
+        open_at[delta] = list(idx)
+        return columns(self, delta, idx)
+
+    def flaky(cls, G, N, *args):
+        if len(open_at) == 2:               # rung 0.5
+            raise exc
+        return reports(cls, G, N, *args)
+
+    monkeypatch.setattr(ReducedScanner, "_band_columns", logged)
+    monkeypatch.setattr(spectra, "norm_reports", flaky)
+    est = reduced_spectrum(F, FunctionClass.C0, SMALL, CFG)
+    assert 0 < len(open_at[0.5]) < SMALL.n
+    for j, (a, b) in enumerate(zip(plain.certificates, est.certificates)):
+        if j in open_at[0.5]:
+            assert b.status is RegStatus.UNDECIDED
+            assert b.evidence == {"reasons": [str(exc)]}
+        else:
+            assert a.status is RegStatus.REGULAR
+            assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+
+
+@pytest.mark.parametrize("cls", [FunctionClass.C0, FunctionClass.ZERO])
+def test_scan_of_a_subset_matches_the_full_scan(monkeypatch, cls):
+    # a point's certificate does not depend on which points share its
+    # rungs, nor on how many share a norm matrix (one each in the subset
+    # scan); the rung-wide classes never call the per-column detector
+    F = make_full(lambda t: np.exp(1j * t) + 0.5 * np.exp(-0.7j * t))
+
+    def per_column(*args, **kwargs):
+        raise AssertionError("detect ran on a rung column")
+
+    monkeypatch.setattr(spectra, "detect", per_column)
+    full = ReducedScanner(F, SMALL.values(), CFG).scan(cls, range(SMALL.n))
+    subset = [0, 3, 4, 11, 12, 16]
+    monkeypatch.setattr(spectra, "WORK_BYTES", 1)
+    part = ReducedScanner(F, SMALL.values(), CFG).scan(cls, subset)
+    assert len({c.status for c in full}) == 2       # REGULAR and SINGULAR
+    for j, cert in zip(subset, part):
+        assert canonical_json(cert.to_dict()) == \
+            canonical_json(full[j].to_dict())
 
 
 def test_grid_step_must_divide_the_span():

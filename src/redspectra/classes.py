@@ -370,10 +370,11 @@ class _BohrSum:
     at the bins j delta, delta = 2 pi / (L dt), from one zero-padded FFT
     of length L >= 2 span / dt, so delta <= pi / span, a quarter of the
     weights' main-lobe half-width 4 pi / span; the FFT runs on the first
-    ``peak``."""
+    ``peak``.  The weights depend on the lattice alone, so a sum of
+    another record on the same lattice may pass them in."""
 
-    def __init__(self, F: SampledSignal):
-        w = _bohr_weights(F)
+    def __init__(self, F: SampledSignal, weights: np.ndarray | None = None):
+        w = _bohr_weights(F) if weights is None else weights
         self.rows = w[:, None] * F.values[:len(w)]
         self.t0, self.dt = F.t0, F.dt
         self.n_fft = _next_fast_len(2 * (F.n - 1))
@@ -492,7 +493,8 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
             if peak is not None:
                 yield _refine_frequency(a, peak, a.delta)
 
-    for nu in (refined(_BohrSum(F)) if windows else ()):
+    weights = _bohr_weights(F) if windows else None
+    for nu in (refined(_BohrSum(F, weights)) if windows else ()):
         if all(abs(nu - f) > sep for f in freqs):
             freqs.append(nu)
 
@@ -509,10 +511,12 @@ def ap_decompose(F: SampledSignal, candidate_freqs, cfg: Config = DEFAULT,
 
     ap_vals, freqs, sol = solve(freqs)
     # peel residual tones: one candidate window can hide several close
-    # frequencies, which a single refinement pass cannot separate
+    # frequencies, which a single refinement pass cannot separate; the
+    # residual's sums reuse the record's weights
     for _ in range(3 if windows else 0):
         a = _BohrSum(SampledSignal(F.domain, F.t0, F.dt, F.values - ap_vals,
-                                   F.growth_exponent, trusted=True))
+                                   F.growth_exponent, trusted=True),
+                     weights)
         best, best_norm = None, 3.0 * TOL_BOHR * scale
         for nu in refined(a):
             bn = np.linalg.norm(a(nu)[0])

@@ -17,7 +17,8 @@
   agree.
 
 The three transform engines share one certificate path
-(``_transform_estimate``); each supplies only its domain check and rule.
+(``_transform_estimate``), which builds every certificate; each supplies
+only its domain check and a rule that returns masks and evidence columns.
 
 A grid scan cannot certify true regularity or singularity, so UNDECIDED
 is a first-class status; every theorem check downstream treats it as
@@ -495,9 +496,13 @@ def _transform_estimate(kind: str, F: SampledSignal,
     A zero record is trivially regular everywhere.  Otherwise
     ``rule(hp, grid)`` reads the half-plane scan (``hp``, or a fresh one)
     and returns boolean ``singular`` and ``regular`` arrays over the grid,
-    the kernel id of a regular point, one evidence dict per point and the
-    meta.  Singular beats regular beats undecided, and regular points near
-    a singular one are then demoted.
+    the kernel id of a regular point, a list of evidence columns and the
+    meta.  A column ``(key, values, where)`` gives ``key`` to each point
+    where the mask ``where`` holds (every point when it is None), values
+    in grid order; a point's keys follow column order.  Singular beats
+    regular beats undecided, and a regular point within ``buffer_radius``
+    of a singular one is demoted to undecided: at finite scan depth a
+    singularity contaminates the boundary behaviour of its neighbours.
     """
     grid = FrequencyGrid.from_config(cfg) if grid is None else grid
     omegas = grid.values()
@@ -505,16 +510,26 @@ def _transform_estimate(kind: str, F: SampledSignal,
         return SpectrumEstimate(kind, grid, tuple(map(_trivial, omegas)),
                                 {"trivial": True})
     hp = half_plane_scan(F, omegas, cfg) if hp is None else hp
-    singular, regular, kernel_id, evidence, meta = rule(hp, grid)
+    singular, regular, kernel_id, columns, meta = rule(hp, grid)
+    regular = regular & ~singular
+    # the singular point nearest omega is s[i - 1] < omega or s[i] >= omega
+    s = np.r_[-np.inf, omegas[singular], np.inf]
+    i = np.searchsorted(s, omegas)
+    demoted = regular & (np.minimum(omegas - s[i - 1], s[i] - omegas)
+                         <= cfg.buffer_radius + 1e-12)
+    columns.append(("demoted", ["regular within buffer_radius of a "
+                                "singular point"] * int(demoted.sum()), demoted))
+    regular &= ~demoted
+    columns = [(key, iter(values), where) for key, values, where in columns]
     certs = []
-    for w, sing, reg, ev in zip(omegas, singular, regular, evidence):
-        status = RegStatus.SINGULAR if sing else \
-            RegStatus.REGULAR if reg else RegStatus.UNDECIDED
+    for j, w in enumerate(omegas):
+        ev = {key: next(values) for key, values, where in columns
+              if where is None or where[j]}
+        status = RegStatus.SINGULAR if singular[j] else \
+            RegStatus.REGULAR if regular[j] else RegStatus.UNDECIDED
         certs.append(RegularityCertificate(
-            w, status, kernel_id if status is RegStatus.REGULAR else None,
-            0.0, ev))
-    return SpectrumEstimate(kind, grid, _buffer_singular(certs, omegas, cfg),
-                            meta)
+            w, status, kernel_id if regular[j] else None, 0.0, ev))
+    return SpectrumEstimate(kind, grid, tuple(certs), meta)
 
 
 def carleman_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
@@ -536,18 +551,17 @@ def carleman_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
         decayed = (J[-1] <= JUMP_REG_RATIO
                    * np.maximum(J.max(axis=0), 1e-300)) & (J[-1] <= bound)
         elevated = peak >= ELEVATED_THRESH * scale
-        evidence = []
-        for j in range(len(peak)):
-            ev = {"jumps": J[:, j].tolist(),
-                  "peak_over_scale": float(peak[j]) / scale,
-                  "metric": float(J[-1, j])}
-            if blow[j] or stagnant[j]:
-                ev["witness"] = {"blowup": bool(blow[j]),
-                                 "jump_stagnation": bool(stagnant[j]),
-                                 "last_jump": float(J[-1, j])}
-            evidence.append(ev)
-        return (blow | stagnant, decayed & ~elevated, "two-sided-match",
-                evidence, {"a_seq": list(hp.a_seq), "scale": scale})
+        sing = blow | stagnant
+        witness = [{"blowup": b, "jump_stagnation": st, "last_jump": x}
+                   for b, st, x in zip(blow[sing].tolist(),
+                                       stagnant[sing].tolist(),
+                                       J[-1, sing].tolist())]
+        return (sing, decayed & ~elevated, "two-sided-match",
+                [("jumps", J.T.tolist(), None),
+                 ("peak_over_scale", (peak / scale).tolist(), None),
+                 ("metric", J[-1].tolist(), None),
+                 ("witness", witness, sing)],
+                {"a_seq": list(hp.a_seq), "scale": scale})
 
     return _transform_estimate("carleman", F, grid, cfg, None, rule)
 
@@ -585,22 +599,20 @@ def laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
         rel = diffs[-1] / np.maximum(mag[-1], scale)
         blow = _blowup(mag, scale)
         sc = TransformScanner(F, grid.values(), cfg)
-        circle_err = [_cauchy_circle_errors(sc, a) for a in hp.a_seq[-2:]]
+        circle_err = np.array([_cauchy_circle_errors(sc, a)
+                               for a in hp.a_seq[-2:]])
         cauchy = (rel <= CAUCHY_REL) & (diffs[-1] <= diffs[0] + 1e-15)
-        analytic = np.all(np.array(circle_err) <= CIRCLE_TOL * scale, axis=0)
+        analytic = np.all(circle_err <= CIRCLE_TOL * scale, axis=0)
         elevated = peak >= ELEVATED_THRESH * scale
         regular = cauchy & analytic & ~elevated
-        evidence = []
-        for j in range(len(peak)):
-            ev = {"peak_over_scale": float(peak[j]) / scale,
-                  "cauchy_rel": float(rel[j]),
-                  "metric": float(peak[j]) / scale}
-            if blow[j]:
-                ev["witness"] = {"blowup": True, "values": mag[:, j].tolist()}
-            else:
-                ev["circle_errors"] = [float(ce[j]) for ce in circle_err]
-            evidence.append(ev)
-        return (blow, regular, "cauchy+analytic-continuation", evidence,
+        peak_over_scale = (peak / scale).tolist()
+        return (blow, regular, "cauchy+analytic-continuation",
+                [("peak_over_scale", peak_over_scale, None),
+                 ("cauchy_rel", rel.tolist(), None),
+                 ("metric", peak_over_scale, None),
+                 ("witness", [{"blowup": True, "values": v}
+                              for v in mag[:, blow].T.tolist()], blow),
+                 ("circle_errors", circle_err[:, ~blow].T.tolist(), ~blow)],
                 {"a_seq": list(hp.a_seq), "scale": scale})
 
     return _transform_estimate("laplace", F, grid, cfg, hp, rule)
@@ -636,60 +648,39 @@ def weak_laplace_spectrum(F: SampledSignal, grid: FrequencyGrid | None = None,
     steps = wl_window_steps(cfg.wl_eps_seq, grid)
 
     def rule(hp, grid):
-        eps_seq, dw, n = cfg.wl_eps_seq, grid.step, grid.n
-        mag = np.linalg.norm(hp.right, axis=2)                    # (n_a, n_w)
-        dmag = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)  # (n_a-1, n_w)
-        singular, regular = np.ones(n, bool), np.ones(n, bool)
-        evidence = []
-        for j in range(n):
-            ev = {}
-            for eps, k in zip(eps_seq, steps):
-                lo, hi = max(0, j - k), min(n - 1, j + k)
-                if hi - lo < 2:
-                    singular[j] = regular[j] = False
-                    continue
-                I = np.trapezoid(mag[:, lo:hi + 1], dx=dw, axis=1)
-                D = np.trapezoid(dmag[:, lo:hi + 1], dx=dw, axis=1)
-                G = np.diff(I)
-                ev[f"window_mass_eps={eps:g}"] = I.tolist()
-                ev[f"l1_diffs_eps={eps:g}"] = D.tolist()
-                diverging = (np.all(G > 0) and G[-1] >= 0.5 * G[0]
-                             and I[-1] >= 1.3 * I[0])
-                cauchy = (D[-1] <= 0.5 * max(D[0], 1e-300)
-                          and D[-1] <= 0.1 * max(I[-1], 1e-300))
-                singular[j] &= bool(diverging)
-                regular[j] &= bool(cauchy and not diverging)
-            ev["metric"] = float(np.trapezoid(
-                mag[-1, max(0, j - 2):j + 3], dx=dw))
-            if singular[j]:
-                ev["witness"] = {"window_mass_divergence": True}
-            evidence.append(ev)
-        return (singular, regular, "windowed-l1-cauchy", evidence,
-                {"a_seq": list(hp.a_seq), "eps_seq": list(eps_seq),
+        # rows: |L F| at each a, then |increment| between successive a.
+        # Reordered arithmetic: a window's trapezoid is the difference of
+        # two running sums of the terms np.trapezoid sums pairwise
+        n_a, n, j = len(hp.right), grid.n, np.arange(grid.n)
+        rows = np.linalg.norm(np.concatenate(
+            (hp.right, np.diff(hp.right, axis=0))), axis=2)
+        run = np.cumsum(np.c_[np.zeros(len(rows)), grid.step
+                              * (rows[:, 1:] + rows[:, :-1]) / 2.0], axis=1)
+        singular, regular, columns = np.ones(n, bool), np.ones(n, bool), []
+        for eps, k in zip(cfg.wl_eps_seq, steps):
+            lo, hi = np.maximum(j - k, 0), np.minimum(j + k, n - 1)
+            # a window of fewer than three points decides nothing
+            wide = hi - lo >= 2
+            I, D = np.split(run[:, hi] - run[:, lo], [n_a])
+            G = np.diff(I, axis=0)
+            diverging = np.all(G > 0, axis=0) & (G[-1] >= 0.5 * G[0]) & \
+                (I[-1] >= 1.3 * I[0])
+            cauchy = (D[-1] <= 0.5 * np.maximum(D[0], 1e-300)) & \
+                (D[-1] <= 0.1 * np.maximum(I[-1], 1e-300))
+            singular &= wide & diverging
+            regular &= wide & cauchy & ~diverging
+            columns += [(f"{name}_eps={eps:g}", X[:, wide].T.tolist(), wide)
+                        for name, X in (("window_mass", I), ("l1_diffs", D))]
+        lo, hi = np.maximum(j - 2, 0), np.minimum(j + 2, n - 1)
+        columns += [("metric", (run[n_a - 1, hi] - run[n_a - 1, lo]).tolist(),
+                     None),
+                    ("witness", [{"window_mass_divergence": True}
+                                 for _ in range(singular.sum())], singular)]
+        return (singular, regular, "windowed-l1-cauchy", columns,
+                {"a_seq": list(hp.a_seq), "eps_seq": list(cfg.wl_eps_seq),
                  "scale": hp.scale})
 
     return _transform_estimate("weak-laplace", F, grid, cfg, hp, rule)
-
-
-def _buffer_singular(certs: list, omegas: np.ndarray, cfg: Config) -> tuple:
-    """Demote Regular points near a Singular one to Undecided: at finite
-    scan depth a singularity contaminates the boundary behaviour of its
-    grid neighbours, so a confident Regular there is not defensible."""
-    sing = np.array([w for w, c in zip(omegas, certs)
-                     if c.status is RegStatus.SINGULAR])
-    if len(sing) == 0:
-        return tuple(certs)
-    out = []
-    for w, c in zip(omegas, certs):
-        if c.status is RegStatus.REGULAR and \
-                np.abs(sing - w).min() <= cfg.buffer_radius + 1e-12:
-            ev = dict(c.evidence)
-            ev["demoted"] = "regular within buffer_radius of a singular point"
-            out.append(RegularityCertificate(w, RegStatus.UNDECIDED, None,
-                                             0.0, ev))
-        else:
-            out.append(c)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ convolution, also tap by tap in convolve's order; the dilates psi_n of
 the approximate identity and the Wiener division lemma; the Carleman
 transform at a point and its convolution form; the two extension
 conventions of the reduced spectrum; the zero, C0 and bounded detectors
-of one record, statistic by statistic.
+of one record, statistic by statistic; the weak-Laplace rule and the
+buffer demotion, grid point by grid point.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from redspectra.kernels import (SUPPORT_CUT, TestKernel, _bump_normalizer,
 from redspectra.signals import (_LATTICE_RTOL, Domain, SampledSignal,
                                 _cumulative, convolve, extend_by_zero,
                                 trapezoid_weights)
-from redspectra.spectra import FrequencyGrid, RegStatus, reduced_spectrum
+from redspectra.spectra import (FrequencyGrid, RegStatus, reduced_spectrum,
+                                wl_window_steps)
 from redspectra.transforms import _check_tail, trapezoid_transform
 
 
@@ -467,3 +469,49 @@ def norm_class_by_column(cls: FunctionClass, F: SampledSignal,
             return ClassReport(cls, Tri.NO, ev, tols)
         return ClassReport(cls, Tri.UNDECIDED, ev, tols)
     raise ValueError(f"{cls} is not decided from row norms")
+
+
+def weak_laplace_by_point(hp, grid: FrequencyGrid, cfg: Config = DEFAULT):
+    """(status, evidence) of each grid point of the weak-Laplace estimate
+    read from the half-plane scan hp: each point's windows integrated on
+    their own by np.trapezoid, then each regular point within
+    ``buffer_radius`` of a singular one demoted, certificate by
+    certificate.  The reference for ``spectra.weak_laplace_spectrum``."""
+    steps = wl_window_steps(cfg.wl_eps_seq, grid)
+    dw, n, omegas = grid.step, grid.n, grid.values()
+    mag = np.linalg.norm(hp.right, axis=2)                    # (n_a, n_w)
+    dmag = np.linalg.norm(np.diff(hp.right, axis=0), axis=2)  # (n_a-1, n_w)
+    points = []
+    for j in range(n):
+        ev, singular, regular = {}, True, True
+        for eps, k in zip(cfg.wl_eps_seq, steps):
+            lo, hi = max(0, j - k), min(n - 1, j + k)
+            if hi - lo < 2:
+                singular = regular = False
+                continue
+            I = np.trapezoid(mag[:, lo:hi + 1], dx=dw, axis=1)
+            D = np.trapezoid(dmag[:, lo:hi + 1], dx=dw, axis=1)
+            G = np.diff(I)
+            ev[f"window_mass_eps={eps:g}"] = I.tolist()
+            ev[f"l1_diffs_eps={eps:g}"] = D.tolist()
+            diverging = (np.all(G > 0) and G[-1] >= 0.5 * G[0]
+                         and I[-1] >= 1.3 * I[0])
+            cauchy = (D[-1] <= 0.5 * max(D[0], 1e-300)
+                      and D[-1] <= 0.1 * max(I[-1], 1e-300))
+            singular &= bool(diverging)
+            regular &= bool(cauchy and not diverging)
+        ev["metric"] = float(np.trapezoid(
+            mag[-1, max(0, j - 2):j + 3], dx=dw))
+        if singular:
+            ev["witness"] = {"window_mass_divergence": True}
+        points.append([RegStatus.SINGULAR if singular else RegStatus.REGULAR
+                       if regular else RegStatus.UNDECIDED, ev])
+    sing = np.array([w for w, (status, _) in zip(omegas, points)
+                     if status is RegStatus.SINGULAR])
+    for w, point in zip(omegas, points):
+        if point[0] is RegStatus.REGULAR and len(sing) and \
+                np.abs(sing - w).min() <= cfg.buffer_radius + 1e-12:
+            point[0] = RegStatus.UNDECIDED
+            point[1]["demoted"] = \
+                "regular within buffer_radius of a singular point"
+    return [tuple(point) for point in points]

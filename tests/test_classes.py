@@ -7,9 +7,10 @@ from scipy.optimize import minimize_scalar
 
 from redspectra import classes
 from redspectra.classes import (TOL_ERG, XATOL, FunctionClass, Tri,
-                                _BohrSum, _refine_frequency, ap_decompose,
-                                bohr_coefficient, detect, ergodic_mean, is_c0,
-                                is_slowly_oscillating, is_uc, uc_modulus)
+                                _BohrSum, _bohr_weights, _refine_frequency,
+                                ap_decompose, bohr_coefficient, detect,
+                                ergodic_mean, is_c0, is_slowly_oscillating,
+                                is_uc, uc_modulus)
 from redspectra.config import Config
 from redspectra.corpus import build_signal
 from redspectra.errors import HorizonError
@@ -360,9 +361,9 @@ def test_ap_decompose_forms_one_bohr_sum_per_pass(monkeypatch):
     # refinements count 1 + the passes
     built, refined = [], []
 
-    def counting_sum(F):
+    def counting_sum(F, *weights):
         built.append(F)
-        return _BohrSum(F)
+        return _BohrSum(F, *weights)
 
     def counting_refine(a, center, hw):
         refined.append(center)
@@ -376,6 +377,20 @@ def test_ap_decompose_forms_one_bohr_sum_per_pass(monkeypatch):
     built.clear()
     ap, rem, rep = ap_decompose(F, [], CFG)
     assert built == [] and rep.evidence["frequencies"] == []
+
+
+def test_ap_decompose_computes_the_bohr_weights_once(monkeypatch):
+    # the weights depend on the lattice alone: the peel passes' sums of
+    # the residual reuse the record's
+    calls = []
+
+    def counting_weights(F):
+        calls.append(F)
+        return _bohr_weights(F)
+    monkeypatch.setattr(classes, "_bohr_weights", counting_weights)
+    F = build_signal("aap_mix", CFG).half
+    ap, rem, rep = ap_decompose(F, [(1.0, 0.2)], CFG)
+    assert rep.member is Tri.YES and calls == [F]
 
 
 # ---------------------------------------------------------------------------

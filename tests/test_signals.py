@@ -341,9 +341,9 @@ def test_whole_record_windows_match_naive_sum(dt, out_step):
 @pytest.mark.parametrize("work_bytes", [None, 1 << 12])
 @pytest.mark.parametrize("d_omega, out_step",
                          [(0.04, 0.2), (0.03, 0.2), (0.06, 0.04)])
-def test_modulated_product_column_independent_of_its_batch(monkeypatch,
-                                                           d_omega, out_step,
-                                                           work_bytes):
+def test_band_product_column_independent_of_its_batch(monkeypatch,
+                                                      d_omega, out_step,
+                                                      work_bytes):
     # a verdict must not depend on which frequencies share a call: each
     # column of the band ladder's modulated-kernel product equals, bit for
     # bit, the same frequency computed alone (also with one frequency per

@@ -19,7 +19,8 @@ from redspectra.spectra import (FrequencyGrid, RegStatus, ReducedScanner,
 from redspectra.transforms import TransformScanner, half_plane_scan
 
 from conftest import make_full, make_half
-from oracles import box_kernel, extension_comparison
+from oracles import (box_kernel, extension_comparison,
+                     weak_laplace_by_point)
 
 CFG = Config()
 GRID = FrequencyGrid.from_config(CFG)
@@ -328,6 +329,77 @@ def test_weak_laplace_pole_window():
     assert all(s is RegStatus.SINGULAR for s in statuses_near(est, 1.0, 0.2))
     ent = weak_laplace_spectrum(make_half(lambda t: np.exp(-t)), GRID, CFG)
     assert all(c.status is RegStatus.REGULAR for c in ent.certificates)
+
+
+def _trapezoid_mass(x):
+    """Each row's summed trapezoid terms over the whole grid."""
+    return (GRID.step * (x[:, 1:] + x[:, :-1]) / 2.0).sum(axis=1)
+
+
+@pytest.mark.parametrize("eps_seq", [(0.25, 0.5), (0.1, 0.5)])
+@pytest.mark.parametrize("fn", [lambda t: np.exp(1j * t),
+                                lambda t: np.exp(-t),
+                                lambda t: np.exp(1j * t)
+                                + 0.5 * np.exp(-2.3j * t)],
+                         ids=["exp(it)", "exp(-t)", "two-tone"])
+def test_weak_laplace_windows_match_the_per_point_rule(fn, eps_seq):
+    # the windows are prefix-sum differences, the reference integrates
+    # each window on its own: a window float may differ by the rounding
+    # of the prefix sums, bounded by 8 eps times the row's summed
+    # trapezoid terms (2 eps is the largest seen); statuses, key order
+    # and every other value are equal
+    cfg = Config(wl_eps_seq=eps_seq)
+    F = make_half(fn)
+    hp = half_plane_scan(F, GRID.values(), cfg)
+    est = weak_laplace_spectrum(F, GRID, cfg, hp=hp)
+    ref = weak_laplace_by_point(hp, GRID, cfg)
+    bound = 8 * np.finfo(float).eps
+    mass = bound * _trapezoid_mass(np.linalg.norm(hp.right, axis=2))
+    l1 = bound * _trapezoid_mass(
+        np.linalg.norm(np.diff(hp.right, axis=0), axis=2))
+    for cert, (status, ev) in zip(est.certificates, ref, strict=True):
+        assert cert.status is status and list(cert.evidence) == list(ev)
+        for key, value in ev.items():
+            got = cert.evidence[key]
+            if key.startswith("window_mass"):
+                assert np.all(np.abs(np.subtract(got, value)) <= mass)
+            elif key.startswith("l1_diffs"):
+                assert np.all(np.abs(np.subtract(got, value)) <= l1)
+            elif key == "metric":
+                assert abs(got - value) <= mass[-1]
+            else:
+                assert got == value
+    if eps_seq[0] == 0.1:
+        # k = 1: an end point's window holds two grid points
+        for cert in est.certificates[0], est.certificates[-1]:
+            assert cert.status is RegStatus.UNDECIDED
+            assert not any("eps=0.1" in key for key in cert.evidence)
+
+
+def test_regular_points_next_to_a_singular_one_are_demoted():
+    half = make_half(lambda t: np.exp(1j * t))
+    estimates = {"laplace": laplace_spectrum(half, GRID, CFG),
+                 "weak-laplace": weak_laplace_spectrum(half, GRID, CFG),
+                 "carleman half": carleman_spectrum(extend_by_zero(half),
+                                                    GRID, CFG),
+                 "carleman full": carleman_spectrum(
+                     make_full(lambda t: np.exp(1j * t)), GRID, CFG)}
+    demoted = {}
+    for name, est in estimates.items():
+        sing = est.singular_set()
+        demoted[name] = 0
+        for w, cert in zip(GRID.values(), est.certificates):
+            near = np.abs(sing - w).min(initial=np.inf) <= \
+                CFG.buffer_radius + 1e-12
+            assert not (near and cert.status is RegStatus.REGULAR)
+            if "demoted" in cert.evidence:
+                demoted[name] += 1
+                assert near and cert.status is RegStatus.UNDECIDED
+                assert cert.kernel_id is None
+                assert list(cert.evidence)[-1] == "demoted"
+    # the half-line record's zero extension has no regular point to demote
+    assert demoted == {"laplace": 4, "weak-laplace": 2, "carleman half": 0,
+                       "carleman full": 4}
 
 
 def test_modulation_shift_relation():
